@@ -1,8 +1,8 @@
 """The property-based acceptance suite, one callable per criterion.
 
 Every check pins a structural fact of the constructions and runs at desk
-scale with fixed tolerances.  `run_all` returns a deterministic report; the
-CLI invokes it for `verify all`.
+scale with fixed tolerances.  Each criterion returns a deterministic
+result; `cubikit verify all` runs them in the order of `CRITERIA`.
 """
 
 from __future__ import annotations
@@ -430,23 +430,3 @@ CRITERIA = [
     criterion_transversality,
     criterion_phi,
 ]
-
-
-def run_all(seed: int = 0, only=None, threads: int = 1):
-    """Run the acceptance criteria; returns the ordered list of results."""
-    picks = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        if only is None or i in only:
-            picks.append((i, fn))
-    results = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(fn, seed): i for i, fn in picks}
-            for fut, i in futs.items():
-                results[i] = fut.result()
-    else:
-        for i, fn in picks:
-            results[i] = fn(seed)
-    return [results[i] for i, _ in picks]

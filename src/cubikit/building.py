@@ -69,17 +69,6 @@ def residue_contains(g: DefiningGraph, small: Residue, big: Residue) -> bool:
 
 
 @dataclass
-class ResiduePoset:
-    residues: list
-
-    def grades(self):
-        out = {}
-        for r in self.residues:
-            out.setdefault(r.rank, []).append(r)
-        return out
-
-
-@dataclass
 class DavisBall:
     ball: CubeComplexBall
     residue_of: dict            # vertex id -> Residue

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import acceptance
@@ -184,7 +183,7 @@ def cmd_blowup(args):
         data = bu.bijective_data(g, davis, args.window)
     psi = bu.build_fiber_functor(data, davis)
     bc = bu.blowup_complex(psi)
-    rep = bc.verify(samples=10, seed=args.seed)
+    rep = cc.verify_rq_characterization(bc.q, samples=10, seed=args.seed)
     body = json.loads(bc.Y.to_json())
     for v in body["vertices"]:
         v["rank"] = bc.rank(v["id"])
@@ -202,10 +201,17 @@ def cmd_blowup(args):
 
 def cmd_dual(args):
     if args.wallspace:
-        raw = json.loads(_read(args.wallspace))
-        points = raw["points"]
-        walls = [[points[i] for i in side] for side in raw["walls"]]
-        ws = wd.Wallspace.make(points, walls)
+        text = _read(args.wallspace)
+        try:
+            raw = json.loads(text)
+            points = raw["points"]
+            walls = [[points[i] for i in side] for side in raw["walls"]]
+            ws = wd.Wallspace.make(points, walls)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise CliError(EXIT_PARAMS,
+                           f"bad wallspace {args.wallspace}: {exc!r}") from exc
+    elif args.graph is None:
+        raise CliError(EXIT_PARAMS, "dual needs --graph or --wallspace")
     else:
         g = _load_graph(args.graph)
         _require_radius(args)
@@ -222,7 +228,12 @@ def cmd_dual(args):
 
 
 def cmd_semiconj(args):
-    spec = sc.ZActionSpec.from_json(_read(args.action))
+    text = _read(args.action)
+    try:
+        spec = sc.ZActionSpec.from_json(text)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(EXIT_PARAMS,
+                       f"bad action {args.action}: {exc!r}") from exc
     if args.window:
         if args.window > spec.window:
             raise CliError(EXIT_PARAMS, "requested window exceeds the tables")
@@ -251,7 +262,6 @@ def cmd_verify_all(args):
             only = {int(x) for x in args.only.split(",")}
         except ValueError as exc:
             raise CliError(EXIT_PARAMS, f"bad criteria list: {exc}") from exc
-    threads = int(os.environ.get("CUBIKIT_THREADS", "1"))
     graphs = None
     if args.graph:
         g = _load_graph(args.graph)
@@ -275,7 +285,8 @@ def cmd_verify_all(args):
                 pass
         results.append(fn(args.seed))
     for r in results:
-        print(f"{r['status'].upper():4}  {r['name']}: {r['witness']}")
+        print(f"{r['status'].upper():4}  {r['name']}: {r['witness']}",
+              file=sys.stderr)
     _report(args, results)
     ok = all(r["status"] == "pass" for r in results)
     return EXIT_OK if ok else EXIT_VERIFY

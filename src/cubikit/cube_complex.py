@@ -55,7 +55,6 @@ class CubeComplexBall:
     edges: dict
     squares: tuple
     depth: dict
-    max_dim: int = 2
     _index: dict = field(default=None, repr=False)
     _adj: dict = field(default=None, repr=False)
     _dist_cache: dict = field(default=None, repr=False)
@@ -79,7 +78,7 @@ class CubeComplexBall:
     # -- static constructors ------------------------------------------------
 
     @staticmethod
-    def make(vertices, edges, squares, depth=None, max_dim=2):
+    def make(vertices, edges, squares, depth=None):
         """edges: iterable of (u, v, label); squares: iterable of 4-cycles."""
         em = {}
         for u, v, lab in edges:
@@ -89,7 +88,7 @@ class CubeComplexBall:
             if key in em and em[key] != lab:
                 raise ComplexError(f"two edges between {u!r},{v!r}")
             em[key] = lab
-        return CubeComplexBall(tuple(vertices), em, tuple(squares), depth, max_dim)
+        return CubeComplexBall(tuple(vertices), em, tuple(squares), depth)
 
     # -- basic queries --------------------------------------------------------
 
@@ -182,7 +181,7 @@ class CubeComplexBall:
         edges = {e: lab for e, lab in self.edges.items() if e <= vset}
         squares = [s for s in self.squares if all(x in vset for x in s)]
         depth = {v: self.depth[v] for v in vs}
-        return CubeComplexBall(tuple(vs), edges, tuple(squares), depth, self.max_dim)
+        return CubeComplexBall(tuple(vs), edges, tuple(squares), depth)
 
     # -- serialization ----------------------------------------------------------
 
@@ -322,10 +321,6 @@ class Hyperplane:
         a, bside = self.sides
         return (x in a) != (y in a)
 
-    def side_of(self, x):
-        a, bside = self.sides
-        return 0 if x in a else 1
-
 
 def hyperplanes(b: CubeComplexBall) -> list:
     """Partition of edges into square-opposite parallelism classes.
@@ -429,7 +424,6 @@ def is_convex(b: CubeComplexBall, S) -> bool:
             for y in b.neighbors(z):
                 if y in S and y != x and b.distance(x, y) == 2:
                     return False
-    sq = set()
     for s in b.squares:
         for i in range(4):
             a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
@@ -525,7 +519,6 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
     for h in K:
         k_edges |= h.edge_class
     # K-classes = components after deleting the K-edges
-    unassigned = set(b.vertex_ids)
     cls_of = {}
     classes = []
     for v in b.vertex_ids:
@@ -561,7 +554,7 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
     depth = {}
     for i, members in enumerate(classes):
         depth[ids[i]] = max(b.depth[m] for m in members)
-    target = CubeComplexBall(tuple(ids), edges, tuple(squares), depth, b.max_dim)
+    target = CubeComplexBall(tuple(ids), edges, tuple(squares), depth)
     qm = CubicalMap(vmap, b, target)
     return RestrictionQuotient(b, target, qm, tuple(K))
 
@@ -583,7 +576,7 @@ def _edge_ladder_connected(q: CubicalMap, te):
         if {q.vertex_map[u], q.vertex_map[v]} == {tu, tv}:
             lifts.append(e)
     if not lifts:
-        return False, 0
+        return False
     adj = {e: set() for e in lifts}
     lifted = set(lifts)
     for a, bb, c, d in q.source.squares:
@@ -603,8 +596,7 @@ def _edge_ladder_connected(q: CubicalMap, te):
             if y not in seen:
                 seen.add(y)
                 dq.append(y)
-    comps = 1 if len(seen) == len(lifts) else 2
-    return len(seen) == len(lifts), comps
+    return len(seen) == len(lifts)
 
 
 def _sheets_connected(q: CubicalMap, lifts) -> bool:
@@ -662,8 +654,7 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
 
     cond2 = True
     for te in tgt.edges:
-        ok, _ = _edge_ladder_connected(q, te)
-        if not ok:
+        if not _edge_ladder_connected(q, te):
             cond2 = False
             break
     if cond2:
@@ -862,8 +853,7 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
 def relabel_edges(b: CubeComplexBall, fn) -> CubeComplexBall:
     """Copy of the ball with edge labels mapped through fn."""
     edges = {e: fn(lab) for e, lab in b.edges.items()}
-    return CubeComplexBall(b.vertex_ids, edges, b.squares, dict(b.depth),
-                           b.max_dim)
+    return CubeComplexBall(b.vertex_ids, edges, b.squares, dict(b.depth))
 
 
 def from_json(text: str) -> CubeComplexBall:

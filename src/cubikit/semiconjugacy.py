@@ -10,8 +10,9 @@ packaged as a branched line with one tip per integer.
 Tracks are represented by the vertex bipartitions they induce.  An
 essential track crosses each edge of its cut once (triangles meet a
 bipartition in 0 or 2 sides, so the normal-coordinate conditions hold
-automatically), and a minimum-weight essential track can be found among
-cuts; minimality is certified independently by max-flow.
+automatically), so a minimum-weight essential track is a minimum cut
+between the two rim tails: one max-flow computation gives its weight, and
+its residual graph gives the leftmost such cut.
 """
 
 from __future__ import annotations
@@ -224,12 +225,6 @@ class Rips2Complex:
         a, b = min(x, y), max(x, y)
         return self.metric[(a, b)]
 
-    def edges_at(self, x):
-        return [e for e in self.edges if x in e]
-
-    def triangles_of_edge(self, e):
-        return [t for t in self.triangles if set(e) <= set(t)]
-
 
 def rips2(spec: ZActionSpec, B: int = 8, radius: float | None = None) -> Rips2Complex:
     """2-skeleton of the Rips complex of (Z, dbar) at the given radius."""
@@ -387,8 +382,14 @@ def edge_span(K: Rips2Complex) -> int:
     return max((abs(x - y) for e in K.edges for x, y in [tuple(e)]), default=1)
 
 
-def _min_cut_weight(K: Rips2Complex, left_seed, right_seed) -> int:
-    """Max-flow certificate for the minimal cut weight (Edmonds-Karp)."""
+def _leftmost_min_cut(K: Rips2Complex, left_seed, right_seed):
+    """Edmonds-Karp max flow between the seeds over unit-capacity edges.
+
+    Returns (weight, left): the flow value and the window vertices reachable
+    from the source in the final residual graph.  By Picard-Queyranne that
+    reachable set is the leftmost minimum cut, contained in the source side
+    of every other minimum cut.
+    """
     cap = {}
     for e in K.edges:
         x, y = tuple(e)
@@ -414,7 +415,7 @@ def _min_cut_weight(K: Rips2Complex, left_seed, right_seed) -> int:
                     parent[w] = u
                     dq.append(w)
         if SNK not in parent:
-            return flow
+            return flow, set(parent) - {SRC}
         path = []
         node = SNK
         while parent[node] is not None:
@@ -427,54 +428,30 @@ def _min_cut_weight(K: Rips2Complex, left_seed, right_seed) -> int:
         flow += push
 
 
-def min_essential_track(K: Rips2Complex, strip: int | None = None,
-                        w_max: int | None = None) -> Track:
-    """Least-weight essential track, ties broken by canonical cut order.
+def min_essential_track(K: Rips2Complex) -> Track:
+    """Least-weight essential track: the leftmost minimum cut between the
+    two rim tails.
 
-    Candidate bipartitions differ from a position cut only inside a sliding
-    strip; the weight of the winner is certified by an independent max-flow
-    minimum-cut computation and the strip is widened if they ever disagree.
+    The max flow from the low tail to the high tail finds the least weight;
+    its residual graph gives the leftmost minimum cut, which is the
+    tie-break among equal-weight tracks.  A weight above 4(L*radius + A) or
+    a cut that is not a connected essential track raises ActionError.
     """
     spec = K.spec
-    if w_max is None:
-        w_max = int(4 * (spec.L * K.radius + spec.A))
+    w_max = int(4 * (spec.L * K.radius + spec.A))
     lo, hi = min(K.vertices), max(K.vertices)
     seed = max(edge_span(K), 1)
-    certificate = _min_cut_weight(
+    weight, left = _leftmost_min_cut(
         K, [v for v in K.vertices if v <= lo + seed],
         [v for v in K.vertices if v >= hi - seed])
-    strip0 = strip if strip is not None else min(int(K.radius), 4)
-    s = strip0
-    while True:
-        best = None
-        best_key = None
-        for theta in range(lo + seed, hi - seed + 1):
-            lo_fix = [v for v in K.vertices if v < theta - s]
-            strip_verts = [v for v in K.vertices
-                           if theta - s <= v <= theta + s]
-            for bits in range(1 << len(strip_verts)):
-                left = set(lo_fix)
-                for k, v in enumerate(strip_verts):
-                    if bits >> k & 1:
-                        left.add(v)
-                tr = Track(frozenset(left))
-                cut = tr.cut_edges(K)
-                if not cut or len(cut) > min(w_max, certificate):
-                    continue
-                if len(cut) < certificate:
-                    continue
-                if not tr.essential(K) or not tr.connected(K):
-                    continue
-                key = (len(cut), sorted(tuple(sorted(e)) for e in cut))
-                if best is None or key < best_key:
-                    best, best_key = tr, key
-        if best is not None:
-            return best
-        s += 2
-        if s > int(K.radius) * 2 + 4:
-            raise ActionError(
-                f"no essential track of weight {certificate} found "
-                f"(w_max={w_max})")
+    if weight > w_max:
+        raise ActionError(
+            f"least essential cut has weight {weight} > w_max={w_max}")
+    track = Track(frozenset(left))
+    if not track.essential(K) or not track.connected(K):
+        raise ActionError(
+            f"least cut of weight {weight} is not a connected essential track")
+    return track
 
 
 def _apply_table_to_track(K: Rips2Complex, t, track: Track):

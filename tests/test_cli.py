@@ -147,10 +147,49 @@ def test_blowup_data_file_roundtrip(graphs, tmp_path, capsys):
     assert body["checks"][0]["status"] == "pass"
 
 
-def test_verify_threads_deterministic(graphs, tmp_path, monkeypatch):
+def test_verify_deterministic(graphs, tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"
     cli.main(["verify", "all", "--only", "3,4", "--out", str(out1)])
-    monkeypatch.setenv("CUBIKIT_THREADS", "3")
     cli.main(["verify", "all", "--only", "3,4", "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def test_verify_stdout_is_one_json_document(capsys):
+    rc = cli.main(["verify", "all", "--only", "3,4"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    body = json.loads(captured.out)
+    assert [c["status"] for c in body["checks"]] == ["pass", "pass"]
+    assert "PASS  3 Sageev round-trip" in captured.err
+
+
+def test_semiconj_bad_action_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    missing.write_text('{"window": 4, "L": 1, "A": 0}')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"window": 4, "generators": ')
+    for path in (missing, malformed):
+        assert cli.main(["semiconj", "--action", str(path)]) == 3
+    assert "bad action" in capsys.readouterr().err
+
+
+def test_dual_without_input_exits_3(capsys):
+    assert cli.main(["dual"]) == 3
+    assert "--graph or --wallspace" in capsys.readouterr().err
+
+
+def test_dual_empty_side_wall_exits_3(tmp_path, capsys):
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"points": ["a", "b"], "walls": [[]]}))
+    assert cli.main(["dual", "--wallspace", str(ws)]) == 3
+    assert "empty side" in capsys.readouterr().err
+
+
+def test_blowup_window_below_radius_reports_failure(graphs, capsys):
+    rc = cli.main(["blowup", "--graph", graphs["k2"], "--radius", "3",
+                   "--window", "2"])
+    assert rc == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["checks"][0]["name"] == "restriction quotient checks"
+    assert body["checks"][0]["status"] == "fail"

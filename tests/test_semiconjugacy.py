@@ -282,3 +282,46 @@ def test_window_exhaustion_raises():
     spec = sc.translation_spec(3, step=2)
     with pytest.raises(TruncationError):
         sc.group_tables(spec, 8)
+
+
+# -- the leftmost minimum cut ----------------------------------------------
+
+@pytest.mark.parametrize("make, window, B, radius", [
+    (sc.translation_spec, 7, 2, 1),
+    (sc.translation_spec, 7, 2, 2),
+    (sc.reflection_spec, 7, 2, 2),
+    (sc.identity_spec, 7, 2, 2),
+    (sc.two_flipping_spec, 7, 2, 3),
+    (sc.two_flipping_spec, 6, 2, 4),
+])
+def test_min_track_is_leftmost_min_cut(make, window, B, radius):
+    """Oracle: every vertex bipartition, oriented to hold the window minimum.
+
+    The returned track has the least essential weight, is connected, and its
+    left side lies inside the left side of every minimum essential cut.
+    """
+    K = sc.rips2(make(window), B=B, radius=radius)
+    tr = sc.min_essential_track(K)
+    verts = sorted(K.vertices)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    edges = [tuple(bit[v] for v in e) for e in K.edges]
+    span = sc.edge_span(K)
+    lo_tail = sum(bit[v] for v in verts[:span + 1])
+    hi_tail = sum(bit[v] for v in verts[-span - 1:])
+    minima, best = [], None
+    # left sides holding the window minimum list each bipartition once
+    for mask in range(1, 1 << len(verts), 2):
+        if mask & lo_tail != lo_tail or mask & hi_tail:
+            continue
+        w = sum(1 for a, b in edges if bool(mask & a) != bool(mask & b))
+        if best is None or w < best:
+            minima, best = [mask], w
+        elif w == best:
+            minima.append(mask)
+    left = set(tr.left)
+    if verts[0] not in left:
+        left = set(verts) - left
+    left_mask = sum(bit[v] for v in left)
+    assert tr.weight(K) == best
+    assert tr.connected(K)
+    assert all(left_mask & m == left_mask for m in minima)
