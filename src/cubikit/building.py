@@ -22,11 +22,13 @@ from .cube_complex import CubeComplexBall, TruncationError
 from .graph_core import DefiningGraph, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
+    _lex_least,
     class_of_geodesic,
     coset_coordinates,
     coset_member,
     flat_element,
     gate_representative,
+    group_ball,
     inv,
     mul,
     normal_form,
@@ -90,20 +92,8 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
         raise ValueError("radius must be >= 1")
     from .graph_core import cliques as all_cliques
 
-    elements = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for v in g.vertices:
-                for e in (1, -1):
-                    h2 = mul(g, h, ((v, e),))
-                    if len(h2) <= radius and h2 not in elements:
-                        elements.add(h2)
-                        nxt.append(h2)
-        frontier = nxt
     residues = {}
-    for h in elements:
+    for h in group_ball(g, radius):
         for cl in all_cliques(g):
             r = residue(g, h, cl.members)
             residues[r.id] = r
@@ -138,17 +128,9 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
 
 def w_distance(g: DefiningGraph, c1, c2):
     """Coxeter-valued distance: one letter per syllable of nf(c1^-1 c2)."""
-    word = [v for v, _ in syllables(mul(g, inv(c1), c2))]
+    word = [(v, 1) for v, _ in syllables(mul(g, inv(c1), c2))]
     # canonical shuffle (the word is already reduced in the Coxeter group)
-    out = []
-    while word:
-        best = None
-        for i, v in enumerate(word):
-            if all(g.adjacent(w, v) for w in word[:i]):
-                if best is None or g.index(v) < g.index(word[best]):
-                    best = i
-        out.append(word.pop(best))
-    return tuple(out)
+    return tuple(v for v, _ in _lex_least(g, word))
 
 
 def gallery_distance(g: DefiningGraph, c1, c2) -> int:

@@ -163,21 +163,27 @@ def cmd_blowup(args):
     _require_radius(args)
     davis = bd.davis_ball(g, args.radius)
     if args.data:
-        raw = json.loads(_read(args.data))
-        tables = {}
-        classes = {}
-        for entry in raw["classes"]:
-            cid = entry["id"]
-            tables[cid] = {}
-            for word, val in entry["table"].items():
-                chamber = rg.parse_word(word)
-                pc_dir = cid.split("@")[0]
-                pc = rg.class_of_geodesic(g, chamber, pc_dir)
-                classes[cid] = pc
-                rep = bd.residue(g, pc.rep, (pc.direction,))
-                n = rg.coset_coordinates(g, bd.proj_residue(g, rep, chamber),
-                                         rep.base, (pc.direction,))[pc.direction]
-                tables[cid][n] = int(val)
+        text = _read(args.data)
+        try:
+            raw = json.loads(text)
+            tables = {}
+            classes = {}
+            for entry in raw["classes"]:
+                cid = entry["id"]
+                tables[cid] = {}
+                for word, val in entry["table"].items():
+                    chamber = rg.parse_word(word)
+                    pc_dir = cid.split("@")[0]
+                    pc = rg.class_of_geodesic(g, chamber, pc_dir)
+                    classes[cid] = pc
+                    rep = bd.residue(g, pc.rep, (pc.direction,))
+                    n = rg.coset_coordinates(
+                        g, bd.proj_residue(g, rep, chamber), rep.base,
+                        (pc.direction,))[pc.direction]
+                    tables[cid][n] = int(val)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CliError(EXIT_PARAMS,
+                           f"bad blow-up data {args.data}: {exc!r}") from exc
         data = bu.BlowUpData(g, tables, classes, args.window)
     else:
         data = bu.bijective_data(g, davis, args.window)
@@ -262,6 +268,9 @@ def cmd_verify_all(args):
             only = {int(x) for x in args.only.split(",")}
         except ValueError as exc:
             raise CliError(EXIT_PARAMS, f"bad criteria list: {exc}") from exc
+        unknown = only - set(range(1, len(acceptance.CRITERIA) + 1))
+        if unknown:
+            raise CliError(EXIT_PARAMS, f"unknown criteria {sorted(unknown)}")
     graphs = None
     if args.graph:
         g = _load_graph(args.graph)

@@ -77,9 +77,10 @@ class CubeComplexBall:
 
     # -- static constructors ------------------------------------------------
 
-    @staticmethod
-    def make(vertices, edges, squares, depth=None):
-        """edges: iterable of (u, v, label); squares: iterable of 4-cycles."""
+    @classmethod
+    def make(cls, vertices, edges, squares, depth=None, **fields):
+        """edges: iterable of (u, v, label); squares: iterable of 4-cycles;
+        `fields` fill the extra fields of a subclass."""
         em = {}
         for u, v, lab in edges:
             key = frozenset((u, v))
@@ -88,7 +89,7 @@ class CubeComplexBall:
             if key in em and em[key] != lab:
                 raise ComplexError(f"two edges between {u!r},{v!r}")
             em[key] = lab
-        return CubeComplexBall(tuple(vertices), em, tuple(squares), depth)
+        return cls(tuple(vertices), em, tuple(squares), depth, **fields)
 
     # -- basic queries --------------------------------------------------------
 
@@ -186,7 +187,7 @@ class CubeComplexBall:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:
-        vid = {v: i for i, v in enumerate(self.vertex_ids)}
+        vid = self._index
         edge_list = sorted(self.edges.items(),
                            key=lambda kv: tuple(sorted(vid[x] for x in kv[0])))
         eidx = {}
@@ -219,8 +220,10 @@ class CubeComplexBall:
         for v in self.vertex_ids:
             shape = "circle" if not self.boundary_flag(v) else "point"
             lines.append(f'  "{v}" [shape={shape}];')
-        for e, lab in sorted(self.edges.items(), key=lambda kv: str(kv[0])):
-            u, v = sorted(e, key=str)
+        index = self._index
+        for e, lab in sorted(self.edges.items(),
+                             key=lambda kv: tuple(sorted(map(index.get, kv[0])))):
+            u, v = sorted(e, key=index.get)
             col = color.get(e, "black")
             lines.append(f'  "{u}" -- "{v}" [label="{lab}", color={col}];')
         lines.append("}")

@@ -83,9 +83,6 @@ class DefiningGraph:
     def has_vertex(self, v: str) -> bool:
         return v in self._adj
 
-    def sort_key(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def sorted_subset(self, subset) -> tuple[str, ...]:
         """Subset of vertices in canonical (declaration) order."""
         return tuple(sorted(subset, key=self.vertices.index))

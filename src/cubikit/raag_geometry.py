@@ -135,7 +135,7 @@ def gate_representative(g: DefiningGraph, base, support) -> tuple:
     This is the gate of the identity on the (convex) coset; greedy descent
     by right multiplication terminates there.
     """
-    key = (id(g), tuple(base), tuple(support))
+    key = (g, tuple(base), tuple(support))
     hit = _gate_cache.get(key)
     if hit is not None:
         return hit
@@ -232,15 +232,10 @@ def flat_contains(g: DefiningGraph, small: StandardFlat, big: StandardFlat) -> b
 # the ball of X
 # ---------------------------------------------------------------------------
 
-def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
-    """Ball of the universal cover of the Salvetti complex.
-
-    Vertices are canonical-form word strings of length <= radius; edges are
-    right multiplications by generators; squares come from commuting pairs.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    elements = {(): None}
+def group_ball(g: DefiningGraph, radius: int):
+    """All group elements of word length <= radius, by BFS over right
+    multiplication; sorted by (length, word)."""
+    elements = {()}
     frontier = [()]
     while frontier:
         nxt = []
@@ -249,10 +244,22 @@ def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
                 for e in (1, -1):
                     h2 = mul(g, h, ((v, e),))
                     if len(h2) <= radius and h2 not in elements:
-                        elements[h2] = None
+                        elements.add(h2)
                         nxt.append(h2)
         frontier = nxt
-    verts = sorted(elements, key=lambda w: (len(w), word_str(w)))
+    return sorted(elements, key=lambda w: (len(w), w))
+
+
+def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
+    """Ball of the universal cover of the Salvetti complex.
+
+    Vertices are canonical-form word strings of length <= radius; edges are
+    right multiplications by generators; squares come from commuting pairs.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    verts = sorted(group_ball(g, radius), key=lambda w: (len(w), word_str(w)))
+    elements = set(verts)
     ids = {w: word_str(w) for w in verts}
     edges = []
     for h in verts:
@@ -484,7 +491,7 @@ def extension_adjacent(g: DefiningGraph, c1: ParallelClass, c2: ParallelClass,
     in both parallel-set cosets (then representatives through that element
     span a standard 2-flat).
     """
-    key = (id(g), c1, c2, search_radius)
+    key = (g, c1, c2, search_radius)
     hit = _ext_adj_cache.get(key)
     if hit is None:
         hit = _extension_adjacent(g, c1, c2, search_radius)

@@ -1,20 +1,28 @@
 """Finite wallspaces, Sageev duals, and the invariant wallspace of a RAAG.
 
 Walls are bipartitions of a finite point set, stored one side at a time as
-bitmasks for fast pairwise-intersection checks.  The dual complex is built
+bitmasks for fast pairwise-intersection checks.  The Sageev dual is built
 by breadth-first flipping from a point-realized consistent orientation; for
-finite wallspaces this enumerates every 0-cube.
+finite wallspaces this enumerates every 0-cube.  Orientations are bitmasks
+over the walls, and a flip is tested against two precomputed masks per wall
+side (the walls whose stored or other side misses it), so one test is O(1).
+The result is a `DualComplex`: a cube-complex ball that also carries its
+wallspace, the orientation of every vertex and the walls each vertex can
+flip, which dimension, maximal cubes, `phi` and flat embeddings read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
 from .cube_complex import CubeComplexBall, is_convex
 from .graph_core import DefiningGraph
+from .raag_geometry import group_ball
 
 
 @dataclass
@@ -71,11 +79,11 @@ class Wallspace:
         fa, fb = self.full_mask ^ a, self.full_mask ^ b
         return bool(a & b) and bool(a & fb) and bool(fa & b) and bool(fa & fb)
 
-    def point_orientation(self, p):
-        """The 0-cube realized by a point: per wall, the side containing it."""
+    def point_state(self, p) -> int:
+        """The 0-cube realized by a point, as orientation bits (bit i set:
+        p lies on the stored side of wall i)."""
         bit = 1 << self._pindex[p]
-        return tuple(1 if self.sides[i] & bit else 0
-                     for i in range(len(self.sides)))
+        return sum(1 << i for i, s in enumerate(self.sides) if s & bit)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -112,71 +120,95 @@ def hyperplane_wallspace(ball: CubeComplexBall, margin: int = 1) -> Wallspace:
 # the dual cube complex
 # ---------------------------------------------------------------------------
 
-def dual_cube_complex(ws: Wallspace, cap: int = 1 << 20) -> CubeComplexBall:
+MAX_ORIENTATIONS = 1 << 20       # enumeration guard: raise MemoryError beyond
+
+
+def _vertex_id(n_walls: int, state: int) -> str:
+    return f"c{state:0{n_walls}b}" if n_walls else "c"
+
+
+@dataclass(kw_only=True)
+class DualComplex(CubeComplexBall):
+    """The Sageev dual of a finite wallspace, with its 0-cubes.
+
+    states: vertex id -> orientation bits (bit i set: the stored side of
+    wall i).  flips: vertex id -> the walls whose flip leads to another
+    0-cube, in increasing order.
+    """
+
+    wallspace: Wallspace = field(repr=False)
+    states: dict = field(repr=False)
+    flips: dict = field(repr=False)
+
+    def vertex_of_state(self, state: int) -> str:
+        return _vertex_id(self.wallspace.n_walls(), state)
+
+
+def dual_cube_complex(ws: Wallspace) -> DualComplex:
     """All consistent orientations, discovered by BFS wall flips.
 
     Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
-    the stored side of wall i).  Edge labels are the wall tags.
+    the stored side of wall i).  Edge labels are the wall tags.  Flipping
+    wall i keeps a consistent orientation consistent iff the new side of i
+    meets the chosen side of every other wall: one test against two wall
+    bitmasks per side of i.
     """
     n = ws.n_walls()
     if not ws.points:
         raise ValueError("empty wallspace")
+    # masks[i][b]: (walls whose stored side misses side b of wall i, walls
+    # whose other side misses it); b = 1 is the stored side of wall i
+    full = ws.full_mask
     masks = []
-    for i in range(n):
-        masks.append((ws.sides[i], ws.full_mask ^ ws.sides[i]))
+    for i, s in enumerate(ws.sides):
+        pair = []
+        for side in (full ^ s, s):
+            on = off = 0
+            for j, t in enumerate(ws.sides):
+                if j != i:
+                    if not t & side:
+                        on |= 1 << j
+                    if not (full ^ t) & side:
+                        off |= 1 << j
+            pair.append((on, off))
+        masks.append(pair)
 
-    def chosen(state, i):
-        return masks[i][0] if state >> i & 1 else masks[i][1]
-
-    def consistent_after_flip(state, i):
-        side = masks[i][1] if state >> i & 1 else masks[i][0]
-        for j in range(n):
-            if j != i and not side & chosen(state, j):
-                return False
-        return True
-
-    start = 0
-    p0 = ws.points[0]
-    for i in range(n):
-        if ws.sides[i] & (1 << ws._pindex[p0]):
-            start |= 1 << i
+    start = ws.point_state(ws.points[0])
     seen = {start}
     dq = deque([start])
     edges = []
+    flips = {}
     while dq:
         state = dq.popleft()
+        fl = []
         for i in range(n):
-            if not consistent_after_flip(state, i):
-                continue
             nxt = state ^ (1 << i)
+            on, off = masks[i][nxt >> i & 1]
+            if nxt & on or off & ~nxt:
+                continue
+            fl.append(i)
             edges.append((state, nxt, i))
             if nxt not in seen:
-                if len(seen) >= cap:
+                if len(seen) >= MAX_ORIENTATIONS:
                     raise MemoryError("orientation enumeration cap exceeded")
                 seen.add(nxt)
                 dq.append(nxt)
-    flippable = {}
-    for a, b, i in edges:
-        flippable.setdefault(a, set()).add(i)
+        flips[state] = tuple(fl)
 
-    def vid(state):
-        return f"c{state:0{max(1, n)}b}" if n else "c"
-
+    order = sorted(seen)
+    vid = {s: _vertex_id(n, s) for s in order}
     squares = []
-    for state in seen:
-        fl = sorted(flippable.get(state, ()))
-        for i, j in itertools.combinations(fl, 2):
-            s_i, s_j, s_ij = state ^ (1 << i), state ^ (1 << j), \
-                state ^ (1 << i) ^ (1 << j)
-            if s_ij in seen and (i in flippable.get(s_j, ())) \
-               and (j in flippable.get(s_i, ())):
-                squares.append((vid(state), vid(s_i), vid(s_ij), vid(s_j)))
-    everts = sorted(seen)
-    ebody = [(vid(a), vid(b), str(ws.tags[i])) for a, b, i in edges]
-    ball = CubeComplexBall.make([vid(s) for s in everts], ebody, squares, None)
-    ball._zero_cube_states = {vid(s): s for s in everts}
-    ball._wallspace = ws
-    return ball
+    for s in order:
+        for i, j in itertools.combinations(flips[s], 2):
+            s_ij = s ^ (1 << i) ^ (1 << j)
+            if s_ij in seen:
+                squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
+                                vid[s ^ (1 << j)]))
+    ebody = [(vid[a], vid[b], str(ws.tags[i])) for a, b, i in edges]
+    return DualComplex.make(
+        [vid[s] for s in order], ebody, squares, None, wallspace=ws,
+        states={vid[s]: s for s in order},
+        flips={vid[s]: flips[s] for s in order})
 
 
 @dataclass(frozen=True)
@@ -203,134 +235,27 @@ class ZeroCube:
         return True
 
 
-def zero_cubes(dual: CubeComplexBall):
-    return dual._zero_cube_states
+def zero_cube_of_vertex(dual: DualComplex, vid) -> ZeroCube:
+    state = dual.states[vid]
+    return ZeroCube(tuple(state >> i & 1
+                          for i in range(dual.wallspace.n_walls())))
 
 
-def zero_cube_of_vertex(dual: CubeComplexBall, vid) -> ZeroCube:
-    state = dual._zero_cube_states[vid]
-    n = dual._wallspace.n_walls()
-    return ZeroCube(tuple(1 if state >> i & 1 else 0 for i in range(n)))
-
-
-def vertex_of_point(ws: Wallspace, dual: CubeComplexBall, p):
-    state = 0
-    bit = 1 << ws._pindex[p]
-    for i in range(ws.n_walls()):
-        if ws.sides[i] & bit:
-            state |= 1 << i
-    n = ws.n_walls()
-    v = f"c{state:0{max(1, n)}b}" if n else "c"
-    if v not in dual._zero_cube_states:
+def vertex_of_point(dual: DualComplex, p):
+    v = dual.vertex_of_state(dual.wallspace.point_state(p))
+    if v not in dual.states:
         raise KeyError(f"point {p!r} realizes an unseen orientation")
     return v
 
 
-def _max_transverse_clique(ws: Wallspace):
+def _transverse_families(ws: Wallspace):
+    """Maximal pairwise-transverse wall families (Bron-Kerbosch)."""
     n = ws.n_walls()
     adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ws.transverse(i, j):
-                adj[i].add(j)
-                adj[j].add(i)
-    best = []
-
-    def grow(current, cands):
-        nonlocal best
-        if not cands:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        if len(current) + len(cands) <= len(best):
-            return
-        v = max(cands, key=lambda x: len(adj[x] & cands))
-        for u in sorted(cands - adj[v]) or [v]:
-            grow(current + [u], cands & adj[u])
-            cands = cands - {u}
-            if len(current) + len(cands) <= len(best):
-                return
-
-    grow([], set(range(n)))
-    return best, adj
-
-
-def dual_dimension(ws: Wallspace) -> int:
-    """Largest pairwise-transverse wall family; asserted equal to the max
-    cube dimension of the dual complex."""
-    best, adj = _max_transverse_clique(ws)
-    dim = len(best)
-    dual = dual_cube_complex(ws)
-    assert dim == _max_cube_dimension(ws, dual), \
-        "transverse family bound disagrees with the dual's cube dimension"
-    return dim
-
-
-def _flippable_sets(ws: Wallspace, dual: CubeComplexBall):
-    states = dual._zero_cube_states
-    state_set = set(states.values())
-    out = {}
-    for v, s in states.items():
-        fl = set()
-        for i in range(ws.n_walls()):
-            if s ^ (1 << i) in state_set and _pair_ok(ws, s, i):
-                fl.add(i)
-        out[v] = fl
-    return out
-
-
-def _pair_ok(ws, state, i):
-    side = (ws.full_mask ^ ws.sides[i]) if state >> i & 1 else ws.sides[i]
-    for j in range(ws.n_walls()):
-        if j == i:
-            continue
-        other = ws.sides[j] if state >> j & 1 else ws.full_mask ^ ws.sides[j]
-        if not side & other:
-            return False
-    return True
-
-
-def _cube_at(ws, states_set, state, walls):
-    for bits in range(1 << len(walls)):
-        s = state
-        for k, i in enumerate(walls):
-            if bits >> k & 1:
-                s ^= 1 << i
-        if s not in states_set:
-            return False
-    return True
-
-
-def _max_cube_dimension(ws: Wallspace, dual: CubeComplexBall) -> int:
-    states = set(dual._zero_cube_states.values())
-    fl = _flippable_sets(ws, dual)
-    best = 0
-    for v, cand in fl.items():
-        s = dual._zero_cube_states[v]
-        cand = sorted(cand)
-        for r in range(len(cand), best, -1):
-            found = False
-            for combo in itertools.combinations(cand, r):
-                if all(ws.transverse(i, j) for i, j in
-                       itertools.combinations(combo, 2)) and \
-                   _cube_at(ws, states, s, combo):
-                    best = max(best, r)
-                    found = True
-                    break
-            if found:
-                break
-    return best
-
-
-def maximal_cubes(ws: Wallspace):
-    """Maximal pairwise-transverse families with their cubes in the dual.
-
-    Returns a list of (family, list of cubes); each cube is the frozenset of
-    its 0-cube vertex ids.  The correspondence family <-> maximal cube is
-    asserted to be a bijection.
-    """
-    n = ws.n_walls()
-    _, adj = _max_transverse_clique(ws)
+    for i, j in itertools.combinations(range(n), 2):
+        if ws.transverse(i, j):
+            adj[i].add(j)
+            adj[j].add(i)
     families = []
 
     def bron(R, P, X):
@@ -343,25 +268,63 @@ def maximal_cubes(ws: Wallspace):
             X = X | {v}
 
     bron(set(), set(range(n)), set())
+    return families
+
+
+def _cube_corners(state, walls):
+    """The 2^k orientations of the cube at `state` spanned by `walls`."""
+    for bits in range(1 << len(walls)):
+        s = state
+        for k, i in enumerate(walls):
+            if bits >> k & 1:
+                s ^= 1 << i
+        yield s
+
+
+def dual_dimension(ws: Wallspace) -> int:
+    """Largest pairwise-transverse wall family; asserted equal to the max
+    cube dimension of the dual complex."""
+    dim = max(map(len, _transverse_families(ws)))
+    assert dim == _max_cube_dimension(dual_cube_complex(ws)), \
+        "transverse family bound disagrees with the dual's cube dimension"
+    return dim
+
+
+def _max_cube_dimension(dual: DualComplex) -> int:
+    ws = dual.wallspace
+    states = set(dual.states.values())
+    best = 0
+    for v, s in dual.states.items():
+        cand = dual.flips[v]
+        for r in range(len(cand), best, -1):
+            if any(all(ws.transverse(i, j)
+                       for i, j in itertools.combinations(combo, 2)) and
+                   all(t in states for t in _cube_corners(s, combo))
+                   for combo in itertools.combinations(cand, r)):
+                best = r
+                break
+    return best
+
+
+def maximal_cubes(ws: Wallspace):
+    """Maximal pairwise-transverse families with their cubes in the dual.
+
+    Returns a list of (family, list of cubes); each cube is the frozenset of
+    its 0-cube vertex ids.  The correspondence family <-> maximal cube is
+    asserted to be a bijection.
+    """
     dual = dual_cube_complex(ws)
-    states = set(dual._zero_cube_states.values())
-    by_state = {s: v for v, s in dual._zero_cube_states.items()}
+    states = set(dual.states.values())
     out = []
     used_cubes = set()
-    for fam in sorted(families, key=sorted):
+    for fam in sorted(_transverse_families(ws), key=sorted):
         walls = sorted(fam)
         cubes = set()
-        for s in states:
-            if all(_pair_ok(ws, s, i) and s ^ (1 << i) in states for i in walls) \
-               and _cube_at(ws, states, s, walls):
-                corner_states = []
-                for bits in range(1 << len(walls)):
-                    t = s
-                    for k, i in enumerate(walls):
-                        if bits >> k & 1:
-                            t ^= 1 << i
-                    corner_states.append(t)
-                cubes.add(frozenset(by_state[t] for t in corner_states))
+        for v, s in dual.states.items():
+            if fam <= set(dual.flips[v]):
+                corners = list(_cube_corners(s, walls))
+                if all(t in states for t in corners):
+                    cubes.add(frozenset(map(dual.vertex_of_state, corners)))
         cubes = {c for c in cubes if c not in used_cubes}
         if len(cubes) != 1:
             raise AssertionError(
@@ -448,28 +411,6 @@ class InvariantWallspace:
     block_maps: dict             # class id -> {height: block}
     wall_window: int
     domain: tuple                # the height-box hull: faithful points
-
-    def point_window(self):
-        return self.wallspace.points
-
-
-def group_ball(g: DefiningGraph, radius: int):
-    """All group elements of word length <= radius (BFS, no complex)."""
-    from .raag_geometry import mul
-
-    elements = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for v in g.vertices:
-                for e in (1, -1):
-                    h2 = mul(g, h, ((v, e),))
-                    if len(h2) <= radius and h2 not in elements:
-                        elements.add(h2)
-                        nxt.append(h2)
-        frontier = nxt
-    return sorted(elements, key=lambda w: (len(w), w))
 
 
 def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
@@ -714,7 +655,7 @@ def transversality(iws: InvariantWallspace, i: int, j: int) -> bool:
     return got
 
 
-def phi_map(iws: InvariantWallspace, dual: CubeComplexBall | None = None):
+def phi_map(iws: InvariantWallspace, dual: DualComplex | None = None):
     """Chambers -> dual vertices by their realized orientations.
 
     The map is defined on the faithful domain (the height-box hull, where
@@ -726,7 +667,7 @@ def phi_map(iws: InvariantWallspace, dual: CubeComplexBall | None = None):
         dual = dual_cube_complex(ws)
     vmap = {}
     for p in iws.domain:
-        vmap[p] = vertex_of_point(ws, dual, p)
+        vmap[p] = vertex_of_point(dual, p)
     if len(set(vmap.values())) != len(vmap):
         raise AssertionError("phi is not injective on the window")
     image = set(vmap.values())
@@ -759,7 +700,7 @@ def phi_map(iws: InvariantWallspace, dual: CubeComplexBall | None = None):
 
 
 def branched_flat_embed(iws: InvariantWallspace, class_ids,
-                        dual: CubeComplexBall | None = None):
+                        dual: DualComplex | None = None):
     """Embed the dual of the walls tagged by a maximal flat's classes.
 
     Walls outside the family are oriented to the side containing the flat's
@@ -775,31 +716,26 @@ def branched_flat_embed(iws: InvariantWallspace, class_ids,
     flat_pts = _flat_points(iws, class_ids)
     if not flat_pts:
         raise ValueError("flat does not meet the window")
-    fixed = {}
+    flat_states = [ws.point_state(p) for p in flat_pts]
+    inside = functools.reduce(operator.and_, flat_states)
+    touched = functools.reduce(operator.or_, flat_states)
+    fixed = 0
     for i in range(ws.n_walls()):
         if i in sel:
             continue
-        bit0 = all(ws.sides[i] >> ws._pindex[p] & 1 for p in flat_pts)
-        bit1 = all(not (ws.sides[i] >> ws._pindex[p] & 1) for p in flat_pts)
-        if not bit0 and not bit1:
+        if inside >> i & 1:
+            fixed |= 1 << i
+        elif touched >> i & 1:
             raise AssertionError(
                 f"flat is split by outside wall {ws.tags[i]}")
-        fixed[i] = 1 if bit0 else 0
     sub = Wallspace([p for p in ws.points],
                     [ws.sides[i] for i in sel], [ws.tags[i] for i in sel])
     sub_dual = dual_cube_complex(sub)
     embedded = set()
-    for v, s in sub_dual._zero_cube_states.items():
-        full_state = 0
-        for k, i in enumerate(sel):
-            if s >> k & 1:
-                full_state |= 1 << i
-        for i, bit in fixed.items():
-            if bit:
-                full_state |= 1 << i
-        n = ws.n_walls()
-        target = f"c{full_state:0{max(1, n)}b}"
-        if target not in dual._zero_cube_states:
+    for s in sub_dual.states.values():
+        target = dual.vertex_of_state(
+            fixed | sum(1 << i for k, i in enumerate(sel) if s >> k & 1))
+        if target not in dual.states:
             raise AssertionError("embedded orientation is not a 0-cube")
         embedded.add(target)
     if not is_convex(dual, embedded):

@@ -193,3 +193,46 @@ def test_blowup_window_below_radius_reports_failure(graphs, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["checks"][0]["name"] == "restriction quotient checks"
     assert body["checks"][0]["status"] == "fail"
+
+
+def test_blowup_malformed_data_exits_3(graphs, capsys):
+    path = graphs["dir"] / "data.json"
+    path.write_text('{"classes": [')
+    assert cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                     "--window", "2", "--data", str(path)]) == 3
+    assert "bad blow-up data" in capsys.readouterr().err
+
+
+def test_blowup_data_without_classes_exits_3(graphs, capsys):
+    path = graphs["dir"] / "data.json"
+    path.write_text('{"window": 2}')
+    assert cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                     "--window", "2", "--data", str(path)]) == 3
+    assert "bad blow-up data" in capsys.readouterr().err
+
+
+def test_verify_unknown_criterion_exits_3(capsys):
+    assert cli.main(["verify", "all", "--only", "99"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown criteria [99]" in captured.err
+
+
+def test_dot_does_not_depend_on_hash_seed(graphs):
+    import os
+    import subprocess
+    import sys
+
+    import cubikit
+
+    src = os.path.dirname(os.path.dirname(cubikit.__file__))
+    dots = []
+    for seed in ("1", "2"):
+        dot = graphs["dir"] / f"ball{seed}.dot"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "cubikit.cli", "ball",
+                        "--graph", graphs["k2"], "--radius", "2",
+                        "--out", os.devnull, "--dot", str(dot)],
+                       env=env, check=True)
+        dots.append(dot.read_bytes())
+    assert dots[0] == dots[1]

@@ -154,3 +154,27 @@ def growth_series(g, order):
 def test_growth_series_oracle_matches_known():
     assert growth_series(gc.k2(), 3) == [1, 4, 8, 12]
     assert growth_series(gc.discrete(2), 3) == [1, 4, 12, 36]
+
+
+def test_caches_do_not_leak_between_graphs():
+    # a path and a triangle on the same labels, built and freed in turn so
+    # that a new graph object can reuse the memory of the previous one
+    import gc as gcmod
+
+    def make(triangle):
+        edges = [("a", "b"), ("b", "c")] + [("a", "c")] * triangle
+        return gc.DefiningGraph.make("abc", edges)
+
+    base = (("c", 1), ("a", 1), ("b", 1))
+
+    def answers(g):
+        return (rg.gate_representative(g, base, ("b",)),
+                rg.extension_adjacent(g, rg.class_of_geodesic(g, (), "a"),
+                                      rg.class_of_geodesic(g, (), "c")))
+
+    want = [((("c", 1), ("a", 1)), False), ((("a", 1), ("c", 1)), True)]
+    stale = 0
+    for k in range(100):
+        gcmod.collect()
+        stale += answers(make(k % 2)) != want[k % 2]
+    assert stale == 0

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
@@ -120,6 +122,45 @@ def test_maximal_cubes_random_suite():
         assert len(dual.vertex_ids) == len(oracle)
         wd.dual_dimension(ws)       # asserts internally
         wd.maximal_cubes(ws)        # asserts the bijection internally
+
+
+
+@st.composite
+def wallspaces(draw):
+    """Random wallspaces: up to 10 walls on 2-8 points, one per partition."""
+    npts = draw(st.integers(2, 8))
+    full = (1 << npts) - 1
+    sides, seen = [], set()
+    for s in draw(st.lists(st.integers(1, full - 1), max_size=10)):
+        if min(s, full ^ s) not in seen:
+            seen.add(min(s, full ^ s))
+            sides.append(s)
+    return wd.Wallspace(tuple(range(npts)), sides, list(range(len(sides))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wallspaces())
+def test_dual_matches_pairwise_oracles(ws):
+    n = ws.n_walls()
+    dual = wd.dual_cube_complex(ws)
+    assert sorted(dual.states.values()) == enumerate_zero_cubes_oracle(ws)
+    for v, s in dual.states.items():
+        zc = wd.zero_cube_of_vertex(dual, v)
+        assert zc.consistent(ws)
+        assert dual.vertex_of_state(s) == v
+        flippable = []
+        for i in range(n):
+            new = ws.full_mask ^ ws.sides[i] if s >> i & 1 else ws.sides[i]
+            if all(new & (ws.sides[j] if s >> j & 1 else
+                          ws.full_mask ^ ws.sides[j])
+                   for j in range(n) if j != i):
+                flippable.append(i)
+        assert dual.flips[v] == tuple(flippable)
+    largest = max(len(fam) for r in range(n + 1)
+                  for fam in itertools.combinations(range(n), r)
+                  if all(ws.transverse(i, j)
+                         for i, j in itertools.combinations(fam, 2)))
+    assert wd.dual_dimension(ws) == largest
 
 
 def test_sageev_roundtrip_ball_k2():
