@@ -58,6 +58,8 @@ class CubeComplexBall:
     _index: dict = field(default=None, repr=False)
     _adj: dict = field(default=None, repr=False)
     _dist_cache: dict = field(default=None, repr=False)
+    _square_set: frozenset = field(default=None, repr=False)
+    _squares_at: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         self._index = {v: i for i, v in enumerate(self.vertex_ids)}
@@ -68,10 +70,14 @@ class CubeComplexBall:
             adj[v][u] = lab
         self._adj = adj
         self._dist_cache = {}
-        sq = []
+        self._square_set = frozenset(_canonical_square(tuple(s), self._index)
+                                     for s in self.squares)
+        self.squares = tuple(sorted(self._square_set,
+                                    key=lambda t: tuple(self._index[x] for x in t)))
+        self._squares_at = {v: [] for v in self.vertex_ids}
         for s in self.squares:
-            sq.append(_canonical_square(tuple(s), self._index))
-        self.squares = tuple(sorted(set(sq), key=lambda t: tuple(self._index[x] for x in t)))
+            for x in s:
+                self._squares_at[x].append(s)
         if self.depth is None:
             self.depth = {v: BIG_DEPTH for v in self.vertex_ids}
 
@@ -109,6 +115,43 @@ class CubeComplexBall:
     def has_edge(self, u, v):
         return v in self._adj[u]
 
+    def has_square(self, cycle) -> bool:
+        """Does the 4-cycle, in any rotation or reflection, bound a square?"""
+        return _canonical_square(tuple(cycle), self._index) in self._square_set
+
+    def squares_at(self, v):
+        """The squares with a corner at v, in `squares` order."""
+        return self._squares_at[v]
+
+    def cut_components(self, cut=()):
+        """Components of the 1-skeleton minus the edges in `cut`.
+
+        Components come in order of their first vertex in `vertex_ids`, and
+        each lists its vertices in `vertex_ids` order.
+        """
+        banned = {}
+        for e in cut:
+            u, v = tuple(e)
+            banned.setdefault(u, set()).add(v)
+            banned.setdefault(v, set()).add(u)
+        comp_of = {}
+        for start in self.vertex_ids:
+            if start in comp_of:
+                continue
+            comp_of[start] = start
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                skip = banned.get(x, ())
+                for y in self._adj[x]:
+                    if y not in comp_of and y not in skip:
+                        comp_of[y] = start
+                        stack.append(y)
+        comps = {}
+        for v in self.vertex_ids:
+            comps.setdefault(comp_of[v], []).append(v)
+        return list(comps.values())
+
     def validate(self):
         """Check the structural invariants; raises ComplexError on failure."""
         for s in self.squares:
@@ -119,41 +162,24 @@ class CubeComplexBall:
             if self.edge_label(a, b) != self.edge_label(d, c) or \
                self.edge_label(b, c) != self.edge_label(a, d):
                 raise ComplexError(f"square {s} has mismatched opposite labels")
-        if self.vertex_ids:
-            seen = self._component(self.vertex_ids[0], self.edges.keys())
-            if len(seen) != len(self.vertex_ids):
-                raise ComplexError("1-skeleton is not connected")
+        if len(self.cut_components()) > 1:
+            raise ComplexError("1-skeleton is not connected")
         return True
-
-    def _component(self, start, edge_keys):
-        allowed = set(edge_keys)
-        seen = {start}
-        dq = deque([start])
-        while dq:
-            x = dq.popleft()
-            for y in self._adj[x]:
-                if frozenset((x, y)) in allowed and y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        return seen
 
     # -- metric ---------------------------------------------------------------
 
-    def bfs_from(self, source, forbidden_edges=None):
-        if forbidden_edges is None and source in self._dist_cache:
+    def bfs_from(self, source):
+        if source in self._dist_cache:
             return self._dist_cache[source]
         dist = {source: 0}
         dq = deque([source])
         while dq:
             x = dq.popleft()
             for y in self._adj[x]:
-                if forbidden_edges and frozenset((x, y)) in forbidden_edges:
-                    continue
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     dq.append(y)
-        if forbidden_edges is None:
-            self._dist_cache[source] = dist
+        self._dist_cache[source] = dist
         return dist
 
     def distance(self, x, y) -> int:
@@ -177,10 +203,10 @@ class CubeComplexBall:
 
     def span(self, vertices) -> "CubeComplexBall":
         """Induced subcomplex on a vertex subset."""
-        vs = [v for v in self.vertex_ids if v in set(vertices)]
-        vset = set(vs)
-        edges = {e: lab for e, lab in self.edges.items() if e <= vset}
-        squares = [s for s in self.squares if all(x in vset for x in s)]
+        keep = set(vertices)
+        vs = [v for v in self.vertex_ids if v in keep]
+        edges = {e: lab for e, lab in self.edges.items() if e <= keep}
+        squares = [s for s in self.squares if all(x in keep for x in s)]
         depth = {v: self.depth[v] for v in vs}
         return CubeComplexBall(tuple(vs), edges, tuple(squares), depth)
 
@@ -234,30 +260,6 @@ class CubeComplexBall:
 # links and the flag condition
 # ---------------------------------------------------------------------------
 
-def _link_graph(b: CubeComplexBall, v):
-    """Link of v: nodes are neighbors, edges from square corners at v.
-
-    Returns (nodes, edge dict {frozenset{u1,u2}: far corner}, failures),
-    where a failure means two squares share the corner pair (a non-simple
-    link, i.e. two squares sharing three edges).
-    """
-    nodes = list(b.neighbors(v))
-    corner = {}
-    failures = []
-    for s in b.squares:
-        if v not in s:
-            continue
-        a, bb, c, d = s
-        i = s.index(v)
-        u1, u2 = s[(i - 1) % 4], s[(i + 1) % 4]
-        far = s[(i + 2) % 4]
-        key = frozenset((u1, u2))
-        if key in corner and corner[key] != far:
-            failures.append((v, u1, u2))
-        corner[key] = far
-    return nodes, corner, failures
-
-
 def check_flag_links(b: CubeComplexBall, margin: int = 2):
     """Per-interior-vertex flag test.
 
@@ -267,11 +269,19 @@ def check_flag_links(b: CubeComplexBall, margin: int = 2):
     (vertex, witness) failures.
     """
     failures = []
-    for v in b.interior(margin):
-        nodes, corner, bad = _link_graph(b, v)
-        for w in bad:
-            failures.append((v, ("three-shared-edges", w)))
-        nbrs = sorted(nodes, key=b._index.get)
+    interior = b.interior(margin)
+    for v in interior:
+        # link of v: an edge u1-u2 for each square corner u1, v, u2; two
+        # squares on one corner pair share three edges (a non-simple link)
+        corner = {}
+        for s in b.squares_at(v):
+            i = s.index(v)
+            u1, u2, far = s[i - 1], s[(i + 1) % 4], s[(i + 2) % 4]
+            key = frozenset((u1, u2))
+            if key in corner and corner[key] != far:
+                failures.append((v, ("three-shared-edges", (v, u1, u2))))
+            corner[key] = far
+        nbrs = sorted(b.neighbors(v), key=b._index.get)
         for i, u1 in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
                 u2 = nbrs[j]
@@ -287,20 +297,14 @@ def check_flag_links(b: CubeComplexBall, margin: int = 2):
                     w23 = corner[frozenset((u2, u3))]
                     if not _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
                         failures.append((v, ("open-3-cube-corner", (u1, u2, u3))))
-    return {"ok": not failures, "failures": failures,
-            "checked": len(b.interior(margin))}
+    return {"ok": not failures, "failures": failures, "checked": len(interior)}
 
 
 def _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
-    sq = set(b.squares)
-
-    def has_sq(cycle):
-        return _canonical_square(cycle, b._index) in sq
-
     cands = set(b.neighbors(w12)) & set(b.neighbors(w13)) & set(b.neighbors(w23))
     for z in cands:
-        if has_sq((u1, w12, z, w13)) and has_sq((u2, w12, z, w23)) \
-           and has_sq((u3, w13, z, w23)):
+        if b.has_square((u1, w12, z, w13)) and b.has_square((u2, w12, z, w23)) \
+           and b.has_square((u3, w13, z, w23)):
             return True
     return False
 
@@ -356,32 +360,14 @@ def hyperplanes(b: CubeComplexBall) -> list:
                      key=lambda es: min(tuple(sorted(b._index[x] for x in e)) for e in es))
     for i, es in enumerate(ordered):
         eset = frozenset(es)
-        labels = {b.edges[e] for e in es}
-        direction = min(str(l) for l in labels)
-        carrier = set()
-        for e in es:
-            carrier |= e
-        for s in b.squares:
-            a, bb, c, d = s
-            if frozenset((a, bb)) in eset or frozenset((bb, c)) in eset:
-                carrier |= set(s)
-        truncated = False
-        start = next(iter(b.vertex_ids))
-        comp = b._component(start, set(b.edges) - eset)
-        rest = set(b.vertex_ids) - comp
-        sides = ()
-        if not rest:
-            truncated = True
-        else:
-            # rest may itself be disconnected; then the class is an artifact
-            other = b._component(next(iter(rest)), set(b.edges) - eset)
-            if comp | other != set(b.vertex_ids):
-                truncated = True
-            else:
-                lo = min((comp, other), key=lambda s: min(b._index[x] for x in s))
-                hi = other if lo is comp else comp
-                sides = (frozenset(lo), frozenset(hi))
-        out.append(Hyperplane(i, eset, frozenset(carrier), sides, truncated, direction))
+        direction = min(str(b.edges[e]) for e in es)
+        # a square on an edge of the class has its opposite edge there too,
+        # so the edge endpoints already cover every square of the carrier
+        carrier = frozenset().union(*es)
+        comps = b.cut_components(eset)
+        truncated = len(comps) != 2
+        sides = () if truncated else (frozenset(comps[0]), frozenset(comps[1]))
+        out.append(Hyperplane(i, eset, carrier, sides, truncated, direction))
     return out
 
 
@@ -409,31 +395,37 @@ def is_convex(b: CubeComplexBall, S) -> bool:
     S = set(S)
     if not S:
         return True
-    start = next(iter(S))
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        xx = dq.popleft()
-        for yy in b.neighbors(xx):
-            if yy in S and yy not in seen:
-                seen.add(yy)
-                dq.append(yy)
-    if seen != S:
+    if not _connected(S, b.neighbors):
         return False
     for x in S:
         for z in b.neighbors(x):
             if z in S:
                 continue
             for y in b.neighbors(z):
-                if y in S and y != x and b.distance(x, y) == 2:
+                if y in S and y != x and not b.has_edge(x, y):
                     return False
-    for s in b.squares:
-        for i in range(4):
-            a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
-            far = s[(i + 2) % 4]
-            if a in S and mid in S and c in S and far not in S:
-                return False
+    for x in S:
+        for s in b.squares_at(x):
+            for i in range(4):
+                a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
+                far = s[(i + 2) % 4]
+                if a in S and mid in S and c in S and far not in S:
+                    return False
     return True
+
+
+def _connected(nodes, nbrs) -> bool:
+    """Is the non-empty collection `nodes` connected when each x is joined
+    to the members of `nbrs(x)`?"""
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in nbrs(stack.pop()):
+            if y in nodes and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(nodes)
 
 
 def interval_hull(b: CubeComplexBall, S):
@@ -473,7 +465,7 @@ class CubicalMap:
             img = [self.vertex_map[x] for x in s]
             distinct = len(set(img))
             if distinct == 4:
-                if _canonical_square(tuple(img), self.target._index) not in set(self.target.squares):
+                if not self.target.has_square(img):
                     raise ComplexError(f"square {s} maps to a non-square")
             elif distinct == 2:
                 a, bb, c, d = img
@@ -490,14 +482,6 @@ class CubicalMap:
 
     def fiber(self, tv):
         return [v for v, w in self.vertex_map.items() if w == tv]
-
-    def horizontal_edges(self):
-        out = []
-        for e in self.source.edges:
-            u, v = tuple(e)
-            if self.vertex_map[u] != self.vertex_map[v]:
-                out.append(e)
-        return out
 
 
 @dataclass
@@ -518,20 +502,9 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
     for h in K:
         if h.truncated:
             raise ComplexError("K contains a truncated hyperplane")
-    k_edges = set()
-    for h in K:
-        k_edges |= h.edge_class
     # K-classes = components after deleting the K-edges
-    cls_of = {}
-    classes = []
-    for v in b.vertex_ids:
-        if v in cls_of:
-            continue
-        comp = b._component(v, set(b.edges) - k_edges)
-        idx = len(classes)
-        classes.append(sorted(comp, key=b._index.get))
-        for x in comp:
-            cls_of[x] = idx
+    classes = b.cut_components(e for h in K for e in h.edge_class)
+    cls_of = {x: i for i, comp in enumerate(classes) for x in comp}
     ids = [f"K{i}" for i in range(len(classes))]
     vmap = {v: ids[cls_of[v]] for v in b.vertex_ids}
     wall_of_edge = {}
@@ -566,40 +539,13 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
 # the five-way characterization
 # ---------------------------------------------------------------------------
 
-def _edge_ladder_connected(q: CubicalMap, te):
-    """Is the fiber over the barycenter of target edge te connected?
+def _edge_ladder_connected(lifts, opposite) -> bool:
+    """Is the fiber over the barycenter of a target edge connected?
 
-    Nodes are source edges mapping onto te; two are adjacent when they are
-    opposite sides of a source square.
+    Nodes are the source edges `lifts` mapping onto it; two are adjacent when
+    they are opposite sides of a source square (`opposite`: edge -> edges).
     """
-    tu, tv = tuple(te)
-    lifts = []
-    for e in q.source.edges:
-        u, v = tuple(e)
-        if {q.vertex_map[u], q.vertex_map[v]} == {tu, tv}:
-            lifts.append(e)
-    if not lifts:
-        return False
-    adj = {e: set() for e in lifts}
-    lifted = set(lifts)
-    for a, bb, c, d in q.source.squares:
-        e1, e2 = frozenset((a, bb)), frozenset((d, c))
-        if e1 in lifted and e2 in lifted:
-            adj[e1].add(e2)
-            adj[e2].add(e1)
-        e3, e4 = frozenset((bb, c)), frozenset((a, d))
-        if e3 in lifted and e4 in lifted:
-            adj[e3].add(e4)
-            adj[e4].add(e3)
-    seen = {lifts[0]}
-    dq = deque([lifts[0]])
-    while dq:
-        x = dq.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                dq.append(y)
-    return len(seen) == len(lifts)
+    return bool(lifts) and _connected(set(lifts), lambda e: opposite.get(e, ()))
 
 
 def _sheets_connected(q: CubicalMap, lifts) -> bool:
@@ -607,10 +553,7 @@ def _sheets_connected(q: CubicalMap, lifts) -> bool:
     adjacent when their matched corners bound a 3-cube's worth of edges and
     side squares."""
     src = q.source
-    sq = set(src.squares)
-    corner_maps = []
-    for ss in lifts:
-        corner_maps.append({q.vertex_map[x]: x for x in ss})
+    corner_maps = [{q.vertex_map[x]: x for x in ss} for ss in lifts]
 
     def adjacent(i, j):
         m1, m2 = corner_maps[i], corner_maps[j]
@@ -620,20 +563,12 @@ def _sheets_connected(q: CubicalMap, lifts) -> bool:
         cyc = lifts[i]
         for k in range(4):
             a, b = cyc[k], cyc[(k + 1) % 4]
-            side = (a, b, m2[q.vertex_map[b]], m2[q.vertex_map[a]])
-            if _canonical_square(side, src._index) not in sq:
+            if not src.has_square((a, b, m2[q.vertex_map[b]], m2[q.vertex_map[a]])):
                 return False
         return True
 
-    seen = {0}
-    dq = deque([0])
-    while dq:
-        i = dq.popleft()
-        for j in range(len(lifts)):
-            if j not in seen and adjacent(i, j):
-                seen.add(j)
-                dq.append(j)
-    return len(seen) == len(lifts)
+    n = len(lifts)
+    return _connected(range(n), lambda i: (j for j in range(n) if adjacent(i, j)))
 
 
 def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
@@ -650,52 +585,46 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     if not q.surjective():
         raise ComplexError("verify_rq_characterization needs a surjective map")
     rng = random.Random(seed)
-    src, tgt = q.source, q.target
+    src, tgt, vm = q.source, q.target, q.vertex_map
 
-    fibers = {tv: q.fiber(tv) for tv in tgt.vertex_ids}
-    cond1 = all(is_convex(src, f) for f in fibers.values())
+    # fiber index: one pass over the source groups its vertices, horizontal
+    # edges and squares with four distinct corner images by image cell
+    fibers = {}
+    for v in src.vertex_ids:
+        fibers.setdefault(vm[v], []).append(v)
+    edge_lifts = {}
+    for e in src.edges:
+        u, v = tuple(e)
+        if vm[u] != vm[v]:
+            edge_lifts.setdefault(frozenset((vm[u], vm[v])), []).append(e)
+    square_lifts = {}
+    opposite = {}
+    for s in src.squares:
+        a, b, c, d = s
+        for e1, e2 in ((frozenset((a, b)), frozenset((d, c))),
+                       (frozenset((b, c)), frozenset((a, d)))):
+            opposite.setdefault(e1, []).append(e2)
+            opposite.setdefault(e2, []).append(e1)
+        img = tuple(vm[x] for x in s)
+        if len(set(img)) == 4:
+            square_lifts.setdefault(_canonical_square(img, tgt._index), []).append(s)
 
-    cond2 = True
-    for te in tgt.edges:
-        if not _edge_ladder_connected(q, te):
-            cond2 = False
-            break
-    if cond2:
-        for s in tgt.squares:
-            # sheets over s, adjacent when a (flag-implied) 3-cube joins them
-            lifts = []
-            tset = set(s)
-            tsq = _canonical_square(tuple(s), tgt._index)
-            for ss in src.squares:
-                img = [q.vertex_map[x] for x in ss]
-                if set(img) == tset and \
-                   _canonical_square(tuple(img), tgt._index) == tsq:
-                    lifts.append(ss)
-            if not lifts:
-                cond2 = False
-                break
-            if not _sheets_connected(q, lifts):
-                cond2 = False
-                break
+    cond1 = all(is_convex(src, fibers[tv]) for tv in tgt.vertex_ids)
+
+    # sheets over a target square are adjacent when a (flag-implied) 3-cube
+    # joins them
+    cond2 = all(_edge_ladder_connected(edge_lifts.get(te), opposite)
+                for te in tgt.edges) and \
+        all(s in square_lifts and _sheets_connected(q, square_lifts[s])
+            for s in tgt.squares)
 
     src_hps = hyperplanes(src)
-    wall_of_edge = {}
-    for h in src_hps:
-        for e in h.edge_class:
-            wall_of_edge[e] = h.index
+    wall_of_edge = {e: h.index for h in src_hps for e in h.edge_class}
     tgt_hps = hyperplanes(tgt)
 
-    cond4 = True
-    for th in tgt_hps:
-        pulled = set()
-        for e in src.edges:
-            u, v = tuple(e)
-            fu, fv = q.vertex_map[u], q.vertex_map[v]
-            if fu != fv and frozenset((fu, fv)) in th.edge_class:
-                pulled.add(wall_of_edge[e])
-        if len(pulled) != 1:
-            cond4 = False
-            break
+    cond4 = all(len({wall_of_edge[e] for te in th.edge_class
+                     for e in edge_lifts.get(te, ())}) == 1
+                for th in tgt_hps)
 
     # sampled convex family: halfspaces, carriers, random intervals
     family = []
@@ -709,48 +638,22 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
         x = rng.choice(tverts)
         y = rng.choice(tverts)
         family.append(set(tgt.interval(x, y)))
-    cond3 = True
-    for A in family:
-        pre = [v for v in src.vertex_ids if q.vertex_map[v] in A]
-        if not is_convex(src, pre):
-            cond3 = False
-            break
+    cond3 = all(is_convex(src, [v for tv in A for v in fibers[tv]]) for A in family)
 
-    # rebuild from horizontal walls and compare partitions
-    cond5 = True
-    horiz = set()
-    for e in q.horizontal_edges():
-        horiz.add(wall_of_edge[e])
-    for h in src_hps:
-        if h.index in horiz:
-            for e in h.edge_class:
-                u, v = tuple(e)
-                if q.vertex_map[u] == q.vertex_map[v]:
-                    cond5 = False    # a wall with mixed horizontal/vertical edges
+    # rebuild from the horizontal walls, which must be untruncated and have
+    # no vertical edge, and compare partitions and induced adjacency
+    horiz = {wall_of_edge[e] for lifts in edge_lifts.values() for e in lifts}
+    walls = [h for h in src_hps if h.index in horiz]
+    cond5 = not any(h.truncated or
+                    any(vm[u] == vm[v] for u, v in map(tuple, h.edge_class))
+                    for h in walls)
     if cond5:
-        walls = [h for h in src_hps if h.index in horiz]
-        if any(h.truncated for h in walls):
-            cond5 = False
-        else:
-            rq = restriction_quotient(src, walls)
-            part_q = {}
-            for v in src.vertex_ids:
-                part_q.setdefault(q.vertex_map[v], set()).add(v)
-            part_r = {}
-            for v in src.vertex_ids:
-                part_r.setdefault(rq.map.vertex_map[v], set()).add(v)
-            cond5 = sorted(map(sorted, part_q.values()), key=str) == \
-                sorted(map(sorted, part_r.values()), key=str)
-            if cond5:
-                # induced adjacency must agree through the fiber bijection
-                pair_q = {frozenset((q.vertex_map[x], q.vertex_map[y]))
-                          for x, y in map(tuple, q.horizontal_edges())}
-                rebuilt = {frozenset((rq.map.vertex_map[x], rq.map.vertex_map[y]))
-                           for x, y in map(tuple, rq.map.horizontal_edges())}
-                match = {}
-                for v in src.vertex_ids:
-                    match[q.vertex_map[v]] = rq.map.vertex_map[v]
-                cond5 = {frozenset(match[t] for t in p) for p in pair_q} == rebuilt
+        rq = restriction_quotient(src, walls)
+        # the partitions agree iff fiber <-> K-class pairs form a bijection
+        pairs = {(vm[v], rq.map.vertex_map[v]) for v in src.vertex_ids}
+        match = dict(pairs)
+        cond5 = len(pairs) == len(fibers) == len(rq.target.vertex_ids) and \
+            {frozenset(match[t] for t in p) for p in edge_lifts} == set(rq.target.edges)
 
     conds = (cond1, cond2, cond3, cond4, cond5)
     return {
@@ -784,8 +687,6 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
     sig2pool = {}
     for w in b2.vertex_ids:
         sig2pool.setdefault(sig(b2, vl2, w), set()).add(w)
-
-    sq2 = set(b2.squares)
 
     order = []
     seen = set()
@@ -847,8 +748,7 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
     if not extend(0):
         return None
     for s in b1.squares:
-        img = tuple(mapping[x] for x in s)
-        if _canonical_square(img, b2._index) not in sq2:
+        if not b2.has_square(mapping[x] for x in s):
             return None
     return dict(mapping)
 

@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cubikit
 from cubikit import cli
 
 
@@ -14,7 +19,21 @@ def graphs(tmp_path):
         "vertices": list("abcde"),
         "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]],
     }))
-    return {"k2": str(k2), "pentagon": str(pent), "dir": tmp_path}
+    square4 = tmp_path / "square4.json"
+    square4.write_text(json.dumps({
+        "vertices": list("wxyz"),
+        "edges": [["w", "x"], ["x", "y"], ["y", "z"], ["z", "w"]],
+    }))
+    return {"k2": str(k2), "pentagon": str(pent), "square4": str(square4),
+            "dir": tmp_path}
+
+
+def run_cli(args, hash_seed):
+    """Run the CLI in a fresh interpreter under a fixed hash seed; stdout."""
+    src = os.path.dirname(os.path.dirname(cubikit.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "cubikit.cli", *args],
+                          env=env, capture_output=True).stdout
 
 
 def test_graph_info(graphs, capsys):
@@ -219,20 +238,52 @@ def test_verify_unknown_criterion_exits_3(capsys):
 
 
 def test_dot_does_not_depend_on_hash_seed(graphs):
-    import os
-    import subprocess
-    import sys
-
-    import cubikit
-
-    src = os.path.dirname(os.path.dirname(cubikit.__file__))
     dots = []
     for seed in ("1", "2"):
         dot = graphs["dir"] / f"ball{seed}.dot"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-m", "cubikit.cli", "ball",
-                        "--graph", graphs["k2"], "--radius", "2",
-                        "--out", os.devnull, "--dot", str(dot)],
-                       env=env, check=True)
+        run_cli(["ball", "--graph", graphs["k2"], "--radius", "2",
+                 "--out", os.devnull, "--dot", str(dot)], seed)
         dots.append(dot.read_bytes())
     assert dots[0] == dots[1]
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the reports under PYTHONHASHSEED=0: a refactor of the
+# cube-complex core must keep them byte-identical
+GOLDEN_BALL_DOT = {
+    "json": "1dfeebbf01d02aa6deea1d696e6fbcd955a131b6e0cb48965d3e3fd0673e087e",
+    "dot": "0e23a3785972bd1fff8295cc5ad11e69575b34f13e475a806ca414b9b1e948f2",
+}
+GOLDEN_CHECK_RQ = {
+    ("k2", 0): "10bcd5ce8ea98823b86808a657cc839e4b3e26952394202db05728e94a4149e5",
+    ("k2", 1): "608ed9001cb1d8cba62171e2d51cf1cfa3be65134a7a9521cc4b8001724aa90b",
+    ("k2", 2): "45850aa646ea91f9eacc369f7cc4ed00b7fbb9b93180123150d8402391c6049e",
+    ("square4", 0): "08769d4d404f7e23ca4d05658501b2782b9a531809c987aa04f3b6f303104ebf",
+    ("square4", 1): "cac2c6f408fb13fee262d8c28844aa78638169d3a69aa9f4d94109403a3d111e",
+    ("square4", 2): "1deff2ca64f27c3aafc8e242feec97abf35321663ca9452a1adb495285e1f5cd",
+}
+GOLDEN_BLOWUP = "27cbd827fd946657d3519bd3b064b0e651cfb30990797885ce7ece2a71a624b0"
+
+
+def test_golden_ball_dot(graphs):
+    dot = graphs["dir"] / "pentagon.dot"
+    out = run_cli(["ball", "--graph", graphs["pentagon"], "--radius", "2",
+                   "--dot", str(dot)], "0")
+    assert sha256(out) == GOLDEN_BALL_DOT["json"]
+    assert sha256(dot.read_bytes()) == GOLDEN_BALL_DOT["dot"]
+
+
+@pytest.mark.parametrize("graph, seed", sorted(GOLDEN_CHECK_RQ))
+def test_golden_check_rq(graphs, graph, seed):
+    out = run_cli(["check", "rq", "--graph", graphs[graph], "--radius", "2",
+                   "--seed", str(seed)], "0")
+    assert sha256(out) == GOLDEN_CHECK_RQ[graph, seed]
+
+
+def test_golden_blowup(graphs):
+    out = run_cli(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                   "--window", "2"], "0")
+    assert sha256(out) == GOLDEN_BLOWUP

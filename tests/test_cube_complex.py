@@ -1,9 +1,14 @@
+import functools
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import cube_complex as cc
+from cubikit import graph_core as gc
+from cubikit import raag_geometry as rg
 
 
 def grid(nx, ny, depth_big=True):
@@ -218,3 +223,128 @@ def test_truncated_hyperplane_flagging():
     assert all(h.truncated for h in hps)
     with pytest.raises(cc.ComplexError):
         cc.restriction_quotient(ring, [hps[0]])
+
+
+def test_span_accepts_a_generator():
+    b = rg.ball_X(gc.k2(), 2)
+    inner = [v for v in b.vertex_ids if b.depth[v] >= 1]
+    assert len(inner) == 5
+    from_gen = b.span(v for v in inner)
+    assert from_gen.vertex_ids == tuple(inner)
+    assert from_gen.to_json() == b.span(inner).to_json()
+
+
+def test_is_convex_runs_no_distance_search():
+    b = grid(3, 3)
+    assert not cc.is_convex(b, [(0, 0), (1, 0), (1, 1)])
+    assert b._dist_cache == {}
+
+
+@functools.cache
+def small_balls():
+    """Radius-2 balls of X over K2, P3, discrete(2), square4 and the
+    pentagon, and of X_e over K2."""
+    balls = {name: rg.ball_X(g, 2) for name, g in (
+        ("k2", gc.k2()), ("path3", gc.path3()), ("discrete2", gc.discrete(2)),
+        ("square4", gc.square4()))}
+    balls["k2_xe"] = rg.ball_Xe(gc.k2(), 2)
+    balls["pentagon"] = rg.ball_X(gc.pentagon(), 2)
+    return balls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["k2", "path3", "discrete2", "square4"]), st.data())
+def test_rq_five_way_agreement_on_random_K(name, data):
+    ball = small_balls()[name]
+    live = [h for h in cc.hyperplanes(ball) if not h.truncated]
+    picks = data.draw(st.sets(st.integers(0, len(live) - 1)))
+    rq = cc.restriction_quotient(ball, [live[i] for i in sorted(picks)])
+    rep = cc.verify_rq_characterization(rq.map, samples=5,
+                                        seed=data.draw(st.integers(0, 99)))
+    assert rep["all_true"], rep
+
+
+def hyperplanes_oracle(b):
+    """Reference: square-opposite edge classes by closure; per class, the
+    carrier by a scan of all squares and the sides by one search from the
+    first vertex and one from the first vertex it misses.  Maps each edge
+    class to (carrier, sides), sides None when the class is truncated."""
+    opposite = {e: set() for e in b.edges}
+    for a, x, c, d in b.squares:
+        for e1, e2 in (((a, x), (d, c)), ((x, c), (a, d))):
+            opposite[frozenset(e1)].add(frozenset(e2))
+            opposite[frozenset(e2)].add(frozenset(e1))
+
+    def closure(start, step, allowed=lambda y: True):
+        seen, todo = {start}, [start]
+        while todo:
+            for y in step(todo.pop()):
+                if y not in seen and allowed(y):
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    out = {}
+    for e in b.edges:
+        if any(e in cls for cls in out):
+            continue
+        cls = frozenset(closure(e, opposite.__getitem__))
+        carrier = set().union(*cls)
+        for s in b.squares:
+            if frozenset(s[:2]) in cls or frozenset(s[1:3]) in cls:
+                carrier |= set(s)
+
+        def side(v):
+            return closure(v, lambda x: [y for y in b.neighbors(x)
+                                         if frozenset((x, y)) not in cls])
+
+        first = side(b.vertex_ids[0])
+        rest = [v for v in b.vertex_ids if v not in first]
+        sides = None
+        if rest:
+            second = side(rest[0])
+            if len(first) + len(second) == len(b.vertex_ids):
+                sides = (frozenset(first), frozenset(second))
+        out[cls] = (frozenset(carrier), sides)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(small_balls())), st.data())
+def test_hyperplanes_match_two_search_oracle(name, data):
+    b = small_balls()[name]
+    if data.draw(st.booleans()):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(b.vertex_ids),
+                                  max_size=len(b.vertex_ids)))
+        b = b.span([v for v, k in zip(b.vertex_ids, keep) if k])
+    hps = cc.hyperplanes(b)
+    oracle = hyperplanes_oracle(b)
+    assert [h.index for h in hps] == list(range(len(oracle)))
+    assert {h.edge_class for h in hps} == set(oracle)
+    for h in hps:
+        carrier, sides = oracle[h.edge_class]
+        assert h.carrier_vertices == carrier
+        assert h.truncated == (sides is None)
+        assert h.sides == (() if sides is None else sides)
+        assert h.direction == min(str(b.edges[e]) for e in h.edge_class)
+    firsts = [min(sorted(b._index[x] for x in e) for e in h.edge_class)
+              for h in hps]
+    assert firsts == sorted(firsts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["k2", "path3", "square4", "k2_xe", "pentagon"]),
+       st.data())
+def test_has_square_matches_dihedral_brute_force(name, data):
+    b = small_balls()[name]
+    cycle = list(data.draw(st.sampled_from(b.squares)))
+    shift = data.draw(st.integers(0, 3))
+    cycle = cycle[shift:] + cycle[:shift]
+    if data.draw(st.booleans()):
+        cycle.reverse()
+    for i in data.draw(st.sets(st.integers(0, 3))):
+        cycle[i] = data.draw(st.sampled_from(b.vertex_ids))
+    stored = set(b.squares)
+    rotations = [tuple(cycle[k:] + cycle[:k]) for k in range(4)]
+    images = rotations + [t[::-1] for t in rotations]
+    assert b.has_square(cycle) == any(t in stored for t in images)
