@@ -567,8 +567,16 @@ def _sheets_connected(q: CubicalMap, lifts) -> bool:
                 return False
         return True
 
-    n = len(lifts)
-    return _connected(range(n), lambda i: (j for j in range(n) if adjacent(i, j)))
+    # test `seen` first: each adjacency test costs up to 8 lookups
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(len(lifts)):
+            if j not in seen and adjacent(i, j):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(lifts)
 
 
 def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):

@@ -29,11 +29,13 @@ def graphs(tmp_path):
 
 
 def run_cli(args, hash_seed):
-    """Run the CLI in a fresh interpreter under a fixed hash seed; stdout."""
+    """Run the CLI in a fresh interpreter under a fixed hash seed; stdout.
+
+    A non-zero exit status fails the calling test."""
     src = os.path.dirname(os.path.dirname(cubikit.__file__))
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "cubikit.cli", *args],
-                          env=env, capture_output=True).stdout
+                          env=env, capture_output=True, check=True).stdout
 
 
 def test_graph_info(graphs, capsys):

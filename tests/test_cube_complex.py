@@ -240,6 +240,18 @@ def test_is_convex_runs_no_distance_search():
     assert b._dist_cache == {}
 
 
+def test_is_convex_square_corner_closure():
+    # a square a-b-c-d whose diagonal a-c is also an edge: {a, b, c} passes
+    # the distance-2 test (a and c are adjacent), so only the square-corner
+    # closure rejects it
+    b = cc.CubeComplexBall.make(
+        "abcd", [("a", "b", "u"), ("b", "c", "v"), ("c", "d", "u"),
+                 ("d", "a", "v"), ("a", "c", "w")], [("a", "b", "c", "d")], None)
+    assert not cc.is_convex(b, ["a", "b", "c"])
+    assert not cc.is_convex(b, ["b", "c", "d"])
+    assert cc.is_convex(b, ["a", "c"])
+
+
 @functools.cache
 def small_balls():
     """Radius-2 balls of X over K2, P3, discrete(2), square4 and the
