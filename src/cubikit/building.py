@@ -22,7 +22,6 @@ from .cube_complex import CubeComplexBall, TruncationError
 from .graph_core import DefiningGraph, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
-    _lex_least,
     class_of_geodesic,
     coset_coordinates,
     coset_member,
@@ -128,9 +127,8 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
 
 def w_distance(g: DefiningGraph, c1, c2):
     """Coxeter-valued distance: one letter per syllable of nf(c1^-1 c2)."""
-    word = [(v, 1) for v, _ in syllables(mul(g, inv(c1), c2))]
-    # canonical shuffle (the word is already reduced in the Coxeter group)
-    return tuple(v for v, _ in _lex_least(g, word))
+    # the syllables of a normal form are already in least shuffle order
+    return tuple(v for v, _ in syllables(mul(g, inv(c1), c2)))
 
 
 def gallery_distance(g: DefiningGraph, c1, c2) -> int:

@@ -224,7 +224,7 @@ def cmd_dual(args):
         ball = rg.ball_X(g, args.radius)
         ws = wd.hyperplane_wallspace(ball, margin=1)
     dual = wd.dual_cube_complex(ws)
-    dim = wd.dual_dimension(ws)
+    dim = wd.dual_dimension(ws, dual)
     checks = [{"name": "dual dimension vs transverse families",
                "status": "pass", "witness": f"dim={dim}"}]
     if args.dot:

@@ -36,12 +36,29 @@ class DefiningGraph:
     """Finite simplicial graph with an ordered vertex list.
 
     The declaration order of `vertices` is canonical: vertex indices, clique
-    order and every downstream id derive from it.
+    order and every downstream id derive from it.  `__post_init__` fills the
+    derived tables: `_adj` (vertex -> neighbours), `_index` (vertex ->
+    position in `vertices`) and, for the RAAG word algebra, the letters
+    (v, e) coded by rank 2 * index + (e < 0): `_rank` (letter -> rank),
+    `_letters` (rank -> letter) and `_commuting` (rank -> ranks of the
+    letters whose generator is adjacent to v).
     """
 
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
     _adj: dict = field(
+        default=None, repr=False, compare=False, hash=False
+    )
+    _index: dict = field(
+        default=None, repr=False, compare=False, hash=False
+    )
+    _rank: dict = field(
+        default=None, repr=False, compare=False, hash=False
+    )
+    _letters: tuple = field(
+        default=None, repr=False, compare=False, hash=False
+    )
+    _commuting: tuple = field(
         default=None, repr=False, compare=False, hash=False
     )
 
@@ -63,6 +80,15 @@ class DefiningGraph:
             adj[a].add(b)
             adj[b].add(a)
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
+        object.__setattr__(self, "_index",
+                           {v: i for i, v in enumerate(self.vertices)})
+        letters = tuple((v, e) for v in self.vertices for e in (1, -1))
+        rank = {x: r for r, x in enumerate(letters)}
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_commuting", tuple(
+            frozenset(rank[w, f] for w in adj[v] for f in (1, -1))
+            for v, _ in letters))
 
     @staticmethod
     def make(vertices, edges) -> "DefiningGraph":
@@ -72,7 +98,7 @@ class DefiningGraph:
         )
 
     def index(self, v: str) -> int:
-        return self.vertices.index(v)
+        return self._index[v]
 
     def adjacent(self, u: str, v: str) -> bool:
         return v in self._adj[u]
@@ -85,7 +111,7 @@ class DefiningGraph:
 
     def sorted_subset(self, subset) -> tuple[str, ...]:
         """Subset of vertices in canonical (declaration) order."""
-        return tuple(sorted(subset, key=self.vertices.index))
+        return tuple(sorted(subset, key=self._index.__getitem__))
 
     def is_clique(self, subset) -> bool:
         vs = list(subset)

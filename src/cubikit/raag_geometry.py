@@ -1,9 +1,21 @@
 """The right-angled Artin group of a defining graph and its two covers.
 
-Group elements are kept in a canonical normal form: fully cancelled under
-commutation shuffles, then the lexicographically least shuffle (letters
-ordered by vertex declaration order, positive exponent first).  Two words
-represent the same element iff their canonical forms are equal.
+Group elements are kept in a canonical normal form: a reduced word that is
+the lexicographically least among its commutation shuffles, letters ordered
+by rank 2 * (vertex index) + (e < 0).  Two words represent the same element
+iff their canonical forms are equal.
+
+Every product is built by right-multiplying a normal form by one letter
+x = (v, e) at a time, which is one cancellation or one insertion (the
+lexicographic normal form of the trace monoid: Anisimov-Knuth, "Inhomogeneous
+sorting", 1979; the piling picture of Crisp-Godelle-Wiest, J. Topology 2009):
+scan left from the end past the letters whose generator is adjacent to v; if
+the scan stops on v^-e, delete that letter; otherwise insert x before the
+first letter right of the stop whose rank exceeds the rank of x.
+
+The gate of a coset base*G(S) (its unique shortest element) comes from one
+right-to-left pass over the normal form of base that drops each letter of S
+commuting with every letter kept to its right.
 
 On top of the word algebra this module builds finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e, standard
@@ -32,51 +44,37 @@ def _check_letters(g: DefiningGraph, word):
             raise ValueError(f"exponent must be +-1, got {e!r}")
 
 
-def _reduce(g: DefiningGraph, word):
-    """Cancel inverse pairs that can be brought together by commutations."""
-    out = []
-    for v, e in word:
-        j = len(out) - 1
-        placed = False
-        while j >= 0:
-            w, f = out[j]
-            if w == v:
-                if f == -e:
-                    out.pop(j)
-                    placed = True
-                break
-            if not g.adjacent(w, v):
-                break
+def _fold(g: DefiningGraph, letters) -> tuple:
+    """Normal form of the product of `letters`, right-multiplied in one at a
+    time by the insertion rule of the module docstring.  The word is kept as
+    letter ranks; the inverse of rank r is r ^ 1."""
+    rank, commuting = g._rank, g._commuting
+    word = []
+    for x in letters:
+        r = rank[x]
+        past = commuting[r]
+        n = len(word)
+        j = n - 1
+        while j >= 0 and word[j] in past:
             j -= 1
-        if not placed and not (j >= 0 and out[j][0] == v and out[j][1] == -e):
-            out.append((v, e))
-    return out
-
-
-def _lex_least(g: DefiningGraph, word):
-    """Greedy lexicographically least shuffle of a reduced word."""
-    word = list(word)
-    out = []
-    while word:
-        best = None
-        best_key = None
-        for i, (v, e) in enumerate(word):
-            if all(g.adjacent(w, v) for w, _ in word[:i]):
-                key = (g.index(v), 0 if e == 1 else 1)
-                if best is None or key < best_key:
-                    best, best_key = i, key
-        out.append(word.pop(best))
-    return tuple(out)
+        if j >= 0 and word[j] == r ^ 1:
+            del word[j]
+            continue
+        j += 1
+        while j < n and word[j] < r:
+            j += 1
+        word.insert(j, r)
+    return tuple(map(g._letters.__getitem__, word))
 
 
 def normal_form(g: DefiningGraph, word) -> tuple:
     """Canonical normal form of a raw generator word."""
     _check_letters(g, word)
-    return _lex_least(g, _reduce(g, word))
+    return _fold(g, word)
 
 
 def mul(g: DefiningGraph, a, b) -> tuple:
-    return _lex_least(g, _reduce(g, tuple(a) + tuple(b)))
+    return _fold(g, (*a, *b))
 
 
 def inv(a) -> tuple:
@@ -132,23 +130,23 @@ _gate_cache: dict = {}
 def gate_representative(g: DefiningGraph, base, support) -> tuple:
     """The unique minimal-length element of the coset base*G(support).
 
-    This is the gate of the identity on the (convex) coset; greedy descent
-    by right multiplication terminates there.
+    One right-to-left pass over the normal form of base drops every letter
+    of `support` that commutes with all letters kept to its right; no kept
+    support letter can then be shuffled to the end, which characterises the
+    shortest element of the coset.
     """
     key = (g, tuple(base), tuple(support))
     hit = _gate_cache.get(key)
     if hit is not None:
         return hit
-    rep = normal_form(g, base)
-    improved = True
-    while improved:
-        improved = False
-        for v in support:
-            for e in (1, -1):
-                cand = mul(g, rep, ((v, e),))
-                if len(cand) < len(rep):
-                    rep = cand
-                    improved = True
+    kept = []
+    blockers = set()        # generators of the kept letters
+    for v, e in reversed(normal_form(g, base)):
+        if v in support and blockers <= g.neighbors(v):
+            continue
+        kept.append((v, e))
+        blockers.add(v)
+    rep = tuple(reversed(kept))
     _gate_cache[key] = rep
     return rep
 

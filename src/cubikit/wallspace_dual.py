@@ -281,11 +281,13 @@ def _cube_corners(state, walls):
         yield s
 
 
-def dual_dimension(ws: Wallspace) -> int:
+def dual_dimension(ws: Wallspace, dual: DualComplex | None = None) -> int:
     """Largest pairwise-transverse wall family; asserted equal to the max
-    cube dimension of the dual complex."""
+    cube dimension of the dual complex (built here unless given)."""
+    if dual is None:
+        dual = dual_cube_complex(ws)
     dim = max(map(len, _transverse_families(ws)))
-    assert dim == _max_cube_dimension(dual_cube_complex(ws)), \
+    assert dim == _max_cube_dimension(dual), \
         "transverse family bound disagrees with the dual's cube dimension"
     return dim
 
@@ -306,14 +308,15 @@ def _max_cube_dimension(dual: DualComplex) -> int:
     return best
 
 
-def maximal_cubes(ws: Wallspace):
+def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
     """Maximal pairwise-transverse families with their cubes in the dual.
 
     Returns a list of (family, list of cubes); each cube is the frozenset of
     its 0-cube vertex ids.  The correspondence family <-> maximal cube is
-    asserted to be a bijection.
+    asserted to be a bijection.  The dual is built here unless given.
     """
-    dual = dual_cube_complex(ws)
+    if dual is None:
+        dual = dual_cube_complex(ws)
     states = set(dual.states.values())
     out = []
     used_cubes = set()

@@ -1,6 +1,7 @@
 """Residues, the Davis ball, projections, parallelism, factor actions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,8 @@ from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+
+from .test_raag_words import lex_least_oracle
 
 
 def w(g, text):
@@ -232,3 +235,18 @@ def test_davis_ball_flag_links():
     for g, radius in ((gc.k2(), 3), (gc.pentagon(), 2), (gc.path3(), 3)):
         db = bd.davis_ball(g, radius)
         assert cc.check_flag_links(db.ball)["ok"]
+
+
+def test_w_distance_matches_lex_least_of_syllables():
+    # the syllable word of a normal form is already its least shuffle
+    rng = random.Random(5)
+    for g in (gc.pentagon(), gc.k2(), gc.path3(), gc.square4()):
+        letters = [(v, e) for v in g.vertices for e in (1, -1)]
+        for _ in range(600):
+            c1, c2 = (rg.normal_form(g, [rng.choice(letters) for _ in
+                                         range(rng.randint(0, 8))])
+                      for _ in range(2))
+            word = [(v, 1) for v, _ in
+                    rg.syllables(rg.mul(g, rg.inv(c1), c2))]
+            want = tuple(v for v, _ in lex_least_oracle(g, word))
+            assert bd.w_distance(g, c1, c2) == want

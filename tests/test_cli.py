@@ -232,6 +232,30 @@ def test_blowup_data_without_classes_exits_3(graphs, capsys):
     assert "bad blow-up data" in capsys.readouterr().err
 
 
+def test_blowup_data_unknown_generator_exits_3(graphs, capsys):
+    path = graphs["dir"] / "data.json"
+    path.write_text(json.dumps(
+        {"classes": [{"id": "u@1", "table": {"zz": 0}}]}))
+    assert cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                     "--window", "2", "--data", str(path)]) == 3
+    assert "unknown generator" in capsys.readouterr().err
+
+
+def test_dual_builds_the_dual_once(graphs, monkeypatch):
+    from cubikit import wallspace_dual as wd
+
+    calls = []
+    build = wd.dual_cube_complex
+
+    def counting(ws):
+        calls.append(ws)
+        return build(ws)
+
+    monkeypatch.setattr(wd, "dual_cube_complex", counting)
+    assert cli.main(["dual", "--graph", graphs["k2"], "--radius", "2"]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_unknown_criterion_exits_3(capsys):
     assert cli.main(["verify", "all", "--only", "99"]) == 3
     captured = capsys.readouterr()

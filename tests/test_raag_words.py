@@ -4,9 +4,88 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+
+
+# -- reference implementations: the reduce-then-sort normal form and the
+# greedy-descent gate, slow oracles for the insertion engine and the
+# one-pass gate -------------------------------------------------------------
+
+def reduce_oracle(g, word):
+    """Cancel inverse pairs that can be brought together by commutations."""
+    out = []
+    for v, e in word:
+        j = len(out) - 1
+        placed = False
+        while j >= 0:
+            w, f = out[j]
+            if w == v:
+                if f == -e:
+                    out.pop(j)
+                    placed = True
+                break
+            if not g.adjacent(w, v):
+                break
+            j -= 1
+        if not placed and not (j >= 0 and out[j][0] == v and out[j][1] == -e):
+            out.append((v, e))
+    return out
+
+
+def lex_least_oracle(g, word):
+    """Greedy lexicographically least shuffle of a reduced word."""
+    word = list(word)
+    out = []
+    while word:
+        best = None
+        best_key = None
+        for i, (v, e) in enumerate(word):
+            if all(g.adjacent(w, v) for w, _ in word[:i]):
+                key = (g.vertices.index(v), 0 if e == 1 else 1)
+                if best is None or key < best_key:
+                    best, best_key = i, key
+        out.append(word.pop(best))
+    return tuple(out)
+
+
+def normal_form_oracle(g, word):
+    return lex_least_oracle(g, reduce_oracle(g, word))
+
+
+def gate_descent_oracle(g, base, support):
+    """Greedy descent by right multiplication to the shortest coset element."""
+    rep = normal_form_oracle(g, base)
+    improved = True
+    while improved:
+        improved = False
+        for v in support:
+            for e in (1, -1):
+                cand = normal_form_oracle(g, rep + ((v, e),))
+                if len(cand) < len(rep):
+                    rep = cand
+                    improved = True
+    return rep
+
+
+def triangle_with_pendant():
+    return gc.DefiningGraph.make(
+        "abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+
+
+ORACLE_GRAPHS = {
+    "pentagon": gc.pentagon(), "k2": gc.k2(), "path3": gc.path3(),
+    "square4": gc.square4(), "discrete3": gc.discrete(3),
+    "single": gc.single_vertex(), "triangle_pendant": triangle_with_pendant(),
+}
+
+
+def raw_words(g, max_size=14):
+    letters = [(v, e) for v in g.vertices for e in (1, -1)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
 
 
 def rewriting_oracle(g, word):
@@ -69,6 +148,30 @@ def test_normal_form_idempotent_and_multiplicative():
             assert rg.normal_form(g, n1) == n1
             assert rg.normal_form(g, w1 + w2) == rg.mul(g, n1, n2)
             assert rg.mul(g, n1, rg.inv(n1)) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.data())
+def test_mul_and_normal_form_match_oracle(name, data):
+    g = ORACLE_GRAPHS[name]
+    a = data.draw(raw_words(g))
+    b = data.draw(raw_words(g))
+    assert rg.normal_form(g, a) == normal_form_oracle(g, a)
+    assert rg.mul(g, a, b) == normal_form_oracle(g, a + b)
+    n = normal_form_oracle(g, a)
+    for x in data.draw(raw_words(g, max_size=4)):
+        assert rg.mul(g, n, (x,)) == normal_form_oracle(g, n + (x,))
+        n = rg.mul(g, n, (x,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.data())
+def test_gate_matches_descent_oracle(name, data):
+    g = ORACLE_GRAPHS[name]
+    base = data.draw(raw_words(g))
+    support = g.sorted_subset(data.draw(st.sets(st.sampled_from(g.vertices))))
+    assert rg.gate_representative(g, base, support) == \
+        gate_descent_oracle(g, base, support)
 
 
 def test_unknown_generator():
