@@ -234,13 +234,19 @@ def cmd_dual(args):
 
 
 def cmd_semiconj(args):
+    if args.window is not None and args.window < 1:
+        raise CliError(EXIT_PARAMS, "--window must be >= 1")
+    if args.depth < 1:
+        raise CliError(EXIT_PARAMS, "--depth must be >= 1")
+    if args.rips_radius is not None and not args.rips_radius > 0:
+        raise CliError(EXIT_PARAMS, "--rips-radius must be > 0")
     text = _read(args.action)
     try:
         spec = sc.ZActionSpec.from_json(text)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(EXIT_PARAMS,
                        f"bad action {args.action}: {exc!r}") from exc
-    if args.window:
+    if args.window is not None:
         if args.window > spec.window:
             raise CliError(EXIT_PARAMS, "requested window exceeds the tables")
         spec.window = args.window

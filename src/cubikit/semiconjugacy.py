@@ -13,11 +13,24 @@ bipartition in 0 or 2 sides, so the normal-coordinate conditions hold
 automatically), so a minimum-weight essential track is a minimum cut
 between the two rim tails: one max-flow computation gives its weight, and
 its residual graph gives the leftmost such cut.
+
+dbar(x, y) is the maximum of |t[x] - t[y]| over the group tables t, which
+include the identity.  Two kinds of tables cannot change that maximum and
+are dropped before any pair is looked at: restrictions of a line isometry
+x -> +-x + c, which give |x - y|, the identity's value; and all but one of
+the tables that share a sorted domain and, up to one global sign, the
+differences of consecutive images, since such tables differ by a line
+isometry and give the same |t[x] - t[y]| on every pair.  The metric is then
+filled table by table over each kept domain.
+
+A Rips2Complex builds its incidence once: `span`, the longest edge span,
+and `cofaces`, which maps each edge to the other two sides of every
+triangle on it.  The track tests walk a cut through `cofaces` instead of
+rescanning the triangles.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -165,20 +178,33 @@ def group_tables(spec: ZActionSpec, B: int):
     return list(seen.values())
 
 
+def _spread_tables(tables):
+    """(domain, images) of one table per (sorted domain, consecutive image
+    differences up to sign), leaving out restrictions of line isometries."""
+    kept = {}
+    for t in tables:
+        dom = tuple(sorted(t))
+        img = [t[x] for x in dom]
+        gaps = tuple(b - a for a, b in zip(dom, dom[1:]))
+        diffs = tuple(b - a for a, b in zip(img, img[1:]))
+        diffs = max(diffs, tuple(-d for d in diffs))
+        if diffs != gaps:
+            kept.setdefault((dom, diffs), (dom, img))
+    return kept.values()
+
+
 def dbar(spec: ZActionSpec, B: int = 8, check_invariance: bool = True):
     """Sup displacement metric over group elements of word length <= B."""
-    tables = group_tables(spec, B)
     pts = list(range(-spec.window, spec.window + 1))
-    metric = {}
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            best = y - x
-            for t in tables:
-                if x in t and y in t:
-                    d = abs(t[x] - t[y])
-                    if d > best:
-                        best = d
-            metric[(x, y)] = best
+    rows = {x: {y: y - x for y in pts[i + 1 :]} for i, x in enumerate(pts)}
+    for dom, img in _spread_tables(group_tables(spec, B)):
+        for i, x in enumerate(dom):
+            row, tx = rows[x], img[i]
+            for y, ty in zip(dom[i + 1 :], img[i + 1 :]):
+                d = abs(tx - ty)
+                if d > row[y]:
+                    row[y] = d
+    metric = {(x, y): d for x, row in rows.items() for y, d in row.items()}
     if check_invariance:
         margin = int(spec.L * B + spec.A) + 2
         lim = spec.window - margin
@@ -218,6 +244,18 @@ class Rips2Complex:
     edges: set                   # frozenset pairs
     triangles: list              # sorted triples
     metric: dict                 # dbar on sorted pairs
+    span: int = field(init=False, repr=False, compare=False)
+    cofaces: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.span = max((abs(x - y) for e in self.edges for x, y in [tuple(e)]),
+                        default=1)
+        self.cofaces = {e: [] for e in self.edges}
+        for x, y, z in self.triangles:
+            xy, xz, yz = frozenset((x, y)), frozenset((x, z)), frozenset((y, z))
+            self.cofaces[xy].append((xz, yz))
+            self.cofaces[xz].append((xy, yz))
+            self.cofaces[yz].append((xy, xz))
 
     def d(self, x, y):
         if x == y:
@@ -333,26 +371,19 @@ class Track:
         return out
 
     def connected(self, K: Rips2Complex) -> bool:
-        cut = list(self.cut_edges(K))
+        """The cut edges form one curve: linked through shared triangles."""
+        cut = self.cut_edges(K)
         if not cut:
             return False
-        adj = {e: set() for e in cut}
-        cutset = set(cut)
-        for t in K.triangles:
-            x, y, z = t
-            sides = [s for s in (frozenset((x, y)), frozenset((x, z)),
-                                 frozenset((y, z))) if s in cutset]
-            for e1, e2 in itertools.combinations(sides, 2):
-                adj[e1].add(e2)
-                adj[e2].add(e1)
-        seen = {cut[0]}
-        dq = deque([cut[0]])
+        start = next(iter(cut))
+        seen = {start}
+        dq = deque([start])
         while dq:
-            e = dq.popleft()
-            for f in adj[e]:
-                if f not in seen:
-                    seen.add(f)
-                    dq.append(f)
+            for sides in K.cofaces[dq.popleft()]:
+                for f in sides:
+                    if f in cut and f not in seen:
+                        seen.add(f)
+                        dq.append(f)
         return len(seen) == len(cut)
 
     def essential(self, K: Rips2Complex) -> bool:
@@ -362,13 +393,11 @@ class Track:
         the spurious cheap cuts that clip a corner off the truncation.
         """
         lo, hi = min(K.vertices), max(K.vertices)
-        span = edge_span(K)
         left = self.left
-        right = set(K.vertices) - set(left)
-        lo_tail = set(range(lo, lo + span + 1))
-        hi_tail = set(range(hi - span, hi + 1))
-        return (lo_tail <= left and hi_tail <= right) or \
-            (lo_tail <= right and hi_tail <= left)
+        lo_tail = range(lo, lo + K.span + 1)
+        hi_tail = range(hi - K.span, hi + 1)
+        return (left.issuperset(lo_tail) and left.isdisjoint(hi_tail)) or \
+            (left.isdisjoint(lo_tail) and left.issuperset(hi_tail))
 
     def is_valid(self, K: Rips2Complex) -> bool:
         try:
@@ -379,7 +408,7 @@ class Track:
 
 
 def edge_span(K: Rips2Complex) -> int:
-    return max((abs(x - y) for e in K.edges for x, y in [tuple(e)]), default=1)
+    return K.span
 
 
 def _leftmost_min_cut(K: Rips2Complex, left_seed, right_seed):

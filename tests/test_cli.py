@@ -109,7 +109,8 @@ def test_dual_from_wallspace_file(graphs, capsys):
     assert len(body["complex"]["vertices"]) == 4
 
 
-def test_semiconj_cli(tmp_path, capsys):
+def flip_action(tmp_path):
+    """The two-flipping action on a window of 24 as an action file."""
     spec = {"window": 24, "L": 3, "A": 2,
             "generators": {"a": {}, "b": {}},
             "relations": [["a", "a"]]}
@@ -121,12 +122,40 @@ def test_semiconj_cli(tmp_path, capsys):
             spec["generators"]["b"][str(n)] = n + 2
     path = tmp_path / "flip.json"
     path.write_text(json.dumps(spec))
-    rc = cli.main(["semiconj", "--action", str(path), "--depth", "5",
-                   "--rips-radius", "6"])
+    return str(path)
+
+
+SEMICONJ_ARGS = ["--depth", "5", "--rips-radius", "6"]
+
+
+def test_semiconj_cli(tmp_path, capsys):
+    rc = cli.main(["semiconj", "--action", flip_action(tmp_path),
+                   *SEMICONJ_ARGS])
     assert rc == 0
     body = json.loads(capsys.readouterr().out)
     assert body["isometries"]["a"] == {"offset": 0, "sign": 1}
     assert abs(body["isometries"]["b"]["offset"]) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_semiconj_window_below_one_exits_3(tmp_path, capsys, value):
+    assert cli.main(["semiconj", "--action", flip_action(tmp_path),
+                     "--window", value]) == 3
+    assert "--window must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_semiconj_depth_below_one_exits_3(tmp_path, capsys, value):
+    assert cli.main(["semiconj", "--action", flip_action(tmp_path),
+                     "--depth", value]) == 3
+    assert "--depth must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "nan"])
+def test_semiconj_rips_radius_not_positive_exits_3(tmp_path, capsys, value):
+    assert cli.main(["semiconj", "--action", flip_action(tmp_path),
+                     "--rips-radius", value]) == 3
+    assert "--rips-radius must be > 0" in capsys.readouterr().err
 
 
 def test_bad_paths_and_params(graphs, capsys):
@@ -292,6 +321,7 @@ GOLDEN_CHECK_RQ = {
     ("square4", 2): "1deff2ca64f27c3aafc8e242feec97abf35321663ca9452a1adb495285e1f5cd",
 }
 GOLDEN_BLOWUP = "27cbd827fd946657d3519bd3b064b0e651cfb30990797885ce7ece2a71a624b0"
+GOLDEN_SEMICONJ = "dfd21de870c05d126c0648c43de40c18a90bc83826ccfbca1f003f610cddb454"
 
 
 def test_golden_ball_dot(graphs):
@@ -313,3 +343,9 @@ def test_golden_blowup(graphs):
     out = run_cli(["blowup", "--graph", graphs["k2"], "--radius", "2",
                    "--window", "2"], "0")
     assert sha256(out) == GOLDEN_BLOWUP
+
+
+def test_golden_semiconj(tmp_path):
+    out = run_cli(["semiconj", "--action", flip_action(tmp_path),
+                   *SEMICONJ_ARGS], "0")
+    assert sha256(out) == GOLDEN_SEMICONJ

@@ -1,11 +1,132 @@
 """dbar, Rips complexes, tracks and the collapse, with exhaustive oracles."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubikit import semiconjugacy as sc
 from cubikit.cube_complex import TruncationError
+
+
+# -- reference implementations: dbar over every (pair, table) and the track
+# tests that rescan K.edges and K.triangles, slow oracles for the reduced
+# table set and the Rips incidence table ------------------------------------
+
+def dbar_oracle(spec, B=8, check_invariance=True):
+    tables = sc.group_tables(spec, B)
+    pts = list(range(-spec.window, spec.window + 1))
+    metric = {}
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            best = y - x
+            for t in tables:
+                if x in t and y in t:
+                    d = abs(t[x] - t[y])
+                    if d > best:
+                        best = d
+            metric[(x, y)] = best
+    if check_invariance:
+        margin = int(spec.L * B + spec.A) + 2
+        lim = spec.window - margin
+        for name, g in spec.generators.items():
+            for (x, y), d in metric.items():
+                if abs(x) > lim or abs(y) > lim:
+                    continue
+                if x in g and y in g:
+                    gx, gy = sorted((g[x], g[y]))
+                    if abs(gx) <= lim and abs(gy) <= lim:
+                        if metric[(gx, gy)] != d:
+                            raise TruncationError(
+                                f"dbar not {name!r}-invariant at ({x},{y}); "
+                                "raise B or the window")
+    return metric
+
+
+def edge_span_oracle(K):
+    return max((abs(x - y) for e in K.edges for x, y in [tuple(e)]), default=1)
+
+
+def cut_edges_oracle(track, K):
+    """Window pairs within the Rips radius that the bipartition separates."""
+    return frozenset(frozenset((x, y)) for (x, y), d in K.metric.items()
+                     if d <= K.radius and (x in track.left) != (y in track.left))
+
+
+def connected_oracle(track, K):
+    cut = list(track.cut_edges(K))
+    if not cut:
+        return False
+    adj = {e: set() for e in cut}
+    cutset = set(cut)
+    for t in K.triangles:
+        x, y, z = t
+        sides = [s for s in (frozenset((x, y)), frozenset((x, z)),
+                             frozenset((y, z))) if s in cutset]
+        for e1, e2 in itertools.combinations(sides, 2):
+            adj[e1].add(e2)
+            adj[e2].add(e1)
+    seen = {cut[0]}
+    stack = [cut[0]]
+    while stack:
+        for f in adj[stack.pop()]:
+            if f not in seen:
+                seen.add(f)
+                stack.append(f)
+    return len(seen) == len(cut)
+
+
+def essential_oracle(track, K):
+    lo, hi = min(K.vertices), max(K.vertices)
+    span = edge_span_oracle(K)
+    left = track.left
+    right = set(K.vertices) - set(left)
+    lo_tail = set(range(lo, lo + span + 1))
+    hi_tail = set(range(hi - span, hi + 1))
+    return (lo_tail <= left and hi_tail <= right) or \
+        (lo_tail <= right and hi_tail <= left)
+
+
+STOCK_SPECS = (sc.two_flipping_spec, sc.translation_spec, sc.reflection_spec,
+               sc.identity_spec)
+
+
+@st.composite
+def random_actions(draw, windows=(6, 40)):
+    """An involution swapping disjoint adjacent pairs and a translation by
+    1-3, trimmed to the window."""
+    w = draw(st.integers(*windows))
+    swaps = draw(st.lists(st.booleans(), min_size=2 * w, max_size=2 * w))
+    a = {n: n for n in range(-w, w + 1)}
+    for n, swap in zip(range(-w, w), swaps):
+        if swap and a[n] == n and a[n + 1] == n + 1:
+            a[n], a[n + 1] = n + 1, n
+    step = draw(st.integers(1, 3))
+    b = {n: n + step for n in range(-w, w + 1 - step)}
+    b_inv = {n + step: n for n in b}
+    # L and A set the invariance margin int(L * B + A) + 2, so they vary
+    # how many pairs the check in dbar covers
+    return sc.ZActionSpec(w, draw(st.sampled_from((1, 2, 3))),
+                          draw(st.sampled_from((0, 1, 2))),
+                          {"a": a, "b": b, "b_inv": b_inv},
+                          {"a": "a", "b": "b_inv", "b_inv": "b"},
+                          relations=[["a", "a"]])
+
+
+@st.composite
+def actions(draw, windows=(6, 40)):
+    if draw(st.booleans()):
+        return draw(random_actions(windows))
+    return draw(st.sampled_from(STOCK_SPECS))(draw(st.integers(*windows)))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", list(fn(*args).items())
+    except TruncationError as exc:
+        return "raise", str(exc)
 
 
 def test_spec_validation():
@@ -325,3 +446,81 @@ def test_min_track_is_leftmost_min_cut(make, window, B, radius):
     assert tr.weight(K) == best
     assert tr.connected(K)
     assert all(left_mask & m == left_mask for m in minima)
+
+
+# -- the reduced table set and the incidence table against the oracles -----
+
+@settings(max_examples=200, deadline=None)
+@given(actions(), st.integers(0, 6))
+def test_dbar_matches_full_loop_oracle(spec, B):
+    """Same values, key order, and TruncationError message, if any."""
+    assert outcome(sc.dbar, spec, B) == outcome(dbar_oracle, spec, B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions(windows=(6, 24)), st.integers(1, 4),
+       st.sampled_from((1, 2, 3, 4, 6)), st.data())
+def test_track_tests_match_scan_oracles(spec, B, radius, data):
+    try:
+        K = sc.rips2(spec, B, radius)
+    except (sc.ActionError, TruncationError):
+        K = None
+    assume(K is not None)
+    assert K.span == edge_span_oracle(K)
+    lo, hi = min(K.vertices), max(K.vertices)
+    for _ in range(4):
+        c = data.draw(st.integers(lo, hi))
+        near = [v for v in K.vertices if abs(v - c) <= K.span]
+        flips = data.draw(st.sets(st.sampled_from(near)))
+        left = {v for v in K.vertices if v <= c} ^ flips
+        tr = sc.Track(frozenset(left))
+        assert tr.cut_edges(K) == cut_edges_oracle(tr, K)
+        assert tr.connected(K) == connected_oracle(tr, K)
+        assert tr.essential(K) == essential_oracle(tr, K)
+
+
+# -- byte-identity pins ----------------------------------------------------
+
+# SHA-256 of result_to_json(semiconjugate(spec(W), B, radius)): faster
+# dbar and track code must keep every result byte-identical
+GOLDEN_RESULTS = {
+    ("two_flipping", 20, 8, 6):
+        "65509e759a07cea426e8f3fe168ea9df1273919ca5af1f8ebde56ed640070720",
+    ("two_flipping", 40, 8, 6):
+        "85c52c54d36740c36d60981543569bb7a738f95054586aa468db52bc4ca58ad1",
+    ("two_flipping", 64, 8, 6):
+        "dd39330f4e150a4df77897ab6913f1777b2bc599a3913c4c654b9a9911a9e86c",
+    ("translation", 20, 8, 6):
+        "5b43e4c3711e0d12b8f126b42132a630249f1e37239a29b582cf96ee6452df36",
+    ("translation", 12, 3, 2):
+        "669c529c2032ece4213e8a01eeca29eb267032a76fe828abf0d296c8943251a5",
+    ("reflection", 20, 8, 6):
+        "3e53153ccff840fd57e74a2a4353124d2fa8c208b19e7b3511ba9e0fa73c5c3c",
+    ("reflection", 12, 2, 2):
+        "a3c816a6a5330dd051d6c9a786bca8fea533011e2bee0d57c36e5f345db97d76",
+    ("identity", 20, 8, 6):
+        "c906bf202a0b8dae54489ec3faa4c05aa9cd3b9b47144560ac061c57a8fbdd37",
+}
+
+
+@pytest.mark.parametrize("name, window, B, radius", sorted(GOLDEN_RESULTS))
+def test_golden_semiconjugate(name, window, B, radius):
+    spec = getattr(sc, f"{name}_spec")(window)
+    out = sc.result_to_json(sc.semiconjugate(spec, B, radius))
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_RESULTS[name, window, B, radius]
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: sc.semiconjugate(sc.two_flipping_spec(24), 0, 6),
+     TruncationError, "dbar not 'a'-invariant at (-20,-17); raise B or the window"),
+    (lambda: sc.semiconjugate(sc.two_flipping_spec(24), 1),
+     TruncationError, "window too small for generator 'a'"),
+    (lambda: sc.rips2(sc.two_flipping_spec(12), 4, 0.5),
+     sc.ActionError, "Rips complex disconnected; the radius is too small"),
+])
+def test_golden_errors(run, error, message):
+    with pytest.raises(error) as info:
+        run()
+    assert type(info.value) is error
+    assert str(info.value) == message
