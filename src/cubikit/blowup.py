@@ -19,9 +19,10 @@ from .building import (
     DavisBall,
     Residue,
     chambers_of,
-    image_class,
+    class_orbit_word,
     proj_residue,
     residue,
+    transport_height,
 )
 from .cube_complex import (
     BIG_DEPTH,
@@ -34,8 +35,9 @@ from .graph_core import DefiningGraph
 from .raag_geometry import (
     ParallelClass,
     class_of_geodesic,
-    coset_coordinates,
     flat_element,
+    gate_heights,
+    height_of,
     inv,
     mul,
     word_str,
@@ -63,13 +65,10 @@ class BlowUpData:
 
     def value(self, r: Residue, chamber) -> int:
         """h_R(chamber) for a rank-1 residue, via the parallelism map."""
-        g = self.graph
         pc = self.class_of(r)
         if pc.id not in self.tables:
             raise TruncationError(f"no table for class {pc.id}")
-        rep = residue(g, pc.rep, (pc.direction,))
-        gated = proj_residue(g, rep, chamber)
-        n = coset_coordinates(g, gated, rep.base, (pc.direction,))[pc.direction]
+        n = height_of(self.graph, pc, chamber)
         t = self.tables[pc.id]
         if n not in t:
             raise TruncationError(f"coordinate {n} outside table window")
@@ -77,8 +76,6 @@ class BlowUpData:
 
     def to_json(self) -> str:
         import json
-
-        from .raag_geometry import flat_element
 
         out = []
         for cid in sorted(self.tables):
@@ -367,25 +364,21 @@ def one_data(bc: BlowUpComplex, window: int | None = None) -> BlowUpData:
     tables = {}
     classes = {}
     observed = {}
+    fibers = {}                  # davis vid -> its Y vertices, in Y order
+    for yv in bc.Y.vertex_ids:
+        fibers.setdefault(bc.vertex_info[yv][0], []).append(yv)
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
         pc = class_of_geodesic(g, r.base, r.type_J[0])
         classes.setdefault(pc.id, pc)
-        rep = residue(g, pc.rep, (pc.direction,))
-        v = r.type_J[0]
-        for yv in bc.Y.vertex_ids:
-            wid, p = bc.vertex_info[yv]
-            if wid != vid:
-                continue
-            for nb, lab in bc.Y.neighbors(yv).items():
-                nvid, np_ = bc.vertex_info[nb]
+        for yv in fibers.get(vid, ()):
+            p = bc.vertex_info[yv][1]
+            for nb in bc.Y.neighbors(yv):
+                nvid = bc.vertex_info[nb][0]
                 if davis.rank_of[nvid] != 0:
                     continue
-                chamber = davis.residue_of[nvid].base
-                gated = proj_residue(g, rep, chamber)
-                n = coset_coordinates(g, gated, rep.base,
-                                      (pc.direction,))[pc.direction]
+                n = height_of(g, pc, davis.residue_of[nvid].base)
                 val = p[0]
                 prev = observed.setdefault((pc.id, n), val)
                 if prev != val:
@@ -443,9 +436,8 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
             if v in rw.type_J:
                 coords.append(("line", p[waxes.index(cid)]))
             else:
-                anchor = proj_residue(g, f, rw.base)
-                n = coset_coordinates(g, anchor, f.base, (v,))[v]
-                coords.append(("chamber", n))
+                coords.append(("chamber",
+                               gate_heights(g, f.base, (v,), rw.base)[v]))
         return tuple(coords)
 
     seen = {}
@@ -580,37 +572,6 @@ def _is_cubical_bijection(bcA, bcB, vmap):
 # the equivariant construction
 # ---------------------------------------------------------------------------
 
-def class_orbit_word(g: DefiningGraph, tables: ActionTables,
-                     pc: ParallelClass, rep_ids, max_depth: int = 6):
-    """Shortest generator word carrying a class into the representative set.
-
-    Returns (word, image class); the identity word if pc is already a
-    representative.  Deterministic: BFS in generator declaration order.
-    """
-    if pc.id in rep_ids:
-        return (), pc
-    from collections import deque
-
-    seen = {pc.id}
-    dq = deque([((), pc)])
-    names = sorted(tables.generators)
-    while dq:
-        word, cur = dq.popleft()
-        if len(word) >= max_depth:
-            continue
-        for name in names:
-            try:
-                img = image_class(g, tables, name, cur)
-            except (TruncationError, ValueError):
-                continue
-            if img.id in rep_ids:
-                return (name,) + word, img
-            if img.id not in seen:
-                seen.add(img.id)
-                dq.append(((name,) + word, img))
-    raise TruncationError(f"orbit of {pc.id} does not meet the representatives")
-
-
 def equivariant_blowup(g: DefiningGraph, tables: ActionTables, resolutions,
                        davis: DavisBall, window: int):
     """Blow up with data propagated through the action.
@@ -634,15 +595,9 @@ def equivariant_blowup(g: DefiningGraph, tables: ActionTables, resolutions,
             continue
         word, img = class_orbit_word(g, tables, pc, rep_ids)
         f_u = resolutions[img.id]
-        rep_res = residue(g, img.rep, (img.direction,))
-        own_res = residue(g, pc.rep, (pc.direction,))
         table = {}
         for n in range(-dom, dom + 1):
-            chamber = flat_element(g, own_res.base, {pc.direction: n})
-            moved = tables.apply_word(word, chamber)
-            gated = proj_residue(g, rep_res, moved)
-            m = coset_coordinates(g, gated, rep_res.base,
-                                  (img.direction,))[img.direction]
+            m = transport_height(g, tables, word, pc, img, n)
             if m not in f_u:
                 raise TruncationError("resolution table window too small")
             table[n] = f_u[m]

@@ -16,6 +16,7 @@ enforce it on ball geometry.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .cube_complex import CubeComplexBall, TruncationError
@@ -23,11 +24,12 @@ from .graph_core import DefiningGraph, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
     class_of_geodesic,
-    coset_coordinates,
     coset_member,
     flat_element,
+    gate_heights,
     gate_representative,
     group_ball,
+    height_of,
     inv,
     mul,
     normal_form,
@@ -35,6 +37,7 @@ from .raag_geometry import (
     syllables,
     word_str,
 )
+from .semiconjugacy import ZActionSpec, add_inverses, least_L
 
 
 @dataclass(frozen=True)
@@ -150,22 +153,11 @@ def chambers_of(g: DefiningGraph, r: Residue, window: int):
 
 
 def proj_residue(g: DefiningGraph, r: Residue, c):
-    """Gate of chamber c on the residue: unique gallery-distance minimizer."""
+    """Gate of chamber c on the residue: its nearest chamber, by the gate
+    formula of `raag_geometry.gate_heights`."""
     if not r.spherical:
         raise ValueError("projection target must be spherical")
-    reach = len(mul(g, inv(r.base), c)) + 1
-    best = None
-    best_d = None
-    ties = 0
-    for coords, chamber in chambers_of(g, r, reach):
-        d = gallery_distance(g, c, chamber)
-        if best_d is None or d < best_d:
-            best, best_d, ties = chamber, d, 1
-        elif d == best_d:
-            ties += 1
-    if ties != 1:
-        raise TruncationError(f"non-unique projection of {word_str(c)}")
-    return best
+    return flat_element(g, r.base, gate_heights(g, r.base, r.type_J, c))
 
 
 def are_parallel(g: DefiningGraph, r1: Residue, r2: Residue, window: int = 3):
@@ -272,44 +264,63 @@ def image_class(g: DefiningGraph, tables: ActionTables, name: str,
     return class_of_geodesic(g, c0, step[0][0])
 
 
-@dataclass
-class FactorActionSpec:
-    parallel_class: ParallelClass
-    generator_tables: dict       # name -> {int: int} on the window
-    window: int
+def class_orbit_word(g: DefiningGraph, tables: ActionTables,
+                     pc: ParallelClass, rep_ids, max_depth: int = 6):
+    """Shortest generator word carrying a class into the representative set.
 
-    def check(self):
-        for name, t in self.generator_tables.items():
-            vals = [t[n] for n in sorted(t)]
-            if len(set(vals)) != len(vals):
-                raise AssertionError(f"factor table of {name!r} not injective")
-        return True
+    Returns (word, image class); the identity word if pc is already a
+    representative.  Deterministic: BFS in generator declaration order.
+    """
+    if pc.id in rep_ids:
+        return (), pc
+    seen = {pc.id}
+    dq = deque([((), pc)])
+    names = sorted(tables.generators)
+    while dq:
+        word, cur = dq.popleft()
+        if len(word) >= max_depth:
+            continue
+        for name in names:
+            try:
+                img = image_class(g, tables, name, cur)
+            except (TruncationError, ValueError):
+                continue
+            if img.id in rep_ids:
+                return (name,) + word, img
+            if img.id not in seen:
+                seen.add(img.id)
+                dq.append(((name,) + word, img))
+    raise TruncationError(f"orbit of {pc.id} does not meet the representatives")
+
+
+def transport_height(g: DefiningGraph, tables: ActionTables, word,
+                     pc: ParallelClass, img: ParallelClass, n: int) -> int:
+    """Height on the class `img` of the height-n chamber of pc's geodesic
+    moved by the generator word (rightmost acts first)."""
+    base = gate_representative(g, pc.rep, (pc.direction,))
+    return height_of(g, img, tables.apply_word(
+        word, flat_element(g, base, {pc.direction: n})))
 
 
 def extract_factor_action(g: DefiningGraph, tables: ActionTables,
                           pc: ParallelClass, window: int,
-                          names=None) -> FactorActionSpec:
+                          names=None) -> ZActionSpec:
     """Induced action on the rank-1 factor of the parallel set of a class.
 
-    For each stabilizing generator, chambers of the representative residue
-    are moved by the action and gated back onto the residue; the table read
-    off in coordinates identifies the factor with a window of Z.
+    For each stabilizing generator, chambers of the class geodesic are moved
+    by the action and gated back onto it; the heights read off identify the
+    factor with a window of Z.  The result has A = 0, the least L it
+    validates with, and an inverse table for every extracted table.
     """
-    r = residue(g, pc.rep, (pc.direction,))
-    v = pc.direction
     out = {}
     for name in (names or tables.generators):
         if image_class(g, tables, name, pc).id != pc.id:
             raise ValueError(f"generator {name!r} does not stabilize {pc.id}")
-        table = {}
-        for n in range(-window, window + 1):
-            c = flat_element(g, r.base, {v: n})
-            moved = tables.apply(name, c)
-            gated = proj_residue(g, r, moved)
-            table[n] = coset_coordinates(g, gated, r.base, (v,))[v]
-        out[name] = table
-    spec = FactorActionSpec(pc, out, window)
-    spec.check()
+        out[name] = {n: transport_height(g, tables, (name,), pc, pc, n)
+                     for n in range(-window, window + 1)}
+    inverses = add_inverses(out)
+    spec = ZActionSpec(window, least_L(out.values()), 0, out, inverses)
+    spec.validate()
     return spec
 
 

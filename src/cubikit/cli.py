@@ -176,11 +176,7 @@ def cmd_blowup(args):
                     pc_dir = cid.split("@")[0]
                     pc = rg.class_of_geodesic(g, chamber, pc_dir)
                     classes[cid] = pc
-                    rep = bd.residue(g, pc.rep, (pc.direction,))
-                    n = rg.coset_coordinates(
-                        g, bd.proj_residue(g, rep, chamber), rep.base,
-                        (pc.direction,))[pc.direction]
-                    tables[cid][n] = int(val)
+                    tables[cid][rg.height_of(g, pc, chamber)] = int(val)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CliError(EXIT_PARAMS,
                            f"bad blow-up data {args.data}: {exc!r}") from exc

@@ -17,10 +17,20 @@ The gate of a coset base*G(S) (its unique shortest element) comes from one
 right-to-left pass over the normal form of base that drops each letter of S
 commuting with every letter kept to its right.
 
+The gate of a point x on a standard flat base*G(S), S a clique, is
+base * prod v^k_v with one scan per v in S (`gate_heights`): k_v is the
+exponent sum of the v-letters of the normal form of base^-1 x up to the
+first letter whose generator is not adjacent to v.  Those v-letters are
+exactly the ones that can be shuffled to the front.  Write base^-1 x = a b
+with a in G(S) the front-movable S-letters; b has none, so no letter of
+p^-1 a cancels against b and |p^-1 a b| = |p^-1 a| + |b| for every p in
+G(S), least exactly at p = a.  The height of x on a parallel class is the
+one-direction case (`height_of`).
+
 On top of the word algebra this module builds finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e, standard
-flats, gate projections onto standard geodesics, levels, and adjacency of
-parallel classes (the edges of the extension complex).
+flats, gates on standard flats, levels, and adjacency of parallel classes
+(the edges of the extension complex).
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph_core import Clique, DefiningGraph, UnknownEndpointError
-from .cube_complex import CubeComplexBall, TruncationError
+from .cube_complex import CubeComplexBall
 
 # A letter is (generator label, +1 or -1); a word is a tuple of letters.
 
@@ -151,15 +161,20 @@ def gate_representative(g: DefiningGraph, base, support) -> tuple:
     return rep
 
 
-def coset_coordinates(g: DefiningGraph, h, base, support):
-    """Exponent vector of base^-1 h inside the abelian group G(support)."""
-    rel = mul(g, inv(base), h)
-    coords = {v: 0 for v in support}
-    for v, e in rel:
-        if v not in coords:
-            raise ValueError(f"{word_str(h)} is not in the coset")
-        coords[v] += e
-    return coords
+def gate_heights(g: DefiningGraph, base, support, x) -> dict:
+    """Coordinates k_v of the gate base * prod v^k_v of x on the flat
+    base*G(support), for a clique `support` (see the module docstring)."""
+    y = mul(g, inv(base), x)
+    out = {}
+    for v in support:
+        s = 0
+        for w, e in y:
+            if w == v:
+                s += e
+            elif not g.adjacent(w, v):
+                break
+        out[v] = s
+    return out
 
 
 def flat_element(g: DefiningGraph, base, coords):
@@ -397,55 +412,11 @@ def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
     return sorted(found.values(), key=lambda f: (len(f.clique), f.id))
 
 
-def project_to_geodesic(g: DefiningGraph, x, flat: StandardFlat):
-    """Gate of x on a standard geodesic: the unique closest vertex.
-
-    Brute-force argmin over the coset, with the search range bounded by the
-    distance from x to the geodesic's base point.
-    """
-    if len(flat.clique) != 1:
-        raise ValueError("projection target must be a standard geodesic")
-    v = flat.clique.members[0]
-    reach = len(mul(g, inv(flat.base), x)) + 1
-    best = None
-    best_d = None
-    ties = 0
-    for k in range(-reach, reach + 1):
-        cand = flat_element(g, flat.base, {v: k})
-        d = len(mul(g, inv(cand), x))
-        if best_d is None or d < best_d:
-            best, best_d, ties = (k, cand), d, 1
-        elif d == best_d:
-            ties += 1
-    if ties != 1:
-        raise TruncationError(f"non-unique gate for {word_str(x)}")
-    return best  # (height, vertex word)
-
-
-def geodesic_of_class(g: DefiningGraph, pc: ParallelClass) -> StandardFlat:
-    return StandardFlat(gate_representative(g, pc.rep, (pc.direction,)),
-                        Clique((pc.direction,)))
-
-
 def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
-    """Gate height of x on the class geodesic, by the prefix-sum shortcut.
-
-    The gate coordinate equals the exponent sum of the front-movable run of
-    direction letters: scanning the normal form of base^-1 x, direction
-    letters count until the first non-adjacent blocker (any later direction
-    letter can never be shuffled in front of that blocker).  The tests pin
-    this against the brute-force gate of project_to_geodesic.
-    """
-    base = gate_representative(g, pc.rep, (pc.direction,))
-    y = mul(g, inv(base), x)
+    """Gate height of x on the class geodesic: `gate_heights` in the class
+    direction, from the gate representative of the geodesic."""
     v = pc.direction
-    s = 0
-    for w, e in y:
-        if w == v:
-            s += e
-        elif not g.adjacent(w, v):
-            break
-    return s
+    return gate_heights(g, gate_representative(g, pc.rep, (v,)), (v,), x)[v]
 
 
 def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,

@@ -32,6 +32,7 @@ rescanning the triangles.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -97,13 +98,7 @@ class ZActionSpec:
                 for name, t in data["generators"].items()}
         inverses = data.get("inverses")
         if inverses is None:
-            inverses = {}
-            for name, t in list(gens.items()):
-                inv_name = f"{name}_inv"
-                if inv_name not in gens:
-                    gens[inv_name] = {v: k for k, v in t.items()}
-                inverses[name] = inv_name
-                inverses[inv_name] = name
+            inverses = add_inverses(gens)
         return ZActionSpec(int(data["window"]), float(data["L"]),
                            float(data["A"]), gens, inverses,
                            [list(r) for r in data.get("relations", [])])
@@ -116,6 +111,35 @@ class ZActionSpec:
             "inverses": dict(self.inverses),
             "relations": [list(r) for r in self.relations],
         })
+
+
+def add_inverses(gens: dict) -> dict:
+    """Name an inverse for every table of `gens`, adding the table
+    `<name>_inv` (the inverted table) where it is missing."""
+    inverses = {}
+    for name, t in list(gens.items()):
+        inv_name = f"{name}_inv"
+        if inv_name not in gens:
+            gens[inv_name] = {v: k for k, v in t.items()}
+        inverses[name] = inv_name
+        inverses[inv_name] = name
+    return inverses
+
+
+def least_L(tables) -> float:
+    """The least L for which `ZActionSpec.validate` accepts injective
+    `tables` with A = 0: the largest ratio |t[y] - t[x]| / |y - x| or its
+    inverse, raised by ulps where validate's float bounds reject it."""
+    L = 1.0
+    for t in tables:
+        for x in t:
+            for y in t:
+                d, di = y - x, abs(t[y] - t[x])
+                if x < y and di:
+                    L = max(L, di / d, d / di)
+                    while di > L * d or di < d / L:
+                        L = math.nextafter(L, math.inf)
+    return L
 
 
 def two_flipping_spec(window: int) -> ZActionSpec:

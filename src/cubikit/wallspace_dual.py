@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .cube_complex import CubeComplexBall, is_convex
 from .graph_core import DefiningGraph
-from .raag_geometry import group_ball
+from .raag_geometry import class_of_geodesic, group_ball, height_of
 
 
 @dataclass
@@ -431,8 +431,8 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     `resolutions` maps an orbit-representative class id to a block map
     {height: block}; identity tables give line resolutions.
     """
-    from .blowup import class_orbit_word
-    from .raag_geometry import class_of_geodesic, height_of
+    # building imports semiconjugacy, which imports this module
+    from .building import class_orbit_word, image_class, transport_height
 
     if points_radius is None:
         points_radius = 2 * (wall_window + 1)
@@ -450,32 +450,40 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     block_maps = {}
     rep_ids = set(resolutions)
     band = range(-wall_window, wall_window + 1)
-    for cid, pc in sorted(classes.items()):
+
+    def block_map(pc, domain):
+        """Block of each height in `domain`: the height is transported to
+        the orbit representative, whose resolution collapses it."""
         word, img = class_orbit_word(g, action_tables, pc, rep_ids,
                                      max_depth=orbit_depth) \
             if action_tables is not None else ((), pc)
         if img.id not in resolutions:
-            raise KeyError(f"no resolution for orbit of {cid}")
+            raise KeyError(f"no resolution for orbit of {pc.id}")
         f_img = resolutions[img.id]
-        heights = {p: height_of(g, pc, p) for p in points}
         fmap = {}
-        for n in band:
-            # transport the height through the chosen word, then collapse
-            if action_tables is not None and word:
-                from .raag_geometry import flat_element
-                from .building import residue
-
-                own = residue(g, pc.rep, (pc.direction,))
-                chamber = flat_element(g, own.base, {pc.direction: n})
-                moved = action_tables.apply_word(word, chamber)
-                n_img = height_of(g, img, moved)
-            else:
-                n_img = n
+        for n in domain:
+            n_img = transport_height(g, action_tables, word, pc, img, n) \
+                if word else n
             if n_img not in f_img:
-                raise KeyError(f"resolution window too small for {cid}")
+                raise KeyError(f"resolution window too small for {pc.id}")
             fmap[n] = f_img[n_img]
-        heights_of[cid] = heights
-        block_maps[cid] = fmap
+        return fmap
+
+    def cut_side(cid, m):
+        # heights outside the block map's keys clamp to its ends; block maps
+        # are monotone so the side assignment matches the infinite wall
+        hs, fmap = heights_of[cid], block_maps[cid]
+        lo, hi = min(fmap), max(fmap)
+        return frozenset(p for p in points
+                         if fmap[max(lo, min(hi, hs[p]))] <= m)
+
+    def tip_side(cid, n):
+        hs = heights_of[cid]
+        return frozenset(p for p in points if hs[p] == n)
+
+    for cid, pc in sorted(classes.items()):
+        heights_of[cid] = {p: height_of(g, pc, p) for p in points}
+        block_maps[cid] = fmap = block_map(pc, band)
         blocks = {}
         for n in band:
             blocks.setdefault(fmap[n], set()).add(n)
@@ -484,126 +492,78 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 if len(ns) >= 2}
         lines[cid] = BranchedLine((lo, hi), tips)
         for m in range(lo, hi):
-            # out-of-band heights clamp to the band rim; block maps are
-            # monotone so the side assignment matches the infinite wall
-            side = frozenset(p for p in points
-                             if fmap[_clamp(heights[p], band)] <= m)
-            walls.append(side)
+            walls.append(cut_side(cid, m))
             tags.append((cid, "cut", m))
         for m, ns in sorted(tips.items()):
             for n in ns:
-                side = frozenset(p for p in points if heights[p] == n)
-                walls.append(side)
+                walls.append(tip_side(cid, n))
                 tags.append((cid, "tip", m, n))
     # orbit closure at the tag level: transport each wall to the image
     # class and re-derive its side from that class's heights (pushing raw
     # point sets would distort the partition at the window rim)
-    state = {"classes": classes, "heights": heights_of, "blocks": block_maps}
-    if action_tables is not None:
-        from .raag_geometry import flat_element
-        from .building import residue as mk_residue
-
-        def ensure_class(pc):
-            if pc.id in state["classes"]:
-                return
-            word, img = class_orbit_word(g, action_tables, pc, rep_ids,
-                                         max_depth=orbit_depth)
-            f_img = resolutions[img.id]
-            hs = {p: height_of(g, pc, p) for p in points}
-            attained = sorted(set(hs.values()))
-            fmap2 = {}
-            own = mk_residue(g, pc.rep, (pc.direction,))
-            for n in attained:
-                if action_tables is not None and word:
-                    chamber = flat_element(g, own.base, {pc.direction: n})
-                    n_img = height_of(g, img, action_tables.apply_word(
-                        word, chamber))
+    frontier = list(tags) if action_tables is not None else []
+    seen_tags = set(tags)
+    guard = 0
+    while frontier and guard < 10000:
+        guard += 1
+        nxt = []
+        for tag in frontier:
+            pc = classes[tag[0]]
+            for name in action_tables.generators:
+                try:
+                    img_pc = image_class(g, action_tables, name, pc)
+                    if img_pc.id not in classes:
+                        hs = {p: height_of(g, img_pc, p) for p in points}
+                        fmap = block_map(img_pc, sorted(set(hs.values())))
+                        classes[img_pc.id] = img_pc
+                        heights_of[img_pc.id] = hs
+                        block_maps[img_pc.id] = fmap
+                except (ValueError, KeyError):
+                    continue
+                f2 = block_maps[img_pc.id]
+                if tag[1] == "tip":
+                    try:
+                        n2 = transport_height(g, action_tables, (name,), pc,
+                                              img_pc, tag[3])
+                    except (ValueError, KeyError):
+                        continue
+                    m2 = f2.get(n2)
+                    if m2 is None:
+                        continue
+                    new_tag = (img_pc.id, "tip", m2, n2)
+                    side = tip_side(img_pc.id, n2)
                 else:
-                    n_img = n
-                if n_img not in f_img:
-                    raise KeyError(f"resolution window too small for {pc.id}")
-                fmap2[n] = f_img[n_img]
-            state["classes"][pc.id] = pc
-            state["heights"][pc.id] = hs
-            state["blocks"][pc.id] = fmap2
-
-        from .building import image_class
-
-        frontier = list(tags)
-        seen_tags = set(tags)
-        guard = 0
-        while frontier and guard < 10000:
-            guard += 1
-            nxt = []
-            for tag in frontier:
-                cid = tag[0]
-                pc = state["classes"][cid]
-                own = mk_residue(g, pc.rep, (pc.direction,))
-                for name in action_tables.generators:
-                    try:
-                        img_pc = image_class(g, action_tables, name, pc)
-                    except Exception:
-                        continue
-                    try:
-                        ensure_class(img_pc)
-                    except (KeyError, Exception):
-                        continue
-                    hs2 = state["heights"][img_pc.id]
-                    f2 = state["blocks"][img_pc.id]
-                    if tag[1] == "tip":
-                        n = tag[3]
-                        chamber = flat_element(g, own.base, {pc.direction: n})
+                    m = tag[2]
+                    # transport the block cut through two sample levels
+                    pairs = []
+                    for n, blk in block_maps[tag[0]].items():
                         try:
-                            moved = action_tables.apply(name, chamber)
-                        except Exception:
+                            n2 = transport_height(g, action_tables, (name,),
+                                                  pc, img_pc, n)
+                        except (ValueError, KeyError):
                             continue
-                        n2 = height_of(g, img_pc, moved)
-                        m2 = f2.get(n2)
-                        if m2 is None:
-                            continue
-                        new_tag = (img_pc.id, "tip", m2, n2)
-                        side = frozenset(p for p in points if hs2[p] == n2)
-                    else:
-                        m = tag[2]
-                        # transport the block cut through two sample levels
-                        pairs = []
-                        fmap0 = state["blocks"][cid]
-                        for n, blk in sorted(fmap0.items()):
-                            chamber = flat_element(g, own.base,
-                                                   {pc.direction: n})
-                            try:
-                                moved = action_tables.apply(name, chamber)
-                            except Exception:
-                                continue
-                            n2 = height_of(g, img_pc, moved)
-                            if n2 in f2:
-                                pairs.append((blk, f2[n2]))
-                        pairs = sorted(set(pairs))
-                        if len(pairs) < 2:
-                            continue
-                        (a1, b1), (a2, b2) = pairs[0], pairs[-1]
-                        if abs(b2 - b1) != abs(a2 - a1) or a2 == a1:
-                            continue
-                        sgn = 1 if b2 - b1 > 0 else -1
-                        off = b1 - sgn * a1
-                        m2 = sgn * m + off if sgn == 1 else sgn * (m + 1) + off
-                        new_tag = (img_pc.id, "cut", m2)
-                        attained = sorted(set(f2.values()))
-                        if m2 < min(attained) or m2 >= max(attained):
-                            continue
-                        def blk_of(p):
-                            h = hs2[p]
-                            ks = sorted(f2)
-                            hh = max(ks[0], min(ks[-1], h))
-                            return f2[hh]
-                        side = frozenset(p for p in points if blk_of(p) <= m2)
-                    if new_tag not in seen_tags and side and \
-                       len(side) < len(points):
-                        seen_tags.add(new_tag)
-                        walls.append(side)
-                        tags.append(new_tag)
-                        nxt.append(new_tag)
-            frontier = nxt
+                        if n2 in f2:
+                            pairs.append((blk, f2[n2]))
+                    pairs = sorted(set(pairs))
+                    if len(pairs) < 2:
+                        continue
+                    (a1, b1), (a2, b2) = pairs[0], pairs[-1]
+                    if abs(b2 - b1) != abs(a2 - a1) or a2 == a1:
+                        continue
+                    sgn = 1 if b2 - b1 > 0 else -1
+                    off = b1 - sgn * a1
+                    m2 = sgn * m + off if sgn == 1 else sgn * (m + 1) + off
+                    new_tag = (img_pc.id, "cut", m2)
+                    if not min(f2.values()) <= m2 < max(f2.values()):
+                        continue
+                    side = cut_side(img_pc.id, m2)
+                if new_tag not in seen_tags and side and \
+                   len(side) < len(points):
+                    seen_tags.add(new_tag)
+                    walls.append(side)
+                    tags.append(new_tag)
+                    nxt.append(new_tag)
+        frontier = nxt
     uniq_sides, uniq_tags, seen = [], [], set()
     for w, tag in zip(walls, tags):
         key = min(frozenset(w), frozenset(pset - set(w)), key=sorted)
@@ -612,18 +572,11 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
             uniq_sides.append(w)
             uniq_tags.append(tag)
     ws = Wallspace.make(points, uniq_sides, uniq_tags)
-    classes = state["classes"]
-    heights_of = state["heights"]
-    block_maps = state["blocks"]
     domain = tuple(p for p in points
                    if all(-wall_window <= heights_of[cid][p] <= wall_window
                           for cid in classes))
     return InvariantWallspace(ws, g, classes, lines, heights_of, block_maps,
                               wall_window, domain)
-
-
-def _clamp(n, band):
-    return max(band[0], min(band[-1], n))
 
 
 def direction_labeled_dual(iws: InvariantWallspace,

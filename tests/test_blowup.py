@@ -1,5 +1,8 @@
 """Blow-up data, fiber functors, assembly, round trips, morphisms."""
 
+import hashlib
+import json
+
 import pytest
 
 from cubikit import blowup as bu
@@ -7,6 +10,8 @@ from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+
+from .test_raag_words import coset_coordinates
 
 
 def test_type_map():
@@ -35,7 +40,7 @@ def test_fiber_functor_identity_tables():
             v = pc.direction
             f = bd.residue(g, rp.base, (v,))
             anchor = bd.proj_residue(g, f, rc.base)
-            n = rg.coset_coordinates(g, anchor, f.base, (v,))[v]
+            n = coset_coordinates(g, anchor, f.base, (v,))[v]
             assert val == n
 
 
@@ -300,3 +305,104 @@ def test_fiber_dimensions_by_rank():
         counts[vid] = counts.get(vid, 0) + 1
     for vid, n in counts.items():
         assert n == (2 * w + 1) ** davis.rank_of[vid]
+
+
+def line_element(n):
+    return (("v", 1),) * n if n >= 0 else (("v", -1),) * (-n)
+
+
+def two_flipping_action(N):
+    """H = Z/2 + Z on the chambers v^-N..v^N of the single-vertex building:
+    a flips v^2n <-> v^(2n+1), b multiplies by v^2."""
+    a_tab = {}
+    for n in range(-N, N + 1):
+        m = n + 1 if n % 2 == 0 else n - 1
+        a_tab[line_element(n)] = line_element(m)
+    b_tab = {line_element(n): line_element(n + 2) for n in range(-N, N + 1)}
+    b_inv = {line_element(n): line_element(n - 2) for n in range(-N, N + 1)}
+    return bd.ActionTables({"a": a_tab, "b": b_tab, "b_inv": b_inv},
+                           {"a": "a", "b": "b_inv", "b_inv": "b"})
+
+
+def identity_resolutions(g, davis, reach):
+    """Identity tables on -reach..reach for every class of the Davis ball."""
+    reps = {}
+    for r in davis.residue_of.values():
+        if r.rank == 1:
+            pc = rg.class_of_geodesic(g, r.base, r.type_J[0])
+            reps.setdefault(pc.id, {n: n for n in range(-reach, reach + 1)})
+    return reps
+
+
+def test_gates_need_no_gallery_search(monkeypatch):
+    # every gate on the blow-up path comes from the gate formula: none of
+    # these constructions may search chambers by gallery distance
+    def forbidden(*args):
+        raise AssertionError("gallery_distance called")
+
+    monkeypatch.setattr(bd, "gallery_distance", forbidden)
+    g = gc.k2()
+    davis = bd.davis_ball(g, 2)
+    psi = bu.build_fiber_functor(bu.bijective_data(g, davis, 2), davis)
+    bu.one_data(bu.blowup_complex(psi))
+    elements = [rg.parse_word(v) for v in rg.ball_X(g, 6).vertex_ids]
+    act = bd.left_translation_action(g, elements, (("u", 1),))
+    bu.equivariant_blowup(g, act, identity_resolutions(g, davis, 12), davis,
+                          window=2)
+    pc = rg.class_of_geodesic(g, (), "v")
+    bd.extract_factor_action(g, act, pc, window=2, names=["t"])
+
+
+# -- byte-identity pins ----------------------------------------------------
+
+# SHA-256 pins computed before the gate formula replaced the brute-force
+# projection: Y and every induced vertex map of equivariant_blowup, and the
+# 1-data read back off bijective blow-ups
+GOLDEN_EQUIVARIANT = {
+    "translations":
+        "9ca2df679377cc1b753e2669b915298707f0a26e4ce644bf30b855ba35cb6866",
+    "two_flipping":
+        "37457951b73ce5abd0b312f7b2439bd488d7ee2fcbbd6f1d52aedbb28a4a1ebd",
+}
+GOLDEN_ONE_DATA = {
+    "k2": "ad2243f72cbc7fbd061df5c44cc305927af992a424942bf316751bd99e0b2f1a",
+    "c5": "326f6b8f20e9c713a0e9333b898d89d43c5e682534a894a3113e332e0b7f450a",
+}
+
+
+def equivariant_case(name):
+    """The configurations of the two equivariant blow-up tests above."""
+    if name == "translations":
+        g = gc.k2()
+        davis = bd.davis_ball(g, 3)
+        elements = [rg.parse_word(v) for v in rg.ball_X(g, 7).vertex_ids]
+        act = bd.left_translation_action(g, elements, (("u", 1),))
+        return g, act, identity_resolutions(g, davis, 12), davis, 3
+    g = gc.single_vertex()
+    pc = rg.class_of_geodesic(g, (), "v")
+    return (g, two_flipping_action(16),
+            {pc.id: {n: n // 2 for n in range(-16, 17)}},
+            bd.davis_ball(g, 6), 5)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EQUIVARIANT))
+def test_golden_equivariant_blowup(name):
+    g, act, reps, davis, window = equivariant_case(name)
+    bc, actions = bu.equivariant_blowup(g, act, reps, davis, window=window)
+    body = json.dumps({"Y": bc.Y.to_json(),
+                       "actions": [[gen, list(vmap.items())]
+                                   for gen, vmap in actions.items()]})
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        GOLDEN_EQUIVARIANT[name]
+
+
+@pytest.mark.parametrize("name, g, radius, window", [
+    ("k2", gc.k2(), 3, 3),
+    ("c5", gc.pentagon(), 2, 3),
+])
+def test_golden_one_data(name, g, radius, window):
+    davis = bd.davis_ball(g, radius)
+    bc = bu.blowup_complex(bu.build_fiber_functor(
+        bu.bijective_data(g, davis, window), davis))
+    out = bu.one_data(bc).to_json()
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ONE_DATA[name]

@@ -1,16 +1,42 @@
 """Residues, the Davis ball, projections, parallelism, factor actions."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+from cubikit import semiconjugacy as sc
 
-from .test_raag_words import lex_least_oracle
+from .test_blowup import line_element
+from .test_raag_words import coset_coordinates, lex_least_oracle
+
+
+def proj_residue_oracle(g, r, c):
+    """Oracle: gate of chamber c on a spherical residue, the unique
+    gallery-distance minimizer over a coordinate window of the residue."""
+    if not r.spherical:
+        raise ValueError("projection target must be spherical")
+    reach = len(rg.mul(g, rg.inv(r.base), c)) + 1
+    best = None
+    best_d = None
+    ties = 0
+    for coords, chamber in bd.chambers_of(g, r, reach):
+        d = bd.gallery_distance(g, c, chamber)
+        if best_d is None or d < best_d:
+            best, best_d, ties = chamber, d, 1
+        elif d == best_d:
+            ties += 1
+    if ties != 1:
+        raise cc.TruncationError(f"non-unique projection of {rg.word_str(c)}")
+    return best
 
 
 def w(g, text):
@@ -107,6 +133,32 @@ def test_proj_residue_lipschitz_idempotent():
         assert dp <= d
 
 
+GATE_GRAPHS = (gc.pentagon(), gc.k2(), gc.path3(), gc.square4(),
+               gc.discrete(3), gc.single_vertex())
+
+
+@st.composite
+def residues_and_chambers(draw):
+    """A residue of any clique type with a random base, and a chamber of
+    length <= 6, over one of the gate graphs."""
+    g = draw(st.sampled_from(GATE_GRAPHS))
+    letters = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    clique = draw(st.sampled_from(gc.cliques(g)))
+    base = rg.normal_form(g, draw(st.lists(letters, max_size=4)))
+    c = rg.normal_form(g, draw(st.lists(letters, max_size=6)))
+    return g, bd.residue(g, base, clique.members), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(residues_and_chambers())
+def test_gate_formula_matches_brute_force(case):
+    g, r, c = case
+    gate = proj_residue_oracle(g, r, c)
+    assert bd.proj_residue(g, r, c) == gate
+    assert rg.gate_heights(g, r.base, r.type_J, c) == \
+        coset_coordinates(g, gate, r.base, r.type_J)
+
+
 def test_are_parallel():
     g = gc.k2()
     r1 = bd.residue(g, (), ["u"])
@@ -178,11 +230,11 @@ def test_factor_action_translation():
     pc = rg.class_of_geodesic(g, (), "v")
     act = bd.left_translation_action(g, elements, (("v", 1),))
     spec = bd.extract_factor_action(g, act, pc, window=2, names=["t"])
-    assert spec.generator_tables["t"] == {n: n + 1 for n in range(-2, 3)}
+    assert spec.generators["t"] == {n: n + 1 for n in range(-2, 3)}
     # translation by the commuting generator induces the identity
     act_u = bd.left_translation_action(g, elements, (("u", 1),))
     spec_u = bd.extract_factor_action(g, act_u, pc, window=2, names=["t"])
-    assert spec_u.generator_tables["t"] == {n: n for n in range(-2, 3)}
+    assert spec_u.generators["t"] == {n: n for n in range(-2, 3)}
 
 
 def test_factor_action_order_two():
@@ -197,9 +249,40 @@ def test_factor_action_order_two():
     act = bd.ActionTables({"r": fwd, "r_inv": fwd}, {"r": "r_inv"})
     pc = rg.class_of_geodesic(g, (), "v")
     spec = bd.extract_factor_action(g, act, pc, window=3, names=["r"])
-    t = spec.generator_tables["r"]
+    t = spec.generators["r"]
     assert all(t[n] == -n for n in range(-3, 4))
     assert all(t[t[n]] == n for n in range(-3, 4))
+
+
+def test_factor_action_is_a_z_action_spec():
+    # a chamber map of the single-vertex building fixing v^0 and v^1 and
+    # stretching the rest: the factor action has A = 0, the least L its
+    # validation accepts, and a built inverse table
+    g = gc.single_vertex()
+    stretch = {line_element(k): line_element(k if abs(k) <= 1 else
+                                             2 * k - (1 if k > 0 else -1))
+               for k in range(-8, 9)}
+    act = bd.ActionTables({"s": stretch}, {})
+    pc = rg.class_of_geodesic(g, (), "v")
+    spec = bd.extract_factor_action(g, act, pc, window=3, names=["s"])
+    assert isinstance(spec, sc.ZActionSpec)
+    assert spec.generators["s"] == {-3: -5, -2: -3, -1: -1, 0: 0, 1: 1,
+                                    2: 3, 3: 5}
+    assert spec.inverses == {"s": "s_inv", "s_inv": "s"}
+    assert spec.generators["s_inv"] == {v: k for k, v in
+                                        spec.generators["s"].items()}
+    assert (spec.window, spec.L, spec.A) == (3, 2.0, 0)
+
+
+def test_factor_action_not_injective_raises_action_error():
+    # folding the line past v^1 keeps the class but makes the factor table
+    # non-injective, which the spec's validation rejects
+    g = gc.single_vertex()
+    fold = {line_element(k): line_element(min(k, 1)) for k in range(-8, 9)}
+    act = bd.ActionTables({"f": fold}, {})
+    pc = rg.class_of_geodesic(g, (), "v")
+    with pytest.raises(sc.ActionError):
+        bd.extract_factor_action(g, act, pc, window=3, names=["f"])
 
 
 def test_rank_preserving_check():
@@ -224,7 +307,7 @@ def test_relabel_action_and_stabilizer_error():
     act = bd.relabel_action(g, elements, {"p": "r", "q": "q", "r": "p"})
     pc_q = rg.class_of_geodesic(g, (), "q")
     spec = bd.extract_factor_action(g, act, pc_q, window=2, names=["s"])
-    assert spec.generator_tables["s"] == {n: n for n in range(-2, 3)}
+    assert spec.generators["s"] == {n: n for n in range(-2, 3)}
     # the p-class is carried to the r-class: not a stabilizing generator
     pc_p = rg.class_of_geodesic(g, (), "p")
     with pytest.raises(ValueError):
@@ -250,3 +333,49 @@ def test_w_distance_matches_lex_least_of_syllables():
                     rg.syllables(rg.mul(g, rg.inv(c1), c2))]
             want = tuple(v for v, _ in lex_least_oracle(g, word))
             assert bd.w_distance(g, c1, c2) == want
+
+
+# -- byte-identity pins ----------------------------------------------------
+
+def factor_action_cases():
+    """(name, graph, action, class, window, generator) of the factor-action
+    tests above."""
+    k2 = gc.k2()
+    elements = [rg.parse_word(v) for v in rg.ball_X(k2, 6).vertex_ids]
+    pcv = rg.class_of_geodesic(k2, (), "v")
+    for step in ("v", "u"):
+        act = bd.left_translation_action(k2, elements, ((step, 1),))
+        yield f"translation_{step}", k2, act, pcv, 2, "t"
+    sv = gc.single_vertex()
+    line = [line_element(k) for k in range(-8, 9)]
+    fwd = dict(zip(line, reversed(line)))
+    act = bd.ActionTables({"r": fwd, "r_inv": fwd}, {"r": "r_inv"})
+    yield "order_two", sv, act, rg.class_of_geodesic(sv, (), "v"), 3, "r"
+    p3 = gc.path3()
+    elements = [rg.parse_word(v) for v in rg.ball_X(p3, 5).vertex_ids]
+    act = bd.relabel_action(p3, elements, {"p": "r", "q": "q", "r": "p"})
+    yield "relabel", p3, act, rg.class_of_geodesic(p3, (), "q"), 2, "s"
+
+
+# SHA-256 of the extracted factor tables, computed before the gate formula
+# replaced the brute-force projection
+GOLDEN_FACTOR_TABLES = {
+    "translation_v":
+        "fff2ad04dacbcf00a467704a62ee593e5d9644685f99b057517b81ea4462352d",
+    "translation_u":
+        "fe39a3a63d4408b3021ac42064238bffd7c3376d8333ed769062d4556ba92d90",
+    "order_two":
+        "8e9bcdd7d7b107444597f7dbeb83ed7e64768e87566638047108399a42f2c676",
+    "relabel":
+        "7a0c98e9e9d495ead8210644aeaae665631d4b95a9c6607f90a3292a569ddd5b",
+}
+
+
+@pytest.mark.parametrize("case", list(factor_action_cases()),
+                         ids=lambda case: case[0])
+def test_golden_factor_tables(case):
+    name, g, act, pc, window, gen = case
+    spec = bd.extract_factor_action(g, act, pc, window=window, names=[gen])
+    body = json.dumps([[gen, list(spec.generators[gen].items())]])
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        GOLDEN_FACTOR_TABLES[name]

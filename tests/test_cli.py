@@ -322,6 +322,9 @@ GOLDEN_CHECK_RQ = {
 }
 GOLDEN_BLOWUP = "27cbd827fd946657d3519bd3b064b0e651cfb30990797885ce7ece2a71a624b0"
 GOLDEN_SEMICONJ = "dfd21de870c05d126c0648c43de40c18a90bc83826ccfbca1f003f610cddb454"
+# blow-up data with the n // 2 table on every class, read through --data
+GOLDEN_BLOWUP_DATA = \
+    "220131f13814f14fe86df17261e6951cdfcc110fc6a1e7fd5ee5c2abaac047c1"
 
 
 def test_golden_ball_dot(graphs):
@@ -349,3 +352,18 @@ def test_golden_semiconj(tmp_path):
     out = run_cli(["semiconj", "--action", flip_action(tmp_path),
                    *SEMICONJ_ARGS], "0")
     assert sha256(out) == GOLDEN_SEMICONJ
+
+
+def test_golden_blowup_data(graphs, tmp_path):
+    from cubikit import blowup as bu
+    from cubikit import building as bd
+    from cubikit import graph_core as gc
+
+    g = gc.k2()
+    data = bu.data_from_function(g, bd.davis_ball(g, 2), window=2,
+                                 fn=lambda pc, n: n // 2)
+    path = tmp_path / "data.json"
+    path.write_text(data.to_json())
+    out = run_cli(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                   "--window", "2", "--data", str(path)], "0")
+    assert sha256(out) == GOLDEN_BLOWUP_DATA

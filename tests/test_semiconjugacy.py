@@ -2,9 +2,11 @@
 
 import hashlib
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubikit import semiconjugacy as sc
@@ -477,6 +479,26 @@ def test_track_tests_match_scan_oracles(spec, B, radius, data):
         assert tr.cut_edges(K) == cut_edges_oracle(tr, K)
         assert tr.connected(K) == connected_oracle(tr, K)
         assert tr.essential(K) == essential_oracle(tr, K)
+
+
+injective_tables = st.dictionaries(
+    st.integers(-40, 40), st.integers(-40, 40), min_size=2, max_size=8
+).filter(lambda t: len(set(t.values())) == len(t))
+
+
+# {0: 0, 17: 7}: the float 17/7 fails validate's bound d / L <= di
+@example({0: 0, 17: 7})
+@settings(max_examples=200, deadline=None)
+@given(injective_tables)
+def test_least_L_is_the_largest_ratio_validate_accepts(table):
+    gens = {"f": table}
+    inverses = sc.add_inverses(gens)
+    L = sc.least_L(gens.values())
+    sc.ZActionSpec(40, L, 0, gens, inverses).validate()
+    ratio = max(max(Fraction(abs(table[y] - table[x]), y - x),
+                    Fraction(y - x, abs(table[y] - table[x])))
+                for x in table for y in table if x < y)
+    assert abs(Fraction(L) - ratio) <= 2 * math.ulp(L)
 
 
 # -- byte-identity pins ----------------------------------------------------

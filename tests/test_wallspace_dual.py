@@ -1,6 +1,8 @@
 """Wallspaces, Sageev duals, branched lines, the invariant wallspace."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from cubikit import raag_geometry as rg
 from cubikit import semiconjugacy as sc
 from cubikit import wallspace_dual as wd
 from cubikit.building import ActionTables, left_translation_action
+
+from .test_blowup import two_flipping_action
 
 
 def enumerate_zero_cubes_oracle(ws):
@@ -375,3 +379,77 @@ def test_single_class_dual_is_branched_line():
     prof = sorted(len(dual.neighbors(v)) for v in dual.vertex_ids)
     prof_m = sorted(len(model.neighbors(v)) for v in model.vertex_ids)
     assert prof == prof_m
+
+
+# -- byte-identity pins ----------------------------------------------------
+
+def iws_digest(iws):
+    """SHA-256 of everything invariant_wallspace returns, in its order."""
+    ws = iws.wallspace
+    body = json.dumps({
+        "points": [rg.word_str(p) for p in ws.points],
+        "sides": ws.sides,
+        "tags": ws.tags,
+        "classes": [[cid, pc.direction, rg.word_str(pc.rep)]
+                    for cid, pc in iws.classes.items()],
+        "heights": [[cid, [[rg.word_str(p), h] for p, h in hs.items()]]
+                    for cid, hs in iws.heights.items()],
+        "block_maps": [[cid, list(f.items())]
+                       for cid, f in iws.block_maps.items()],
+        "branched_lines": [[cid, bl.window, list(bl.tips.items())]
+                           for cid, bl in iws.branched_lines.items()],
+        "domain": [rg.word_str(p) for p in iws.domain],
+    })
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def iws_case(name):
+    """Configurations whose action closure transports cut walls (translation
+    by a on the pentagon), tip walls (the two-flipping action) or nothing
+    (criterion 11's C5 wallspace)."""
+    g = gc.pentagon()
+    if name.startswith("c5_translation_r"):
+        radius = int(name[-1])
+        act = left_translation_action(g, wd.group_ball(g, radius),
+                                      (("a", 1),))
+        return wd.invariant_wallspace(g, act, line_resolutions(g),
+                                      wall_window=1)
+    if name == "two_flipping":
+        sv = gc.single_vertex()
+        res = {rg.class_of_geodesic(sv, (), "v").id:
+               {n: n // 2 for n in range(-16, 17)}}
+        return wd.invariant_wallspace(sv, two_flipping_action(16), res,
+                                      wall_window=3, points_radius=8)
+    res = {}
+    for p in wd.group_ball(g, 2):
+        for v in g.vertices:
+            res.setdefault(rg.class_of_geodesic(g, p, v).id,
+                           {n: n for n in range(-12, 13)})
+    return wd.invariant_wallspace(g, trivial_action(g, 3), res,
+                                  wall_window=1, class_reach=2,
+                                  points_radius=3)
+
+
+# computed before the closure was rebuilt on one block map and one class
+# transport; (digest, walls, classes)
+GOLDEN_IWS = {
+    "c5_translation_r3": (
+        "59ab9f4e9d142b310aa7d2f09c3e5c5e562c31d3b644e5afa19e22efc8b3f87d",
+        10, 5),
+    "c5_translation_r4": (
+        "87c1955a0c134bc9bfe593b0ee2b7410ae11f868f53f9ef1d3fcb7a55ab08544",
+        34, 17),
+    "two_flipping": (
+        "c4f329d023c2d123a729b0b84488a2c02dc3a54dda5df82e5bd972519212a908",
+        10, 1),
+    "criterion_11_c5": (
+        "4596bb87545e563591cc1edde2468a6f3b775ea13a3d45c670cce76275ec9afc",
+        290, 145),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IWS))
+def test_golden_invariant_wallspace(name):
+    iws = iws_case(name)
+    assert (iws_digest(iws), iws.wallspace.n_walls(), len(iws.classes)) == \
+        GOLDEN_IWS[name]
