@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cube_complex import CubeComplexBall, TruncationError
 from .graph_core import DefiningGraph, orthogonal_complement
@@ -50,7 +51,7 @@ class Residue:
     def rank(self) -> int:
         return len(self.type_J)
 
-    @property
+    @cached_property
     def id(self) -> str:
         return f"{word_str(self.base)}|{{{','.join(self.type_J)}}}"
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph_core import Clique, DefiningGraph, UnknownEndpointError
 from .cube_complex import CubeComplexBall
@@ -194,7 +195,7 @@ class StandardFlat:
     base: tuple          # gate representative of base*G(clique)
     clique: Clique
 
-    @property
+    @cached_property
     def id(self) -> str:
         return f"{word_str(self.base)}|{{{','.join(self.clique.members)}}}"
 
@@ -210,7 +211,7 @@ class ParallelClass:
     direction: str
     rep: tuple           # gate representative of the ({v} u v-perp)-coset
 
-    @property
+    @cached_property
     def id(self) -> str:
         return f"{self.direction}@{word_str(self.rep)}"
 

@@ -23,14 +23,22 @@ differences of consecutive images, since such tables differ by a line
 isometry and give the same |t[x] - t[y]| on every pair.  The metric is then
 filled table by table over each kept domain.
 
-A Rips2Complex builds its incidence once: `span`, the longest edge span,
-and `cofaces`, which maps each edge to the other two sides of every
-triangle on it.  The track tests walk a cut through `cofaces` instead of
-rescanning the triangles.
+A Rips2Complex derives its incidence from its edges, once: `adj` (vertex
+-> neighbours), the triangles, `span` (the longest edge span) and
+`cofaces`, which maps each edge to the other two sides of every triangle
+on it.  The track tests walk a cut through `adj` and `cofaces` instead of
+rescanning the edges and triangles.
+
+Orientation invariant: every Track built here stores as `left` the side
+of its bipartition that holds the window minimum (`_oriented` is the one
+place a side is complemented).  Tracks are then compared by inclusion,
+uncrossed by meet and join, and counted into blocks by `_block_index`
+without re-orienting them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -114,12 +122,17 @@ class ZActionSpec:
 
 
 def add_inverses(gens: dict) -> dict:
-    """Name an inverse for every table of `gens`, adding the table
-    `<name>_inv` (the inverted table) where it is missing."""
+    """Name an inverse for every table of `gens`: tables `<name>` and
+    `<name>_inv` are each other's inverse, and a table with neither partner
+    gets the inverted table `<name>_inv` added."""
     inverses = {}
     for name, t in list(gens.items()):
+        if name in inverses:
+            continue
         inv_name = f"{name}_inv"
-        if inv_name not in gens:
+        if name.endswith("_inv") and name[:-4] in gens:
+            inv_name = name[:-4]
+        elif inv_name not in gens:
             gens[inv_name] = {v: k for k, v in t.items()}
         inverses[name] = inv_name
         inverses[inv_name] = name
@@ -266,13 +279,22 @@ class Rips2Complex:
     radius: float                # the Rips parameter
     vertices: list
     edges: set                   # frozenset pairs
-    triangles: list              # sorted triples
     metric: dict                 # dbar on sorted pairs
+    adj: dict = field(init=False, repr=False, compare=False)
+    triangles: list = field(init=False)      # sorted triples
     span: int = field(init=False, repr=False, compare=False)
     cofaces: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.span = max((abs(x - y) for e in self.edges for x, y in [tuple(e)]),
+        self.adj = {x: set() for x in self.vertices}
+        for e in self.edges:
+            x, y = tuple(e)
+            self.adj[x].add(y)
+            self.adj[y].add(x)
+        self.triangles = [(x, y, z) for x in self.vertices
+                          for y in sorted(self.adj[x]) if y > x
+                          for z in sorted(self.adj[x] & self.adj[y]) if z > y]
+        self.span = max((y - x for x in self.vertices for y in self.adj[x]),
                         default=1)
         self.cofaces = {e: [] for e in self.edges}
         for x, y, z in self.triangles:
@@ -281,12 +303,6 @@ class Rips2Complex:
             self.cofaces[xz].append((xy, yz))
             self.cofaces[yz].append((xy, xz))
 
-    def d(self, x, y):
-        if x == y:
-            return 0
-        a, b = min(x, y), max(x, y)
-        return self.metric[(a, b)]
-
 
 def rips2(spec: ZActionSpec, B: int = 8, radius: float | None = None) -> Rips2Complex:
     """2-skeleton of the Rips complex of (Z, dbar) at the given radius."""
@@ -294,58 +310,34 @@ def rips2(spec: ZActionSpec, B: int = 8, radius: float | None = None) -> Rips2Co
         radius = 3 * (spec.L + spec.A)
     metric = dbar(spec, B)
     pts = list(range(-spec.window, spec.window + 1))
-    edges = set()
-    for (x, y), d in metric.items():
-        if d <= radius:
-            edges.add(frozenset((x, y)))
-    adj = {x: set() for x in pts}
-    for e in edges:
-        x, y = tuple(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    triangles = []
-    for x in pts:
-        for y in sorted(adj[x]):
-            if y <= x:
-                continue
-            for z in sorted(adj[x] & adj[y]):
-                if z > y:
-                    triangles.append((x, y, z))
-    # connectivity
-    seen = {pts[0]}
-    dq = deque([pts[0]])
-    while dq:
-        u = dq.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                dq.append(w)
-    if len(seen) != len(pts):
+    edges = {frozenset(pair) for pair, d in metric.items() if d <= radius}
+    K = Rips2Complex(spec, radius, pts, edges, metric)
+    if len(_reach(K, pts[0], ())) != len(pts):
         raise ActionError("Rips complex disconnected; the radius is too small")
-    K = Rips2Complex(spec, radius, pts, edges, triangles, metric)
-    _check_two_ended(K, adj)
+    _check_two_ended(K)
     return K
 
 
-def _check_two_ended(K: Rips2Complex, adj):
+def _reach(K: Rips2Complex, start, avoid):
+    """Vertices joined to `start` by edges of K that miss `avoid`."""
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        for w in K.adj[dq.popleft()]:
+            if w not in avoid and w not in seen:
+                seen.add(w)
+                dq.append(w)
+    return seen
+
+
+def _check_two_ended(K: Rips2Complex):
     """Removing a middle block must leave the two rim tails separated."""
-    span = edge_span(K)
+    span = K.span
     lo, hi = min(K.vertices), max(K.vertices)
     if hi - lo <= 4 * span:
         return
     middle = {x for x in K.vertices if abs(x) <= span}
-    comp = {}
-    for start in (lo, hi):
-        seen = {start}
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for w in adj[u]:
-                if w not in middle and w not in seen:
-                    seen.add(w)
-                    dq.append(w)
-        comp[start] = seen
-    if comp[lo] & comp[hi]:
+    if _reach(K, lo, middle) & _reach(K, hi, middle):
         raise ActionError("Rips complex is not two-ended on the interior")
 
 
@@ -357,7 +349,8 @@ def _check_two_ended(K: Rips2Complex, adj):
 class Track:
     """An essential track presented by its vertex bipartition.
 
-    The realized curve crosses each cut edge once; triangle arc counts come
+    `left` is the side holding the window minimum (see `_oriented`).  The
+    realized curve crosses each cut edge once; triangle arc counts come
     from the normal-coordinate formulas (every triangle meets the cut in 0
     or 2 sides).
     """
@@ -365,12 +358,8 @@ class Track:
     left: frozenset
 
     def cut_edges(self, K: Rips2Complex):
-        out = []
-        for e in K.edges:
-            x, y = tuple(e)
-            if (x in self.left) != (y in self.left):
-                out.append(e)
-        return frozenset(out)
+        return frozenset(frozenset((x, y)) for x in self.left
+                         for y in K.adj[x] if y not in self.left)
 
     def weight(self, K: Rips2Complex) -> int:
         return len(self.cut_edges(K))
@@ -431,8 +420,12 @@ class Track:
         return self.connected(K) and self.essential(K)
 
 
-def edge_span(K: Rips2Complex) -> int:
-    return K.span
+def _oriented(K: Rips2Complex, side) -> Track:
+    """The track of the bipartition (side, rest), presented by the part
+    that holds the window minimum."""
+    if min(K.vertices) in side:
+        return Track(frozenset(side))
+    return Track(frozenset(K.vertices).difference(side))
 
 
 def _leftmost_min_cut(K: Rips2Complex, left_seed, right_seed):
@@ -443,28 +436,25 @@ def _leftmost_min_cut(K: Rips2Complex, left_seed, right_seed):
     reachable set is the leftmost minimum cut, contained in the source side
     of every other minimum cut.
     """
-    cap = {}
-    for e in K.edges:
-        x, y = tuple(e)
-        cap[(x, y)] = 1
-        cap[(y, x)] = 1
     SRC, SNK = "S", "T"
+    # residual capacities; a window arc not listed still has its unit
+    cap = {}
     for s in left_seed:
         cap[(SRC, s)] = 1 << 30
     for t in right_seed:
         cap[(t, SNK)] = 1 << 30
-    adj = {}
-    for (a, b) in cap:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
     flow = 0
     while True:
         parent = {SRC: None}
         dq = deque([SRC])
         while dq and SNK not in parent:
             u = dq.popleft()
-            for w in adj.get(u, ()):
-                if w not in parent and cap.get((u, w), 0) > 0:
+            if u == SRC:
+                nbrs = left_seed
+            else:
+                nbrs = K.adj[u] | {SNK} if (u, SNK) in cap else K.adj[u]
+            for w in nbrs:
+                if w not in parent and cap.get((u, w), 1) > 0:
                     parent[w] = u
                     dq.append(w)
         if SNK not in parent:
@@ -474,10 +464,10 @@ def _leftmost_min_cut(K: Rips2Complex, left_seed, right_seed):
         while parent[node] is not None:
             path.append((parent[node], node))
             node = parent[node]
-        push = min(cap[(a, b)] for a, b in path)
+        push = min(cap.get(arc, 1) for arc in path)
         for a, b in path:
-            cap[(a, b)] -= push
-            cap[(b, a)] = cap.get((b, a), 0) + push
+            cap[(a, b)] = cap.get((a, b), 1) - push
+            cap[(b, a)] = cap.get((b, a), 1) + push
         flow += push
 
 
@@ -493,7 +483,7 @@ def min_essential_track(K: Rips2Complex) -> Track:
     spec = K.spec
     w_max = int(4 * (spec.L * K.radius + spec.A))
     lo, hi = min(K.vertices), max(K.vertices)
-    seed = max(edge_span(K), 1)
+    seed = max(K.span, 1)
     weight, left = _leftmost_min_cut(
         K, [v for v in K.vertices if v <= lo + seed],
         [v for v in K.vertices if v >= hi - seed])
@@ -517,51 +507,37 @@ def _apply_table_to_track(K: Rips2Complex, t, track: Track):
     if not img_left or not img_right:
         return None
     # extend to the full window by the dominant side at each rim
-    lo, hi = min(K.vertices), max(K.vertices)
     left_has_lo = min(img_left) < min(img_right)
     full_left = set(img_left)
     for v in K.vertices:
         if v not in img_left and v not in img_right:
             if (v < min(img_right)) if left_has_lo else (v > max(img_right)):
                 full_left.add(v)
-    return Track(frozenset(full_left))
+    return _oriented(K, full_left)
 
 
 def _uncross(tracks, K: Rips2Complex):
-    """Replace crossing bipartition pairs by their meet and join."""
+    """Replace crossing pairs by their meet and join.
+
+    All sides hold the window minimum, so two tracks cross exactly when
+    neither side contains the other, and meet and join hold it too.
+    """
     tracks = list(dict.fromkeys(tracks))
-    allv = set(K.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tracks)):
-            for j in range(i + 1, len(tracks)):
-                L1 = set(tracks[i].left)
-                L2 = set(tracks[j].left)
-                # orient both to contain the window minimum
-                lo = min(K.vertices)
-                if lo not in L1:
-                    L1 = allv - L1
-                if lo not in L2:
-                    L2 = allv - L2
-                if L1 <= L2 or L2 <= L1:
-                    continue
-                meet, join = L1 & L2, L1 | L2
-                cand = []
-                for Lc in (meet, join):
-                    if Lc and Lc != allv:
-                        cand.append(Track(frozenset(Lc)))
-                old_w = tracks[i].weight(K) + tracks[j].weight(K)
-                new_w = sum(c.weight(K) for c in cand)
-                if new_w > old_w:
-                    raise AssertionError("uncrossing increased total weight")
-                tracks[i : j + 1] = [t for k, t in enumerate(tracks)
-                                     if i <= k <= j and k not in (i, j)] + cand
-                changed = True
-                break
-            if changed:
-                break
-    return list(dict.fromkeys(tracks))
+    while True:
+        crossing = next(((i, j) for i, j in
+                         itertools.combinations(range(len(tracks)), 2)
+                         if not (tracks[i].left <= tracks[j].left
+                                 or tracks[j].left <= tracks[i].left)), None)
+        if crossing is None:
+            return list(dict.fromkeys(tracks))
+        i, j = crossing
+        L1, L2 = tracks[i].left, tracks[j].left
+        cand = [Track(Lc) for Lc in (L1 & L2, L1 | L2)
+                if len(Lc) < len(K.vertices)]
+        old_w = tracks[i].weight(K) + tracks[j].weight(K)
+        if sum(c.weight(K) for c in cand) > old_w:
+            raise AssertionError("uncrossing increased total weight")
+        tracks[i : j + 1] = tracks[i + 1 : j] + cand
 
 
 def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
@@ -617,13 +593,17 @@ def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4,
     return sorted(set(family), key=lambda tr: len(tr.left))
 
 
-def _blocks_of(family, K):
-    def f(x):
-        return sum(1 for tr in family if x not in tr.left)
+def _block_index(family, K: Rips2Complex):
+    """f(x) = #{tracks whose left side misses x}: the block of each window
+    vertex, counted from the window minimum."""
+    sides = {tr.left for tr in family}
+    return {x: sum(1 for L in sides if x not in L) for x in K.vertices}
 
+
+def _blocks_of(family, K: Rips2Complex):
     blocks = {}
-    for x in K.vertices:
-        blocks.setdefault(f(x), []).append(x)
+    for x, m in _block_index(family, K).items():
+        blocks.setdefault(m, []).append(x)
     return list(blocks.values())
 
 
@@ -648,23 +628,11 @@ def collapse(spec: ZActionSpec, family, K: Rips2Complex,
              margin: int | None = None) -> SemiconjugacyResult:
     """Collapse complementary blocks to points; the induced generator maps
     must be isometries of the block line, with exact equivariance on the
-    interior."""
+    interior.  The tracks are oriented, as `track_family` returns them."""
     lo, hi = min(K.vertices), max(K.vertices)
-    allv = set(K.vertices)
-    oriented = []
-    for tr in family:
-        L = set(tr.left)
-        if lo not in L:
-            L = allv - L
-        oriented.append(frozenset(L))
-    oriented = sorted(set(oriented), key=len)
-
-    def f_raw(x):
-        return sum(1 for L in oriented if x not in L)
-
-    fmap = {x: f_raw(x) for x in K.vertices}
+    fmap = _block_index(family, K)
     if margin is None:
-        margin = edge_span(K) + int(K.radius) + 2
+        margin = K.span + int(K.radius) + 2
     interior = [x for x in K.vertices if lo + margin <= x <= hi - margin]
     iso = {}
     for name, g in spec.generators.items():

@@ -498,6 +498,31 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
             for n in ns:
                 walls.append(tip_side(cid, n))
                 tags.append((cid, "tip", m, n))
+    images = {}       # (class id, generator) -> image class, None if it fails
+    rejected = set()  # image classes whose heights or block map fail
+
+    def image_of(cid, name):
+        """The generator's image of a class, added to `classes` with its
+        heights and block map on first sight; None where either fails."""
+        if (cid, name) not in images:
+            images[cid, name] = None
+            try:
+                img = image_class(g, action_tables, name, classes[cid])
+            except (ValueError, KeyError):
+                return None
+            if img.id not in classes and img.id not in rejected:
+                try:
+                    hs = {p: height_of(g, img, p) for p in points}
+                    fmap = block_map(img, sorted(set(hs.values())))
+                except (ValueError, KeyError):
+                    rejected.add(img.id)
+                    return None
+                classes[img.id], heights_of[img.id] = img, hs
+                block_maps[img.id] = fmap
+            if img.id in classes:
+                images[cid, name] = img
+        return images[cid, name]
+
     # orbit closure at the tag level: transport each wall to the image
     # class and re-derive its side from that class's heights (pushing raw
     # point sets would distort the partition at the window rim)
@@ -510,15 +535,8 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
         for tag in frontier:
             pc = classes[tag[0]]
             for name in action_tables.generators:
-                try:
-                    img_pc = image_class(g, action_tables, name, pc)
-                    if img_pc.id not in classes:
-                        hs = {p: height_of(g, img_pc, p) for p in points}
-                        fmap = block_map(img_pc, sorted(set(hs.values())))
-                        classes[img_pc.id] = img_pc
-                        heights_of[img_pc.id] = hs
-                        block_maps[img_pc.id] = fmap
-                except (ValueError, KeyError):
+                img_pc = image_of(tag[0], name)
+                if img_pc is None:
                     continue
                 f2 = block_maps[img_pc.id]
                 if tag[1] == "tip":

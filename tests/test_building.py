@@ -237,6 +237,19 @@ def test_factor_action_translation():
     assert spec_u.generators["t"] == {n: n for n in range(-2, 3)}
 
 
+def test_factor_action_pairs_the_given_inverse():
+    # with names=None both t and t_inv are extracted; t_inv already is t's
+    # inverse, so no third table t_inv_inv is added
+    g = gc.k2()
+    elements = [rg.parse_word(v) for v in rg.ball_X(g, 6).vertex_ids]
+    act = bd.left_translation_action(g, elements, (("v", 1),))
+    pc = rg.class_of_geodesic(g, (), "v")
+    spec = bd.extract_factor_action(g, act, pc, window=2)
+    assert list(spec.generators) == ["t", "t_inv"]
+    assert spec.inverses == {"t": "t_inv", "t_inv": "t"}
+    assert spec.generators["t_inv"] == {n: n - 1 for n in range(-2, 3)}
+
+
 def test_factor_action_order_two():
     # a reflection of Z = G(single vertex) induces an order-2 factor table
     g = gc.single_vertex()

@@ -1,5 +1,6 @@
 """Wallspaces, Sageev duals, branched lines, the invariant wallspace."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -241,6 +242,26 @@ def test_invariant_wallspace_translations_c5():
     cb = rg.class_of_geodesic(g, (), "b").id
     sub_dual, embedded, _ = wd.branched_flat_embed(iws, [ca, cb], dual=dual)
     assert len(sub_dual.squares) > 0
+
+
+def test_invariant_wallspace_heights_once_per_class(monkeypatch):
+    # the closure meets the four classes c@a, d@a, c@a^-1 and d@a^-1 from
+    # several walls; their block maps fail each time, but their heights are
+    # computed once, like those of every class it keeps
+    g = gc.pentagon()
+    calls = collections.Counter()
+    height_of = wd.height_of
+
+    def counting(g_, pc, p):
+        calls[pc.id] += 1
+        return height_of(g_, pc, p)
+
+    monkeypatch.setattr(wd, "height_of", counting)
+    act = left_translation_action(g, wd.group_ball(g, 3), (("a", 1),))
+    iws = wd.invariant_wallspace(g, act, line_resolutions(g), wall_window=1)
+    rejected = {"c@a", "d@a", "c@a^-1", "d@a^-1"}
+    assert set(calls) == set(iws.classes) | rejected
+    assert set(calls.values()) == {len(iws.wallspace.points)}
 
 
 def test_transversality_k2():
