@@ -347,11 +347,10 @@ def criterion_semiconjugacy(seed=0):
     b_ok = sb == 1 and abs(ob) == 1
     # block map equals floor(n/2) up to a line isometry
     sample = [x for x in interior if abs(x) <= margin]
-    base = sample[0]
-    sign = 1 if res.block_map[sample[-1]] > res.block_map[base] else -1
-    iso_ok = all(res.block_map[x] ==
-                 sign * (x // 2) + (res.block_map[base] - sign * (base // 2))
-                 for x in sample)
+    pairs = [(x // 2, res.block_map[x]) for x in sample]
+    iso = wd.line_isometry(pairs)
+    iso_ok = iso is not None and all(iso[0] * a + iso[1] == b
+                                     for a, b in pairs)
     dt = time.time() - t0
     ok = fiber_ok and pairing_ok and a_ok and b_ok and iso_ok and dt <= 120
     return _result(

@@ -11,6 +11,7 @@ vertical/horizontal edge split.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 
@@ -19,10 +20,10 @@ from .building import (
     DavisBall,
     Residue,
     chambers_of,
-    class_orbit_word,
     proj_residue,
     residue,
-    transport_height,
+    residue_image,
+    resolved_table,
 )
 from .cube_complex import (
     BIG_DEPTH,
@@ -38,10 +39,10 @@ from .raag_geometry import (
     flat_element,
     gate_heights,
     height_of,
-    inv,
-    mul,
+    parse_word,
     word_str,
 )
+from .wallspace_dual import line_isometry
 
 
 def type_map(g: DefiningGraph, r: Residue) -> list:
@@ -75,8 +76,6 @@ class BlowUpData:
         return t[n]
 
     def to_json(self) -> str:
-        import json
-
         out = []
         for cid in sorted(self.tables):
             pc = self.classes[cid]
@@ -89,24 +88,21 @@ class BlowUpData:
             out.append({"id": cid, "table": table})
         return json.dumps({"classes": out})
 
-    def check_parallelism_compatibility(self, residues, window: int = 1):
-        """h_{R1} = h_{R2} o parallelism, spot-checked on window chambers."""
-        from .building import are_parallel
-
-        g = self.graph
-        by_class = {}
-        for r in residues:
-            by_class.setdefault(self.class_of(r).id, []).append(r)
-        for rs in by_class.values():
-            rep = rs[0]
-            for other in rs[1:]:
-                ok, fmap = are_parallel(g, rep, other, window)
-                if not ok:
-                    raise AssertionError("same class but not parallel")
-                for c, c2 in fmap.items():
-                    if self.value(rep, c) != self.value(other, c2):
-                        raise AssertionError("data violates parallelism")
-        return True
+    @staticmethod
+    def from_json(g: DefiningGraph, text: str, window: int) -> "BlowUpData":
+        """Read `to_json` output back; malformed text raises ValueError,
+        KeyError, TypeError or AttributeError."""
+        tables = {}
+        classes = {}
+        for entry in json.loads(text)["classes"]:
+            cid = entry["id"]
+            tables[cid] = {}
+            for word, val in entry["table"].items():
+                chamber = parse_word(word)
+                pc = class_of_geodesic(g, chamber, cid.split("@")[0])
+                classes[cid] = pc
+                tables[cid][height_of(g, pc, chamber)] = int(val)
+        return BlowUpData(g, tables, classes, window)
 
 
 def bijective_data(g: DefiningGraph, davis: DavisBall, window: int) -> BlowUpData:
@@ -114,11 +110,15 @@ def bijective_data(g: DefiningGraph, davis: DavisBall, window: int) -> BlowUpDat
     return data_from_function(g, davis, window, lambda pc, n: n)
 
 
-def data_from_function(g: DefiningGraph, davis: DavisBall, window: int,
-                       fn) -> BlowUpData:
+def _table_domain(davis: DavisBall, window: int) -> range:
     # table domains must cover every chamber coordinate in the Davis ball,
     # which can exceed the fiber window
     dom = max(window, davis.radius) + 1
+    return range(-dom, dom + 1)
+
+
+def data_from_function(g: DefiningGraph, davis: DavisBall, window: int,
+                       fn) -> BlowUpData:
     tables = {}
     classes = {}
     for vid, r in davis.residue_of.items():
@@ -126,7 +126,7 @@ def data_from_function(g: DefiningGraph, davis: DavisBall, window: int,
             continue
         pc = class_of_geodesic(g, r.base, r.type_J[0])
         if pc.id not in tables:
-            tables[pc.id] = {n: fn(pc, n) for n in range(-dom, dom + 1)}
+            tables[pc.id] = {n: fn(pc, n) for n in _table_domain(davis, window)}
             classes[pc.id] = pc
     return BlowUpData(g, tables, classes, window)
 
@@ -176,8 +176,7 @@ class FiberFunctor:
         return out
 
 
-def build_fiber_functor(data: BlowUpData, davis: DavisBall,
-                        check: bool = True) -> FiberFunctor:
+def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     g = davis.graph
     psi = FiberFunctor(g, davis, data, data.window)
     factor_cache = {}
@@ -197,9 +196,8 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall,
             anchor = proj_residue(g, f, rc.base)
             cons[cid] = data.value(f, anchor)
         psi.inserted[(child, parent)] = cons
-    if check:
-        _check_functor_laws(psi)
-        _check_one_determined(psi)
+    _check_functor_laws(psi)
+    _check_one_determined(psi)
     return psi
 
 
@@ -351,7 +349,7 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
 # 1-data extraction and reports
 # ---------------------------------------------------------------------------
 
-def one_data(bc: BlowUpComplex, window: int | None = None) -> BlowUpData:
+def one_data(bc: BlowUpComplex) -> BlowUpData:
     """Read the tables back off the rank-1 fibers of a blow-up complex.
 
     Each chamber of a rank-1 residue hangs off the fiber line by exactly one
@@ -360,7 +358,6 @@ def one_data(bc: BlowUpComplex, window: int | None = None) -> BlowUpData:
     """
     g = bc.graph
     davis = bc.davis
-    window = window if window is not None else bc.psi.window
     tables = {}
     classes = {}
     observed = {}
@@ -387,7 +384,7 @@ def one_data(bc: BlowUpComplex, window: int | None = None) -> BlowUpData:
                         f"both {prev} and {val} (parallelism failure)")
     for (cid, n), val in observed.items():
         tables.setdefault(cid, {})[n] = val
-    return BlowUpData(g, tables, classes, window)
+    return BlowUpData(g, tables, classes, bc.psi.window)
 
 
 def local_finiteness_report(data: BlowUpData):
@@ -578,49 +575,25 @@ def equivariant_blowup(g: DefiningGraph, tables: ActionTables, resolutions,
 
     `resolutions` maps an orbit-representative class id to an equivariant
     table Z -> Z (the block map of a semiconjugacy, or any isometry table).
-    Classes outside the representative set get their data by transporting
-    through a deterministically chosen group word.  Returns the blow-up
+    Every class gets its data from `building.resolved_table`, which
+    transports it through a deterministically chosen group word and raises
+    `TruncationError` when a resolution is too short.  Returns the blow-up
     complex and, per generator, the induced vertex map on Y, verified to
     commute with q.
     """
-    rep_ids = set(resolutions)
-    dom = max(window, davis.radius) + 1
-    data_tables = {}
-    classes = {}
-    for vid, r in davis.residue_of.items():
-        if r.rank != 1:
-            continue
-        pc = class_of_geodesic(g, r.base, r.type_J[0])
-        if pc.id in data_tables:
-            continue
-        word, img = class_orbit_word(g, tables, pc, rep_ids)
-        f_u = resolutions[img.id]
-        table = {}
-        for n in range(-dom, dom + 1):
-            m = transport_height(g, tables, word, pc, img, n)
-            if m not in f_u:
-                raise TruncationError("resolution table window too small")
-            table[n] = f_u[m]
-        data_tables[pc.id] = table
-        classes[pc.id] = pc
-    data = BlowUpData(g, data_tables, classes, window)
-    psi = build_fiber_functor(data, davis)
+    dom = _table_domain(davis, window)
+    pulled = {}                  # class id -> its resolved table on dom
+
+    def fn(pc, n):
+        if pc.id not in pulled:
+            pulled[pc.id] = resolved_table(g, tables, resolutions, pc, dom)
+        return pulled[pc.id][n]
+
+    psi = build_fiber_functor(data_from_function(g, davis, window, fn), davis)
     bc = blowup_complex(psi)
     actions = {name: _induced_action_on_y(bc, tables, name)
                for name in tables.generators}
     return bc, actions
-
-
-def _residue_image(g, tables, name, r: Residue) -> Residue:
-    base2 = tables.apply(name, r.base)
-    dirs = []
-    for v in r.type_J:
-        c1 = tables.apply(name, mul(g, r.base, ((v, 1),)))
-        step = mul(g, inv(base2), c1)
-        if len(step) != 1:
-            raise ValueError(f"{name!r} is not flat-preserving")
-        dirs.append(step[0][0])
-    return residue(g, base2, tuple(dirs))
 
 
 def _factor_isometry(g, tables, name, data: BlowUpData, f_src: Residue,
@@ -636,21 +609,16 @@ def _factor_isometry(g, tables, name, data: BlowUpData, f_src: Residue,
         except TruncationError:
             continue
         pairs.append((a, b))
-    distinct = {a for a, _ in pairs}
-    if len(distinct) >= 2:
-        (a1, b1), (a2, b2) = pairs[0], next(p for p in pairs if p[0] != pairs[0][0])
-        sign = (b2 - b1) // (a2 - a1) if abs(b2 - b1) == abs(a2 - a1) else None
-        if sign not in (1, -1):
-            raise AssertionError("factor map is not an isometry")
-        off = b1 - sign * a1
-        for a, b in pairs:
-            if sign * a + off != b:
-                raise AssertionError("factor map is not affine")
-        return lambda z, s=sign, o=off: s * z + o
-    if pairs:
-        off = pairs[0][1] - pairs[0][0]
-        return lambda z, o=off: z + o   # degenerate data: orientation kept
-    return lambda z: z
+    if not pairs:
+        return lambda z: z
+    iso = line_isometry(pairs)
+    if iso is None:
+        raise AssertionError("factor map is not an isometry")
+    sign, off = iso            # a translation when every a is the same
+    for a, b in pairs:
+        if sign * a + off != b:
+            raise AssertionError("factor map is not affine")
+    return lambda z: sign * z + off
 
 
 def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
@@ -663,7 +631,7 @@ def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
         vid, p = bc.vertex_info[yv]
         r = davis.residue_of[vid]
         try:
-            r2 = _residue_image(g, tables, name, r)
+            r2 = residue_image(g, tables, name, r)
         except (TruncationError, KeyError):
             continue
         if r2.id not in davis.residue_of:
@@ -675,7 +643,7 @@ def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
             key = (f_src.id, name)
             if key not in iso_cache:
                 try:
-                    f_dst = _residue_image(g, tables, name, f_src)
+                    f_dst = residue_image(g, tables, name, f_src)
                     iso_cache[key] = _factor_isometry(
                         g, tables, name, data, f_src, f_dst, data.window)
                 except (TruncationError, KeyError):
@@ -695,7 +663,7 @@ def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
         axes2 = bc.psi.axes[r2.id]
         pairs = []
         for v, val in zip(r.type_J, img_point):
-            f_dst = _residue_image(g, tables, name, residue(g, r.base, (v,)))
+            f_dst = residue_image(g, tables, name, residue(g, r.base, (v,)))
             cid2 = class_of_geodesic(g, f_dst.base, f_dst.type_J[0]).id
             pairs.append((cid2, val))
         ordered = tuple(dict(pairs)[cid] for cid in axes2)
@@ -705,7 +673,7 @@ def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
     # commuting with q on the window
     for yv, tv in vmap.items():
         vid = bc.vertex_info[yv][0]
-        r2 = _residue_image(g, tables, name, davis.residue_of[vid])
+        r2 = residue_image(g, tables, name, davis.residue_of[vid])
         if bc.vertex_info[tv][0] != r2.id:
             raise AssertionError("induced action does not commute with q")
     return vmap

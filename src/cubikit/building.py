@@ -11,6 +11,12 @@ the gallery metric.  In the Davis realization every gallery step costs two
 edges (chamber, up to the shared residue, down), so d_l1 = 2 * gallery;
 the one-generator case pins the orientation of this identity and the tests
 enforce it on ball geometry.
+
+Actions are `ActionTables` on a chamber window.  `residue_image` is the one
+flat-preserving test, and `resolved_table` pulls a representative's
+resolution back to any class along `class_orbit_word` and
+`transport_height`; `blowup.equivariant_blowup` and
+`wallspace_dual.invariant_wallspace` both read their tables from it.
 """
 
 from __future__ import annotations
@@ -253,20 +259,33 @@ def relabel_action(g: DefiningGraph, elements, perm: dict) -> ActionTables:
     return ActionTables({"s": fwd, "s_inv": bwd}, {"s": "s_inv", "s_inv": "s"})
 
 
+def residue_image(g: DefiningGraph, tables: ActionTables, name: str,
+                  r: Residue) -> Residue:
+    """Image of a spherical residue under a generator: its base is moved,
+    and each geodesic step from the base must map to a single generator
+    step, whose letter gives the image type."""
+    base2 = tables.apply(name, r.base)
+    dirs = []
+    for v in r.type_J:
+        step = mul(g, inv(base2), tables.apply(name, mul(g, r.base, ((v, 1),))))
+        if len(step) != 1:
+            raise ValueError(f"generator {name!r} is not flat-preserving on {r.id}")
+        dirs.append(step[0][0])
+    return residue(g, base2, tuple(dirs))
+
+
 def image_class(g: DefiningGraph, tables: ActionTables, name: str,
                 pc: ParallelClass) -> ParallelClass:
     """Class of the image of the class representative geodesic."""
-    base = gate_representative(g, pc.rep, (pc.direction,))
-    c0 = tables.apply(name, base)
-    c1 = tables.apply(name, mul(g, base, ((pc.direction, 1),)))
-    step = mul(g, inv(c0), c1)
-    if len(step) != 1:
-        raise ValueError(f"generator {name!r} is not flat-preserving on {pc.id}")
-    return class_of_geodesic(g, c0, step[0][0])
+    r = residue_image(g, tables, name, residue(g, pc.rep, (pc.direction,)))
+    return class_of_geodesic(g, r.base, r.type_J[0])
+
+
+ORBIT_DEPTH = 6                  # longest generator word class_orbit_word tries
 
 
 def class_orbit_word(g: DefiningGraph, tables: ActionTables,
-                     pc: ParallelClass, rep_ids, max_depth: int = 6):
+                     pc: ParallelClass, rep_ids):
     """Shortest generator word carrying a class into the representative set.
 
     Returns (word, image class); the identity word if pc is already a
@@ -279,7 +298,7 @@ def class_orbit_word(g: DefiningGraph, tables: ActionTables,
     names = sorted(tables.generators)
     while dq:
         word, cur = dq.popleft()
-        if len(word) >= max_depth:
+        if len(word) >= ORBIT_DEPTH:
             continue
         for name in names:
             try:
@@ -297,10 +316,31 @@ def class_orbit_word(g: DefiningGraph, tables: ActionTables,
 def transport_height(g: DefiningGraph, tables: ActionTables, word,
                      pc: ParallelClass, img: ParallelClass, n: int) -> int:
     """Height on the class `img` of the height-n chamber of pc's geodesic
-    moved by the generator word (rightmost acts first)."""
+    moved by the generator word (rightmost acts first); the empty word
+    keeps every height."""
+    if not word:
+        return n
     base = gate_representative(g, pc.rep, (pc.direction,))
     return height_of(g, img, tables.apply_word(
         word, flat_element(g, base, {pc.direction: n})))
+
+
+def resolved_table(g: DefiningGraph, tables: ActionTables, resolutions,
+                   pc: ParallelClass, domain) -> dict:
+    """A class's resolution pulled back along the action: each height in
+    `domain` is transported to the orbit representative of the class and
+    read off that representative's table in `resolutions` (class id ->
+    {height: value})."""
+    word, img = class_orbit_word(g, tables, pc, resolutions)
+    f_img = resolutions[img.id]
+    out = {}
+    for n in domain:
+        m = transport_height(g, tables, word, pc, img, n)
+        if m not in f_img:
+            raise TruncationError(
+                f"resolution of {img.id} has no height {m}, needed for {pc.id}")
+        out[n] = f_img[m]
+    return out
 
 
 def extract_factor_action(g: DefiningGraph, tables: ActionTables,

@@ -165,22 +165,10 @@ def cmd_blowup(args):
     if args.data:
         text = _read(args.data)
         try:
-            raw = json.loads(text)
-            tables = {}
-            classes = {}
-            for entry in raw["classes"]:
-                cid = entry["id"]
-                tables[cid] = {}
-                for word, val in entry["table"].items():
-                    chamber = rg.parse_word(word)
-                    pc_dir = cid.split("@")[0]
-                    pc = rg.class_of_geodesic(g, chamber, pc_dir)
-                    classes[cid] = pc
-                    tables[cid][rg.height_of(g, pc, chamber)] = int(val)
+            data = bu.BlowUpData.from_json(g, text, args.window)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CliError(EXIT_PARAMS,
                            f"bad blow-up data {args.data}: {exc!r}") from exc
-        data = bu.BlowUpData(g, tables, classes, args.window)
     else:
         data = bu.bijective_data(g, davis, args.window)
     psi = bu.build_fiber_functor(data, davis)

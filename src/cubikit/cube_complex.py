@@ -55,11 +55,11 @@ class CubeComplexBall:
     edges: dict
     squares: tuple
     depth: dict
-    _index: dict = field(default=None, repr=False)
-    _adj: dict = field(default=None, repr=False)
-    _dist_cache: dict = field(default=None, repr=False)
-    _square_set: frozenset = field(default=None, repr=False)
-    _squares_at: dict = field(default=None, repr=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _adj: dict = field(init=False, repr=False, compare=False)
+    _dist_cache: dict = field(init=False, repr=False, compare=False)
+    _square_set: frozenset = field(init=False, repr=False, compare=False)
+    _squares_at: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {v: i for i, v in enumerate(self.vertex_ids)}
@@ -234,15 +234,14 @@ class CubeComplexBall:
             "squares": squares_out,
         })
 
-    def to_dot(self, hyperplane_colors=True) -> str:
+    def to_dot(self) -> str:
         lines = ["graph ball {"]
         palette = ["red", "blue", "green", "orange", "purple", "brown",
                    "cyan", "magenta", "gray", "black"]
         color = {}
-        if hyperplane_colors:
-            for i, h in enumerate(hyperplanes(self)):
-                for e in h.edge_class:
-                    color[e] = palette[i % len(palette)]
+        for i, h in enumerate(hyperplanes(self)):
+            for e in h.edge_class:
+                color[e] = palette[i % len(palette)]
         for v in self.vertex_ids:
             shape = "circle" if not self.boundary_flag(v) else "point"
             lines.append(f'  "{v}" [shape={shape}];')

@@ -453,23 +453,23 @@ def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,
 _ext_adj_cache: dict = {}
 
 
-def extension_adjacent(g: DefiningGraph, c1: ParallelClass, c2: ParallelClass,
-                       search_radius: int | None = None) -> bool:
+def extension_adjacent(g: DefiningGraph, c1: ParallelClass,
+                       c2: ParallelClass) -> bool:
     """Edge test in the extension complex.
 
     True iff the directions are adjacent in the graph and some element lies
     in both parallel-set cosets (then representatives through that element
     span a standard 2-flat).
     """
-    key = (g, c1, c2, search_radius)
+    key = (g, c1, c2)
     hit = _ext_adj_cache.get(key)
     if hit is None:
-        hit = _extension_adjacent(g, c1, c2, search_radius)
+        hit = _extension_adjacent(g, c1, c2)
         _ext_adj_cache[key] = hit
     return hit
 
 
-def _extension_adjacent(g, c1, c2, search_radius):
+def _extension_adjacent(g, c1, c2):
     from .graph_core import orthogonal_complement
 
     if c1.direction == c2.direction:
@@ -478,8 +478,7 @@ def _extension_adjacent(g, c1, c2, search_radius):
         return False
     s1 = (c1.direction,) + orthogonal_complement(g, [c1.direction])
     s2 = (c2.direction,) + orthogonal_complement(g, [c2.direction])
-    if search_radius is None:
-        search_radius = len(c1.rep) + len(c2.rep) + 2
+    search_radius = len(c1.rep) + len(c2.rep) + 2
     seen = {c1.rep}
     dq = deque([c1.rep])
     # walk the coset rep * G(s1); if it meets rep2 * G(s2) the classes span

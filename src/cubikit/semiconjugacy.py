@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cube_complex import TruncationError
-from .wallspace_dual import BranchedLine
+from .wallspace_dual import BranchedLine, line_isometry
 
 
 class ActionError(ValueError):
@@ -563,13 +563,12 @@ def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
     return family
 
 
-def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4,
-                 D1: float | None = None):
+def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
     """Disjoint invariant family: the window orbit of a minimal track,
-    greedily filled until every complementary block has small diameter."""
+    greedily filled until every complementary block has diameter at most
+    D1 = 2 * weight + 5 * radius.  B is unused."""
     base = min_essential_track(K)
-    if D1 is None:
-        D1 = 2 * base.weight(K) + 5 * K.radius
+    D1 = 2 * base.weight(K) + 5 * K.radius
     family = _orbit_closure(spec, K, [base])
     family = _uncross(family, K)
     family = [tr for tr in family if tr.essential(K) and tr.connected(K)]
@@ -639,20 +638,14 @@ def collapse(spec: ZActionSpec, family, K: Rips2Complex,
         pairs = sorted((fmap[x], fmap[g[x]]) for x in interior if x in g)
         if not pairs:
             raise TruncationError(f"window too small for generator {name!r}")
-        ks = sorted({a for a, _ in pairs})
-        if len(ks) == 1:
-            sign, off = 1, pairs[0][1] - pairs[0][0]
-        else:
-            (a1, b1), (a2, b2) = pairs[0], pairs[-1]
-            if abs(b2 - b1) != abs(a2 - a1):
-                raise ActionError(f"{name!r} does not act isometrically on blocks")
-            sign = 1 if b2 - b1 == a2 - a1 else -1
-            off = b1 - sign * a1
+        iso[name] = line_isometry(pairs)
+        if iso[name] is None:
+            raise ActionError(f"{name!r} does not act isometrically on blocks")
+        sign, off = iso[name]
         for a, b in pairs:
             if sign * a + off != b:
                 raise ActionError(
                     f"{name!r}: block map not equivariant at block {a}")
-        iso[name] = (sign, off)
     for rel in spec.relations:
         # rel = g1 g2 ... acts as g1 after g2 after ...
         sign, off = 1, 0
@@ -673,16 +666,9 @@ def collapse(spec: ZActionSpec, family, K: Rips2Complex,
     measured = {"L": stretch, "A": float(worst_fiber),
                 "blocks": len({fmap[x] for x in interior})}
     # branched line over the interior blocks
-    fibers = {}
-    for x in interior:
-        fibers.setdefault(fmap[x], []).append(x)
-    blo, bhi = min(fibers), max(fibers)
-    tips = {m: tuple(sorted(xs)) for m, xs in fibers.items() if len(xs) >= 2}
-    line = BranchedLine((blo, bhi), tips)
-    tip_map = {}
-    for x in interior:
-        m = fmap[x]
-        tip_map[x] = (m, x if len(fibers[m]) >= 2 else None)
+    line = BranchedLine.of_block_map({x: fmap[x] for x in interior})
+    tip_map = {x: (fmap[x], x if fmap[x] in line.tips else None)
+               for x in interior}
     if len(set(tip_map.values())) != len(tip_map):
         raise ActionError("tip map failed to be injective")
     return SemiconjugacyResult(spec, fmap, iso, line, tip_map, measured)

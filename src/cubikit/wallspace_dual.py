@@ -9,6 +9,9 @@ side (the walls whose stored or other side misses it), so one test is O(1).
 The result is a `DualComplex`: a cube-complex ball that also carries its
 wallspace, the orientation of every vertex and the walls each vertex can
 flip, which dimension, maximal cubes, `phi` and flat embeddings read.
+
+`line_isometry` fits the isometry a generator induces on a line of blocks,
+and `BranchedLine.of_block_map` builds the branched line of a block map.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class Wallspace:
     points: tuple
     sides: list                  # bitmask of the stored side, per wall
     tags: list                   # arbitrary per-wall tags (same length)
-    _pindex: dict = field(default=None, repr=False)
+    _pindex: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._pindex = {p: i for i, p in enumerate(self.points)}
@@ -341,6 +344,21 @@ def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
 # branched lines
 # ---------------------------------------------------------------------------
 
+def line_isometry(pairs):
+    """The isometry x -> sign*x + off of the integer line through the least
+    and greatest of the (a, b) pairs, as (sign, off); None when those two
+    pairs are not the same distance apart.  When every pair has the same a
+    it is the translation through the least pair.  The other pairs are not
+    checked: each caller checks them against its own error."""
+    (a1, b1), (a2, b2) = min(pairs), max(pairs)
+    if a1 == a2:
+        return 1, b1 - a1
+    if abs(b2 - b1) != a2 - a1:
+        return None
+    sign = 1 if b2 > b1 else -1
+    return sign, b1 - sign * a1
+
+
 @dataclass
 class BranchedLine:
     """A line over a window of integers with whisker tips attached.
@@ -351,6 +369,18 @@ class BranchedLine:
 
     window: tuple                # (lo, hi) inclusive base range
     tips: dict                   # base int -> tuple of tip ids
+
+    @classmethod
+    def of_block_map(cls, fmap):
+        """The branched line of a block map {x: block}: its window spans
+        the blocks, and every block hit by two or more x carries them as
+        tips.  Blocks are keyed in order of first appearance in `fmap`."""
+        fibers = {}
+        for x, m in fmap.items():
+            fibers.setdefault(m, []).append(x)
+        tips = {m: tuple(sorted(xs)) for m, xs in fibers.items()
+                if len(xs) >= 2}
+        return cls((min(fibers), max(fibers)), tips)
 
     def branching_number(self) -> int:
         worst = 2
@@ -418,8 +448,7 @@ class InvariantWallspace:
 
 def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                         wall_window: int = 1, class_reach: int = 0,
-                        points_radius: int | None = None,
-                        orbit_depth: int = 6) -> InvariantWallspace:
+                        points_radius: int | None = None) -> InvariantWallspace:
     """The H-invariant wallspace of v-walls over a height band.
 
     Classes are those of geodesics through the ball of radius `class_reach`;
@@ -429,10 +458,12 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     walls are closed under the action and deduplicated by partition.
 
     `resolutions` maps an orbit-representative class id to a block map
-    {height: block}; identity tables give line resolutions.
+    {height: block}; identity tables give line resolutions.  Every class's
+    block map is that resolution pulled back by `building.resolved_table`,
+    which raises `TruncationError` when a resolution is too short.
     """
     # building imports semiconjugacy, which imports this module
-    from .building import class_orbit_word, image_class, transport_height
+    from .building import image_class, resolved_table, transport_height
 
     if points_radius is None:
         points_radius = 2 * (wall_window + 1)
@@ -448,26 +479,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     lines = {}
     heights_of = {}
     block_maps = {}
-    rep_ids = set(resolutions)
     band = range(-wall_window, wall_window + 1)
-
-    def block_map(pc, domain):
-        """Block of each height in `domain`: the height is transported to
-        the orbit representative, whose resolution collapses it."""
-        word, img = class_orbit_word(g, action_tables, pc, rep_ids,
-                                     max_depth=orbit_depth) \
-            if action_tables is not None else ((), pc)
-        if img.id not in resolutions:
-            raise KeyError(f"no resolution for orbit of {pc.id}")
-        f_img = resolutions[img.id]
-        fmap = {}
-        for n in domain:
-            n_img = transport_height(g, action_tables, word, pc, img, n) \
-                if word else n
-            if n_img not in f_img:
-                raise KeyError(f"resolution window too small for {pc.id}")
-            fmap[n] = f_img[n_img]
-        return fmap
 
     def cut_side(cid, m):
         # heights outside the block map's keys clamp to its ends; block maps
@@ -483,18 +495,14 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
 
     for cid, pc in sorted(classes.items()):
         heights_of[cid] = {p: height_of(g, pc, p) for p in points}
-        block_maps[cid] = fmap = block_map(pc, band)
-        blocks = {}
-        for n in band:
-            blocks.setdefault(fmap[n], set()).add(n)
-        lo, hi = min(blocks), max(blocks)
-        tips = {m: tuple(sorted(ns)) for m, ns in blocks.items()
-                if len(ns) >= 2}
-        lines[cid] = BranchedLine((lo, hi), tips)
+        block_maps[cid] = resolved_table(g, action_tables, resolutions, pc,
+                                         band)
+        lines[cid] = line = BranchedLine.of_block_map(block_maps[cid])
+        lo, hi = line.window
         for m in range(lo, hi):
             walls.append(cut_side(cid, m))
             tags.append((cid, "cut", m))
-        for m, ns in sorted(tips.items()):
+        for m, ns in sorted(line.tips.items()):
             for n in ns:
                 walls.append(tip_side(cid, n))
                 tags.append((cid, "tip", m, n))
@@ -513,8 +521,9 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
             if img.id not in classes and img.id not in rejected:
                 try:
                     hs = {p: height_of(g, img, p) for p in points}
-                    fmap = block_map(img, sorted(set(hs.values())))
-                except (ValueError, KeyError):
+                    fmap = resolved_table(g, action_tables, resolutions, img,
+                                          sorted(set(hs.values())))
+                except ValueError:
                     rejected.add(img.id)
                     return None
                 classes[img.id], heights_of[img.id] = img, hs
@@ -526,7 +535,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     # orbit closure at the tag level: transport each wall to the image
     # class and re-derive its side from that class's heights (pushing raw
     # point sets would distort the partition at the window rim)
-    frontier = list(tags) if action_tables is not None else []
+    frontier = list(tags)
     seen_tags = set(tags)
     guard = 0
     while frontier and guard < 10000:
@@ -562,14 +571,12 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                             continue
                         if n2 in f2:
                             pairs.append((blk, f2[n2]))
-                    pairs = sorted(set(pairs))
-                    if len(pairs) < 2:
+                    if len({a for a, _ in pairs}) < 2:
                         continue
-                    (a1, b1), (a2, b2) = pairs[0], pairs[-1]
-                    if abs(b2 - b1) != abs(a2 - a1) or a2 == a1:
+                    iso = line_isometry(pairs)
+                    if iso is None:
                         continue
-                    sgn = 1 if b2 - b1 > 0 else -1
-                    off = b1 - sgn * a1
+                    sgn, off = iso
                     m2 = sgn * m + off if sgn == 1 else sgn * (m + 1) + off
                     new_tag = (img_pc.id, "cut", m2)
                     if not min(f2.values()) <= m2 < max(f2.values()):

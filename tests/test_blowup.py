@@ -25,6 +25,14 @@ def test_type_map():
     assert len(bu.type_map(pent, rab)) == 2
 
 
+def test_blowup_data_json_roundtrip():
+    g = gc.k2()
+    data = bu.bijective_data(g, bd.davis_ball(g, 3), 3)
+    back = bu.BlowUpData.from_json(g, data.to_json(), 3)
+    assert back == data
+    assert back.to_json() == data.to_json()
+
+
 def test_fiber_functor_identity_tables():
     g = gc.pentagon()
     davis = bd.davis_ball(g, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -238,6 +239,17 @@ def test_is_convex_runs_no_distance_search():
     b = grid(3, 3)
     assert not cc.is_convex(b, [(0, 0), (1, 0), (1, 1)])
     assert b._dist_cache == {}
+
+
+def test_equality_ignores_derived_fields():
+    # the vertex index, adjacency, distance cache and square indexes are
+    # derived from the ball: neither the constructor nor == sees them
+    a, b = rg.ball_X(gc.k2(), 2), rg.ball_X(gc.k2(), 2)
+    a.distance(a.vertex_ids[0], a.vertex_ids[-1])
+    assert a._dist_cache != b._dist_cache
+    assert a == b
+    for f in dataclasses.fields(cc.CubeComplexBall):
+        assert f.name.startswith("_") == (not f.init) == (not f.compare)
 
 
 def test_is_convex_square_corner_closure():

@@ -198,6 +198,50 @@ def test_branched_line():
     assert (1, "r") not in cut0 and (0, "p") in cut0
 
 
+def line_isometry_oracle(pairs):
+    """Brute force: the first sign and offset through the least and the
+    greatest pair, or through the least pair alone when every a agrees."""
+    (a1, b1), (a2, b2) = min(pairs), max(pairs)
+    ends = [(a1, b1)] if a1 == a2 else [(a1, b1), (a2, b2)]
+    fits = [(s, o) for s in (1, -1) for o in range(-40, 41)
+            if all(s * a + o == b for a, b in ends)]
+    return fits[0] if fits else None
+
+
+isometry_pairs = st.builds(
+    lambda s, o, xs: [(x, s * x + o) for x in xs],
+    st.sampled_from((1, -1)), st.integers(-10, 10),
+    st.lists(st.integers(-10, 10), min_size=1, max_size=6))
+any_pairs = st.lists(st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(isometry_pairs, any_pairs))
+def test_line_isometry_matches_oracle(pairs):
+    iso = wd.line_isometry(pairs)
+    assert iso == line_isometry_oracle(pairs)
+    # pairs on one isometry, with two values of a, give back that isometry
+    fits = [(s, o) for s in (1, -1) for o in range(-40, 41)
+            if all(s * a + o == b for a, b in pairs)]
+    if len({a for a, _ in pairs}) >= 2 and fits:
+        assert [iso] == fits
+
+
+def test_wallspace_point_index_is_derived():
+    ws = wd.Wallspace.make(["p", "q"], [["p"]])
+    assert ws == wd.Wallspace(("p", "q"), [1], [0])
+    with pytest.raises(TypeError):
+        wd.Wallspace(("p", "q"), [1], [0], {"p": 1, "q": 0})
+
+
+def test_branched_line_of_block_map():
+    bl = wd.BranchedLine.of_block_map({-2: 0, -1: 0, 0: -1, 1: 1, 2: -1})
+    assert bl.window == (-1, 1)
+    # blocks keyed in order of first appearance, tips sorted
+    assert list(bl.tips.items()) == [(0, (-2, -1)), (-1, (0, 2))]
+
+
 def line_resolutions(g):
     """Identity block maps for every class through the identity."""
     return {rg.class_of_geodesic(g, (), v).id: {n: n for n in range(-12, 13)}
@@ -225,6 +269,14 @@ def test_invariant_wallspace_trivial_action_k2():
     span = span_of_domain(g, iws, 3)
     assert len(iws.domain) == 9
     assert cc.labeled_isomorphism(dual, span) is not None
+
+
+def test_invariant_wallspace_short_resolution_raises_truncation():
+    # the band -1..1 needs heights the {0: 0} resolutions do not have
+    g = gc.k2()
+    res = {rg.class_of_geodesic(g, (), v).id: {0: 0} for v in g.vertices}
+    with pytest.raises(cc.TruncationError, match="no height -1"):
+        wd.invariant_wallspace(g, trivial_action(g, 4), res, wall_window=1)
 
 
 def test_invariant_wallspace_translations_c5():
