@@ -7,6 +7,7 @@ result; `cubikit verify all` runs them in the order of `CRITERIA`.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -348,7 +349,7 @@ def criterion_semiconjugacy(seed=0):
     # block map equals floor(n/2) up to a line isometry
     sample = [x for x in interior if abs(x) <= margin]
     pairs = [(x // 2, res.block_map[x]) for x in sample]
-    iso = wd.line_isometry(pairs)
+    iso = sc.line_isometry(pairs)
     iso_ok = iso is not None and all(iso[0] * a + iso[1] == b
                                      for a, b in pairs)
     dt = time.time() - t0
@@ -370,8 +371,6 @@ def criterion_transversality(seed=0):
            {n: n for n in range(-12, 13)} for v in g.vertices}
     iws = wd.invariant_wallspace(g, act, res, wall_window=1)
     ws = iws.wallspace
-    import itertools
-
     pairs = 0
     for i, j in itertools.combinations(range(ws.n_walls()), 2):
         got = wd.transversality(iws, i, j)   # raises on any disagreement

@@ -6,6 +6,10 @@ determines everything.  The induced fiber functor over the Davis ball has
 window-truncated lattice fibers, and gluing cube-by-cube produces the
 restriction quotient q: Y -> |B| together with labels, ranks and the
 vertical/horizontal edge split.
+
+A generator moves Y by one cell map per Davis vertex (the image residue,
+each factor's class moved by its `building.class_isometry`), which
+`_move_fibers` applies to fiber points, as it does quasi-morphisms of data.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .building import (
@@ -20,8 +25,11 @@ from .building import (
     DavisBall,
     Residue,
     chambers_of,
+    class_isometry,
+    image_class,
     proj_residue,
     residue,
+    residue_contains,
     residue_image,
     resolved_table,
 )
@@ -42,7 +50,7 @@ from .raag_geometry import (
     parse_word,
     word_str,
 )
-from .wallspace_dual import line_isometry
+from .semiconjugacy import line_isometry
 
 
 def type_map(g: DefiningGraph, r: Residue) -> list:
@@ -393,8 +401,6 @@ def local_finiteness_report(data: BlowUpData):
     density = 0
     for t in data.tables.values():
         vals = sorted(t.values())
-        from collections import Counter
-
         c = Counter(vals)
         max_pre = max(max_pre, max(c.values()))
         lo, hi = vals[0], vals[-1]
@@ -411,8 +417,6 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     whisker per chamber attached at its table value; the comparison is a
     direct labeled bijection, not a search.
     """
-    from .building import residue_contains
-
     g = bc.graph
     davis = bc.davis
     r = davis.residue_of[vid]
@@ -497,21 +501,8 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
                 raise AssertionError(
                     f"diagram fails on {pc.id} at {word_str(chamber)}: "
                     f"f({va})={f[va]} vs {vb}")
-    vmap = {}
-    for yv in bcA.Y.vertex_ids:
-        vid, p = bcA.vertex_info[yv]
-        img = []
-        ok = True
-        for cid, x in zip(bcA.psi.axes[vid], p):
-            f = f_per_class[cid]
-            if x not in f or abs(f[x]) > bcB.psi.window:
-                ok = False
-                break
-            img.append(f[x])
-        if ok:
-            target = y_id(vid, tuple(img))
-            if target in bcB.vertex_info:
-                vmap[yv] = target
+    vmap = _move_fibers(bcA, bcB, lambda vid: (vid, [
+        (i, f_per_class[cid]) for i, cid in enumerate(bcA.psi.axes[vid])]))
     rng = random.Random(seed)
     domain = [yv for yv in vmap if bcA.Y.depth[yv] >= 1]
     worst_ratio = 1.0
@@ -530,9 +521,15 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
     worst_add = 0
     for d1, d2 in pairs:
         worst_add = max(worst_add, d2 - L_eff * d1, d1 - L_eff * d2, 0)
-    exact_iso = None
-    if A == 0 and all(_is_window_isometry(f) for f in f_per_class.values()):
-        exact_iso = _is_cubical_bijection(bcA, bcB, vmap)
+    # an exact isomorphism is expected when A = 0 and every f_lambda lies on
+    # one line isometry (a table with fewer than two keys always does)
+    isometric = A == 0
+    for f in f_per_class.values():
+        if isometric and f:
+            iso = line_isometry(f.items())
+            isometric = iso is not None and all(
+                iso[0] * a + iso[1] == b for a, b in f.items())
+    exact_iso = _is_cubical_bijection(bcA, bcB, vmap) if isometric else None
     report = {"vertex_map": vmap, "measured_L": worst_ratio,
               "measured_A": worst_add, "pairs": len(pairs),
               "exact_isomorphism": exact_iso}
@@ -545,11 +542,28 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
     return report
 
 
-def _is_window_isometry(f):
-    keys = sorted(f)
-    vals = [f[k] for k in keys]
-    steps = {vals[i + 1] - vals[i] for i in range(len(vals) - 1)}
-    return steps <= {1} or steps <= {-1}
+def _move_fibers(src: BlowUpComplex, dst: BlowUpComplex, cell_of):
+    """A vertex map Y_src -> Y_dst that moves each fiber as a whole.
+
+    `cell_of(vid)`, called once per Davis vertex, is None where the fiber
+    over vid does not move, and otherwise (target vid, one (source axis,
+    coordinate table) per axis of the target fiber).  Points off a table,
+    or whose image is not a vertex of Y_dst, are left out.
+    """
+    cells = {}
+    vmap = {}
+    for yv in src.Y.vertex_ids:
+        vid, p = src.vertex_info[yv]
+        if vid not in cells:
+            cells[vid] = cell_of(vid)
+        if cells[vid] is None:
+            continue
+        tvid, coords = cells[vid]
+        img = tuple(f.get(p[i]) for i, f in coords)
+        target = y_id(tvid, img)
+        if None not in img and target in dst.vertex_info:
+            vmap[yv] = target
+    return vmap
 
 
 def _is_cubical_bijection(bcA, bcB, vmap):
@@ -578,8 +592,9 @@ def equivariant_blowup(g: DefiningGraph, tables: ActionTables, resolutions,
     Every class gets its data from `building.resolved_table`, which
     transports it through a deterministically chosen group word and raises
     `TruncationError` when a resolution is too short.  Returns the blow-up
-    complex and, per generator, the induced vertex map on Y, verified to
-    commute with q.
+    complex and, per generator, the induced vertex map on Y
+    (`_induced_action_on_y`); a resolution the action does not move by
+    isometries raises `semiconjugacy.ActionError`.
     """
     dom = _table_domain(davis, window)
     pulled = {}                  # class id -> its resolved table on dom
@@ -596,84 +611,34 @@ def equivariant_blowup(g: DefiningGraph, tables: ActionTables, resolutions,
     return bc, actions
 
 
-def _factor_isometry(g, tables, name, data: BlowUpData, f_src: Residue,
-                     f_dst: Residue, window: int):
-    """The isometry of Z fitting f(h_src(c)) = h_dst(g c) on the window."""
-    v = f_src.type_J[0]
-    pairs = []
-    for n in range(-window, window + 1):
-        c = flat_element(g, f_src.base, {v: n})
+def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
+    """The vertex map by which a generator moves Y: the fiber over each
+    Davis vertex goes to the fiber over its image residue, each factor's
+    coordinate by the `class_isometry` of its class, so the map commutes
+    with q by construction.  Fibers whose image residue leaves the Davis
+    ball, or whose class isometry is undetermined, are left out."""
+    g, davis, data = bc.graph, bc.davis, bc.psi.data
+    window = range(-data.window, data.window + 1)
+    moves = {}                 # class id -> (image class id, coordinate table)
+    for cid, pc in data.classes.items():
         try:
-            a = data.value(f_src, c)
-            b = data.value(f_dst, tables.apply(name, c))
+            img = image_class(g, tables, name, pc)
         except TruncationError:
             continue
-        pairs.append((a, b))
-    if not pairs:
-        return lambda z: z
-    iso = line_isometry(pairs)
-    if iso is None:
-        raise AssertionError("factor map is not an isometry")
-    sign, off = iso            # a translation when every a is the same
-    for a, b in pairs:
-        if sign * a + off != b:
-            raise AssertionError("factor map is not affine")
-    return lambda z: sign * z + off
+        iso = img.id in data.tables and class_isometry(
+            g, tables, name, pc, data.tables[cid], img, data.tables[img.id])
+        if iso:
+            moves[cid] = img.id, {x: iso[0] * x + iso[1] for x in window}
 
-
-def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
-    g = bc.graph
-    davis = bc.davis
-    data = bc.psi.data
-    vmap = {}
-    iso_cache = {}
-    for yv in bc.Y.vertex_ids:
-        vid, p = bc.vertex_info[yv]
-        r = davis.residue_of[vid]
+    def cell_of(vid):
         try:
-            r2 = residue_image(g, tables, name, r)
-        except (TruncationError, KeyError):
-            continue
-        if r2.id not in davis.residue_of:
-            continue
-        img_point = []
-        ok = True
-        for v, x in zip(r.type_J, p):
-            f_src = residue(g, r.base, (v,))
-            key = (f_src.id, name)
-            if key not in iso_cache:
-                try:
-                    f_dst = residue_image(g, tables, name, f_src)
-                    iso_cache[key] = _factor_isometry(
-                        g, tables, name, data, f_src, f_dst, data.window)
-                except (TruncationError, KeyError):
-                    iso_cache[key] = None
-            iso = iso_cache[key]
-            if iso is None:
-                ok = False
-                break
-            y = iso(x)
-            if abs(y) > bc.psi.window:
-                ok = False
-                break
-            img_point.append(y)
-        if not ok:
-            continue
-        # the image point must be listed in the image residue's axis order
-        axes2 = bc.psi.axes[r2.id]
-        pairs = []
-        for v, val in zip(r.type_J, img_point):
-            f_dst = residue_image(g, tables, name, residue(g, r.base, (v,)))
-            cid2 = class_of_geodesic(g, f_dst.base, f_dst.type_J[0]).id
-            pairs.append((cid2, val))
-        ordered = tuple(dict(pairs)[cid] for cid in axes2)
-        target = y_id(r2.id, ordered)
-        if target in bc.vertex_info:
-            vmap[yv] = target
-    # commuting with q on the window
-    for yv, tv in vmap.items():
-        vid = bc.vertex_info[yv][0]
-        r2 = residue_image(g, tables, name, davis.residue_of[vid])
-        if bc.vertex_info[tv][0] != r2.id:
-            raise AssertionError("induced action does not commute with q")
-    return vmap
+            r2 = residue_image(g, tables, name, davis.residue_of[vid])
+        except TruncationError:
+            return None
+        axes = bc.psi.axes[vid]
+        if r2.id not in davis.residue_of or any(c not in moves for c in axes):
+            return None
+        by_class = {moves[c][0]: (i, moves[c][1]) for i, c in enumerate(axes)}
+        return r2.id, [by_class[c] for c in bc.psi.axes[r2.id]]
+
+    return _move_fibers(bc, bc, cell_of)

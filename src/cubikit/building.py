@@ -17,17 +17,21 @@ flat-preserving test, and `resolved_table` pulls a representative's
 resolution back to any class along `class_orbit_word` and
 `transport_height`; `blowup.equivariant_blowup` and
 `wallspace_dual.invariant_wallspace` both read their tables from it.
+`class_isometry` is the one fit of a generator's action on a resolved
+class line (the isometry of the branched line that moves its blocks); the
+blow-up's induced maps on `Y` and the wallspace's cut transport both use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cube_complex import CubeComplexBall, TruncationError
-from .graph_core import DefiningGraph, orthogonal_complement
+from .graph_core import DefiningGraph, cliques, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
     class_of_geodesic,
@@ -44,7 +48,13 @@ from .raag_geometry import (
     syllables,
     word_str,
 )
-from .semiconjugacy import ZActionSpec, add_inverses, least_L
+from .semiconjugacy import (
+    ActionError,
+    ZActionSpec,
+    add_inverses,
+    least_L,
+    line_isometry,
+)
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,6 @@ class Residue:
         return f"{word_str(self.base)}|{{{','.join(self.type_J)}}}"
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({"base": word_str(self.base),
                            "type": list(self.type_J)})
 
@@ -99,11 +107,9 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    from .graph_core import cliques as all_cliques
-
     residues = {}
     for h in group_ball(g, radius):
-        for cl in all_cliques(g):
+        for cl in cliques(g):
             r = residue(g, h, cl.members)
             residues[r.id] = r
     order = sorted(residues.values(), key=lambda r: (r.rank, r.id))
@@ -341,6 +347,32 @@ def resolved_table(g: DefiningGraph, tables: ActionTables, resolutions,
                 f"resolution of {img.id} has no height {m}, needed for {pc.id}")
         out[n] = f_img[m]
     return out
+
+
+def class_isometry(g: DefiningGraph, tables: ActionTables, name: str,
+                   pc: ParallelClass, table: dict, img: ParallelClass,
+                   img_table: dict):
+    """The isometry (sign, off) of the block line by which a generator moves
+    the resolution `table` (height -> block) of class pc to `img_table`,
+    that of its image class img: the `line_isometry` fit of the blocks at
+    heights n and `transport_height(..., n)`, which every such pair must
+    fit (else `ActionError`).  None when fewer than two distinct blocks
+    move."""
+    pairs = []
+    for n, a in table.items():
+        try:
+            m = transport_height(g, tables, (name,), pc, img, n)
+        except TruncationError:
+            continue
+        if m in img_table:
+            pairs.append((a, img_table[m]))
+    if len({a for a, _ in pairs}) < 2:
+        return None
+    iso = line_isometry(pairs)
+    if iso is None or any(iso[0] * a + iso[1] != b for a, b in pairs):
+        raise ActionError(f"{name!r} does not move the resolution of {pc.id} "
+                          f"to that of {img.id} by an isometry")
+    return iso
 
 
 def extract_factor_action(g: DefiningGraph, tables: ActionTables,

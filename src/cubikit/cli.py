@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import acceptance
@@ -142,8 +143,6 @@ def cmd_check_rq(args):
         except (ValueError, IndexError) as exc:
             raise CliError(EXIT_PARAMS, f"bad wall list: {exc}") from exc
     else:
-        import random
-
         rng = random.Random(args.seed)
         picks = rng.sample(hps, rng.randint(0, len(hps)))
     q = cc.restriction_quotient(ball, picks)

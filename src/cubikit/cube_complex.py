@@ -21,13 +21,13 @@ BIG_DEPTH = 10 ** 9
 
 
 def _canonical_square(cycle, index):
-    """Least rotation/reflection of a 4-cycle, by vertex index."""
-    a, b, c, d = cycle
-    candidates = []
-    for rot in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
-        candidates.append(rot)
-        candidates.append((rot[0], rot[3], rot[2], rot[1]))
-    return min(candidates, key=lambda t: tuple(index[x] for x in t))
+    """Least rotation/reflection of a 4-cycle with four distinct corners, by
+    vertex index: start at the least corner, then go to its lesser
+    neighbour."""
+    ranks = [index[x] for x in cycle]
+    k = ranks.index(min(ranks))
+    a, b, c, d = cycle[k:] + cycle[:k]
+    return (a, b, c, d) if index[b] < index[d] else (a, d, c, b)
 
 
 class ComplexError(ValueError):
@@ -70,6 +70,9 @@ class CubeComplexBall:
             adj[v][u] = lab
         self._adj = adj
         self._dist_cache = {}
+        for s in self.squares:
+            if len(set(s)) != 4:
+                raise ComplexError(f"square {tuple(s)!r} repeats a corner")
         self._square_set = frozenset(_canonical_square(tuple(s), self._index)
                                      for s in self.squares)
         self.squares = tuple(sorted(self._square_set,

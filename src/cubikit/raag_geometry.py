@@ -35,11 +35,18 @@ flats, gates on standard flats, levels, and adjacency of parallel classes
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph_core import Clique, DefiningGraph, UnknownEndpointError
+from .graph_core import (
+    Clique,
+    DefiningGraph,
+    UnknownEndpointError,
+    cliques,
+    orthogonal_complement,
+)
 from .cube_complex import CubeComplexBall
 
 # A letter is (generator label, +1 or -1); a word is a tuple of letters.
@@ -200,8 +207,6 @@ class StandardFlat:
         return f"{word_str(self.base)}|{{{','.join(self.clique.members)}}}"
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({"base": word_str(self.base),
                            "clique": list(self.clique.members)})
 
@@ -231,8 +236,6 @@ def standard_flat(g: DefiningGraph, base, clique_members) -> StandardFlat:
 
 
 def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
-    from .graph_core import orthogonal_complement
-
     support = (v,) + orthogonal_complement(g, [v])
     return ParallelClass(v, gate_representative(g, base, support))
 
@@ -401,13 +404,11 @@ def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
     Returned sorted by (clique size, id); the partial order is available via
     `flat_contains`.
     """
-    from .graph_core import cliques as all_cliques
-
     found = {}
     verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
     for vid in verts:
         h = parse_word(vid)
-        for cl in all_cliques(g):
+        for cl in cliques(g):
             f = StandardFlat(gate_representative(g, h, cl.members), cl)
             found[f.id] = f
     return sorted(found.values(), key=lambda f: (len(f.clique), f.id))
@@ -470,8 +471,6 @@ def extension_adjacent(g: DefiningGraph, c1: ParallelClass,
 
 
 def _extension_adjacent(g, c1, c2):
-    from .graph_core import orthogonal_complement
-
     if c1.direction == c2.direction:
         return False
     if not g.adjacent(c1.direction, c2.direction):

@@ -34,6 +34,10 @@ of its bipartition that holds the window minimum (`_oriented` is the one
 place a side is complemented).  Tracks are then compared by inclusion,
 uncrossed by meet and join, and counted into blocks by `_block_index`
 without re-orienting them.
+
+`line_isometry` is the one sign-and-offset fit of a map between lines of
+blocks, and `BranchedLine.of_block_map` the one branched-line assembly;
+`collapse`, `building.class_isometry` and `wallspace_dual` use them.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cube_complex import TruncationError
-from .wallspace_dual import BranchedLine, line_isometry
+from .cube_complex import CubeComplexBall, TruncationError
 
 
 class ActionError(ValueError):
@@ -607,6 +610,96 @@ def _blocks_of(family, K: Rips2Complex):
 
 
 # ---------------------------------------------------------------------------
+# branched lines
+# ---------------------------------------------------------------------------
+
+def line_isometry(pairs):
+    """The isometry x -> sign*x + off of the integer line through the least
+    and greatest of the (a, b) pairs, as (sign, off); None when those two
+    pairs are not the same distance apart.  When every pair has the same a
+    it is the translation through the least pair.  The other pairs are not
+    checked: each caller checks them against its own error."""
+    (a1, b1), (a2, b2) = min(pairs), max(pairs)
+    if a1 == a2:
+        return 1, b1 - a1
+    if abs(b2 - b1) != a2 - a1:
+        return None
+    sign = 1 if b2 > b1 else -1
+    return sign, b1 - sign * a1
+
+
+@dataclass
+class BranchedLine:
+    """A line over a window of integers with whisker tips attached.
+
+    tips[m] lists the tip ids attached at base integer m; when a base point
+    has no whiskers it is itself a tip (valence 2).
+    """
+
+    window: tuple                # (lo, hi) inclusive base range
+    tips: dict                   # base int -> tuple of tip ids
+
+    @classmethod
+    def of_block_map(cls, fmap):
+        """The branched line of a block map {x: block}: its window spans
+        the blocks, and every block hit by two or more x carries them as
+        tips.  Blocks are keyed in order of first appearance in `fmap`."""
+        fibers = {}
+        for x, m in fmap.items():
+            fibers.setdefault(m, []).append(x)
+        tips = {m: tuple(sorted(xs)) for m, xs in fibers.items()
+                if len(xs) >= 2}
+        return cls((min(fibers), max(fibers)), tips)
+
+    def branching_number(self) -> int:
+        worst = 2
+        for m in range(self.window[0], self.window[1] + 1):
+            k = len(self.tips.get(m, ()))
+            if k:
+                worst = max(worst, 2 + k)
+        return worst
+
+    def tip_list(self):
+        out = []
+        for m in range(self.window[0], self.window[1] + 1):
+            ts = self.tips.get(m, ())
+            if ts:
+                out.extend((m, t) for t in ts)
+            else:
+                out.append((m, None))
+        return out
+
+    def wall_sides_on_tips(self):
+        """Walls of the tip set from the edges of the branched line.
+
+        Line edge (m, m+1) separates tips by base <= m; a whisker edge cuts
+        off its single tip.  Returns a list of (tag, side set of tips).
+        """
+        tips = self.tip_list()
+        walls = []
+        lo, hi = self.window
+        for m in range(lo, hi):
+            side = frozenset(t for t in tips if t[0] <= m)
+            walls.append((("cut", m), side))
+        for m, t in tips:
+            if t is not None:
+                walls.append((("tip", m, t), frozenset([(m, t)])))
+        return walls
+
+    def as_complex(self) -> CubeComplexBall:
+        lo, hi = self.window
+        verts = [("b", m) for m in range(lo, hi + 1)]
+        edges = [(("b", m), ("b", m + 1), "line") for m in range(lo, hi)]
+        for m in range(lo, hi + 1):
+            for t in self.tips.get(m, ()):
+                verts.append(("t", m, t))
+                edges.append((("b", m), ("t", m, t), "whisker"))
+        depth = {v: (min(v[1] - lo, hi - v[1]) + 1 if v[0] == "b"
+                     else min(v[1] - lo, hi - v[1])) for v in verts}
+        return CubeComplexBall.make(verts, edges, [], depth)
+
+
+# ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------
 
@@ -669,8 +762,6 @@ def collapse(spec: ZActionSpec, family, K: Rips2Complex,
     line = BranchedLine.of_block_map({x: fmap[x] for x in interior})
     tip_map = {x: (fmap[x], x if fmap[x] in line.tips else None)
                for x in interior}
-    if len(set(tip_map.values())) != len(tip_map):
-        raise ActionError("tip map failed to be injective")
     return SemiconjugacyResult(spec, fmap, iso, line, tip_map, measured)
 
 

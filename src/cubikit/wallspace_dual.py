@@ -10,8 +10,10 @@ The result is a `DualComplex`: a cube-complex ball that also carries its
 wallspace, the orientation of every vertex and the walls each vertex can
 flip, which dimension, maximal cubes, `phi` and flat embeddings read.
 
-`line_isometry` fits the isometry a generator induces on a line of blocks,
-and `BranchedLine.of_block_map` builds the branched line of a block map.
+The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
+of its block map (`building.resolved_table`), and moves its cut walls by
+the one `building.class_isometry` of each (class, generator) pair and its
+tip walls by `building.transport_height`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,24 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cube_complex import CubeComplexBall, is_convex
-from .graph_core import DefiningGraph
-from .raag_geometry import class_of_geodesic, group_ball, height_of
+from .building import (
+    class_isometry,
+    image_class,
+    resolved_table,
+    transport_height,
+)
+from .cube_complex import CubeComplexBall, hyperplanes, is_convex, relabel_edges
+from .graph_core import DefiningGraph, orthogonal_complement
+from .raag_geometry import (
+    class_of_geodesic,
+    coset_member,
+    extension_adjacent,
+    group_ball,
+    height_of,
+    inv,
+    mul,
+)
+from .semiconjugacy import BranchedLine
 
 
 @dataclass
@@ -102,8 +119,6 @@ def hyperplane_wallspace(ball: CubeComplexBall, margin: int = 1) -> Wallspace:
     Points are the margin-interior vertices; walls are the hyperplane sides
     restricted to them, tagged by the hyperplane direction.
     """
-    from .cube_complex import hyperplanes
-
     pts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
     ptset = set(pts)
     walls = []
@@ -341,96 +356,6 @@ def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
 
 
 # ---------------------------------------------------------------------------
-# branched lines
-# ---------------------------------------------------------------------------
-
-def line_isometry(pairs):
-    """The isometry x -> sign*x + off of the integer line through the least
-    and greatest of the (a, b) pairs, as (sign, off); None when those two
-    pairs are not the same distance apart.  When every pair has the same a
-    it is the translation through the least pair.  The other pairs are not
-    checked: each caller checks them against its own error."""
-    (a1, b1), (a2, b2) = min(pairs), max(pairs)
-    if a1 == a2:
-        return 1, b1 - a1
-    if abs(b2 - b1) != a2 - a1:
-        return None
-    sign = 1 if b2 > b1 else -1
-    return sign, b1 - sign * a1
-
-
-@dataclass
-class BranchedLine:
-    """A line over a window of integers with whisker tips attached.
-
-    tips[m] lists the tip ids attached at base integer m; when a base point
-    has no whiskers it is itself a tip (valence 2).
-    """
-
-    window: tuple                # (lo, hi) inclusive base range
-    tips: dict                   # base int -> tuple of tip ids
-
-    @classmethod
-    def of_block_map(cls, fmap):
-        """The branched line of a block map {x: block}: its window spans
-        the blocks, and every block hit by two or more x carries them as
-        tips.  Blocks are keyed in order of first appearance in `fmap`."""
-        fibers = {}
-        for x, m in fmap.items():
-            fibers.setdefault(m, []).append(x)
-        tips = {m: tuple(sorted(xs)) for m, xs in fibers.items()
-                if len(xs) >= 2}
-        return cls((min(fibers), max(fibers)), tips)
-
-    def branching_number(self) -> int:
-        worst = 2
-        for m in range(self.window[0], self.window[1] + 1):
-            k = len(self.tips.get(m, ()))
-            if k:
-                worst = max(worst, 2 + k)
-        return worst
-
-    def tip_list(self):
-        out = []
-        for m in range(self.window[0], self.window[1] + 1):
-            ts = self.tips.get(m, ())
-            if ts:
-                out.extend((m, t) for t in ts)
-            else:
-                out.append((m, None))
-        return out
-
-    def wall_sides_on_tips(self):
-        """Walls of the tip set from the edges of the branched line.
-
-        Line edge (m, m+1) separates tips by base <= m; a whisker edge cuts
-        off its single tip.  Returns a list of (tag, side set of tips).
-        """
-        tips = self.tip_list()
-        walls = []
-        lo, hi = self.window
-        for m in range(lo, hi):
-            side = frozenset(t for t in tips if t[0] <= m)
-            walls.append((("cut", m), side))
-        for m, t in tips:
-            if t is not None:
-                walls.append((("tip", m, t), frozenset([(m, t)])))
-        return walls
-
-    def as_complex(self) -> CubeComplexBall:
-        lo, hi = self.window
-        verts = [("b", m) for m in range(lo, hi + 1)]
-        edges = [(("b", m), ("b", m + 1), "line") for m in range(lo, hi)]
-        for m in range(lo, hi + 1):
-            for t in self.tips.get(m, ()):
-                verts.append(("t", m, t))
-                edges.append((("b", m), ("t", m, t), "whisker"))
-        depth = {v: (min(v[1] - lo, hi - v[1]) + 1 if v[0] == "b"
-                     else min(v[1] - lo, hi - v[1])) for v in verts}
-        return CubeComplexBall.make(verts, edges, [], depth)
-
-
-# ---------------------------------------------------------------------------
 # the invariant wallspace of a flat-preserving action
 # ---------------------------------------------------------------------------
 
@@ -460,11 +385,10 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     `resolutions` maps an orbit-representative class id to a block map
     {height: block}; identity tables give line resolutions.  Every class's
     block map is that resolution pulled back by `building.resolved_table`,
-    which raises `TruncationError` when a resolution is too short.
+    which raises `TruncationError` when a resolution is too short.  A
+    generator whose `building.class_isometry` misses a pair of blocks
+    raises `semiconjugacy.ActionError`.
     """
-    # building imports semiconjugacy, which imports this module
-    from .building import image_class, resolved_table, transport_height
-
     if points_radius is None:
         points_radius = 2 * (wall_window + 1)
     points = group_ball(g, points_radius)
@@ -507,6 +431,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 walls.append(tip_side(cid, n))
                 tags.append((cid, "tip", m, n))
     images = {}       # (class id, generator) -> image class, None if it fails
+    isos = {}         # (class id, generator) -> its class_isometry
     rejected = set()  # image classes whose heights or block map fail
 
     def image_of(cid, name):
@@ -561,19 +486,11 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                     side = tip_side(img_pc.id, n2)
                 else:
                     m = tag[2]
-                    # transport the block cut through two sample levels
-                    pairs = []
-                    for n, blk in block_maps[tag[0]].items():
-                        try:
-                            n2 = transport_height(g, action_tables, (name,),
-                                                  pc, img_pc, n)
-                        except (ValueError, KeyError):
-                            continue
-                        if n2 in f2:
-                            pairs.append((blk, f2[n2]))
-                    if len({a for a, _ in pairs}) < 2:
-                        continue
-                    iso = line_isometry(pairs)
+                    if (tag[0], name) not in isos:
+                        isos[tag[0], name] = class_isometry(
+                            g, action_tables, name, pc, block_maps[tag[0]],
+                            img_pc, f2)
+                    iso = isos[tag[0], name]
                     if iso is None:
                         continue
                     sgn, off = iso
@@ -607,8 +524,6 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
 def direction_labeled_dual(iws: InvariantWallspace,
                            dual: CubeComplexBall | None = None):
     """The dual with each edge relabeled by its wall's class direction."""
-    from .cube_complex import relabel_edges
-
     if dual is None:
         dual = dual_cube_complex(iws.wallspace)
     tag_dir = {str(tag): iws.classes[tag[0]].direction
@@ -619,8 +534,6 @@ def direction_labeled_dual(iws: InvariantWallspace,
 def transversality(iws: InvariantWallspace, i: int, j: int) -> bool:
     """Set transversality of tagged walls; asserted equivalent to adjacency
     of the class directions in the extension complex."""
-    from .raag_geometry import extension_adjacent
-
     ws = iws.wallspace
     got = ws.transverse(i, j)
     cid1, cid2 = ws.tags[i][0], ws.tags[j][0]
@@ -665,8 +578,6 @@ def phi_map(iws: InvariantWallspace, dual: DualComplex | None = None):
     worst = 1.0
     additive = 0
     pts = list(iws.domain)
-    from .raag_geometry import inv, mul
-
     for a in pts[: min(len(pts), 12)]:
         for b in pts[: min(len(pts), 12)]:
             if a == b:
@@ -726,16 +637,12 @@ def branched_flat_embed(iws: InvariantWallspace, class_ids,
 
 def _flat_points(iws: InvariantWallspace, class_ids):
     """Window vertices of the standard flat spanned by the given classes."""
-    from .raag_geometry import coset_member
-
     g = iws.graph
     pcs = [iws.classes[cid] for cid in class_ids]
     pts = []
     for p in iws.wallspace.points:
         ok = True
         for pc in pcs:
-            from .graph_core import orthogonal_complement
-
             support = (pc.direction,) + orthogonal_complement(g, [pc.direction])
             if not coset_member(g, p, pc.rep, support):
                 ok = False

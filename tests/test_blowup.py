@@ -10,6 +10,7 @@ from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+from cubikit import semiconjugacy as sc
 
 from .test_raag_words import coset_coordinates
 
@@ -301,6 +302,20 @@ def test_eta_isomorphism_translation_shift():
     assert rep["exact_isomorphism"] is True
 
 
+def test_eta_gapped_table_is_not_an_isometry():
+    # {0: 0, 2: 1} has value steps of one between consecutive keys, but
+    # moves 0 and 2 only one apart: no exact isomorphism is claimed
+    g = gc.single_vertex()
+    davis = bd.davis_ball(g, 3)
+    dataA = bu.bijective_data(g, davis, window=4)
+    dataB = bu.data_from_function(g, davis, window=4, fn=lambda pc, n: n // 2)
+    bcA = bu.blowup_complex(bu.build_fiber_functor(dataA, davis))
+    bcB = bu.blowup_complex(bu.build_fiber_functor(dataB, davis))
+    f = {cid: {0: 0, 2: 1} for cid in dataA.tables}
+    rep = bu.eta_quasi_morphism(bcA, bcB, f, L=2, A=0)
+    assert rep["exact_isomorphism"] is None
+
+
 def test_fiber_dimensions_by_rank():
     g = gc.k2()
     davis = bd.davis_ball(g, 2)
@@ -402,6 +417,37 @@ def test_golden_equivariant_blowup(name):
                                    for gen, vmap in actions.items()]})
     assert hashlib.sha256(body.encode()).hexdigest() == \
         GOLDEN_EQUIVARIANT[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EQUIVARIANT))
+def test_equivariant_maps_cover_the_residue_maps(name):
+    # checked from the action tables alone: each induced map sends the fiber
+    # over a Davis vertex into the fiber over its image residue, and moves
+    # vertical edges to vertical edges and horizontal ones to horizontal ones
+    g, act, reps, davis, window = equivariant_case(name)
+    bc, actions = bu.equivariant_blowup(g, act, reps, davis, window=window)
+    q = bc.q.vertex_map
+    for gen, vmap in actions.items():
+        assert vmap
+        for yv, img in vmap.items():
+            r = davis.residue_of[q[yv]]
+            assert q[img] == bd.residue_image(g, act, gen, r).id
+        for e, lab in bc.Y.edges.items():
+            u, v = tuple(e)
+            if u in vmap and v in vmap:
+                assert bc.Y.has_edge(vmap[u], vmap[v])
+                assert bc.Y.edge_label(vmap[u], vmap[v])[:2] == lab[:2]
+
+
+def test_equivariant_blowup_non_isometric_resolution_raises():
+    # the two-flipping action swaps v^2n and v^(2n+1), which no isometry of
+    # the identity resolution's block line does (n // 2 is the resolution)
+    g = gc.single_vertex()
+    pc = rg.class_of_geodesic(g, (), "v")
+    reps = {pc.id: {n: n for n in range(-16, 17)}}
+    with pytest.raises(sc.ActionError, match="by an isometry"):
+        bu.equivariant_blowup(g, two_flipping_action(16), reps,
+                              bd.davis_ball(g, 6), window=5)
 
 
 @pytest.mark.parametrize("name, g, radius, window", [

@@ -15,7 +15,7 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 from cubikit import semiconjugacy as sc
 
-from .test_blowup import line_element
+from .test_blowup import line_element, two_flipping_action
 from .test_raag_words import coset_coordinates, lex_least_oracle
 
 
@@ -285,6 +285,23 @@ def test_factor_action_is_a_z_action_spec():
     assert spec.generators["s_inv"] == {v: k for k, v in
                                         spec.generators["s"].items()}
     assert (spec.window, spec.L, spec.A) == (3, 2.0, 0)
+
+
+def test_class_isometry_needs_two_moving_blocks():
+    # b adds 2 to every height: on heights 0..3 only block 0 (heights 0, 1)
+    # lands in the table, which does not fix an isometry; on 0..5 blocks 0
+    # and 1 do, and they move up by one block
+    g = gc.single_vertex()
+    pc = rg.class_of_geodesic(g, (), "v")
+    act = two_flipping_action(16)
+    short = {n: n // 2 for n in range(4)}
+    assert bd.class_isometry(g, act, "b", pc, short, pc, short) is None
+    wide = {n: n // 2 for n in range(6)}
+    assert bd.class_isometry(g, act, "b", pc, wide, pc, wide) == (1, 1)
+    assert bd.class_isometry(g, act, "a", pc, wide, pc, wide) == (1, 0)
+    with pytest.raises(sc.ActionError):
+        ident = {n: n for n in range(6)}
+        bd.class_isometry(g, act, "a", pc, ident, pc, ident)
 
 
 def test_factor_action_not_injective_raises_action_error():

@@ -356,6 +356,32 @@ def test_hyperplanes_match_two_search_oracle(name, data):
     assert firsts == sorted(firsts)
 
 
+def canonical_square_oracle(cycle, index):
+    """The least of a 4-cycle's four rotations and four reflections."""
+    a, b, c, d = cycle
+    candidates = []
+    for rot in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
+        candidates.append(rot)
+        candidates.append((rot[0], rot[3], rot[2], rot[1]))
+    return min(candidates, key=lambda t: tuple(index[x] for x in t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(range(9)).map(lambda p: tuple(p[:4])),
+       st.permutations(range(9)))
+def test_canonical_square_matches_dihedral_minimum(cycle, ranks):
+    # vertex indices independent of the labels
+    index = dict(enumerate(ranks))
+    assert cc._canonical_square(cycle, index) == \
+        canonical_square_oracle(cycle, index)
+
+
+def test_square_with_repeated_corner_raises():
+    edges = [("a", "b", "u"), ("a", "c", "v")]
+    with pytest.raises(cc.ComplexError, match="repeats a corner"):
+        cc.CubeComplexBall.make(["a", "b", "c"], edges, [("a", "b", "a", "c")])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["k2", "path3", "square4", "k2_xe", "pentagon"]),
        st.data())

@@ -219,7 +219,7 @@ any_pairs = st.lists(st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(isometry_pairs, any_pairs))
 def test_line_isometry_matches_oracle(pairs):
-    iso = wd.line_isometry(pairs)
+    iso = sc.line_isometry(pairs)
     assert iso == line_isometry_oracle(pairs)
     # pairs on one isometry, with two values of a, give back that isometry
     fits = [(s, o) for s in (1, -1) for o in range(-40, 41)
@@ -277,6 +277,17 @@ def test_invariant_wallspace_short_resolution_raises_truncation():
     res = {rg.class_of_geodesic(g, (), v).id: {0: 0} for v in g.vertices}
     with pytest.raises(cc.TruncationError, match="no height -1"):
         wd.invariant_wallspace(g, trivial_action(g, 4), res, wall_window=1)
+
+
+def test_invariant_wallspace_non_isometric_resolution_raises():
+    # identity block maps are not moved by isometries under the swapping
+    # generator of the two-flipping action, so no cut wall may be moved
+    g = gc.single_vertex()
+    res = {rg.class_of_geodesic(g, (), "v").id:
+           {n: n for n in range(-16, 17)}}
+    with pytest.raises(sc.ActionError, match="by an isometry"):
+        wd.invariant_wallspace(g, two_flipping_action(16), res,
+                               wall_window=3, points_radius=8)
 
 
 def test_invariant_wallspace_translations_c5():
