@@ -3,7 +3,8 @@
 Chambers are group elements; the J-residues are the left cosets of the
 clique subgroups G(J), i.e. exactly the standard flats.  The Davis ball is
 the cube complex of intervals in the poset of spherical residues whose gate
-representative lies within a radius.
+representative lies within a radius, grown by `cube_complex.grown_ball` from
+the step that adds one commuting vertex to a residue's type.
 
 Gallery distance is computed algebraically: the Coxeter-valued distance of
 chambers c1, c2 is the syllable sequence of nf(c1^-1 c2), whose length is
@@ -30,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cube_complex import CubeComplexBall, TruncationError
+from .cube_complex import CubeComplexBall, TruncationError, grown_ball
 from .graph_core import DefiningGraph, cliques, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
@@ -102,39 +103,31 @@ class DavisBall:
 def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """Davis realization ball: spherical residues with short gate reps.
 
-    Vertices are residues with base length <= radius, edges are codimension-1
-    containments, squares are the rank-2 intervals.
+    Vertices are residues with base length <= radius, listed by rank; edges
+    are codimension-1 containments (add one commuting vertex to the type),
+    squares are the rank-2 intervals, which `grown_ball` finds as the
+    4-cycles rising in rank.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     residues = {}
+    types = [cl.members for cl in cliques(g)]
     for h in group_ball(g, radius):
-        for cl in cliques(g):
-            r = residue(g, h, cl.members)
+        for members in types:
+            r = residue(g, h, members)
             residues[r.id] = r
-    order = sorted(residues.values(), key=lambda r: (r.rank, r.id))
-    ids = {r.id: r for r in order}
-    edges = []
-    squares = []
-    for r in order:
-        jset = set(r.type_J)
-        exts = [w for w in g.vertices
-                if w not in jset and all(g.adjacent(w, x) for x in jset)]
-        for w in exts:
-            parent = residue(g, r.base, r.type_J + (w,))
-            if parent.id in ids:
-                edges.append((r.id, parent.id, f"h:{w}"))
-        for w1, w2 in itertools.combinations(exts, 2):
-            if not g.adjacent(w1, w2):
-                continue
-            m1 = residue(g, r.base, r.type_J + (w1,))
-            m2 = residue(g, r.base, r.type_J + (w2,))
-            top = residue(g, r.base, r.type_J + (w1, w2))
-            if m1.id in ids and m2.id in ids and top.id in ids:
-                squares.append((r.id, m1.id, top.id, m2.id))
-    depth = {r.id: radius - len(r.base) for r in order}
-    ball = CubeComplexBall.make([r.id for r in order], edges, squares, depth)
-    return DavisBall(ball, dict(ids), {r.id: r.rank for r in order}, g, radius)
+    order = sorted(residues, key=lambda i: (residues[i].rank, i))
+
+    def step(rid):
+        r = residues[rid]
+        return [(f"h:{w}", residue(g, r.base, r.type_J + (w,)).id)
+                for w in g.vertices
+                if w not in r.type_J and all(g.adjacent(w, x) for x in r.type_J)]
+
+    ball = grown_ball(order, step,
+                      {i: radius - len(residues[i].base) for i in order})
+    return DavisBall(ball, {i: residues[i] for i in order},
+                     {i: residues[i].rank for i in order}, g, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ Truncation policy: each vertex carries a depth (distance to the truncation
 cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 <= 1 are flagged as boundary; metric and wall computations are reliable on
 `interior(margin)` for margin >= 1, link checks on margin >= 2.
+
+Every ball of X, X_e and the Davis realization is grown by one builder,
+`grown_ball`, from a step function; its squares are the 4-cycles.
 """
 
 from __future__ import annotations
@@ -259,6 +262,60 @@ class CubeComplexBall:
 
 
 # ---------------------------------------------------------------------------
+# growing balls from a step function
+# ---------------------------------------------------------------------------
+
+def bfs_ball(start, step, radius: int) -> dict:
+    """Distance from `start` of every point within `radius` steps, in BFS
+    order; `step(x)` lists (label, neighbour) pairs."""
+    dist = {start: 0}
+    frontier = [start]
+    for d in range(1, radius + 1):
+        nxt = []
+        for x in frontier:
+            for _, y in step(x):
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def grown_ball(order, step, depth) -> CubeComplexBall:
+    """The ball on the vertex ids `order` whose edges are the pairs
+    (x, y) for `(label, y)` in `step(x)` with y in the ball, and whose squares
+    are the 4-cycles a-b-c-d that rise along `order`: b and d come after a,
+    and c after both.
+
+    This finds every square when each 4-cycle of the ball rises, which holds
+    when `order` lists the vertices by distance from a root.  The 1-skeleton
+    of a CAT(0) cube complex is a median graph, where every 4-cycle bounds a
+    square (Chepoi 2000), and a 4-cycle with two corners nearest the root
+    would put three common neighbours on those two, a K_{2,3}, which no
+    median graph contains.  A Davis ball listed by rank also qualifies: two
+    residues of one rank contain at most one common residue of the rank
+    below.
+    """
+    index = {x: i for i, x in enumerate(order)}
+    edges = []
+    up = {x: {} for x in order}          # later neighbours, as ordered sets
+    for x in order:
+        for lab, y in step(x):
+            if y in index:
+                edges.append((x, y, lab))
+                lo, hi = (x, y) if index[x] < index[y] else (y, x)
+                up[lo][hi] = None
+    squares = []
+    for a in order:
+        ups = list(up[a])
+        for i, b in enumerate(ups):
+            above_b = up[b]
+            for d in ups[i + 1:]:
+                squares.extend((a, b, c, d) for c in up[d] if c in above_b)
+    return CubeComplexBall.make(order, edges, squares, depth)
+
+
+# ---------------------------------------------------------------------------
 # links and the flag condition
 # ---------------------------------------------------------------------------
 
@@ -371,15 +428,6 @@ def hyperplanes(b: CubeComplexBall) -> list:
         sides = () if truncated else (frozenset(comps[0]), frozenset(comps[1]))
         out.append(Hyperplane(i, eset, carrier, sides, truncated, direction))
     return out
-
-
-def separating_hyperplanes(b, hps, x, y):
-    return [h for h in hps if not h.truncated and h.separates(x, y)]
-
-
-def l1_distance(b: CubeComplexBall, x, y) -> int:
-    """BFS distance in the 1-skeleton; equals the separating wall count."""
-    return b.distance(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,13 @@ p^-1 a cancels against b and |p^-1 a b| = |p^-1 a| + |b| for every p in
 G(S), least exactly at p = a.  The height of x on a parallel class is the
 one-direction case (`height_of`).
 
-On top of the word algebra this module builds finite balls of the universal
-cover X of the Salvetti complex and of the exploded cover X_e, standard
-flats, gates on standard flats, levels, and adjacency of parallel classes
-(the edges of the extension complex).
+On top of the word algebra this module grows finite balls of the universal
+cover X of the Salvetti complex and of the exploded cover X_e: a BFS
+(`cube_complex.bfs_ball`) over a step function, the letter step for X and
+the vertical, up and down steps for X_e, then `cube_complex.grown_ball`,
+which takes the squares to be the 4-cycles.  It also gives standard flats,
+gates on standard flats, levels, and adjacency of parallel classes (the
+edges of the extension complex).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .graph_core import (
     Clique,
@@ -47,7 +50,7 @@ from .graph_core import (
     cliques,
     orthogonal_complement,
 )
-from .cube_complex import CubeComplexBall
+from .cube_complex import CubeComplexBall, bfs_ball, grown_ball
 
 # A letter is (generator label, +1 or -1); a word is a tuple of letters.
 
@@ -249,57 +252,42 @@ def flat_contains(g: DefiningGraph, small: StandardFlat, big: StandardFlat) -> b
 # the ball of X
 # ---------------------------------------------------------------------------
 
+def _letter_step(g: DefiningGraph, h):
+    """Right multiplication of h by each letter, labelled by its generator."""
+    return [(v, mul(g, h, ((v, e),))) for v in g.vertices for e in (1, -1)]
+
+
 def group_ball(g: DefiningGraph, radius: int):
     """All group elements of word length <= radius, by BFS over right
     multiplication; sorted by (length, word)."""
-    elements = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for v in g.vertices:
-                for e in (1, -1):
-                    h2 = mul(g, h, ((v, e),))
-                    if len(h2) <= radius and h2 not in elements:
-                        elements.add(h2)
-                        nxt.append(h2)
-        frontier = nxt
-    return sorted(elements, key=lambda w: (len(w), w))
+    return sorted(bfs_ball((), lambda h: _letter_step(g, h), radius),
+                  key=lambda w: (len(w), w))
+
+
+def _grown(words, step, depth) -> CubeComplexBall:
+    """`grown_ball` on the ids of `words` (element -> id, in ball order),
+    with `step` and `depth` on elements."""
+    elements = {vid: w for w, vid in words.items()}
+    return grown_ball(list(words.values()),
+                      lambda vid: [(lab, words.get(y))
+                                   for lab, y in step(elements[vid])],
+                      {words[w]: d for w, d in depth.items()})
 
 
 def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
     """Ball of the universal cover of the Salvetti complex.
 
     Vertices are canonical-form word strings of length <= radius; edges are
-    right multiplications by generators; squares come from commuting pairs.
+    right multiplications by generators; squares are the 4-cycles, which
+    come from commuting pairs.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    verts = sorted(group_ball(g, radius), key=lambda w: (len(w), word_str(w)))
-    elements = set(verts)
-    ids = {w: word_str(w) for w in verts}
-    edges = []
-    for h in verts:
-        for v in g.vertices:
-            h2 = mul(g, h, ((v, 1),))
-            if h2 in elements:
-                edges.append((ids[h], ids[h2], v))
-    squares = []
-    for h in verts:
-        for i, u in enumerate(g.vertices):
-            for v in g.vertices[i + 1 :]:
-                if not g.adjacent(u, v):
-                    continue
-                for eu in (1, -1):
-                    for ev in (1, -1):
-                        a = mul(g, h, ((u, eu),))
-                        b = mul(g, h, ((v, ev),))
-                        c = mul(g, a, ((v, ev),))
-                        if a in elements and b in elements and c in elements:
-                            squares.append((ids[h], ids[a], ids[c], ids[b]))
-    depth = {ids[w]: radius - len(w) for w in verts}
-    ball = CubeComplexBall.make([ids[w] for w in verts], edges, squares, depth)
-    return ball
+    step = cache(lambda h: _letter_step(g, h))
+    verts = sorted(bfs_ball((), step, radius),
+                   key=lambda w: (len(w), word_str(w)))
+    return _grown({w: word_str(w) for w in verts}, step,
+                  {w: radius - len(w) for w in verts})
 
 
 # ---------------------------------------------------------------------------
@@ -326,72 +314,22 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    start = ((), ())
-    dist = {start: 0}
-    dq = deque([start])
-    while dq:
-        h, cl = dq.popleft()
-        d = dist[(h, cl)]
-        if d == radius:
-            continue
-        nbrs = []
-        for v in cl:
-            for e in (1, -1):
-                nbrs.append((mul(g, h, ((v, e),)), cl))
-        clset = set(cl)
-        for w in cl:
-            nbrs.append((h, tuple(x for x in cl if x != w)))
-        for w in g.vertices:
-            if w not in clset and all(g.adjacent(w, x) for x in cl):
-                nbrs.append((h, g.sorted_subset(clset | {w})))
-        for n in nbrs:
-            if n not in dist:
-                dist[n] = d + 1
-                dq.append(n)
+
+    @cache
+    def step(p):
+        h, cl = p
+        out = [(f"v:{v}", (mul(g, h, ((v, e),)), cl))
+               for v in cl for e in (1, -1)]
+        out += [(f"h:{w}", (h, tuple(x for x in cl if x != w))) for w in cl]
+        out += [(f"h:{w}", (h, g.sorted_subset({*cl, w})))
+                for w in g.vertices
+                if w not in cl and all(g.adjacent(w, x) for x in cl)]
+        return out
+
+    dist = bfs_ball(((), ()), step, radius)
     verts = sorted(dist, key=lambda p: (dist[p], xe_id(*p)))
-    ids = {p: xe_id(*p) for p in verts}
-    present = set(verts)
-    edges = []
-    for h, cl in verts:
-        for v in cl:
-            h2 = (mul(g, h, ((v, 1),)), cl)
-            if h2 in present:
-                edges.append((ids[(h, cl)], ids[h2], f"v:{v}"))
-        for w in cl:
-            down = (h, tuple(x for x in cl if x != w))
-            if down in present:
-                edges.append((ids[(h, cl)], ids[down], f"h:{w}"))
-    squares = []
-    for h, cl in verts:
-        # vertical-vertical
-        for i, u in enumerate(cl):
-            for v in cl[i + 1 :]:
-                for eu in (1, -1):
-                    for ev in (1, -1):
-                        a = (mul(g, h, ((u, eu),)), cl)
-                        b = (mul(g, h, ((v, ev),)), cl)
-                        c = (mul(g, a[0], ((v, ev),)), cl)
-                        if a in present and b in present and c in present:
-                            squares.append((ids[(h, cl)], ids[a], ids[c], ids[b]))
-        # vertical-horizontal and horizontal-horizontal
-        for w in cl:
-            down = tuple(x for x in cl if x != w)
-            if (h, down) not in present:
-                continue
-            for v in down:
-                for ev in (1, -1):
-                    a = (mul(g, h, ((v, ev),)), cl)
-                    b = (mul(g, h, ((v, ev),)), down)
-                    if a in present and b in present:
-                        squares.append((ids[(h, cl)], ids[a], ids[b], ids[(h, down)]))
-            for w2 in down:
-                down2 = tuple(x for x in cl if x != w2)
-                dd = tuple(x for x in down if x != w2)
-                if (h, down2) in present and (h, dd) in present:
-                    squares.append((ids[(h, cl)], ids[(h, down)],
-                                    ids[(h, dd)], ids[(h, down2)]))
-    depth = {ids[p]: radius - dist[p] for p in verts}
-    return CubeComplexBall.make([ids[p] for p in verts], edges, squares, depth)
+    return _grown({p: xe_id(*p) for p in verts}, step,
+                  {p: radius - dist[p] for p in verts})
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +343,11 @@ def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
     `flat_contains`.
     """
     found = {}
+    types = cliques(g)
     verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
     for vid in verts:
         h = parse_word(vid)
-        for cl in cliques(g):
+        for cl in types:
             f = StandardFlat(gate_representative(g, h, cl.members), cl)
             found[f.id] = f
     return sorted(found.values(), key=lambda f: (len(f.clique), f.id))

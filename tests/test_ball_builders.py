@@ -1,10 +1,15 @@
-"""SHA-256 pins of the ball builders' `to_json` and `to_dot` output."""
+"""The one ball builder (`cube_complex.grown_ball`) behind `ball_X`,
+`ball_Xe` and `davis_ball`: SHA-256 pins of their JSON and DOT output, and
+the hand-written square enumerations it replaced, kept as oracles."""
 
 import hashlib
+import itertools
+from collections import deque
 
 import pytest
 
 from cubikit import building as bd
+from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
@@ -207,3 +212,158 @@ def test_ball_pins(kind, name, radius):
 def test_ball_x_pentagon_radius4_pin():
     ball = rg.ball_X(gc.pentagon(), 4)
     assert sha256(ball.to_json()) == GOLDEN_BALL_X_PENTAGON_R4_JSON
+
+
+# ---------------------------------------------------------------------------
+# oracles: each builder's own edge loop and square enumeration
+# ---------------------------------------------------------------------------
+
+def ball_x_oracle(g, radius):
+    """Edges by positive letters, squares from commuting pairs."""
+    mul = rg.mul
+    verts = sorted(rg.group_ball(g, radius),
+                   key=lambda w: (len(w), rg.word_str(w)))
+    elements = set(verts)
+    ids = {w: rg.word_str(w) for w in verts}
+    edges = []
+    for h in verts:
+        for v in g.vertices:
+            h2 = mul(g, h, ((v, 1),))
+            if h2 in elements:
+                edges.append((ids[h], ids[h2], v))
+    squares = []
+    for h in verts:
+        for i, u in enumerate(g.vertices):
+            for v in g.vertices[i + 1:]:
+                if not g.adjacent(u, v):
+                    continue
+                for eu in (1, -1):
+                    for ev in (1, -1):
+                        a = mul(g, h, ((u, eu),))
+                        b = mul(g, h, ((v, ev),))
+                        c = mul(g, a, ((v, ev),))
+                        if a in elements and b in elements and c in elements:
+                            squares.append((ids[h], ids[a], ids[c], ids[b]))
+    depth = {ids[w]: radius - len(w) for w in verts}
+    return cc.CubeComplexBall.make([ids[w] for w in verts], edges, squares,
+                                   depth)
+
+
+def ball_xe_oracle(g, radius):
+    """BFS over (element, clique); vertical-vertical, vertical-horizontal
+    and horizontal-horizontal squares by cases."""
+    mul = rg.mul
+    start = ((), ())
+    dist = {start: 0}
+    dq = deque([start])
+    while dq:
+        h, cl = dq.popleft()
+        d = dist[(h, cl)]
+        if d == radius:
+            continue
+        nbrs = [(mul(g, h, ((v, e),)), cl) for v in cl for e in (1, -1)]
+        nbrs += [(h, tuple(x for x in cl if x != w)) for w in cl]
+        nbrs += [(h, g.sorted_subset(set(cl) | {w})) for w in g.vertices
+                 if w not in cl and all(g.adjacent(w, x) for x in cl)]
+        for n in nbrs:
+            if n not in dist:
+                dist[n] = d + 1
+                dq.append(n)
+    verts = sorted(dist, key=lambda p: (dist[p], rg.xe_id(*p)))
+    ids = {p: rg.xe_id(*p) for p in verts}
+    present = set(verts)
+    edges = []
+    for h, cl in verts:
+        for v in cl:
+            h2 = (mul(g, h, ((v, 1),)), cl)
+            if h2 in present:
+                edges.append((ids[(h, cl)], ids[h2], f"v:{v}"))
+        for w in cl:
+            down = (h, tuple(x for x in cl if x != w))
+            if down in present:
+                edges.append((ids[(h, cl)], ids[down], f"h:{w}"))
+    squares = []
+    for h, cl in verts:
+        for i, u in enumerate(cl):
+            for v in cl[i + 1:]:
+                for eu in (1, -1):
+                    for ev in (1, -1):
+                        a = (mul(g, h, ((u, eu),)), cl)
+                        b = (mul(g, h, ((v, ev),)), cl)
+                        c = (mul(g, a[0], ((v, ev),)), cl)
+                        if a in present and b in present and c in present:
+                            squares.append((ids[(h, cl)], ids[a], ids[c],
+                                            ids[b]))
+        for w in cl:
+            down = tuple(x for x in cl if x != w)
+            if (h, down) not in present:
+                continue
+            for v in down:
+                for ev in (1, -1):
+                    a = (mul(g, h, ((v, ev),)), cl)
+                    b = (mul(g, h, ((v, ev),)), down)
+                    if a in present and b in present:
+                        squares.append((ids[(h, cl)], ids[a], ids[b],
+                                        ids[(h, down)]))
+            for w2 in down:
+                down2 = tuple(x for x in cl if x != w2)
+                dd = tuple(x for x in down if x != w2)
+                if (h, down2) in present and (h, dd) in present:
+                    squares.append((ids[(h, cl)], ids[(h, down)],
+                                    ids[(h, dd)], ids[(h, down2)]))
+    depth = {ids[p]: radius - dist[p] for p in verts}
+    return cc.CubeComplexBall.make([ids[p] for p in verts], edges, squares,
+                                   depth)
+
+
+def davis_ball_oracle(g, radius):
+    """Edges by codimension-1 containment, squares as rank-2 intervals."""
+    residues = {}
+    for h in rg.group_ball(g, radius):
+        for cl in gc.cliques(g):
+            r = bd.residue(g, h, cl.members)
+            residues[r.id] = r
+    order = sorted(residues.values(), key=lambda r: (r.rank, r.id))
+    edges = []
+    squares = []
+    for r in order:
+        jset = set(r.type_J)
+        exts = [w for w in g.vertices
+                if w not in jset and all(g.adjacent(w, x) for x in jset)]
+        for w in exts:
+            parent = bd.residue(g, r.base, r.type_J + (w,))
+            if parent.id in residues:
+                edges.append((r.id, parent.id, f"h:{w}"))
+        for w1, w2 in itertools.combinations(exts, 2):
+            if not g.adjacent(w1, w2):
+                continue
+            m1 = bd.residue(g, r.base, r.type_J + (w1,))
+            m2 = bd.residue(g, r.base, r.type_J + (w2,))
+            top = bd.residue(g, r.base, r.type_J + (w1, w2))
+            if m1.id in residues and m2.id in residues and top.id in residues:
+                squares.append((r.id, m1.id, top.id, m2.id))
+    depth = {r.id: radius - len(r.base) for r in order}
+    return cc.CubeComplexBall.make([r.id for r in order], edges, squares,
+                                   depth)
+
+
+def hexagon():
+    return gc.DefiningGraph.make(
+        "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                   ("e", "f"), ("f", "a")])
+
+
+ORACLES = {"X": ball_x_oracle, "Xe": ball_xe_oracle, "davis": davis_ball_oracle}
+
+
+@pytest.mark.parametrize("radius", (1, 2, 3))
+@pytest.mark.parametrize("name", (*FIXTURES, "hexagon"))
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_grown_ball_matches_enumeration(kind, name, radius):
+    g = hexagon() if name == "hexagon" else FIXTURES[name]()
+    got = BUILDERS[kind](g, radius)
+    want = ORACLES[kind](g, radius)
+    assert got.vertex_ids == want.vertex_ids
+    assert got.depth == want.depth
+    assert got.edges == want.edges
+    assert got.squares == want.squares

@@ -80,8 +80,8 @@ def test_l1_distance_equals_separating_walls():
     hps = cc.hyperplanes(b)
     for x, y in itertools.combinations(b.vertex_ids, 2):
         exp = abs(x[0] - y[0]) + abs(x[1] - y[1])
-        assert cc.l1_distance(b, x, y) == exp
-        assert len(cc.separating_hyperplanes(b, hps, x, y)) == exp
+        assert b.distance(x, y) == exp
+        assert sum(h.separates(x, y) for h in hps) == exp
 
 
 def test_convexity():
