@@ -264,14 +264,17 @@ def group_ball(g: DefiningGraph, radius: int):
                   key=lambda w: (len(w), w))
 
 
-def _grown(words, step, depth) -> CubeComplexBall:
-    """`grown_ball` on the ids of `words` (element -> id, in ball order),
-    with `step` and `depth` on elements."""
-    elements = {vid: w for w, vid in words.items()}
-    return grown_ball(list(words.values()),
-                      lambda vid: [(lab, words.get(y))
-                                   for lab, y in step(elements[vid])],
-                      {words[w]: d for w, d in depth.items()})
+def _cover_ball(start, step, radius: int, name) -> CubeComplexBall:
+    """`grown_ball` on the BFS ball of `radius` around `start`, vertices by
+    (distance, id) with ids `name(x)`; `step` runs once per vertex."""
+    step = cache(step)
+    dist = bfs_ball(start, step, radius)
+    ids = {x: name(x) for x in dist}
+    points = {vid: x for x, vid in ids.items()}
+    return grown_ball(sorted(points, key=lambda vid: (dist[points[vid]], vid)),
+                      lambda vid: [(lab, ids.get(y))
+                                   for lab, y in step(points[vid])],
+                      {vid: radius - dist[x] for x, vid in ids.items()})
 
 
 def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
@@ -283,11 +286,7 @@ def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    step = cache(lambda h: _letter_step(g, h))
-    verts = sorted(bfs_ball((), step, radius),
-                   key=lambda w: (len(w), word_str(w)))
-    return _grown({w: word_str(w) for w in verts}, step,
-                  {w: radius - len(w) for w in verts})
+    return _cover_ball((), lambda h: _letter_step(g, h), radius, word_str)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,6 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
     if radius < 1:
         raise ValueError("radius must be >= 1")
 
-    @cache
     def step(p):
         h, cl = p
         out = [(f"v:{v}", (mul(g, h, ((v, e),)), cl))
@@ -326,10 +324,7 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
                 if w not in cl and all(g.adjacent(w, x) for x in cl)]
         return out
 
-    dist = bfs_ball(((), ()), step, radius)
-    verts = sorted(dist, key=lambda p: (dist[p], xe_id(*p)))
-    return _grown({p: xe_id(*p) for p in verts}, step,
-                  {p: radius - dist[p] for p in verts})
+    return _cover_ball(((), ()), step, radius, lambda p: xe_id(*p))
 
 
 # ---------------------------------------------------------------------------
