@@ -636,6 +636,30 @@ def test_golden_semiconjugate(name, window, B, radius):
         GOLDEN_RESULTS[name, window, B, radius]
 
 
+def test_group_tables_pin():
+    # the tables of words of length <= 4, in discovery order
+    tables = sc.group_tables(sc.two_flipping_spec(12), 4)
+    body = json.dumps([sorted(t.items()) for t in tables])
+    assert (len(tables), hashlib.sha256(body.encode()).hexdigest()) == (
+        57, "eb646112126f41f54aa34f310d1b9a7f74853cb72653276154c8310c9357be66")
+
+
+def test_orbit_closure_order_pin():
+    # the two-flipping orbit is the chain of left sides -16..m, found in
+    # order of m; the crossing orbit pins the order of a branching closure
+    spec = sc.two_flipping_spec(16)
+    K = sc.rips2(spec, 4, 3)
+    orbit = sc._orbit_closure(spec, K, [sc.min_essential_track(K)])
+    assert [sorted(tr.left) for tr in orbit] == \
+        [list(range(-16, m + 1)) for m in range(-13, 12, 2)]
+    spec, B, radius = CROSSING_ORBIT
+    K = invariant_rips(spec, B, radius)
+    orbit = sc._orbit_closure(spec, K, [sc.min_essential_track(K)])
+    body = json.dumps([sorted(tr.left) for tr in orbit])
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        "c20fb73d167423de2f25c7d824404fefee92cd2eccf65b400f90dc65f391a0fb"
+
+
 @pytest.mark.parametrize("run, error, message", [
     (lambda: sc.semiconjugate(sc.two_flipping_spec(24), 0, 6),
      TruncationError, "dbar not 'a'-invariant at (-20,-17); raise B or the window"),

@@ -537,3 +537,27 @@ def test_golden_invariant_wallspace(name):
     iws = iws_case(name)
     assert (iws_digest(iws), iws.wallspace.n_walls(), len(iws.classes)) == \
         GOLDEN_IWS[name]
+
+
+# criterion 11's wallspaces: (density, |domain|, SHA-256 of the vmap items)
+GOLDEN_PHI = {
+    "k2": (0, 9,
+           "ed3ca8a3b449d280a61f54dcbebb0134bff735eed569eaca457ef11588099e94"),
+    "criterion_11_c5": (
+        1, 391,
+        "7714cbf9278cbc0f58a864aceea7fc240b1f68f89edaed4526eff22f3c174aeb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PHI))
+def test_golden_phi_map(name):
+    if name == "k2":
+        g = gc.k2()
+        iws = wd.invariant_wallspace(g, trivial_action(g, 4),
+                                     line_resolutions(g), wall_window=1)
+    else:
+        iws = iws_case(name)
+    vmap, rep = wd.phi_map(iws)
+    body = json.dumps([[rg.word_str(p), v] for p, v in vmap.items()])
+    assert (rep["density"], len(vmap),
+            hashlib.sha256(body.encode()).hexdigest()) == GOLDEN_PHI[name]
