@@ -38,7 +38,6 @@ from .cube_complex import (
     CubeComplexBall,
     CubicalMap,
     TruncationError,
-    verify_rq_characterization,
 )
 from .graph_core import DefiningGraph
 from .raag_geometry import (
@@ -268,12 +267,6 @@ class BlowUpComplex:
 
     def clique_label(self, yv):
         return self.davis.residue_of[self.vertex_info[yv][0]].type_J
-
-    def verify(self, samples: int = 20, seed: int = 0):
-        rep = verify_rq_characterization(self.q, samples=samples, seed=seed)
-        if not rep["all_true"]:
-            raise AssertionError(f"blow-up failed the quotient checks: {rep}")
-        return rep
 
 
 def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:

@@ -45,7 +45,6 @@ from .raag_geometry import (
     inv,
     mul,
     normal_form,
-    parse_word,
     syllables,
     word_str,
 )

@@ -11,6 +11,14 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 
 Every ball of X, X_e and the Davis realization is grown by one builder,
 `grown_ball`, from a step function; its squares are the 4-cycles.
+
+`bfs_ball` is the one closure engine: group and cover balls, group tables,
+track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s
+density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
+(hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
+`tracks` 3-6 %), `cut_components` (all components), `dual_cube_complex`
+and `building.class_orbit_word` (record flips, words), `_extension_adjacent`
+(stops early) and `labeled_isomorphism` (orders vertices seed by seed).
 """
 
 from __future__ import annotations
@@ -245,8 +253,8 @@ class CubeComplexBall:
         palette = ["red", "blue", "green", "orange", "purple", "brown",
                    "cyan", "magenta", "gray", "black"]
         color = {}
-        for i, h in enumerate(hyperplanes(self)):
-            for e in h.edge_class:
+        for i, es in enumerate(_edge_classes(self)):
+            for e in es:
                 color[e] = palette[i % len(palette)]
         for v in self.vertex_ids:
             shape = "circle" if not self.boundary_flag(v) else "point"
@@ -265,12 +273,15 @@ class CubeComplexBall:
 # growing balls from a step function
 # ---------------------------------------------------------------------------
 
-def bfs_ball(start, step, radius: int) -> dict:
-    """Distance from `start` of every point within `radius` steps, in BFS
-    order; `step(x)` lists (label, neighbour) pairs."""
-    dist = {start: 0}
-    frontier = [start]
+def bfs_ball(starts, step, radius: int) -> dict:
+    """Distance from the nearest of `starts` of every point within `radius`
+    steps, in BFS order (the starts first, in their order); `step(x)` lists
+    (label, neighbour) pairs.  Stops early when a round finds nothing new."""
+    dist = dict.fromkeys(starts, 0)
+    frontier = list(dist)
     for d in range(1, radius + 1):
+        if not frontier:
+            break
         nxt = []
         for x in frontier:
             for _, y in step(x):
@@ -319,8 +330,8 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
 # links and the flag condition
 # ---------------------------------------------------------------------------
 
-def check_flag_links(b: CubeComplexBall, margin: int = 2):
-    """Per-interior-vertex flag test.
+def check_flag_links(b: CubeComplexBall):
+    """Flag test at every vertex of depth >= 2 (the link checks' margin).
 
     Verifies the link is a simple graph and every link triangle is filled by
     a 3-cube (sufficient for flagness through dimension 3, which covers every
@@ -328,7 +339,7 @@ def check_flag_links(b: CubeComplexBall, margin: int = 2):
     (vertex, witness) failures.
     """
     failures = []
-    interior = b.interior(margin)
+    interior = b.interior()
     for v in interior:
         # link of v: an edge u1-u2 for each square corner u1, v, u2; two
         # squares on one corner pair share three edges (a non-simple link)
@@ -388,13 +399,9 @@ class Hyperplane:
         return (x in a) != (y in a)
 
 
-def hyperplanes(b: CubeComplexBall) -> list:
-    """Partition of edges into square-opposite parallelism classes.
-
-    Each class whose removal cuts the 1-skeleton into exactly two pieces gets
-    its halfspaces; other classes are boundary artifacts and are flagged
-    truncated (excluded from wall-based computations).
-    """
+def _edge_classes(b: CubeComplexBall) -> list:
+    """The square-opposite parallelism classes of edges, each a list in
+    `edges` order, ordered by their least edge as a sorted index pair."""
     parent = {e: e for e in b.edges}
 
     def find(x):
@@ -414,10 +421,19 @@ def hyperplanes(b: CubeComplexBall) -> list:
     classes = {}
     for e in b.edges:
         classes.setdefault(find(e), []).append(e)
+    return sorted(classes.values(),
+                  key=lambda es: min(tuple(sorted(b._index[x] for x in e)) for e in es))
+
+
+def hyperplanes(b: CubeComplexBall) -> list:
+    """Partition of edges into square-opposite parallelism classes.
+
+    Each class whose removal cuts the 1-skeleton into exactly two pieces gets
+    its halfspaces; other classes are boundary artifacts and are flagged
+    truncated (excluded from wall-based computations).
+    """
     out = []
-    ordered = sorted(classes.values(),
-                     key=lambda es: min(tuple(sorted(b._index[x] for x in e)) for e in es))
-    for i, es in enumerate(ordered):
+    for i, es in enumerate(_edge_classes(b)):
         eset = frozenset(es)
         direction = min(str(b.edges[e]) for e in es)
         # a square on an edge of the class has its opposite edge there too,
@@ -476,23 +492,6 @@ def _connected(nodes, nbrs) -> bool:
                 seen.add(y)
                 stack.append(y)
     return len(seen) == len(nodes)
-
-
-def interval_hull(b: CubeComplexBall, S):
-    """Closure of S under l1-intervals (slow; used as a test oracle)."""
-    S = set(S)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(S):
-            for y in list(S):
-                if x is y:
-                    continue
-                for z in b.interval(x, y):
-                    if z not in S:
-                        S.add(z)
-                        changed = True
-    return S
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,8 @@ from .graph_core import (
 )
 from .cube_complex import CubeComplexBall, bfs_ball, grown_ball
 
-# A letter is (generator label, +1 or -1); a word is a tuple of letters.
-
-IDENTITY = ()
+# A letter is (generator label, +1 or -1); a word is a tuple of letters,
+# and the identity is the empty word ().
 
 
 def _check_letters(g: DefiningGraph, word):
@@ -243,11 +242,6 @@ def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
     return ParallelClass(v, gate_representative(g, base, support))
 
 
-def flat_contains(g: DefiningGraph, small: StandardFlat, big: StandardFlat) -> bool:
-    return set(small.clique.members) <= set(big.clique.members) and \
-        coset_member(g, small.base, big.base, big.clique.members)
-
-
 # ---------------------------------------------------------------------------
 # the ball of X
 # ---------------------------------------------------------------------------
@@ -260,7 +254,7 @@ def _letter_step(g: DefiningGraph, h):
 def group_ball(g: DefiningGraph, radius: int):
     """All group elements of word length <= radius, by BFS over right
     multiplication; sorted by (length, word)."""
-    return sorted(bfs_ball((), lambda h: _letter_step(g, h), radius),
+    return sorted(bfs_ball([()], lambda h: _letter_step(g, h), radius),
                   key=lambda w: (len(w), w))
 
 
@@ -268,7 +262,7 @@ def _cover_ball(start, step, radius: int, name) -> CubeComplexBall:
     """`grown_ball` on the BFS ball of `radius` around `start`, vertices by
     (distance, id) with ids `name(x)`; `step` runs once per vertex."""
     step = cache(step)
-    dist = bfs_ball(start, step, radius)
+    dist = bfs_ball([start], step, radius)
     ids = {x: name(x) for x in dist}
     points = {vid: x for x, vid in ids.items()}
     return grown_ball(sorted(points, key=lambda vid: (dist[points[vid]], vid)),
@@ -334,8 +328,7 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
 def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
     """All standard flats base*G(clique) meeting the ball at the given margin.
 
-    Returned sorted by (clique size, id); the partial order is available via
-    `flat_contains`.
+    Returned sorted by (clique size, id).
     """
     found = {}
     types = cliques(g)

@@ -29,6 +29,9 @@ A Rips2Complex derives its incidence from its edges, once: `adj` (vertex
 on it.  The track tests walk a cut through `adj` and `cofaces` instead of
 rescanning the edges and triangles.
 
+`group_tables`, `_orbit_closure` and `_reach` run `cube_complex.bfs_ball`;
+`Track.connected` (hot) and `_leftmost_min_cut`'s path search do not.
+
 Orientation invariant: every Track built here stores as `left` the side
 of its bipartition that holds the window minimum (`_oriented` is the one
 place a side is complemented).  Tracks are then compared by inclusion,
@@ -48,7 +51,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cube_complex import CubeComplexBall, TruncationError
+from .cube_complex import CubeComplexBall, TruncationError, bfs_ball
 
 
 class ActionError(ValueError):
@@ -66,7 +69,9 @@ class ZActionSpec:
     inverses: dict               # name -> name of the inverse table
     relations: list = field(default_factory=list)
 
-    def validate(self, margin: int = 2):
+    def validate(self):
+        """Check the inverse tables, injectivity and the (L, A) bounds, and
+        that each relation moves points by at most A + 2."""
         for name, t in self.generators.items():
             inv_name = self.inverses.get(name)
             if inv_name is None or inv_name not in self.generators:
@@ -90,7 +95,7 @@ class ZActionSpec:
         for rel in self.relations:
             t = self.compose(rel)
             for x, y in t.items():
-                if abs(x - y) > self.A + margin:
+                if abs(x - y) > self.A + 2:
                     raise ActionError(f"relation {rel} moves {x} to {y}")
         return True
 
@@ -174,9 +179,9 @@ def two_flipping_spec(window: int) -> ZActionSpec:
                                   ["a", "b", "a", "b_inv"]])
 
 
-def translation_spec(window: int, step: int = 1) -> ZActionSpec:
-    b = {n: n + step for n in range(-window, window + 1) if abs(n + step) <= window}
-    bi = {n: n - step for n in range(-window, window + 1) if abs(n - step) <= window}
+def translation_spec(window: int) -> ZActionSpec:
+    b = {n: n + 1 for n in range(-window, window)}
+    bi = {n: n - 1 for n in range(-window + 1, window + 1)}
     return ZActionSpec(window, 1, 0, {"b": b, "b_inv": bi},
                        {"b": "b_inv", "b_inv": "b"})
 
@@ -197,25 +202,19 @@ def reflection_spec(window: int) -> ZActionSpec:
 # ---------------------------------------------------------------------------
 
 def group_tables(spec: ZActionSpec, B: int):
-    """Distinct composition tables of words in the generators, length <= B."""
+    """Distinct composition tables of words in the generators, length <= B,
+    in BFS order.  Tables travel as their sorted item tuples."""
+    def step(items):
+        for name, g in spec.generators.items():
+            t2 = tuple((x, g[y]) for x, y in items if y in g)
+            if not t2:
+                raise TruncationError(
+                    f"window exhausted before depth {B} "
+                    f"(a composition through {name!r} has empty domain)")
+            yield name, t2
+
     ident = tuple((n, n) for n in range(-spec.window, spec.window + 1))
-    seen = {ident: {n: n for n in range(-spec.window, spec.window + 1)}}
-    frontier = [seen[ident]]
-    for _ in range(B):
-        nxt = []
-        for t in frontier:
-            for name, g in spec.generators.items():
-                t2 = {x: g[y] for x, y in t.items() if y in g}
-                if not t2:
-                    raise TruncationError(
-                        f"window exhausted before depth {B} "
-                        f"(a composition through {name!r} has empty domain)")
-                key = tuple(sorted(t2.items()))
-                if key not in seen:
-                    seen[key] = t2
-                    nxt.append(t2)
-        frontier = nxt
-    return list(seen.values())
+    return [dict(items) for items in bfs_ball([ident], step, B)]
 
 
 def _spread_tables(tables):
@@ -260,16 +259,6 @@ def dbar(spec: ZActionSpec, B: int = 8, check_invariance: bool = True):
                                 f"dbar not {name!r}-invariant at ({x},{y}); "
                                 "raise B or the window")
     return metric
-
-
-def dbar_stable(spec: ZActionSpec, B: int, margin: int | None = None) -> bool:
-    """Has the truncated sup stabilized between depths B and B+1?"""
-    m1 = dbar(spec, B, check_invariance=False)
-    m2 = dbar(spec, B + 1, check_invariance=False)
-    margin = margin if margin is not None else int(spec.L * (B + 1) + spec.A) + 2
-    lim = spec.window - margin
-    return all(m1[(x, y)] == m2[(x, y)] for (x, y) in m1
-               if abs(x) <= lim and abs(y) <= lim)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +312,10 @@ def rips2(spec: ZActionSpec, B: int = 8, radius: float | None = None) -> Rips2Co
 
 def _reach(K: Rips2Complex, start, avoid):
     """Vertices joined to `start` by edges of K that miss `avoid`."""
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        for w in K.adj[dq.popleft()]:
-            if w not in avoid and w not in seen:
-                seen.add(w)
-                dq.append(w)
-    return seen
+    def step(x):
+        return [(None, w) for w in K.adj[x] if w not in avoid]
+
+    return bfs_ball([start], step, len(K.vertices)).keys()
 
 
 def _check_two_ended(K: Rips2Complex):
@@ -353,9 +338,9 @@ class Track:
     """An essential track presented by its vertex bipartition.
 
     `left` is the side holding the window minimum (see `_oriented`).  The
-    realized curve crosses each cut edge once; triangle arc counts come
-    from the normal-coordinate formulas (every triangle meets the cut in 0
-    or 2 sides).
+    realized curve crosses each cut edge once.  Every triangle meets the
+    cut in 0 or 2 sides, so the normal-coordinate conditions always hold and
+    a track is valid when it is connected and essential.
     """
 
     left: frozenset
@@ -366,25 +351,6 @@ class Track:
 
     def weight(self, K: Rips2Complex) -> int:
         return len(self.cut_edges(K))
-
-    def triangle_matchings(self, K: Rips2Complex):
-        """Per-triangle arc counts between side pairs (normal coordinates)."""
-        cut = self.cut_edges(K)
-        out = {}
-        for t in K.triangles:
-            x, y, z = t
-            sides = [frozenset((x, y)), frozenset((x, z)), frozenset((y, z))]
-            w = [1 if s in cut else 0 for s in sides]
-            # corners opposite to each side
-            a, b, c = w
-            arcs = {("xy", "xz"): (a + b - c) // 2,
-                    ("xy", "yz"): (a + c - b) // 2,
-                    ("xz", "yz"): (b + c - a) // 2}
-            if any(v < 0 for v in arcs.values()) or (a + b + c) % 2:
-                raise AssertionError(f"invalid normal data on triangle {t}")
-            if a + b + c:
-                out[t] = arcs
-        return out
 
     def connected(self, K: Rips2Complex) -> bool:
         """The cut edges form one curve: linked through shared triangles."""
@@ -414,13 +380,6 @@ class Track:
         hi_tail = range(hi - K.span, hi + 1)
         return (left.issuperset(lo_tail) and left.isdisjoint(hi_tail)) or \
             (left.isdisjoint(lo_tail) and left.issuperset(hi_tail))
-
-    def is_valid(self, K: Rips2Complex) -> bool:
-        try:
-            self.triangle_matchings(K)
-        except AssertionError:
-            return False
-        return self.connected(K) and self.essential(K)
 
 
 def _oriented(K: Rips2Complex, side) -> Track:
@@ -544,26 +503,16 @@ def _uncross(tracks, K: Rips2Complex):
 
 
 def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
-    """Close a track set under the generators, inside the window."""
-    family = list(dict.fromkeys(seeds))
-    seen = {tr.left for tr in family}
-    frontier = list(family)
-    guard = 0
-    while frontier and guard < 16 * len(K.vertices):
-        guard += 1
-        nxt = []
-        for tr in frontier:
-            for name in spec.generators:
-                g = spec.generators[name]
-                img = _apply_table_to_track(K, g, tr)
-                if img is None or not img.essential(K) or not img.connected(K):
-                    continue
-                if img.left not in seen:
-                    seen.add(img.left)
-                    family.append(img)
-                    nxt.append(img)
-        frontier = nxt
-    return family
+    """Close a track set under the generators, inside the window, for at
+    most 16 |V| rounds: the seeds, then their essential, connected images
+    in BFS order."""
+    def step(tr):
+        for name, g in spec.generators.items():
+            img = _apply_table_to_track(K, g, tr)
+            if img is not None and img.essential(K) and img.connected(K):
+                yield name, img
+
+    return list(bfs_ball(seeds, step, 16 * len(K.vertices)))
 
 
 def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
@@ -716,15 +665,14 @@ class SemiconjugacyResult:
         return self.block_map[x]
 
 
-def collapse(spec: ZActionSpec, family, K: Rips2Complex,
-             margin: int | None = None) -> SemiconjugacyResult:
+def collapse(spec: ZActionSpec, family, K: Rips2Complex) -> SemiconjugacyResult:
     """Collapse complementary blocks to points; the induced generator maps
     must be isometries of the block line, with exact equivariance on the
-    interior.  The tracks are oriented, as `track_family` returns them."""
+    interior, which stays span + radius + 2 away from the window ends.  The
+    tracks are oriented, as `track_family` returns them."""
     lo, hi = min(K.vertices), max(K.vertices)
     fmap = _block_index(family, K)
-    if margin is None:
-        margin = K.span + int(K.radius) + 2
+    margin = K.span + int(K.radius) + 2
     interior = [x for x in K.vertices if lo + margin <= x <= hi - margin]
     iso = {}
     for name, g in spec.generators.items():

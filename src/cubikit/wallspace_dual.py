@@ -2,10 +2,11 @@
 
 Walls are bipartitions of a finite point set, stored one side at a time as
 bitmasks for fast pairwise-intersection checks.  The Sageev dual is built
-by breadth-first flipping from a point-realized consistent orientation; for
-finite wallspaces this enumerates every 0-cube.  Orientations are bitmasks
-over the walls, and a flip is tested against two precomputed masks per wall
-side (the walls whose stored or other side misses it), so one test is O(1).
+by breadth-first flipping from a point-realized consistent orientation (a
+hand-written BFS, as it records every flip); for finite wallspaces this
+enumerates every 0-cube.  Orientations are bitmasks over the walls, and a
+flip is tested against two precomputed masks per wall side (the walls
+whose stored or other side misses it), so one test is O(1).
 The result is a `DualComplex`: a cube-complex ball that also carries its
 wallspace, the orientation of every vertex and the walls each vertex can
 flip, which dimension, maximal cubes, `phi` and flat embeddings read.
@@ -13,7 +14,8 @@ flip, which dimension, maximal cubes, `phi` and flat embeddings read.
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
 the one `building.class_isometry` of each (class, generator) pair and its
-tip walls by `building.transport_height`.
+tip walls by `building.transport_height`.  That wall closure and the
+density search of `phi_map` run `cube_complex.bfs_ball`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .building import (
     resolved_table,
     transport_height,
 )
-from .cube_complex import CubeComplexBall, hyperplanes, is_convex, relabel_edges
+from .cube_complex import (
+    CubeComplexBall,
+    bfs_ball,
+    hyperplanes,
+    is_convex,
+    relabel_edges,
+)
 from .graph_core import DefiningGraph, orthogonal_complement
 from .raag_geometry import (
     class_of_geodesic,
@@ -398,24 +406,23 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
         for v in g.vertices:
             pc = class_of_geodesic(g, p, v)
             classes.setdefault(pc.id, pc)
-    walls = []
     tags = []
     lines = {}
     heights_of = {}
     block_maps = {}
     band = range(-wall_window, wall_window + 1)
 
-    def cut_side(cid, m):
-        # heights outside the block map's keys clamp to its ends; block maps
-        # are monotone so the side assignment matches the infinite wall
-        hs, fmap = heights_of[cid], block_maps[cid]
+    def wall_side(tag):
+        """The side of a tagged wall, from its class's heights.  A cut wall
+        clamps heights outside the block map's keys to its ends; block maps
+        are monotone, so the side matches the infinite wall."""
+        hs = heights_of[tag[0]]
+        if tag[1] == "tip":
+            return frozenset(p for p in points if hs[p] == tag[3])
+        fmap = block_maps[tag[0]]
         lo, hi = min(fmap), max(fmap)
         return frozenset(p for p in points
-                         if fmap[max(lo, min(hi, hs[p]))] <= m)
-
-    def tip_side(cid, n):
-        hs = heights_of[cid]
-        return frozenset(p for p in points if hs[p] == n)
+                         if fmap[max(lo, min(hi, hs[p]))] <= tag[2])
 
     for cid, pc in sorted(classes.items()):
         heights_of[cid] = {p: height_of(g, pc, p) for p in points}
@@ -423,13 +430,10 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                                          band)
         lines[cid] = line = BranchedLine.of_block_map(block_maps[cid])
         lo, hi = line.window
-        for m in range(lo, hi):
-            walls.append(cut_side(cid, m))
-            tags.append((cid, "cut", m))
-        for m, ns in sorted(line.tips.items()):
-            for n in ns:
-                walls.append(tip_side(cid, n))
-                tags.append((cid, "tip", m, n))
+        tags += [(cid, "cut", m) for m in range(lo, hi)]
+        tags += [(cid, "tip", m, n)
+                 for m, ns in sorted(line.tips.items()) for n in ns]
+    sides = {tag: wall_side(tag) for tag in tags}
     images = {}       # (class id, generator) -> image class, None if it fails
     isos = {}         # (class id, generator) -> its class_isometry
     rejected = set()  # image classes whose heights or block map fail
@@ -457,57 +461,51 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 images[cid, name] = img
         return images[cid, name]
 
-    # orbit closure at the tag level: transport each wall to the image
-    # class and re-derive its side from that class's heights (pushing raw
-    # point sets would distort the partition at the window rim)
-    frontier = list(tags)
-    seen_tags = set(tags)
-    guard = 0
-    while frontier and guard < 10000:
-        guard += 1
-        nxt = []
-        for tag in frontier:
-            pc = classes[tag[0]]
-            for name in action_tables.generators:
-                img_pc = image_of(tag[0], name)
-                if img_pc is None:
+    # orbit closure at the tag level, for at most 10000 rounds: transport
+    # each wall to the image class and re-derive its side from that class's
+    # heights (pushing raw point sets would distort the partition at the
+    # window rim); only images with two non-empty sides are kept
+    def step(tag):
+        pc = classes[tag[0]]
+        for name in action_tables.generators:
+            img_pc = image_of(tag[0], name)
+            if img_pc is None:
+                continue
+            f2 = block_maps[img_pc.id]
+            if tag[1] == "tip":
+                try:
+                    n2 = transport_height(g, action_tables, (name,), pc,
+                                          img_pc, tag[3])
+                except (ValueError, KeyError):
                     continue
-                f2 = block_maps[img_pc.id]
-                if tag[1] == "tip":
-                    try:
-                        n2 = transport_height(g, action_tables, (name,), pc,
-                                              img_pc, tag[3])
-                    except (ValueError, KeyError):
-                        continue
-                    m2 = f2.get(n2)
-                    if m2 is None:
-                        continue
-                    new_tag = (img_pc.id, "tip", m2, n2)
-                    side = tip_side(img_pc.id, n2)
-                else:
-                    m = tag[2]
-                    if (tag[0], name) not in isos:
-                        isos[tag[0], name] = class_isometry(
-                            g, action_tables, name, pc, block_maps[tag[0]],
-                            img_pc, f2)
-                    iso = isos[tag[0], name]
-                    if iso is None:
-                        continue
-                    sgn, off = iso
-                    m2 = sgn * m + off if sgn == 1 else sgn * (m + 1) + off
-                    new_tag = (img_pc.id, "cut", m2)
-                    if not min(f2.values()) <= m2 < max(f2.values()):
-                        continue
-                    side = cut_side(img_pc.id, m2)
-                if new_tag not in seen_tags and side and \
-                   len(side) < len(points):
-                    seen_tags.add(new_tag)
-                    walls.append(side)
-                    tags.append(new_tag)
-                    nxt.append(new_tag)
-        frontier = nxt
+                m2 = f2.get(n2)
+                if m2 is None:
+                    continue
+                new_tag = (img_pc.id, "tip", m2, n2)
+            else:
+                m = tag[2]
+                if (tag[0], name) not in isos:
+                    isos[tag[0], name] = class_isometry(
+                        g, action_tables, name, pc, block_maps[tag[0]],
+                        img_pc, f2)
+                iso = isos[tag[0], name]
+                if iso is None:
+                    continue
+                sgn, off = iso
+                m2 = sgn * m + off if sgn == 1 else sgn * (m + 1) + off
+                if not min(f2.values()) <= m2 < max(f2.values()):
+                    continue
+                new_tag = (img_pc.id, "cut", m2)
+            if new_tag not in sides:
+                side = wall_side(new_tag)
+                if not side or len(side) == len(points):
+                    continue
+                sides[new_tag] = side
+            yield name, new_tag
+
     uniq_sides, uniq_tags, seen = [], [], set()
-    for w, tag in zip(walls, tags):
+    for tag in bfs_ball(tags, step, 10000):
+        w = sides[tag]
         key = min(frozenset(w), frozenset(pset - set(w)), key=sorted)
         if w and key not in seen and len(w) < len(points):
             seen.add(key)
@@ -549,30 +547,20 @@ def transversality(iws: InvariantWallspace, i: int, j: int) -> bool:
     return got
 
 
-def phi_map(iws: InvariantWallspace, dual: DualComplex | None = None):
+def phi_map(iws: InvariantWallspace):
     """Chambers -> dual vertices by their realized orientations.
 
     The map is defined on the faithful domain (the height-box hull, where
     the banded walls still separate); injectivity there is asserted and the
-    image density is measured by BFS over the dual.
+    image density is measured by a BFS over the dual from the whole image.
     """
-    ws = iws.wallspace
-    if dual is None:
-        dual = dual_cube_complex(ws)
-    vmap = {}
-    for p in iws.domain:
-        vmap[p] = vertex_of_point(dual, p)
+    dual = dual_cube_complex(iws.wallspace)
+    vmap = {p: vertex_of_point(dual, p) for p in iws.domain}
     if len(set(vmap.values())) != len(vmap):
         raise AssertionError("phi is not injective on the window")
-    image = set(vmap.values())
-    dist = {v: 0 for v in image}
-    dq = deque(image)
-    while dq:
-        x = dq.popleft()
-        for y in dual.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                dq.append(y)
+    dist = bfs_ball(vmap.values(),
+                    lambda x: [(lab, y) for y, lab in dual.neighbors(x).items()],
+                    len(dual.vertex_ids))
     density = max(dist.values()) if dist else 0
     # distortion of word metric vs dual metric on a sample of pairs
     worst = 1.0

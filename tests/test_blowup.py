@@ -77,7 +77,7 @@ def test_blowup_single_vertex_bijective_is_line_with_whiskers():
     davis = bd.davis_ball(g, 3)
     data = bu.bijective_data(g, davis, window=3)
     bc = bu.blowup_complex(bu.build_fiber_functor(data, davis))
-    bc.verify(samples=5)
+    assert cc.verify_rq_characterization(bc.q, samples=5)["all_true"]
     xe = rg.ball_Xe(g, 3)
     iso = _compare_balls(bc, xe, r=2)
     assert iso is not None
@@ -123,7 +123,7 @@ def test_blowup_passes_characterization():
     davis = bd.davis_ball(g, 3)
     data = bu.bijective_data(g, davis, window=3)
     bc = bu.blowup_complex(bu.build_fiber_functor(data, davis))
-    rep = bc.verify(samples=10)
+    rep = cc.verify_rq_characterization(bc.q, samples=10)
     assert rep["all_true"]
 
 
@@ -214,7 +214,7 @@ def test_equivariant_blowup_translations():
             pc = rg.class_of_geodesic(g, r.base, r.type_J[0])
             reps.setdefault(pc.id, {n: n for n in range(-12, 13)})
     bc, actions = bu.equivariant_blowup(g, act, reps, davis, window=3)
-    bc.verify(samples=5)
+    assert cc.verify_rq_characterization(bc.q, samples=5)["all_true"]
     vmap = actions["t"]
     # the action is a partial automorphism commuting with q (checked inside);
     # it must also preserve edge labels where defined

@@ -67,7 +67,7 @@ def test_davis_ball_k2_census():
     assert grades[0] == 13
     assert grades[1] == 10    # v^b<u> and u^a<v> with |a|,|b| <= 2
     assert grades[2] == 1
-    assert cc.check_flag_links(db.ball, margin=2)["ok"]
+    assert cc.check_flag_links(db.ball)["ok"]
 
 
 def test_davis_chamber_pentagon():
