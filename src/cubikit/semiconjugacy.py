@@ -203,7 +203,8 @@ def reflection_spec(window: int) -> ZActionSpec:
 
 def group_tables(spec: ZActionSpec, B: int):
     """Distinct composition tables of words in the generators, length <= B,
-    in BFS order.  Tables travel as their sorted item tuples."""
+    in BFS order.  Tables travel as item tuples, which stay sorted because
+    composing keeps the identity's order of keys."""
     def step(items):
         for name, g in spec.generators.items():
             t2 = tuple((x, g[y]) for x, y in items if y in g)
