@@ -3,9 +3,17 @@
 Blow-up data assigns each rank-1 residue a map to Z, compatibly with
 parallelism; one table per parallel class of a chosen representative residue
 determines everything.  The induced fiber functor over the Davis ball has
-window-truncated lattice fibers, and gluing cube-by-cube produces the
+window-truncated lattice fibers; one pass over the Davis squares checks its
+functor laws and 1-determinacy.  Gluing cube-by-cube produces the
 restriction quotient q: Y -> |B| together with labels, ranks and the
 vertical/horizontal edge split.
+
+Y is grown by `cube_complex.grown_ball`, fiber by fiber in Davis order
+(rank, id), each fiber in lattice order.  Every edge goes up, by a vertical
++1 or by the morphism into a parent fiber, so the squares of Y rise from
+their least corner: lattice squares, squares over a Davis edge and squares
+over a Davis square.  A point has one up-step per axis and one per parent
+fiber, so no other 4-cycle rises.
 
 A generator moves Y by one cell map per Davis vertex (the image residue,
 each factor's class moved by its `building.class_isometry`), which
@@ -38,6 +46,7 @@ from .cube_complex import (
     CubeComplexBall,
     CubicalMap,
     TruncationError,
+    grown_ball,
 )
 from .graph_core import DefiningGraph
 from .raag_geometry import (
@@ -203,42 +212,27 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
             anchor = proj_residue(g, f, rc.base)
             cons[cid] = data.value(f, anchor)
         psi.inserted[(child, parent)] = cons
-    _check_functor_laws(psi)
-    _check_one_determined(psi)
+    _check_squares(psi)
     return psi
 
 
-def _square_corners(davis, s):
-    ranked = sorted(s, key=lambda vid: davis.rank_of[vid])
-    bottom, m1, m2, top = ranked[0], ranked[1], ranked[2], ranked[3]
-    return bottom, m1, m2, top
-
-
-def _check_functor_laws(psi: FiberFunctor):
+def _check_squares(psi: FiberFunctor):
+    """One pass over the Davis squares: the two composites bottom -> top
+    agree (functor laws), and their image is the intersection of the edge
+    images into top (1-determinacy)."""
     for s in psi.davis.ball.squares:
-        bottom, m1, m2, top = _square_corners(psi.davis, s)
+        bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
+        through = set()
         for p in psi.fiber_points(bottom):
-            via1 = psi.morphism(bottom, m1, p)
-            via1 = psi.morphism(m1, top, via1) if via1 is not None else None
-            via2 = psi.morphism(bottom, m2, p)
-            via2 = psi.morphism(m2, top, via2) if via2 is not None else None
+            q1, q2 = psi.morphism(bottom, m1, p), psi.morphism(bottom, m2, p)
+            via1 = psi.morphism(m1, top, q1) if q1 is not None else None
+            via2 = psi.morphism(m2, top, q2) if q2 is not None else None
             if via1 != via2:
                 raise AssertionError(
                     f"functor composition differs on square {s} at {p}")
-
-
-def _check_one_determined(psi: FiberFunctor):
-    """Im(Psi(sigma)->Psi(top)) equals the intersection of the edge images."""
-    for s in psi.davis.ball.squares:
-        bottom, m1, m2, top = _square_corners(psi.davis, s)
-        through = set()
-        for p in psi.fiber_points(bottom):
-            q = psi.morphism(bottom, m1, p)
-            q = psi.morphism(m1, top, q) if q is not None else None
-            if q is not None:
-                through.add(q)
-        inter = psi.image_set(m1, top) & psi.image_set(m2, top)
-        if through != inter:
+            if via1 is not None:
+                through.add(via1)
+        if through != psi.image_set(m1, top) & psi.image_set(m2, top):
             raise AssertionError(f"not 1-determined on square {s}")
 
 
@@ -270,79 +264,33 @@ class BlowUpComplex:
 
 
 def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
-    """Glue sigma x Psi(sigma) over the faces of the Davis ball."""
+    """Glue sigma x Psi(sigma) over the faces of the Davis ball: one
+    `grown_ball` whose steps are the vertical +1 inside the window and the
+    morphism into each parent fiber, labelled as its Davis edge."""
     davis = psi.davis
-    verts = []
-    info = {}
-    for vid in davis.ball.vertex_ids:
-        for p in psi.fiber_points(vid):
-            yv = y_id(vid, p)
-            info[yv] = (vid, p)
-            verts.append(yv)
-    present = set(verts)
-    edges = []
-    squares = []
-    dirs = {}
-    for vid in davis.ball.vertex_ids:
-        r = davis.residue_of[vid]
-        dirs[vid] = {cid: pc_dir for cid, pc_dir in
-                     zip(psi.axes[vid], r.type_J)}
-    # vertical edges and lattice squares inside each fiber
-    for vid in davis.ball.vertex_ids:
-        axes = psi.axes[vid]
-        for p in psi.fiber_points(vid):
-            for i, cid in enumerate(axes):
-                if p[i] + 1 > psi.window:
-                    continue
-                p2 = p[:i] + (p[i] + 1,) + p[i + 1 :]
-                edges.append((y_id(vid, p), y_id(vid, p2),
-                              f"v:{dirs[vid][cid]}"))
-                for j in range(i + 1, len(axes)):
-                    if p[j] + 1 > psi.window:
-                        continue
-                    p3 = p2[:j] + (p2[j] + 1,) + p2[j + 1 :]
-                    p4 = p[:j] + (p[j] + 1,) + p[j + 1 :]
-                    squares.append((y_id(vid, p), y_id(vid, p2),
-                                    y_id(vid, p3), y_id(vid, p4)))
-    # horizontal edges and the mixed squares over each Davis edge
-    for e in davis.ball.edges:
-        u, v = tuple(e)
-        child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
-        dropped = set(davis.residue_of[parent].type_J) - \
-            set(davis.residue_of[child].type_J)
-        lab = f"h:{next(iter(dropped))}"
-        caxes = psi.axes[child]
-        for p in psi.fiber_points(child):
-            q = psi.morphism(child, parent, p)
-            if q is None:
-                continue
-            edges.append((y_id(child, p), y_id(parent, q), lab))
-            for i, cid in enumerate(caxes):
-                if p[i] + 1 > psi.window:
-                    continue
-                p2 = p[:i] + (p[i] + 1,) + p[i + 1 :]
-                q2 = psi.morphism(child, parent, p2)
-                if q2 is not None:
-                    squares.append((y_id(child, p), y_id(child, p2),
-                                    y_id(parent, q2), y_id(parent, q)))
-    # squares over Davis squares
-    for s in davis.ball.squares:
-        bottom, m1, m2, top = _square_corners(davis, s)
-        for p in psi.fiber_points(bottom):
-            q1 = psi.morphism(bottom, m1, p)
-            q2 = psi.morphism(bottom, m2, p)
-            qt = psi.morphism(m1, top, q1) if q1 is not None else None
-            if q1 is not None and q2 is not None and qt is not None:
-                squares.append((y_id(bottom, p), y_id(m1, q1),
-                                y_id(top, qt), y_id(m2, q2)))
-    depth = {}
-    for yv in verts:
+    rank = davis.rank_of
+    info = {y_id(vid, p): (vid, p)
+            for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
+    parents = {vid: [(lab, w) for w, lab in davis.ball.neighbors(vid).items()
+                     if rank[w] > rank[vid]]
+               for vid in davis.ball.vertex_ids}
+
+    def step(yv):
         vid, p = info[yv]
+        for i, v in enumerate(davis.residue_of[vid].type_J):
+            if p[i] < psi.window:
+                yield f"v:{v}", y_id(vid, p[:i] + (p[i] + 1,) + p[i + 1:])
+        for lab, w in parents[vid]:
+            q = psi.morphism(vid, w, p)
+            if q is not None:
+                yield lab, y_id(w, q)
+
+    depth = {}
+    for yv, (vid, p) in info.items():
         fiber_depth = min((psi.window - abs(x) for x in p), default=BIG_DEPTH)
         depth[yv] = min(davis.ball.depth[vid], fiber_depth)
-    Y = CubeComplexBall.make(verts, edges, squares, depth)
-    vmap = {yv: info[yv][0] for yv in verts}
-    q = CubicalMap(vmap, Y, davis.ball)
+    Y = grown_ball(list(info), step, depth)
+    q = CubicalMap({yv: vid for yv, (vid, _) in info.items()}, Y, davis.ball)
     return BlowUpComplex(Y, q, davis, psi, info)
 
 

@@ -301,7 +301,6 @@ def build_parser():
             sp.add_argument("--radius", type=int, default=2)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
-        sp.add_argument("--dot")
 
     sp = sub.add_parser("graph", help="graph utilities")
     gsub = sp.add_subparsers(dest="graph_cmd", required=True)
@@ -311,11 +310,13 @@ def build_parser():
 
     b = sub.add_parser("ball", help="ball of X or X_e")
     common(b)
+    b.add_argument("--dot")
     b.add_argument("--exploded", action="store_true")
     b.set_defaults(fn=cmd_ball)
 
     d = sub.add_parser("davis", help="Davis realization ball")
     common(d)
+    d.add_argument("--dot")
     d.set_defaults(fn=cmd_davis)
 
     ch = sub.add_parser("check", help="verification suites")
@@ -331,6 +332,7 @@ def build_parser():
 
     bl = sub.add_parser("blowup", help="Z-blow-up of the Davis ball")
     common(bl)
+    bl.add_argument("--dot")
     bl.add_argument("--window", type=int, default=3)
     bl.add_argument("--data", help="blow-up data JSON (default: bijective)")
     bl.set_defaults(fn=cmd_blowup)

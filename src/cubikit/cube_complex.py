@@ -9,8 +9,9 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 <= 1 are flagged as boundary; metric and wall computations are reliable on
 `interior(margin)` for margin >= 1, link checks on margin >= 2.
 
-Every ball of X, X_e and the Davis realization is grown by one builder,
-`grown_ball`, from a step function; its squares are the 4-cycles.
+Every ball of X, X_e and the Davis realization, and the blow-up Y, is
+grown by one builder, `grown_ball`, from a step function; its squares are
+the 4-cycles.
 
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
 track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s

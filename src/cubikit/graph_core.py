@@ -46,21 +46,11 @@ class DefiningGraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
-    _adj: dict = field(
-        default=None, repr=False, compare=False, hash=False
-    )
-    _index: dict = field(
-        default=None, repr=False, compare=False, hash=False
-    )
-    _rank: dict = field(
-        default=None, repr=False, compare=False, hash=False
-    )
-    _letters: tuple = field(
-        default=None, repr=False, compare=False, hash=False
-    )
-    _commuting: tuple = field(
-        default=None, repr=False, compare=False, hash=False
-    )
+    _adj: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _rank: dict = field(init=False, repr=False, compare=False)
+    _letters: tuple = field(init=False, repr=False, compare=False)
+    _commuting: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()

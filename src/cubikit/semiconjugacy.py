@@ -506,11 +506,17 @@ def _uncross(tracks, K: Rips2Complex):
 def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
     """Close a track set under the generators, inside the window, for at
     most 16 |V| rounds: the seeds, then their essential, connected images
-    in BFS order."""
+    in BFS order.  Each distinct image is tested once."""
+    valid = {}
+
     def step(tr):
         for name, g in spec.generators.items():
             img = _apply_table_to_track(K, g, tr)
-            if img is not None and img.essential(K) and img.connected(K):
+            if img is None:
+                continue
+            if img not in valid:
+                valid[img] = img.essential(K) and img.connected(K)
+            if valid[img]:
                 yield name, img
 
     return list(bfs_ball(seeds, step, 16 * len(K.vertices)))
@@ -520,11 +526,13 @@ def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
     """Disjoint invariant family: the window orbit of a minimal track,
     greedily filled until every complementary block has diameter at most
     D1 = 2 * weight + 5 * radius.  B is unused."""
+    def closed(seeds):
+        family = _uncross(_orbit_closure(spec, K, seeds), K)
+        return [tr for tr in family if tr.essential(K) and tr.connected(K)]
+
     base = min_essential_track(K)
     D1 = 2 * base.weight(K) + 5 * K.radius
-    family = _orbit_closure(spec, K, [base])
-    family = _uncross(family, K)
-    family = [tr for tr in family if tr.essential(K) and tr.connected(K)]
+    family = closed([base])
     # greedy fill of wide blocks
     lo, hi = min(K.vertices), max(K.vertices)
     guard = 0
@@ -540,8 +548,7 @@ def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
         cut = Track(frozenset(v for v in K.vertices if v <= mid))
         if not cut.connected(K) or not cut.essential(K):
             break
-        family = _uncross(_orbit_closure(spec, K, family + [cut]), K)
-        family = [tr for tr in family if tr.essential(K) and tr.connected(K)]
+        family = closed(family + [cut])
     return sorted(set(family), key=lambda tr: len(tr.left))
 
 

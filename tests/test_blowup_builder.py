@@ -1,12 +1,18 @@
-"""The blow-up Y of `blowup.blowup_complex`: SHA-256 pins of its JSON over a
-grid of defining graphs, Davis radii and fiber windows."""
+"""The blow-up Y of `blowup.blowup_complex`, grown by `grown_ball`: SHA-256
+pins of its JSON over a grid of defining graphs, Davis radii and fiber
+windows, and the hand-written assembly and fiber-functor checks it replaced,
+kept as oracles."""
 
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import blowup as bu
 from cubikit import building as bd
+from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 
 FIXTURES = {
@@ -110,3 +116,162 @@ def pinned(request):
 def test_blowup_y_pins(pinned):
     key, bc = pinned
     assert hashlib.sha256(bc.Y.to_json().encode()).hexdigest() == GOLDEN_Y[key]
+
+
+# -- the hand-written assembly and fiber-functor checks, kept as oracles ----
+
+def blowup_oracle(psi):
+    """Y from explicit loops: vertical edges and lattice squares inside each
+    fiber, horizontal edges and mixed squares over each Davis edge, and the
+    squares over each Davis square."""
+    davis = psi.davis
+    y_id = bu.y_id
+    verts = [y_id(vid, p) for vid in davis.ball.vertex_ids
+             for p in psi.fiber_points(vid)]
+    edges = []
+    squares = []
+    for vid in davis.ball.vertex_ids:
+        axes = psi.axes[vid]
+        dirs = davis.residue_of[vid].type_J
+        for p in psi.fiber_points(vid):
+            for i in range(len(axes)):
+                if p[i] + 1 > psi.window:
+                    continue
+                p2 = p[:i] + (p[i] + 1,) + p[i + 1:]
+                edges.append((y_id(vid, p), y_id(vid, p2), f"v:{dirs[i]}"))
+                for j in range(i + 1, len(axes)):
+                    if p[j] + 1 > psi.window:
+                        continue
+                    p3 = p2[:j] + (p2[j] + 1,) + p2[j + 1:]
+                    p4 = p[:j] + (p[j] + 1,) + p[j + 1:]
+                    squares.append((y_id(vid, p), y_id(vid, p2),
+                                    y_id(vid, p3), y_id(vid, p4)))
+    for e in davis.ball.edges:
+        u, v = tuple(e)
+        child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] \
+            else (v, u)
+        dropped = set(davis.residue_of[parent].type_J) - \
+            set(davis.residue_of[child].type_J)
+        lab = f"h:{next(iter(dropped))}"
+        for p in psi.fiber_points(child):
+            q = psi.morphism(child, parent, p)
+            if q is None:
+                continue
+            edges.append((y_id(child, p), y_id(parent, q), lab))
+            for i in range(len(psi.axes[child])):
+                if p[i] + 1 > psi.window:
+                    continue
+                p2 = p[:i] + (p[i] + 1,) + p[i + 1:]
+                q2 = psi.morphism(child, parent, p2)
+                if q2 is not None:
+                    squares.append((y_id(child, p), y_id(child, p2),
+                                    y_id(parent, q2), y_id(parent, q)))
+    for s in davis.ball.squares:
+        bottom, m1, m2, top = sorted(s, key=davis.rank_of.get)
+        for p in psi.fiber_points(bottom):
+            q1 = psi.morphism(bottom, m1, p)
+            q2 = psi.morphism(bottom, m2, p)
+            qt = psi.morphism(m1, top, q1) if q1 is not None else None
+            if q1 is not None and q2 is not None and qt is not None:
+                squares.append((y_id(bottom, p), y_id(m1, q1),
+                                y_id(top, qt), y_id(m2, q2)))
+    depth = {}
+    for vid in davis.ball.vertex_ids:
+        for p in psi.fiber_points(vid):
+            fiber_depth = min((psi.window - abs(x) for x in p),
+                              default=cc.BIG_DEPTH)
+            depth[y_id(vid, p)] = min(davis.ball.depth[vid], fiber_depth)
+    return cc.CubeComplexBall.make(verts, edges, squares, depth)
+
+
+def check_functor_laws_oracle(psi):
+    for s in psi.davis.ball.squares:
+        bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
+        for p in psi.fiber_points(bottom):
+            via1 = psi.morphism(bottom, m1, p)
+            via1 = psi.morphism(m1, top, via1) if via1 is not None else None
+            via2 = psi.morphism(bottom, m2, p)
+            via2 = psi.morphism(m2, top, via2) if via2 is not None else None
+            if via1 != via2:
+                raise AssertionError(
+                    f"functor composition differs on square {s} at {p}")
+
+
+def check_one_determined_oracle(psi):
+    """Im(Psi(sigma)->Psi(top)) equals the intersection of the edge images."""
+    for s in psi.davis.ball.squares:
+        bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
+        through = set()
+        for p in psi.fiber_points(bottom):
+            q = psi.morphism(bottom, m1, p)
+            q = psi.morphism(m1, top, q) if q is not None else None
+            if q is not None:
+                through.add(q)
+        inter = psi.image_set(m1, top) & psi.image_set(m2, top)
+        if through != inter:
+            raise AssertionError(f"not 1-determined on square {s}")
+
+
+def assert_same_complex(got, want):
+    assert got.vertex_ids == want.vertex_ids
+    assert got.depth == want.depth
+    assert got.edges == want.edges
+    assert got.squares == want.squares
+
+
+def test_blowup_matches_oracle(pinned):
+    _, bc = pinned
+    assert_same_complex(bc.Y, blowup_oracle(bc.psi))
+
+
+@functools.lru_cache(maxsize=None)
+def small_davis(name, radius):
+    return bd.davis_ball(FIXTURES[name](), radius)
+
+
+def raises_assertion(check, psi):
+    try:
+        check(psi)
+    except AssertionError:
+        return True
+    return False
+
+
+def set_square_constants(psi, square, x, y):
+    """Insert x and y on the two Davis edges out of the square's bottom."""
+    bottom, m1, m2, _ = sorted(square, key=psi.davis.rank_of.get)
+    for mid, val in ((m1, x), (m2, y)):
+        (cid,) = psi.inserted[bottom, mid]
+        psi.inserted[bottom, mid][cid] = val
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["k2", "path3", "square4"]), st.integers(1, 2),
+       st.integers(1, 2), st.data())
+def test_merged_check_matches_old_pair(name, radius, window, data):
+    davis = small_davis(name, radius)
+    values = st.integers(-window - 1, window + 1)
+    psi = bu.build_fiber_functor(bu.data_from_function(
+        davis.graph, davis, window, lambda pc, n: data.draw(values)), davis)
+    # a functor built from data passes; break it on one Davis square
+    if data.draw(st.booleans()):
+        square = data.draw(st.sampled_from(davis.ball.squares))
+        set_square_constants(psi, square, data.draw(values), data.draw(values))
+    old = raises_assertion(check_functor_laws_oracle, psi) or \
+        raises_assertion(check_one_determined_oracle, psi)
+    assert raises_assertion(bu._check_squares, psi) == old
+    if not old:
+        assert_same_complex(bu.blowup_complex(psi).Y, blowup_oracle(psi))
+
+
+def test_merged_check_catches_one_determinacy_alone():
+    # both composites leave the window, so the functor laws hold, but the
+    # edge images into the top still meet
+    davis = small_davis("k2", 1)
+    psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 1),
+                                 davis)
+    set_square_constants(psi, davis.ball.squares[0], 2, 2)
+    check_functor_laws_oracle(psi)
+    assert raises_assertion(check_one_determined_oracle, psi)
+    with pytest.raises(AssertionError, match="not 1-determined"):
+        bu._check_squares(psi)

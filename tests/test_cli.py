@@ -90,6 +90,17 @@ def test_check_rq_deterministic(graphs, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [["graph", "info"], ["check", "cat0"],
+                                     ["check", "rq"]], ids=" ".join)
+def test_dot_only_where_dot_is_written(graphs, tmp_path, capsys, command):
+    dot = tmp_path / "x.dot"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--graph", graphs["k2"], "--dot", str(dot)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+    assert not dot.exists()
+
+
 def test_blowup(graphs, capsys):
     rc = cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
                    "--window", "2"])

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -687,6 +688,24 @@ def test_orbit_closure_order_pin():
     body = json.dumps([sorted(tr.left) for tr in orbit])
     assert hashlib.sha256(body.encode()).hexdigest() == \
         "c20fb73d167423de2f25c7d824404fefee92cd2eccf65b400f90dc65f391a0fb"
+
+
+@pytest.mark.parametrize("spec, B, radius", [
+    (sc.two_flipping_spec(16), 4, 3), CROSSING_ORBIT],
+    ids=["two_flipping", "crossing"])
+def test_orbit_closure_tests_each_image_once(monkeypatch, spec, B, radius):
+    K = sc.rips2(spec, B, radius)
+    seed = sc.min_essential_track(K)
+    calls = {"essential": Counter(), "connected": Counter()}
+    for name, counter in calls.items():
+        def counted(self, K, test=getattr(sc.Track, name), counter=counter):
+            counter[self] += 1
+            return test(self, K)
+        monkeypatch.setattr(sc.Track, name, counted)
+    orbit = sc._orbit_closure(spec, K, [seed])
+    assert len(orbit) > 1
+    for counter in calls.values():
+        assert counter and max(counter.values()) == 1
 
 
 @pytest.mark.parametrize("run, error, message", [
