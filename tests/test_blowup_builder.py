@@ -13,16 +13,8 @@ from hypothesis import strategies as st
 from cubikit import blowup as bu
 from cubikit import building as bd
 from cubikit import cube_complex as cc
-from cubikit import graph_core as gc
 
-FIXTURES = {
-    "single_vertex": gc.single_vertex,
-    "k2": gc.k2,
-    "path3": gc.path3,
-    "square4": gc.square4,
-    "discrete2": lambda: gc.discrete(2),
-    "pentagon": gc.pentagon,
-}
+from .test_ball_builders import FIXTURES
 
 DATA = {
     "bijective": lambda pc, n: n,
