@@ -350,14 +350,42 @@ def hyperplanes_oracle(b):
     return out
 
 
+def grown_subcomplex(b, data, drop_squares):
+    """A connected subcomplex of `b`: the span of a vertex set grown from a
+    drawn vertex by drawn neighbours, with a drawn subset of its squares
+    dropped when `drop_squares` is set."""
+    grown = [data.draw(st.sampled_from(b.vertex_ids))]
+    size = data.draw(st.integers(1, len(b.vertex_ids)))
+    while len(grown) < size:
+        frontier = {y for x in grown for y in b.neighbors(x)} - set(grown)
+        if not frontier:
+            break
+        grown.append(data.draw(st.sampled_from(sorted(frontier,
+                                                      key=b._index.get))))
+    sub = b.span(grown)
+    if drop_squares:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(sub.squares),
+                                  max_size=len(sub.squares)))
+        sub = cc.CubeComplexBall(
+            sub.vertex_ids, sub.edges,
+            tuple(s for s, k in zip(sub.squares, keep) if k), sub.depth)
+    return sub
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(small_balls())), st.data())
-def test_hyperplanes_match_two_search_oracle(name, data):
+@given(st.sampled_from(sorted(small_balls())),
+       st.sampled_from(["whole", "span", "grown", "grown-dropped"]),
+       st.data())
+def test_hyperplanes_match_two_search_oracle(name, shape, data):
+    # random spans are almost always disconnected; grown subcomplexes are
+    # connected, and dropping squares splits their classes
     b = small_balls()[name]
-    if data.draw(st.booleans()):
+    if shape == "span":
         keep = data.draw(st.lists(st.booleans(), min_size=len(b.vertex_ids),
                                   max_size=len(b.vertex_ids)))
         b = b.span([v for v, k in zip(b.vertex_ids, keep) if k])
+    elif shape != "whole":
+        b = grown_subcomplex(b, data, shape == "grown-dropped")
     hps = cc.hyperplanes(b)
     oracle = hyperplanes_oracle(b)
     assert [h.index for h in hps] == list(range(len(oracle)))
