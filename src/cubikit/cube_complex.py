@@ -13,11 +13,18 @@ Every ball of X, X_e and the Davis realization, and the blow-up Y, is
 grown by one builder, `grown_ball`, from a step function; its squares are
 the 4-cycles.
 
+`hyperplanes` labels every vertex in one BFS with the set of classes its
+tree path crosses, and takes each class's sides from the labels when a
+certificate (connected, every edge changes exactly its own class's label,
+no square with both edge pairs in one class) proves them; any other class
+gets its pieces from `cut_components`.
+
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
 track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s
 density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
 (hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
-`tracks` 3-6 %), `cut_components` (all components), `dual_cube_complex`
+`tracks` 3-6 %), `cut_components` (all components), the labelling BFS of
+`hyperplanes` (records each tree edge's class), `dual_cube_complex`
 and `building.class_orbit_word` (record flips, words), `_extension_adjacent`
 (stops early) and `labeled_isomorphism` (orders vertices seed by seed).
 """
@@ -430,19 +437,75 @@ def hyperplanes(b: CubeComplexBall) -> list:
     """Partition of edges into square-opposite parallelism classes.
 
     Each class whose removal cuts the 1-skeleton into exactly two pieces gets
-    its halfspaces; other classes are boundary artifacts and are flagged
-    truncated (excluded from wall-based computations).
+    its halfspaces, the piece holding `vertex_ids[0]` first; other classes
+    are boundary artifacts and are flagged truncated (excluded from
+    wall-based computations).
+
+    The sides of every class come from one labelling (the Djoković-Winkler
+    relation of a median graph; Chepoi 2000): a BFS from `vertex_ids[0]`
+    gives each vertex the mask of its parent plus the bit of the tree edge's
+    class, and a class's far side is the set of masks with its bit.  A class
+    takes these sides when a certificate proves that removing its edges
+    leaves exactly them:
+    - the BFS reached every vertex;
+    - every edge's endpoints differ in exactly its own class's bit (so a
+      tree path crosses no class twice: the second crossing leaves the
+      mask unchanged);
+    - no square of the class has both pairs of opposite edges in it (such
+      a square links the class's edges without joining their far
+      endpoints; `tests/test_hyperplanes.py` has a complex that passes the
+      other two clauses and splits into three pieces).
+    Then the near side is connected along tree paths, the far endpoints of
+    the class's edges are joined through the squares that link them, and
+    every other edge stays on one side.  A class the certificate misses
+    (every class of a disconnected complex) gets its pieces from
+    `cut_components`.
     """
+    classes = _edge_classes(b)
+    bit = {e: 1 << i for i, es in enumerate(classes) for e in es}
+    # hand-written rather than `bfs_from`: it records each tree edge's class
+    mask = dict.fromkeys(b.vertex_ids[:1], 0)
+    order = list(mask)
+    for x in order:
+        for y in b._adj[x]:
+            if y not in mask:
+                mask[y] = mask[x] | bit[frozenset((x, y))]
+                order.append(y)
+    far = [[] for _ in classes]
+    if len(mask) < len(b.vertex_ids):
+        uncertified = -1
+    else:
+        # the bits of the classes the certificate misses
+        uncertified = 0
+        for e, m in bit.items():
+            u, v = tuple(e)
+            uncertified |= mask[u] ^ mask[v] ^ m
+        for a, x, c, _ in b.squares:
+            m = bit[frozenset((a, x))]
+            if m == bit[frozenset((x, c))]:
+                uncertified |= m
+        for v in b.vertex_ids:
+            m = mask[v]
+            while m:
+                low = m & -m
+                far[low.bit_length() - 1].append(v)
+                m ^= low
+    everything = frozenset(b.vertex_ids)
     out = []
-    for i, es in enumerate(_edge_classes(b)):
+    for i, es in enumerate(classes):
         eset = frozenset(es)
         direction = min(str(b.edges[e]) for e in es)
         # a square on an edge of the class has its opposite edge there too,
         # so the edge endpoints already cover every square of the carrier
         carrier = frozenset().union(*es)
-        comps = b.cut_components(eset)
-        truncated = len(comps) != 2
-        sides = () if truncated else (frozenset(comps[0]), frozenset(comps[1]))
+        if uncertified >> i & 1:
+            comps = b.cut_components(eset)
+            truncated = len(comps) != 2
+            sides = () if truncated else (frozenset(comps[0]),
+                                          frozenset(comps[1]))
+        else:
+            far_side = frozenset(far[i])
+            truncated, sides = False, (everything - far_side, far_side)
         out.append(Hyperplane(i, eset, carrier, sides, truncated, direction))
     return out
 

@@ -1,6 +1,7 @@
 """`cube_complex.hyperplanes`: SHA-256 pins of its output on balls, Davis
-balls, blow-ups and restriction-quotient targets, and hand-built complexes
-on which a halfspace labelling alone would give the wrong sides."""
+balls, blow-ups and restriction-quotient targets, counts of the component
+searches it falls back to, and hand-built complexes on which a halfspace
+labelling alone would give the wrong sides."""
 
 import hashlib
 import json
@@ -84,6 +85,34 @@ GOLDEN_HYPERPLANES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_HYPERPLANES))
 def test_hyperplanes_pins(name):
     assert hyperplanes_digest(COMPLEXES[name]()) == GOLDEN_HYPERPLANES[name]
+
+
+def count_cut_components(monkeypatch):
+    calls = []
+    real = cc.CubeComplexBall.cut_components
+
+    def counting(self, cut=()):
+        calls.append(cut)
+        return real(self, cut)
+
+    monkeypatch.setattr(cc.CubeComplexBall, "cut_components", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["X-pentagon-3", "X-square4-4", "X-path3-4",
+                                  "davis-pentagon-2"])
+def test_ball_hyperplanes_run_no_component_search(name, monkeypatch):
+    b = COMPLEXES[name]()
+    calls = count_cut_components(monkeypatch)
+    assert not any(h.truncated for h in cc.hyperplanes(b))
+    assert calls == []
+
+
+def test_disconnected_y_searches_every_class(monkeypatch):
+    y = COMPLEXES["Y-k2-3-2"]()
+    calls = count_cut_components(monkeypatch)
+    hps = cc.hyperplanes(y)
+    assert len(calls) == len(hps) == 38 and all(h.truncated for h in hps)
 
 
 def assert_matches_oracle(b):
