@@ -219,7 +219,15 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
 def _check_squares(psi: FiberFunctor):
     """One pass over the Davis squares: the two composites bottom -> top
     agree (functor laws), and their image is the intersection of the edge
-    images into top (1-determinacy)."""
+    images into top (1-determinacy).  An edge image is computed once, as
+    an edge can lie on several squares."""
+    images = {}
+
+    def image(child, parent):
+        if (child, parent) not in images:
+            images[child, parent] = psi.image_set(child, parent)
+        return images[child, parent]
+
     for s in psi.davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
         through = set()
@@ -232,7 +240,7 @@ def _check_squares(psi: FiberFunctor):
                     f"functor composition differs on square {s} at {p}")
             if via1 is not None:
                 through.add(via1)
-        if through != psi.image_set(m1, top) & psi.image_set(m2, top):
+        if through != image(m1, top) & image(m2, top):
             raise AssertionError(f"not 1-determined on square {s}")
 
 

@@ -48,7 +48,6 @@ from .graph_core import (
     DefiningGraph,
     UnknownEndpointError,
     cliques,
-    orthogonal_complement,
 )
 from .cube_complex import CubeComplexBall, bfs_ball, grown_ball
 
@@ -238,7 +237,9 @@ def standard_flat(g: DefiningGraph, base, clique_members) -> StandardFlat:
 
 
 def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
-    support = (v,) + orthogonal_complement(g, [v])
+    if not g.has_vertex(v):
+        raise UnknownEndpointError(f"unknown vertex {v!r}")
+    support = (v,) + g._perp[v]
     return ParallelClass(v, gate_representative(g, base, support))
 
 
@@ -402,8 +403,8 @@ def _extension_adjacent(g, c1, c2):
         return False
     if not g.adjacent(c1.direction, c2.direction):
         return False
-    s1 = (c1.direction,) + orthogonal_complement(g, [c1.direction])
-    s2 = (c2.direction,) + orthogonal_complement(g, [c2.direction])
+    s1 = (c1.direction,) + g._perp[c1.direction]
+    s2 = (c2.direction,) + g._perp[c2.direction]
     search_radius = len(c1.rep) + len(c2.rep) + 2
     seen = {c1.rep}
     dq = deque([c1.rep])

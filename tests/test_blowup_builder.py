@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from cubikit import blowup as bu
 from cubikit import building as bd
 from cubikit import cube_complex as cc
+from cubikit import graph_core as gc
+from cubikit import raag_geometry as rg
 
 from .test_ball_builders import FIXTURES
 
@@ -267,3 +269,34 @@ def test_merged_check_catches_one_determinacy_alone():
     assert raises_assertion(check_one_determined_oracle, psi)
     with pytest.raises(AssertionError, match="not 1-determined"):
         bu._check_squares(psi)
+
+
+def test_fiber_functor_computes_no_orthogonal_complement(monkeypatch):
+    # each vertex's complement is a table of the defining graph, so the
+    # per-edge class lookups of the functor build compute none
+    calls = []
+    real = gc.orthogonal_complement
+    for module in (gc, rg, bd, bu):
+        if hasattr(module, "orthogonal_complement"):
+            monkeypatch.setattr(module, "orthogonal_complement",
+                                lambda g, j: calls.append(j) or real(g, j))
+    davis = small_davis("pentagon", 2)
+    bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2), davis)
+    assert calls == []
+
+
+def test_check_squares_builds_each_edge_image_once(monkeypatch):
+    davis = small_davis("square4", 2)
+    psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2),
+                                 davis)
+    calls = []
+    real = bu.FiberFunctor.image_set
+    monkeypatch.setattr(bu.FiberFunctor, "image_set",
+                        lambda self, c, p: calls.append((c, p)) or
+                        real(self, c, p))
+    bu._check_squares(psi)
+    wanted = set()
+    for s in davis.ball.squares:
+        _, m1, m2, top = sorted(s, key=davis.rank_of.get)
+        wanted |= {(m1, top), (m2, top)}
+    assert sorted(calls) == sorted(wanted)

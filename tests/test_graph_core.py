@@ -119,6 +119,7 @@ def test_derived_tables_are_not_constructor_arguments():
     g = gc.DefiningGraph.make("ab", [("a", "b")])
     assert g == gc.DefiningGraph(("a", "b"), frozenset({frozenset("ab")}))
     assert g.neighbors("a") == {"b"} and g.index("b") == 1
-    for name in ("_adj", "_index", "_rank", "_letters", "_commuting"):
+    for name in ("_adj", "_index", "_perp", "_rank", "_letters",
+                 "_commuting"):
         with pytest.raises(TypeError):
             gc.DefiningGraph(g.vertices, g.edges, **{name: {}})
