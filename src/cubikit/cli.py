@@ -137,11 +137,15 @@ def cmd_check_rq(args):
     _require_radius(args)
     ball = rg.ball_X(g, args.radius)
     hps = [h for h in cc.hyperplanes(ball) if not h.truncated]
-    if args.walls:
+    if args.walls is not None:
         try:
-            picks = [hps[int(i)] for i in args.walls.split(",")]
-        except (ValueError, IndexError) as exc:
-            raise CliError(EXIT_PARAMS, f"bad wall list: {exc}") from exc
+            idx = [int(i) for i in args.walls.split(",")]
+        except ValueError as exc:
+            raise CliError(EXIT_PARAMS, f"bad --walls list: {exc}") from exc
+        if len(set(idx)) < len(idx) or not all(0 <= i < len(hps) for i in idx):
+            raise CliError(EXIT_PARAMS, "--walls must list distinct indices "
+                           f"in 0..{len(hps) - 1}")
+        picks = [hps[i] for i in idx]
     else:
         rng = random.Random(args.seed)
         picks = rng.sample(hps, rng.randint(0, len(hps)))
@@ -160,6 +164,8 @@ def cmd_check_rq(args):
 def cmd_blowup(args):
     g = _load_graph(args.graph)
     _require_radius(args)
+    if args.window < 1:
+        raise CliError(EXIT_PARAMS, "--window must be >= 1")
     davis = bd.davis_ball(g, args.radius)
     if args.data:
         text = _read(args.data)

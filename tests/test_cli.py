@@ -90,6 +90,24 @@ def test_check_rq_deterministic(graphs, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("walls, message", [
+    ("-1", "--walls must list distinct indices"),
+    ("0,0", "--walls must list distinct indices"),
+    ("", "bad --walls list"),
+], ids=["negative", "repeated", "empty"])
+def test_check_rq_bad_walls_exits_3(graphs, capsys, walls, message):
+    assert cli.main(["check", "rq", "--graph", graphs["k2"], "--radius", "2",
+                     f"--walls={walls}"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_blowup_window_below_one_exits_3(graphs, capsys, value):
+    assert cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                     "--window", value]) == 3
+    assert "--window must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["graph", "info"], ["check", "cat0"],
                                      ["check", "rq"]], ids=" ".join)
 def test_dot_only_where_dot_is_written(graphs, tmp_path, capsys, command):
