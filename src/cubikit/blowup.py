@@ -22,6 +22,7 @@ each factor's class moved by its `building.class_isometry`), which
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -219,15 +220,9 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
 def _check_squares(psi: FiberFunctor):
     """One pass over the Davis squares: the two composites bottom -> top
     agree (functor laws), and their image is the intersection of the edge
-    images into top (1-determinacy).  An edge image is computed once, as
-    an edge can lie on several squares."""
-    images = {}
-
-    def image(child, parent):
-        if (child, parent) not in images:
-            images[child, parent] = psi.image_set(child, parent)
-        return images[child, parent]
-
+    images into top (1-determinacy)."""
+    # an edge can lie on several squares; its image is computed once
+    image = functools.cache(psi.image_set)
     for s in psi.davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
         through = set()

@@ -448,9 +448,9 @@ def hyperplanes(b: CubeComplexBall) -> list:
     takes these sides when a certificate proves that removing its edges
     leaves exactly them:
     - the BFS reached every vertex;
-    - every edge's endpoints differ in exactly its own class's bit (so a
-      tree path crosses no class twice: the second crossing leaves the
-      mask unchanged);
+    - every edge's endpoints differ in exactly its own class's bit (this
+      also rules out a tree path that crosses a class twice, whose second
+      crossing would leave the mask unchanged);
     - no square of the class has both pairs of opposite edges in it (such
       a square links the class's edges without joining their far
       endpoints; `tests/test_hyperplanes.py` has a complex that passes the
