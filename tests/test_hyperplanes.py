@@ -3,6 +3,7 @@ balls, blow-ups and restriction-quotient targets, counts of the component
 searches it falls back to, and hand-built complexes on which a halfspace
 labelling alone would give the wrong sides."""
 
+import functools
 import hashlib
 import json
 import random
@@ -38,8 +39,10 @@ def blowup_y(name, radius, window):
     return bu.blowup_complex(psi).Y
 
 
-def rq_target(b, seed):
-    """The restriction quotient of `b` by a seeded quarter of its walls."""
+def rq_target(name, seed=14):
+    """The restriction quotient of the complex `name` by a seeded quarter of
+    its walls."""
+    b = COMPLEXES[name]()
     rng = random.Random(seed)
     walls = [h for h in cc.hyperplanes(b) if not h.truncated]
     return cc.restriction_quotient(b, rng.sample(walls, len(walls) // 4)).target
@@ -54,9 +57,8 @@ COMPLEXES = {
     # five components: every class is truncated
     "Y-k2-3-2": lambda: blowup_y("k2", 3, 2),
 }
-for _name in ("X-pentagon-3", "X-square4-4", "X-path3-4", "davis-pentagon-2"):
-    COMPLEXES[f"rq-{_name}"] = \
-        lambda _name=_name: rq_target(COMPLEXES[_name](), 14)
+for name in ("X-pentagon-3", "X-square4-4", "X-path3-4", "davis-pentagon-2"):
+    COMPLEXES[f"rq-{name}"] = functools.partial(rq_target, name)
 
 GOLDEN_HYPERPLANES = {
     "X-path3-4":
