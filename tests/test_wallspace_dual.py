@@ -490,7 +490,8 @@ def iws_digest(iws):
 def iws_case(name):
     """Configurations whose action closure transports cut walls (translation
     by a on the pentagon), tip walls (the two-flipping action) or nothing
-    (criterion 11's C5 wallspace)."""
+    (criterion 11's C5 wallspace, and the same classes on the points ball
+    of radius 4)."""
     g = gc.pentagon()
     if name.startswith("c5_translation_r"):
         radius = int(name[-1])
@@ -509,9 +510,10 @@ def iws_case(name):
         for v in g.vertices:
             res.setdefault(rg.class_of_geodesic(g, p, v).id,
                            {n: n for n in range(-12, 13)})
-    return wd.invariant_wallspace(g, trivial_action(g, 3), res,
+    radius = 4 if name == "c5_reach2_r4" else 3
+    return wd.invariant_wallspace(g, trivial_action(g, radius), res,
                                   wall_window=1, class_reach=2,
-                                  points_radius=3)
+                                  points_radius=radius)
 
 
 # computed before the closure was rebuilt on one block map and one class
@@ -528,6 +530,10 @@ GOLDEN_IWS = {
         10, 1),
     "criterion_11_c5": (
         "4596bb87545e563591cc1edde2468a6f3b775ea13a3d45c670cce76275ec9afc",
+        290, 145),
+    # computed before heights were inherited along word prefixes
+    "c5_reach2_r4": (
+        "a5620ab863c35386dcf162a0cfb013019fb21b5e7a00f5ee5708f9ee19c90beb",
         290, 145),
 }
 
