@@ -25,7 +25,9 @@ exactly the ones that can be shuffled to the front.  Write base^-1 x = a b
 with a in G(S) the front-movable S-letters; b has none, so no letter of
 p^-1 a cancels against b and |p^-1 a b| = |p^-1 a| + |b| for every p in
 G(S), least exactly at p = a.  The height of x on a parallel class is the
-one-direction case (`height_of`).
+one-direction case (`height_of`); `class_heights` gives a class's heights
+on a list of words, copying a prefix's height across each letter that is
+not in the class direction.
 
 On top of the word algebra this module grows finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e: a BFS
@@ -344,9 +346,35 @@ def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
 
 def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
     """Gate height of x on the class geodesic: `gate_heights` in the class
-    direction, from the gate representative of the geodesic."""
+    direction, from the gate representative of the geodesic.  This is the
+    per-point path; `class_heights` inherits heights along word prefixes
+    and calls it only where no prefix gives the answer."""
     v = pc.direction
     return gate_heights(g, gate_representative(g, pc.rep, (v,)), (v,), x)[v]
+
+
+def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
+    """{word: `height_of` the word} for a list of words, in their order.
+
+    A word p = q x whose last letter x is not a letter of the class
+    direction v copies the height of its prefix q when q came earlier in
+    the list.  The gate map onto a convex subcomplex of a CAT(0) cube
+    complex moves only across hyperplanes that cross that subcomplex
+    (Sageev 1995); the hyperplanes that cross the class line are dual to
+    v-edges, so the x-edge from q to p leaves the gate where it is.  Every
+    other word calls `height_of`, so any list is fine; a list by (length,
+    word), as `group_ball` gives, has every prefix before its extensions.
+    """
+    v = pc.direction
+    out = {}
+    for p in words:
+        if p and p[-1][0] != v:
+            k = out.get(p[:-1])
+            if k is not None:
+                out[p] = k
+                continue
+        out[p] = height_of(g, pc, p)
+    return out
 
 
 def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,

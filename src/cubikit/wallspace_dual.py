@@ -14,7 +14,12 @@ flip, which dimension, maximal cubes, `phi` and flat embeddings read.
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
 the one `building.class_isometry` of each (class, generator) pair and its
-tip walls by `building.transport_height`.  That wall closure and the
+tip walls by `building.transport_height`.  Each class's heights come from
+one `raag_geometry.class_heights` pass over the points, which copies a
+word's height to its extensions by letters outside the class direction
+(those edges cross no hyperplane of the class line, so the gate stays).
+The heights give one bitmask per level, and every wall side is a level
+(tip walls) or an OR of levels (cut walls).  That wall closure and the
 density search of `phi_map` run `cube_complex.bfs_ball`.
 """
 
@@ -40,13 +45,13 @@ from .cube_complex import (
     is_convex,
     relabel_edges,
 )
-from .graph_core import DefiningGraph, orthogonal_complement
+from .graph_core import DefiningGraph
 from .raag_geometry import (
+    class_heights,
     class_of_geodesic,
     coset_member,
     extension_adjacent,
     group_ball,
-    height_of,
     inv,
     mul,
 )
@@ -396,11 +401,20 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     which raises `TruncationError` when a resolution is too short.  A
     generator whose `building.class_isometry` misses a pair of blocks
     raises `semiconjugacy.ActionError`.
+
+    Each class, seed or image, gets its heights in one
+    `raag_geometry.class_heights` pass over the points (listed by length,
+    so a word's prefix comes first and lends its height across any letter
+    not in the class direction) and a table {height: bitmask of the points
+    at that height}.  A tip wall's side is one level, a cut wall's the OR
+    of the levels whose clamped block is at most its cut; walls are
+    deduplicated by min(side, complement), and the domain is the AND of
+    every class's band levels.
     """
     if points_radius is None:
         points_radius = 2 * (wall_window + 1)
-    points = group_ball(g, points_radius)
-    pset = set(points)
+    points = tuple(group_ball(g, points_radius))
+    full = (1 << len(points)) - 1
     classes = {}
     for p in group_ball(g, class_reach):
         for v in g.vertices:
@@ -409,23 +423,34 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     tags = []
     lines = {}
     heights_of = {}
+    levels = {}       # class id -> {height: bitmask of the points at it}
     block_maps = {}
     band = range(-wall_window, wall_window + 1)
 
+    def add_heights(cid, hs):
+        heights_of[cid] = hs
+        levels[cid] = lv = {}
+        for i, h in enumerate(hs.values()):
+            lv[h] = lv.get(h, 0) | 1 << i
+
     def wall_side(tag):
-        """The side of a tagged wall, from its class's heights.  A cut wall
-        clamps heights outside the block map's keys to its ends; block maps
-        are monotone, so the side matches the infinite wall."""
-        hs = heights_of[tag[0]]
+        """The side of a tagged wall, as a bitmask over the points: one level
+        for a tip wall, the levels whose block is at most m for a cut wall.
+        A cut wall clamps heights outside the block map's keys to its ends;
+        block maps are monotone, so the side matches the infinite wall."""
+        lv = levels[tag[0]]
         if tag[1] == "tip":
-            return frozenset(p for p in points if hs[p] == tag[3])
+            return lv.get(tag[3], 0)
         fmap = block_maps[tag[0]]
         lo, hi = min(fmap), max(fmap)
-        return frozenset(p for p in points
-                         if fmap[max(lo, min(hi, hs[p]))] <= tag[2])
+        side = 0
+        for h, mask in lv.items():
+            if fmap[max(lo, min(hi, h))] <= tag[2]:
+                side |= mask
+        return side
 
     for cid, pc in sorted(classes.items()):
-        heights_of[cid] = {p: height_of(g, pc, p) for p in points}
+        add_heights(cid, class_heights(g, pc, points))
         block_maps[cid] = resolved_table(g, action_tables, resolutions, pc,
                                          band)
         lines[cid] = line = BranchedLine.of_block_map(block_maps[cid])
@@ -449,13 +474,14 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 return None
             if img.id not in classes and img.id not in rejected:
                 try:
-                    hs = {p: height_of(g, img, p) for p in points}
+                    hs = class_heights(g, img, points)
                     fmap = resolved_table(g, action_tables, resolutions, img,
                                           sorted(set(hs.values())))
                 except ValueError:
                     rejected.add(img.id)
                     return None
-                classes[img.id], heights_of[img.id] = img, hs
+                classes[img.id] = img
+                add_heights(img.id, hs)
                 block_maps[img.id] = fmap
             if img.id in classes:
                 images[cid, name] = img
@@ -498,7 +524,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 new_tag = (img_pc.id, "cut", m2)
             if new_tag not in sides:
                 side = wall_side(new_tag)
-                if not side or len(side) == len(points):
+                if not side or side == full:
                     continue
                 sides[new_tag] = side
             yield name, new_tag
@@ -506,15 +532,16 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     uniq_sides, uniq_tags, seen = [], [], set()
     for tag in bfs_ball(tags, step, 10000):
         w = sides[tag]
-        key = min(frozenset(w), frozenset(pset - set(w)), key=sorted)
-        if w and key not in seen and len(w) < len(points):
+        key = min(w, full ^ w)
+        if key and key not in seen:
             seen.add(key)
             uniq_sides.append(w)
             uniq_tags.append(tag)
-    ws = Wallspace.make(points, uniq_sides, uniq_tags)
-    domain = tuple(p for p in points
-                   if all(-wall_window <= heights_of[cid][p] <= wall_window
-                          for cid in classes))
+    ws = Wallspace(points, uniq_sides, uniq_tags)
+    inside = full
+    for lv in levels.values():
+        inside &= sum(lv.get(h, 0) for h in band)
+    domain = tuple(p for i, p in enumerate(points) if inside >> i & 1)
     return InvariantWallspace(ws, g, classes, lines, heights_of, block_maps,
                               wall_window, domain)
 
@@ -631,7 +658,7 @@ def _flat_points(iws: InvariantWallspace, class_ids):
     for p in iws.wallspace.points:
         ok = True
         for pc in pcs:
-            support = (pc.direction,) + orthogonal_complement(g, [pc.direction])
+            support = (pc.direction,) + g._perp[pc.direction]
             if not coset_member(g, p, pc.rep, support):
                 ok = False
                 break

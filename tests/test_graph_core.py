@@ -5,6 +5,8 @@ import pytest
 
 from cubikit import graph_core as gc
 
+from .test_raag_balls import HEIGHT_GRAPHS
+
 
 def exhaustive_cliques(g):
     """Oracle: check every vertex subset for pairwise adjacency."""
@@ -82,6 +84,12 @@ def test_orthogonal_complement():
     assert gc.orthogonal_complement(gc.k2(), ["u"]) == ("v",)
     with pytest.raises(gc.UnknownEndpointError):
         gc.orthogonal_complement(g, ["zz"])
+
+
+def test_perp_table_is_each_vertex_complement():
+    for g in HEIGHT_GRAPHS.values():
+        for v in g.vertices:
+            assert g._perp[v] == gc.orthogonal_complement(g, [v])
 
 
 def test_orthogonal_complement_antitone():

@@ -1,12 +1,27 @@
 """Balls of X and X_e, flats, projections, levels, extension adjacency."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
-from .test_raag_words import growth_series
+from .test_raag_words import growth_series, raw_words
+
+
+def hexagon():
+    return gc.DefiningGraph.make("abcdef", list(zip("abcdef", "bcdefa")))
+
+
+HEIGHT_GRAPHS = {
+    "single_vertex": gc.single_vertex(), "k2": gc.k2(), "path3": gc.path3(),
+    "square4": gc.square4(), "discrete2": gc.discrete(2),
+    "pentagon": gc.pentagon(), "hexagon": hexagon(),
+}
 
 
 def project_to_geodesic(g, x, flat):
@@ -241,6 +256,56 @@ def test_height_shortcut_matches_gate_oracle():
             pc = rg.class_of_geodesic(g, base, v)
             k, _ = project_to_geodesic(g, x, geodesic_of_class(g, pc))
             assert rg.height_of(g, pc, x) == k
+
+
+def reach2_classes(g):
+    """Every class of a geodesic through the ball of radius 2."""
+    out = {}
+    for p in rg.group_ball(g, 2):
+        for v in g.vertices:
+            pc = rg.class_of_geodesic(g, p, v)
+            out.setdefault(pc.id, pc)
+    return list(out.values())
+
+
+def assert_class_heights_match(g, pcs, words):
+    for pc in pcs:
+        got = rg.class_heights(g, pc, words)
+        assert list(got.items()) == [(p, rg.height_of(g, pc, p))
+                                     for p in words], pc.id
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(HEIGHT_GRAPHS))
+def test_class_heights_match_height_of(name, radius):
+    g = HEIGHT_GRAPHS[name]
+    assert_class_heights_match(g, reach2_classes(g), rg.group_ball(g, radius))
+
+
+@pytest.mark.parametrize("order", ["reversed", "margin", "shuffled"])
+@pytest.mark.parametrize("name", ["pentagon", "path3"])
+def test_class_heights_off_prefix_closed_lists(name, order):
+    # prefixes come late or not at all, so most words take the fallback
+    g = HEIGHT_GRAPHS[name]
+    words = rg.group_ball(g, 3)
+    if order == "reversed":
+        words = words[::-1]
+    elif order == "margin":
+        words = [p for p in words if len(p) >= 2]
+    else:
+        random.Random(5).shuffle(words)
+    assert_class_heights_match(g, reach2_classes(g), words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["pentagon", "hexagon"]), st.data())
+def test_class_heights_along_a_word_match_height_of(name, data):
+    g = HEIGHT_GRAPHS[name]
+    rep = rg.normal_form(g, data.draw(raw_words(g, max_size=5)))
+    pc = rg.class_of_geodesic(g, rep, data.draw(st.sampled_from(g.vertices)))
+    x = rg.normal_form(g, data.draw(raw_words(g, max_size=10)))
+    prefixes = [x[:i] for i in range(len(x) + 1)]
+    assert_class_heights_match(g, [pc], prefixes)
 
 
 def test_canonical_quotient_is_davis_ball():

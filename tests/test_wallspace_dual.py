@@ -309,22 +309,24 @@ def test_invariant_wallspace_translations_c5():
 
 def test_invariant_wallspace_heights_once_per_class(monkeypatch):
     # the closure meets the four classes c@a, d@a, c@a^-1 and d@a^-1 from
-    # several walls; their block maps fail each time, but their heights are
-    # computed once, like those of every class it keeps
+    # several walls; their block maps fail each time, but no (class, point)
+    # height is computed twice, theirs or those of any class it keeps
     g = gc.pentagon()
     calls = collections.Counter()
-    height_of = wd.height_of
+    height_of = rg.height_of
 
     def counting(g_, pc, p):
-        calls[pc.id] += 1
+        calls[pc.id, p] += 1
         return height_of(g_, pc, p)
 
-    monkeypatch.setattr(wd, "height_of", counting)
+    monkeypatch.setattr(rg, "height_of", counting)
     act = left_translation_action(g, wd.group_ball(g, 3), (("a", 1),))
     iws = wd.invariant_wallspace(g, act, line_resolutions(g), wall_window=1)
     rejected = {"c@a", "d@a", "c@a^-1", "d@a^-1"}
-    assert set(calls) == set(iws.classes) | rejected
-    assert set(calls.values()) == {len(iws.wallspace.points)}
+    assert set(calls.values()) == {1}
+    assert {cid for cid, _ in calls} == set(iws.classes) | rejected
+    points = iws.wallspace.points
+    assert all(tuple(hs) == points for hs in iws.heights.values())
 
 
 def test_transversality_k2():
