@@ -13,14 +13,11 @@ from cubikit import raag_geometry as rg
 from .test_raag_words import growth_series, raw_words
 
 
-def hexagon():
-    return gc.DefiningGraph.make("abcdef", list(zip("abcdef", "bcdefa")))
-
-
 HEIGHT_GRAPHS = {
     "single_vertex": gc.single_vertex(), "k2": gc.k2(), "path3": gc.path3(),
     "square4": gc.square4(), "discrete2": gc.discrete(2),
-    "pentagon": gc.pentagon(), "hexagon": hexagon(),
+    "pentagon": gc.pentagon(),
+    "hexagon": gc.DefiningGraph.make("abcdef", list(zip("abcdef", "bcdefa"))),
 }
 
 
