@@ -239,10 +239,10 @@ def cmd_semiconj(args):
         if args.window > spec.window:
             raise CliError(EXIT_PARAMS, "requested window exceeds the tables")
         spec.window = args.window
-        spec.generators = {n: {k: v for k, v in t.items()
-                               if abs(k) <= args.window and
-                               abs(v) <= args.window}
-                           for n, t in spec.generators.items()}
+    # entries that leave the window are not part of the windowed action
+    spec.generators = {n: {k: v for k, v in t.items()
+                           if abs(k) <= spec.window and abs(v) <= spec.window}
+                       for n, t in spec.generators.items()}
     try:
         spec.validate()
     except sc.ActionError as exc:

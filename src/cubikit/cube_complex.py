@@ -25,8 +25,8 @@ density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
 (hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
 `tracks` 3-6 %), `cut_components` (all components), the labelling BFS of
 `hyperplanes` (records each tree edge's class), `dual_cube_complex`
-and `building.class_orbit_word` (record flips, words), `_extension_adjacent`
-(stops early) and `labeled_isomorphism` (orders vertices seed by seed).
+and `building.class_orbit_word` (record flips, words) and
+`labeled_isomorphism` (orders vertices seed by seed).
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ class DefiningGraph:
     The declaration order of `vertices` is canonical: vertex indices, clique
     order and every downstream id derive from it.  `__post_init__` fills the
     derived tables: `_adj` (vertex -> neighbours), `_index` (vertex ->
-    position in `vertices`), `_perp` (vertex -> its neighbours in
-    `vertices` order, the orthogonal complement of {v}) and, for the RAAG
+    position in `vertices`), `_star` (vertex v -> v, then its neighbours
+    in `vertices` order: the star st(v) = {v} u v-perp) and, for the RAAG
     word algebra, the letters
     (v, e) coded by rank 2 * index + (e < 0): `_rank` (letter -> rank),
     `_letters` (rank -> letter) and `_commuting` (rank -> ranks of the
@@ -50,7 +50,7 @@ class DefiningGraph:
     edges: frozenset[frozenset[str]]
     _adj: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
-    _perp: dict = field(init=False, repr=False, compare=False)
+    _star: dict = field(init=False, repr=False, compare=False)
     _rank: dict = field(init=False, repr=False, compare=False)
     _letters: tuple = field(init=False, repr=False, compare=False)
     _commuting: tuple = field(init=False, repr=False, compare=False)
@@ -75,8 +75,8 @@ class DefiningGraph:
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_perp", {
-            v: tuple(w for w in self.vertices if w in adj[v])
+        object.__setattr__(self, "_star", {
+            v: (v, *(w for w in self.vertices if w in adj[v]))
             for v in self.vertices})
         letters = tuple((v, e) for v in self.vertices for e in (1, -1))
         rank = {x: r for r, x in enumerate(letters)}

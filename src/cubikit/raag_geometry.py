@@ -29,6 +29,16 @@ one-direction case (`height_of`); `class_heights` gives a class's heights
 on a list of words, copying a prefix's height across each letter that is
 not in the class direction.
 
+Two cosets x*G(X), y*G(Y) meet iff u = x^-1 y lies in the double coset
+G(X) G(Y), and that is one gate: u lies there iff the gate of u*G(Y) is
+a word in X.  If u = a b with a in G(X), b in G(Y), then u*G(Y) = a*G(Y),
+whose gate is a with the Y-letters that shuffle to its end dropped, still
+a word in X.  Conversely, if the gate r of u*G(Y) is in G(X), then u = r b
+with b in G(Y).  The gate is reduced, so its letters are those of every
+reduced word for it, and "a word in X" is a test on its letters.
+Extension-complex adjacency (`extension_adjacent`) is this test with X, Y
+the stars of the two class directions.
+
 On top of the word algebra this module grows finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e: a BFS
 (`cube_complex.bfs_ball`) over a step function, the letter step for X and
@@ -41,7 +51,6 @@ edges of the extension complex).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -241,8 +250,7 @@ def standard_flat(g: DefiningGraph, base, clique_members) -> StandardFlat:
 def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
     if not g.has_vertex(v):
         raise UnknownEndpointError(f"unknown vertex {v!r}")
-    support = (v,) + g._perp[v]
-    return ParallelClass(v, gate_representative(g, base, support))
+    return ParallelClass(v, gate_representative(g, base, g._star[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,44 +415,17 @@ def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,
     return out
 
 
-_ext_adj_cache: dict = {}
-
-
 def extension_adjacent(g: DefiningGraph, c1: ParallelClass,
                        c2: ParallelClass) -> bool:
-    """Edge test in the extension complex.
+    """Edge test in the extension complex: the directions v, w are adjacent
+    in the graph and the parallel-set cosets rep1*G(st v), rep2*G(st w)
+    meet, i.e. rep1^-1 rep2 lies in the double coset G(st v) G(st w).
 
-    True iff the directions are adjacent in the graph and some element lies
-    in both parallel-set cosets (then representatives through that element
-    span a standard 2-flat).
+    That holds iff the gate of rep1^-1 rep2 * G(st w) is a word in st v
+    (see the module docstring).
     """
-    key = (g, c1, c2)
-    hit = _ext_adj_cache.get(key)
-    if hit is None:
-        hit = _extension_adjacent(g, c1, c2)
-        _ext_adj_cache[key] = hit
-    return hit
-
-
-def _extension_adjacent(g, c1, c2):
-    if c1.direction == c2.direction:
+    v, w = c1.direction, c2.direction
+    if not g.adjacent(v, w):
         return False
-    if not g.adjacent(c1.direction, c2.direction):
-        return False
-    s1 = (c1.direction,) + g._perp[c1.direction]
-    s2 = (c2.direction,) + g._perp[c2.direction]
-    search_radius = len(c1.rep) + len(c2.rep) + 2
-    seen = {c1.rep}
-    dq = deque([c1.rep])
-    # walk the coset rep * G(s1); if it meets rep2 * G(s2) the classes span
-    while dq:
-        h = dq.popleft()
-        if coset_member(g, h, c2.rep, s2):
-            return True
-        for v in s1:
-            for e in (1, -1):
-                h2 = mul(g, h, ((v, e),))
-                if len(h2) <= search_radius and h2 not in seen:
-                    seen.add(h2)
-                    dq.append(h2)
-    return False
+    gate = gate_representative(g, mul(g, inv(c1.rep), c2.rep), g._star[w])
+    return all(x in g._star[v] for x, _ in gate)

@@ -658,8 +658,7 @@ def _flat_points(iws: InvariantWallspace, class_ids):
     for p in iws.wallspace.points:
         ok = True
         for pc in pcs:
-            support = (pc.direction,) + g._perp[pc.direction]
-            if not coset_member(g, p, pc.rep, support):
+            if not coset_member(g, p, pc.rep, g._star[pc.direction]):
                 ok = False
                 break
         if not ok:

@@ -166,6 +166,27 @@ def test_semiconj_cli(tmp_path, capsys):
     assert abs(body["isometries"]["b"]["offset"]) == 1
 
 
+def test_semiconj_tables_leaving_the_window(tmp_path, capsys):
+    # the shape `extract_factor_action` gives on window 40: a swaps
+    # 2n <-> 2n+1 and b adds 2 at every height, so a(40) = 41, b(40) = 42
+    # and b_inv(-40) = -42 leave the window
+    spec = {"window": 40, "L": 3, "A": 0,
+            "generators": {"a": {}, "b": {}, "b_inv": {}},
+            "inverses": {"a": "a", "b": "b_inv", "b_inv": "b"}}
+    for n in range(-40, 41):
+        spec["generators"]["a"][str(n)] = n + 1 if n % 2 == 0 else n - 1
+        spec["generators"]["b"][str(n)] = n + 2
+        spec["generators"]["b_inv"][str(n)] = n - 2
+    path = tmp_path / "leave.json"
+    path.write_text(json.dumps(spec))
+    args = ["semiconj", "--action", str(path), "--depth", "8",
+            "--rips-radius", "6"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert cli.main([*args, "--window", "40"]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_semiconj_window_below_one_exits_3(tmp_path, capsys, value):
     assert cli.main(["semiconj", "--action", flip_action(tmp_path),

@@ -86,10 +86,10 @@ def test_orthogonal_complement():
         gc.orthogonal_complement(g, ["zz"])
 
 
-def test_perp_table_is_each_vertex_complement():
+def test_star_table_is_each_vertex_star():
     for g in HEIGHT_GRAPHS.values():
         for v in g.vertices:
-            assert g._perp[v] == gc.orthogonal_complement(g, [v])
+            assert g._star[v] == (v,) + gc.orthogonal_complement(g, [v])
 
 
 def test_orthogonal_complement_antitone():
@@ -127,7 +127,7 @@ def test_derived_tables_are_not_constructor_arguments():
     g = gc.DefiningGraph.make("ab", [("a", "b")])
     assert g == gc.DefiningGraph(("a", "b"), frozenset({frozenset("ab")}))
     assert g.neighbors("a") == {"b"} and g.index("b") == 1
-    for name in ("_adj", "_index", "_perp", "_rank", "_letters",
+    for name in ("_adj", "_index", "_star", "_rank", "_letters",
                  "_commuting"):
         with pytest.raises(TypeError):
             gc.DefiningGraph(g.vertices, g.edges, **{name: {}})

@@ -49,6 +49,37 @@ def test_semiconjugacy_loads_neither_building_nor_wallspaces():
     assert out == ["cubikit", "cubikit.cube_complex", "cubikit.semiconjugacy"]
 
 
+# Module-level caches kept on purpose: `gate_representative`'s table makes
+# `invariant_wallspace` and `blowup_complex` faster, and its keys hold the
+# graph, so answers cannot leak between graphs.
+MODULE_CACHES = {("raag_geometry", "_gate_cache")}
+
+
+def _is_dict_or_set(node):
+    if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("dict", "set", "defaultdict", "OrderedDict")
+
+
+def test_no_module_level_caches():
+    """No module of `src/` binds a dict or a set at top level, past the
+    caches listed in MODULE_CACHES."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                value, ann = node.value, None
+            elif isinstance(node, ast.AnnAssign):
+                value, ann = node.value, node.annotation
+            else:
+                continue
+            if _is_dict_or_set(value) or (
+                    isinstance(ann, ast.Name) and ann.id in ("dict", "set")):
+                found |= {(path.stem, n) for n in _defined(node)}
+    assert found == MODULE_CACHES
+
+
 def _defined(node):
     """The names a module-level statement defines."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

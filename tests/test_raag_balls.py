@@ -1,6 +1,7 @@
 """Balls of X and X_e, flats, projections, levels, extension adjacency."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,63 @@ def test_extension_adjacent():
     assert not rg.extension_adjacent(pent, ca, cb_far)
     cb_near = rg.class_of_geodesic(pent, (), "b")
     assert rg.extension_adjacent(pent, ca, cb_near)
+    # long representatives: the a-class through x = d c d and the b-class
+    # through x e meet at x e, since e lies in st(a)
+    x = rg.normal_form(pent, (("d", 1), ("c", 1), ("d", 1)))
+    ca_x = rg.class_of_geodesic(pent, x, "a")
+    cb_xe = rg.class_of_geodesic(pent, rg.mul(pent, x, (("e", 1),)), "b")
+    assert ca_x.rep == x and cb_xe.rep == x + (("e", 1),)
+    assert rg.extension_adjacent(pent, ca_x, cb_xe)
+    assert extension_adjacent_oracle(pent, ca_x, cb_xe)
+
+
+def extension_adjacent_oracle(g, c1, c2):
+    """Oracle: walk the coset rep1*G(st v) breadth first and test each
+    element for membership in rep2*G(st w).  The walk stops at length
+    |rep1| + |rep2| + 2; that bound is not proven, so a False here says only
+    that no meeting point lies within it."""
+    v, w = c1.direction, c2.direction
+    if not g.adjacent(v, w):
+        return False
+    bound = len(c1.rep) + len(c2.rep) + 2
+    seen = {c1.rep}
+    dq = deque([c1.rep])
+    while dq:
+        h = dq.popleft()
+        if rg.coset_member(g, h, c2.rep, g._star[w]):
+            return True
+        for x in g._star[v]:
+            for e in (1, -1):
+                h2 = rg.mul(g, h, ((x, e),))
+                if len(h2) <= bound and h2 not in seen:
+                    seen.add(h2)
+                    dq.append(h2)
+    return False
+
+
+@pytest.mark.parametrize("name", ["k2", "path3", "square4"])
+def test_extension_adjacent_matches_oracle_on_reach2_classes(name):
+    g = HEIGHT_GRAPHS[name]
+    pcs = reach2_classes(g)
+    for c1 in pcs:
+        for c2 in pcs:
+            assert rg.extension_adjacent(g, c1, c2) == \
+                extension_adjacent_oracle(g, c1, c2), (c1.id, c2.id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["pentagon", "hexagon"]), st.data())
+def test_extension_adjacent_matches_oracle(name, data):
+    # the second direction is a neighbour of the first, so every draw
+    # reaches the coset test
+    g = HEIGHT_GRAPHS[name]
+    v = data.draw(st.sampled_from(g.vertices))
+    w = data.draw(st.sampled_from(sorted(g.neighbors(v))))
+    c1, c2 = (rg.class_of_geodesic(
+        g, rg.normal_form(g, data.draw(raw_words(g, max_size=3))), x)
+        for x in (v, w))
+    assert rg.extension_adjacent(g, c1, c2) == \
+        extension_adjacent_oracle(g, c1, c2)
 
 
 def test_height_shortcut_matches_gate_oracle():
