@@ -2,11 +2,14 @@ import dataclasses
 import functools
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubikit import blowup as bu
+from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
@@ -110,7 +113,6 @@ def test_convexity():
         assert cc.is_convex(b, h.carrier_vertices)
     assert not cc.is_convex(b, [(0, 0), (1, 0), (1, 1), (0, 1)][0:3])
     # interval-hull oracle agrees on random subsets
-    import random
     rng = random.Random(3)
     verts = list(b.vertex_ids)
     for _ in range(25):
@@ -187,6 +189,49 @@ def test_verify_characterization_fold_all_false():
     assert rep["agree"]
 
 
+def rq_pin_map(name):
+    """`c5_r3_<j>`, `p3_r4_<j>`, `c4_r3_<j>`: the restriction quotient of
+    `ball_X` by a seeded sample of one wall (j=0), a quarter (j=1) or half
+    (j=2) of the untruncated walls.  `fold`: `fold_map()`.
+    `k2_blowup_<radius>_<window>`: q of the bijective K2 blow-up."""
+    if name == "fold":
+        return fold_map()
+    if name.startswith("k2_blowup_"):
+        radius, window = map(int, name.split("_")[2:])
+        g = gc.k2()
+        davis = bd.davis_ball(g, radius)
+        data = bu.bijective_data(g, davis, window)
+        return bu.blowup_complex(bu.build_fiber_functor(data, davis)).q
+    graph, r, j = name.split("_")
+    b = rg.ball_X({"c5": gc.pentagon, "p3": gc.path3, "c4": gc.square4}[graph](),
+                  int(r[1:]))
+    walls = [h for h in cc.hyperplanes(b) if not h.truncated]
+    K = random.Random(f"{graph}{r}{j}").sample(
+        walls, max(1, len(walls) * int(j) // 4))
+    return cc.restriction_quotient(b, K).map
+
+
+# the verifier's conditions, computed before is_convex checked only the
+# outer boundary; (3, 2) is the known blowup-window-below-radius defect
+T, F = True, False
+GOLDEN_RQ = {
+    **{f"{g}_{j}": (T, T, T, T, T) for g in ("c5_r3", "p3_r4", "c4_r3")
+       for j in range(3)},
+    "fold": (F, F, F, F, F),
+    "k2_blowup_4_4": (T, T, T, T, T),
+    "k2_blowup_3_2": (T, F, F, F, F),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RQ))
+def test_golden_rq_conditions(name):
+    samples, seed = (20, 0) if name.startswith("k2_blowup") else \
+        (8, int(name[-1]) if name[-1].isdigit() else 0)
+    rep = cc.verify_rq_characterization(rq_pin_map(name), samples=samples,
+                                        seed=seed)
+    assert rep["conditions"] == GOLDEN_RQ[name]
+
+
 def test_json_roundtrip():
     b = grid(2, 1)
     b2 = cc.from_json(b.to_json())
@@ -212,8 +257,6 @@ def test_labeled_isomorphism_respects_labels():
 
 
 def test_rq_idempotent_randomized():
-    import random
-
     from cubikit import graph_core as gc
     from cubikit import raag_geometry as rg
 

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -102,8 +103,6 @@ def test_maximal_cubes():
 
 
 def test_maximal_cubes_random_suite():
-    import random
-
     rng = random.Random(5)
     for trial in range(25):
         npts = rng.randint(3, 7)
@@ -127,6 +126,35 @@ def test_maximal_cubes_random_suite():
         assert len(dual.vertex_ids) == len(oracle)
         wd.dual_dimension(ws)       # asserts internally
         wd.maximal_cubes(ws)        # asserts the bijection internally
+
+
+def seeded_wallspace_family(seed=11, count=30):
+    """`count` wallspaces of 1-12 drawn walls on 3-8 points, one wall per
+    partition."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        npts = rng.randint(3, 8)
+        full = (1 << npts) - 1
+        sides, seen = [], set()
+        for _ in range(rng.randint(1, 12)):
+            s = rng.randint(1, full - 1)
+            if min(s, full ^ s) not in seen:
+                seen.add(min(s, full ^ s))
+                sides.append(s)
+        out.append(wd.Wallspace(tuple(range(npts)), sides,
+                                list(range(len(sides)))))
+    return out
+
+
+# computed before maximal_cubes read each cube from its lowest corner
+GOLDEN_MAXIMAL_CUBES = \
+    "0c8d82cc4710991095a06d7968b1e383daed4ee27d7e0c8421bd44b64e495e2e"
+
+
+def test_golden_maximal_cubes():
+    body = json.dumps([wd.maximal_cubes(ws) for ws in seeded_wallspace_family()])
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_MAXIMAL_CUBES
 
 
 
