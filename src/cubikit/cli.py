@@ -212,7 +212,10 @@ def cmd_dual(args):
         _require_radius(args)
         ball = rg.ball_X(g, args.radius)
         ws = wd.hyperplane_wallspace(ball, margin=1)
-    dual = wd.dual_cube_complex(ws)
+    try:
+        dual = wd.dual_cube_complex(ws)
+    except (ValueError, MemoryError) as exc:
+        raise CliError(EXIT_PARAMS, f"cannot build the dual: {exc}") from exc
     dim = wd.dual_dimension(ws, dual)
     checks = [{"name": "dual dimension vs transverse families",
                "status": "pass", "witness": f"dim={dim}"}]

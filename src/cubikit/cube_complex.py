@@ -23,10 +23,11 @@ gets its pieces from `cut_components`.
 track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s
 density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
 (hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
-`tracks` 3-6 %), `cut_components` (all components), the labelling BFS of
-`hyperplanes` (records each tree edge's class), `dual_cube_complex`
-and `building.class_orbit_word` (record flips, words) and
-`labeled_isomorphism` (orders vertices seed by seed).
+`tracks` 3-6 %), `cut_components` (all components), `is_convex` (its walk
+collects the outer boundary), the labelling BFS of `hyperplanes` (records
+each tree edge's class), `dual_cube_complex` and
+`building.class_orbit_word` (record flips, words) and `labeled_isomorphism`
+(orders vertices seed by seed).
 """
 
 from __future__ import annotations
@@ -521,26 +522,42 @@ def is_convex(b: CubeComplexBall, S) -> bool:
     distance-2 interval closure and square-corner closure together are
     equivalent to full l1-interval convexity (cross-checked in the tests
     against the brute-force interval hull).
+
+    Both closures can fail only at the outer boundary, and only at a vertex
+    with two neighbours in S: the middle of a distance-2 path between two
+    members, and the missing corner of a square with three corners in S
+    (its two neighbours on the square are members), are such vertices.  So
+    one walk over S decides connectedness and collects that boundary, and
+    the two tests run only at its vertices with two or more members next
+    to them.
     """
     S = set(S)
     if not S:
         return True
-    if not _connected(S, b.neighbors):
+    adj = b._adj
+    start = next(iter(S))
+    seen = {start}
+    stack = [start]
+    boundary = set()
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in S:
+                boundary.add(y)
+            elif y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(S):
         return False
-    for x in S:
-        for z in b.neighbors(x):
-            if z in S:
-                continue
-            for y in b.neighbors(z):
-                if y in S and y != x and not b.has_edge(x, y):
-                    return False
-    for x in S:
-        for s in b.squares_at(x):
-            for i in range(4):
-                a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
-                far = s[(i + 2) % 4]
-                if a in S and mid in S and c in S and far not in S:
-                    return False
+    for z in boundary:
+        inside = [x for x in adj[z] if x in S]
+        if len(inside) < 2:
+            continue
+        for i, x in enumerate(inside):
+            if any(y not in adj[x] for y in inside[i + 1:]):
+                return False
+        for s in b.squares_at(z):
+            if sum(x in S for x in s) == 3:
+                return False
     return True
 
 

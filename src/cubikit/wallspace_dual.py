@@ -67,6 +67,8 @@ class Wallspace:
 
     def __post_init__(self):
         self._pindex = {p: i for i, p in enumerate(self.points)}
+        if len(self._pindex) != len(self.points):
+            raise ValueError("the points repeat")
         full = (1 << len(self.points)) - 1
         seen = {}
         for i, s in enumerate(self.sides):
@@ -345,6 +347,10 @@ def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
     Returns a list of (family, list of cubes); each cube is the frozenset of
     its 0-cube vertex ids.  The correspondence family <-> maximal cube is
     asserted to be a bijection.  The dual is built here unless given.
+
+    Each cube is read from its lowest corner, the one orientation with no
+    wall of the family on its stored side: every cube spanned by the family
+    has exactly one.
     """
     if dual is None:
         dual = dual_cube_complex(ws)
@@ -353,9 +359,10 @@ def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
     used_cubes = set()
     for fam in sorted(_transverse_families(ws), key=sorted):
         walls = sorted(fam)
+        fam_mask = sum(1 << i for i in walls)
         cubes = set()
         for v, s in dual.states.items():
-            if fam <= set(dual.flips[v]):
+            if not s & fam_mask and fam <= set(dual.flips[v]):
                 corners = list(_cube_corners(s, walls))
                 if all(t in states for t in corners):
                     cubes.add(frozenset(map(dual.vertex_of_state, corners)))

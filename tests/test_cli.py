@@ -8,6 +8,7 @@ import pytest
 
 import cubikit
 from cubikit import cli
+from cubikit import wallspace_dual as wd
 
 
 @pytest.fixture
@@ -286,6 +287,29 @@ def test_dual_empty_side_wall_exits_3(tmp_path, capsys):
     assert "empty side" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"points": [], "walls": []}, "empty wallspace"),
+    ({"points": ["a", "a", "b"], "walls": [[0]]}, "points repeat"),
+])
+def test_dual_degenerate_wallspace_exits_3(tmp_path, capsys, body, message):
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(body))
+    assert cli.main(["dual", "--wallspace", str(ws)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_dual_past_the_orientation_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # three pairwise-transverse walls: the dual is a 3-cube, 8 orientations
+    monkeypatch.setattr(wd, "MAX_ORIENTATIONS", 2)
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"points": list(range(8)),
+                              "walls": [[p for p in range(8) if p >> i & 1]
+                                        for i in range(3)]}))
+    assert cli.main(["dual", "--wallspace", str(ws)]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_blowup_window_below_radius_reports_failure(graphs, capsys):
     rc = cli.main(["blowup", "--graph", graphs["k2"], "--radius", "3",
                    "--window", "2"])
@@ -321,8 +345,6 @@ def test_blowup_data_unknown_generator_exits_3(graphs, capsys):
 
 
 def test_dual_builds_the_dual_once(graphs, monkeypatch):
-    from cubikit import wallspace_dual as wd
-
     calls = []
     build = wd.dual_cube_complex
 

@@ -312,13 +312,17 @@ def test_equality_ignores_derived_fields():
         assert f.name.startswith("_") == (not f.init) == (not f.compare)
 
 
-def test_is_convex_square_corner_closure():
-    # a square a-b-c-d whose diagonal a-c is also an edge: {a, b, c} passes
-    # the distance-2 test (a and c are adjacent), so only the square-corner
-    # closure rejects it
-    b = cc.CubeComplexBall.make(
+def diagonal_square():
+    """A square a-b-c-d whose diagonal a-c is also an edge."""
+    return cc.CubeComplexBall.make(
         "abcd", [("a", "b", "u"), ("b", "c", "v"), ("c", "d", "u"),
                  ("d", "a", "v"), ("a", "c", "w")], [("a", "b", "c", "d")], None)
+
+
+def test_is_convex_square_corner_closure():
+    # {a, b, c} passes the distance-2 test (a and c are adjacent), so only
+    # the square-corner closure rejects it
+    b = diagonal_square()
     assert not cc.is_convex(b, ["a", "b", "c"])
     assert not cc.is_convex(b, ["b", "c", "d"])
     assert cc.is_convex(b, ["a", "c"])
@@ -413,6 +417,72 @@ def grown_subcomplex(b, data, drop_squares):
             sub.vertex_ids, sub.edges,
             tuple(s for s, k in zip(sub.squares, keep) if k), sub.depth)
     return sub
+
+
+def is_convex_oracle(b, S):
+    """Convexity by three loops over S: connectedness, then every member's
+    neighbours outside S, then every member's squares (the oracle for
+    is_convex's boundary walk)."""
+    S = set(S)
+    if not S:
+        return True
+    if not cc._connected(S, b.neighbors):
+        return False
+    for x in S:
+        for z in b.neighbors(x):
+            if z in S:
+                continue
+            for y in b.neighbors(z):
+                if y in S and y != x and not b.has_edge(x, y):
+                    return False
+    for x in S:
+        for s in b.squares_at(x):
+            for i in range(4):
+                a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
+                far = s[(i + 2) % 4]
+                if a in S and mid in S and c in S and far not in S:
+                    return False
+    return True
+
+
+def test_is_convex_matches_oracle_on_diagonal_square():
+    b = diagonal_square()
+    for r in range(5):
+        for S in itertools.combinations("abcd", r):
+            assert cc.is_convex(b, S) == is_convex_oracle(b, S), S
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(small_balls())),
+       st.sampled_from(["whole", "grown", "grown-dropped"]),
+       st.sampled_from(["grown", "halfspace", "singleton", "two-pieces",
+                        "square-three", "subset"]),
+       st.data())
+def test_is_convex_matches_three_loop_oracle(name, host, kind, data):
+    # hosts with dropped squares are not median, so the square-corner test
+    # decides there; grown sets are connected, two grown pieces may not be
+    b = small_balls()[name]
+    if host != "whole":
+        b = grown_subcomplex(b, data, host == "grown-dropped")
+    if kind == "grown":
+        S = grown_subcomplex(b, data, False).vertex_ids
+    elif kind == "halfspace" and b.edges:
+        h = data.draw(st.sampled_from(cc.hyperplanes(b)))
+        S = data.draw(st.sampled_from(h.sides + (h.carrier_vertices,)))
+    elif kind == "singleton":
+        S = [data.draw(st.sampled_from(b.vertex_ids))]
+    elif kind == "two-pieces":
+        S = grown_subcomplex(b, data, False).vertex_ids + \
+            grown_subcomplex(b, data, False).vertex_ids
+    elif kind == "square-three" and b.squares:
+        s = data.draw(st.sampled_from(b.squares))
+        k = data.draw(st.integers(0, 3))
+        S = [x for i, x in enumerate(s) if i != k]
+    else:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(b.vertex_ids),
+                                  max_size=len(b.vertex_ids)))
+        S = [v for v, k in zip(b.vertex_ids, keep) if k]
+    assert cc.is_convex(b, S) == is_convex_oracle(b, S)
 
 
 @settings(max_examples=100, deadline=None)

@@ -196,6 +196,41 @@ def test_dual_matches_pairwise_oracles(ws):
     assert wd.dual_dimension(ws) == largest
 
 
+def maximal_cubes_oracle(ws, dual):
+    """maximal_cubes by reading every cube from each of its 2^k corners."""
+    states = set(dual.states.values())
+    out = []
+    used_cubes = set()
+    for fam in sorted(wd._transverse_families(ws), key=sorted):
+        walls = sorted(fam)
+        cubes = set()
+        for v, s in dual.states.items():
+            if fam <= set(dual.flips[v]):
+                corners = list(wd._cube_corners(s, walls))
+                if all(t in states for t in corners):
+                    cubes.add(frozenset(map(dual.vertex_of_state, corners)))
+        cubes = {c for c in cubes if c not in used_cubes}
+        if len(cubes) != 1:
+            raise AssertionError(
+                f"family {walls} supports {len(cubes)} maximal cubes")
+        used_cubes |= cubes
+        out.append((tuple(walls), sorted(next(iter(cubes)))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(wallspaces())
+def test_maximal_cubes_match_every_corner_oracle(ws):
+    dual = wd.dual_cube_complex(ws)
+    try:
+        want = maximal_cubes_oracle(ws, dual)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            wd.maximal_cubes(ws, dual)
+        return
+    assert wd.maximal_cubes(ws, dual) == want
+
+
 def test_sageev_roundtrip_ball_k2():
     ball = rg.ball_X(gc.k2(), 2)
     ws = wd.hyperplane_wallspace(ball, margin=1)
