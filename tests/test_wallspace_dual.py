@@ -157,7 +157,6 @@ def test_golden_maximal_cubes():
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_MAXIMAL_CUBES
 
 
-
 @st.composite
 def wallspaces(draw):
     """Random wallspaces: up to 10 walls on 2-8 points, one per partition."""
