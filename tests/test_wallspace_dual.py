@@ -157,6 +157,41 @@ def test_golden_maximal_cubes():
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_MAXIMAL_CUBES
 
 
+# computed before the dual emitted each square from its lowest corner
+GOLDEN_DUALS = {
+    "seeded_family":
+        "816f491a16aa6bf31ddd851357db9144acc6d86dc30a49fa8d5dcabd6cb1e802",
+    "c5_hyperplanes_r3":
+        "0cd405e25d735705f388d048b5d0f286940c59a49fbbdf54100bd4a48084701a",
+    "criterion_11_c5":
+        "e79bb340bf2724bf3581680fe12b82e67af26d8780590be570fdde7625150b4f",
+}
+GOLDEN_DUAL_DIMENSIONS = \
+    "f89ed470d001c6fbe340f133f6ee1232c69fd703e87af1902007e2e9971903c1"
+
+
+def golden_dual_wallspaces(name):
+    if name == "seeded_family":
+        return seeded_wallspace_family()
+    if name == "c5_hyperplanes_r3":
+        return [wd.hyperplane_wallspace(rg.ball_X(gc.pentagon(), 3), margin=1)]
+    return [iws_case(name).wallspace]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUALS))
+def test_golden_dual_cube_complex(name):
+    wss = golden_dual_wallspaces(name)
+    bodies = [wd.dual_cube_complex(ws).to_json() for ws in wss]
+    body = json.dumps(bodies) if name == "seeded_family" else bodies[0]
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_DUALS[name]
+
+
+def test_golden_dual_dimension():
+    body = json.dumps([wd.dual_dimension(ws)
+                       for ws in seeded_wallspace_family()])
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_DUAL_DIMENSIONS
+
+
 @st.composite
 def wallspaces(draw):
     """Random wallspaces: up to 10 walls on 2-8 points, one per partition."""
