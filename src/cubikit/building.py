@@ -374,15 +374,18 @@ def extract_factor_action(g: DefiningGraph, tables: ActionTables,
 
     For each stabilizing generator, chambers of the class geodesic are moved
     by the action and gated back onto it; the heights read off identify the
-    factor with a window of Z.  The result has A = 0, the least L it
-    validates with, and an inverse table for every extracted table.
+    factor with a window of Z.  A height whose image leaves the window is
+    dropped, as it is not part of the windowed action.  The result has
+    A = 0, the least L it validates with, and an inverse table for every
+    extracted table.
     """
     out = {}
     for name in (names or tables.generators):
         if image_class(g, tables, name, pc).id != pc.id:
             raise ValueError(f"generator {name!r} does not stabilize {pc.id}")
-        out[name] = {n: transport_height(g, tables, (name,), pc, pc, n)
-                     for n in range(-window, window + 1)}
+        heights = ((n, transport_height(g, tables, (name,), pc, pc, n))
+                   for n in range(-window, window + 1))
+        out[name] = {n: m for n, m in heights if abs(m) <= window}
     inverses = add_inverses(out)
     spec = ZActionSpec(window, least_L(out.values()), 0, out, inverses)
     spec.validate()

@@ -25,7 +25,7 @@ density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
 (hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
 `tracks` 3-6 %), `cut_components` (all components), `is_convex` (its walk
 collects the outer boundary), the labelling BFS of `hyperplanes` (records
-each tree edge's class), `dual_cube_complex` and
+each tree edge's class), `wallspace_dual._orientations` and
 `building.class_orbit_word` (record flips, words) and `labeled_isomorphism`
 (orders vertices seed by seed).
 """

@@ -1,15 +1,18 @@
 """Finite wallspaces, Sageev duals, and the invariant wallspace of a RAAG.
 
 Walls are bipartitions of a finite point set, stored one side at a time as
-bitmasks for fast pairwise-intersection checks.  The Sageev dual is built
-by breadth-first flipping from a point-realized consistent orientation (a
+bitmasks for fast pairwise-intersection checks.  `_orientations` flips
+walls breadth first from a point-realized consistent orientation (a
 hand-written BFS, as it records every flip); for finite wallspaces this
 enumerates every 0-cube.  Orientations are bitmasks over the walls, and a
 flip is tested against two precomputed masks per wall side (the walls
 whose stored or other side misses it), so one test is O(1).
-The result is a `DualComplex`: a cube-complex ball that also carries its
-wallspace, the orientation of every vertex and the walls each vertex can
-flip, which dimension, maximal cubes, `phi` and flat embeddings read.
+`dual_cube_complex` assembles a `DualComplex` from it: a cube-complex ball
+that also carries its wallspace, the orientation of every vertex and the
+walls each vertex can flip, which `phi` and flat embeddings read.  Each
+square and each cube is read once, from its lowest corner (no wall of it on
+the stored side).  `dual_dimension` and `maximal_cubes` read a given dual's
+orientations, or run `_orientations` alone and build no complex.
 
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
@@ -177,14 +180,15 @@ class DualComplex(CubeComplexBall):
         return _vertex_id(self.wallspace.n_walls(), state)
 
 
-def dual_cube_complex(ws: Wallspace) -> DualComplex:
+def _orientations(ws: Wallspace):
     """All consistent orientations, discovered by BFS wall flips.
 
-    Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
-    the stored side of wall i).  Edge labels are the wall tags.  Flipping
-    wall i keeps a consistent orientation consistent iff the new side of i
-    meets the chosen side of every other wall: one test against two wall
-    bitmasks per side of i.
+    Returns (edges, flips): the (state, flipped state, wall) edges in
+    discovery order, from both ends, and state -> the walls whose flip
+    leads to another 0-cube, in increasing order.  Flipping wall i keeps a
+    consistent orientation consistent iff the new side of i meets the chosen
+    side of every other wall: one test against two wall bitmasks per side
+    of i.
     """
     n = ws.n_walls()
     if not ws.points:
@@ -227,14 +231,28 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
                 seen.add(nxt)
                 dq.append(nxt)
         flips[state] = tuple(fl)
+    return edges, flips
 
-    order = sorted(seen)
+
+def dual_cube_complex(ws: Wallspace) -> DualComplex:
+    """The Sageev dual: every consistent orientation from `_orientations`.
+
+    Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
+    the stored side of wall i).  Edge labels are the wall tags.  Each square
+    is emitted once, from its lowest corner s (neither wall on its stored
+    side), as (s, s^i, s^i^j, s^j) with i < j: already canonical, and in
+    sorted order.
+    """
+    n = ws.n_walls()
+    edges, flips = _orientations(ws)
+    order = sorted(flips)
     vid = {s: _vertex_id(n, s) for s in order}
     squares = []
     for s in order:
-        for i, j in itertools.combinations(flips[s], 2):
+        up = [i for i in flips[s] if not s >> i & 1]
+        for i, j in itertools.combinations(up, 2):
             s_ij = s ^ (1 << i) ^ (1 << j)
-            if s_ij in seen:
+            if s_ij in flips:
                 squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
                                 vid[s ^ (1 << j)]))
     ebody = [(vid[a], vid[b], str(ws.tags[i])) for a, b, i in edges]
@@ -242,36 +260,6 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
         [vid[s] for s in order], ebody, squares, None, wallspace=ws,
         states={vid[s]: s for s in order},
         flips={vid[s]: flips[s] for s in order})
-
-
-@dataclass(frozen=True)
-class ZeroCube:
-    """A pairwise-consistent orientation: per wall, the chosen side index
-    (1 = the stored side).  The cofinite condition is automatic on finite
-    wallspaces."""
-
-    orientation: tuple
-
-    def side(self, i: int) -> int:
-        return self.orientation[i]
-
-    def consistent(self, ws: Wallspace) -> bool:
-        n = ws.n_walls()
-        for i in range(n):
-            si = ws.sides[i] if self.orientation[i] else \
-                ws.full_mask ^ ws.sides[i]
-            for j in range(i + 1, n):
-                sj = ws.sides[j] if self.orientation[j] else \
-                    ws.full_mask ^ ws.sides[j]
-                if not si & sj:
-                    return False
-        return True
-
-
-def zero_cube_of_vertex(dual: DualComplex, vid) -> ZeroCube:
-    state = dual.states[vid]
-    return ZeroCube(tuple(state >> i & 1
-                          for i in range(dual.wallspace.n_walls())))
 
 
 def vertex_of_point(dual: DualComplex, p):
@@ -314,27 +302,33 @@ def _cube_corners(state, walls):
         yield s
 
 
+def _state_flips(ws: Wallspace, dual: DualComplex | None) -> dict:
+    """state -> flippable walls, read from `dual` or enumerated here."""
+    if dual is None:
+        return _orientations(ws)[1]
+    return {s: dual.flips[v] for v, s in dual.states.items()}
+
+
 def dual_dimension(ws: Wallspace, dual: DualComplex | None = None) -> int:
     """Largest pairwise-transverse wall family; asserted equal to the max
-    cube dimension of the dual complex (built here unless given)."""
-    if dual is None:
-        dual = dual_cube_complex(ws)
+    cube dimension of the dual complex.  Without `dual` only the
+    orientations are enumerated; no complex is built."""
     dim = max(map(len, _transverse_families(ws)))
-    assert dim == _max_cube_dimension(dual), \
+    assert dim == _max_cube_dimension(ws, _state_flips(ws, dual)), \
         "transverse family bound disagrees with the dual's cube dimension"
     return dim
 
 
-def _max_cube_dimension(dual: DualComplex) -> int:
-    ws = dual.wallspace
-    states = set(dual.states.values())
+def _max_cube_dimension(ws: Wallspace, flips: dict) -> int:
+    """Each cube is tried from its lowest corner, where all its walls flip
+    up to their stored side."""
     best = 0
-    for v, s in dual.states.items():
-        cand = dual.flips[v]
+    for s, fl in flips.items():
+        cand = [i for i in fl if not s >> i & 1]
         for r in range(len(cand), best, -1):
             if any(all(ws.transverse(i, j)
                        for i, j in itertools.combinations(combo, 2)) and
-                   all(t in states for t in _cube_corners(s, combo))
+                   all(t in flips for t in _cube_corners(s, combo))
                    for combo in itertools.combinations(cand, r)):
                 best = r
                 break
@@ -346,26 +340,29 @@ def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
 
     Returns a list of (family, list of cubes); each cube is the frozenset of
     its 0-cube vertex ids.  The correspondence family <-> maximal cube is
-    asserted to be a bijection.  The dual is built here unless given.
+    asserted to be a bijection.  Without `dual` only the orientations are
+    enumerated; no complex is built.
 
     Each cube is read from its lowest corner, the one orientation with no
     wall of the family on its stored side: every cube spanned by the family
     has exactly one.
     """
-    if dual is None:
-        dual = dual_cube_complex(ws)
-    states = set(dual.states.values())
+    n = ws.n_walls()
+    flips = _state_flips(ws, dual)
+    # per state, the walls that flip up to their stored side
+    up = {s: sum(1 << i for i in fl if not s >> i & 1)
+          for s, fl in flips.items()}
     out = []
     used_cubes = set()
     for fam in sorted(_transverse_families(ws), key=sorted):
         walls = sorted(fam)
         fam_mask = sum(1 << i for i in walls)
         cubes = set()
-        for v, s in dual.states.items():
-            if not s & fam_mask and fam <= set(dual.flips[v]):
+        for s, m in up.items():
+            if m & fam_mask == fam_mask:
                 corners = list(_cube_corners(s, walls))
-                if all(t in states for t in corners):
-                    cubes.add(frozenset(map(dual.vertex_of_state, corners)))
+                if all(t in flips for t in corners):
+                    cubes.add(frozenset(_vertex_id(n, t) for t in corners))
         cubes = {c for c in cubes if c not in used_cubes}
         if len(cubes) != 1:
             raise AssertionError(

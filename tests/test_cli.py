@@ -168,7 +168,7 @@ def test_semiconj_cli(tmp_path, capsys):
 
 
 def test_semiconj_tables_leaving_the_window(tmp_path, capsys):
-    # the shape `extract_factor_action` gives on window 40: a swaps
+    # the two-flipping heights on window 40 before any trimming: a swaps
     # 2n <-> 2n+1 and b adds 2 at every height, so a(40) = 41, b(40) = 42
     # and b_inv(-40) = -42 leave the window
     spec = {"window": 40, "L": 3, "A": 0,

@@ -22,7 +22,7 @@ TEST_ONLY = {
     "direction_labeled_dual", "eta_quasi_morphism",
     # fixture builders
     "left_translation_action", "relabel_action", "standard_flat", "v_levels",
-    "zero_cube_of_vertex", "rejoin",
+    "rejoin",
     # steps of the main construction, which has no caller yet
     "extract_factor_action", "equivariant_blowup",
 }

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import json
 import random
+from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,66 @@ def enumerate_zero_cubes_oracle(ws):
         if ok:
             out.append(bits)
     return out
+
+
+@dataclass(frozen=True)
+class ZeroCube:
+    """Oracle: a pairwise-consistent orientation, as the chosen side index
+    per wall (1 = the stored side).  The cofinite condition is automatic on
+    finite wallspaces."""
+
+    orientation: tuple
+
+    def consistent(self, ws) -> bool:
+        n = ws.n_walls()
+        for i in range(n):
+            si = ws.sides[i] if self.orientation[i] else \
+                ws.full_mask ^ ws.sides[i]
+            for j in range(i + 1, n):
+                sj = ws.sides[j] if self.orientation[j] else \
+                    ws.full_mask ^ ws.sides[j]
+                if not si & sj:
+                    return False
+        return True
+
+
+def zero_cube_of_vertex(dual, vid) -> ZeroCube:
+    state = dual.states[vid]
+    return ZeroCube(tuple(state >> i & 1
+                          for i in range(dual.wallspace.n_walls())))
+
+
+def dual_squares_oracle(ws):
+    """Oracle: the dual as assembled with every square emitted from each of
+    its four corners, left to `CubeComplexBall` to canonicalise and
+    deduplicate.  The BFS flips walls in the same order as
+    `dual_cube_complex`, but tests a flip against the brute-force set of
+    consistent orientations."""
+    n = ws.n_walls()
+    consistent = set(enumerate_zero_cubes_oracle(ws))
+    start = ws.point_state(ws.points[0])
+    seen, dq, edges, flips = {start}, deque([start]), [], {}
+    while dq:
+        s = dq.popleft()
+        flips[s] = [i for i in range(n) if s ^ (1 << i) in consistent]
+        for i in flips[s]:
+            t = s ^ (1 << i)
+            edges.append((s, t, i))
+            if t not in seen:
+                seen.add(t)
+                dq.append(t)
+    order = sorted(seen)
+    vid = {s: wd._vertex_id(n, s) for s in order}
+    squares = []
+    for s in order:
+        for i, j in itertools.combinations(flips[s], 2):
+            s_ij = s ^ (1 << i) ^ (1 << j)
+            if s_ij in seen:
+                squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
+                                vid[s ^ (1 << j)]))
+    return cc.CubeComplexBall.make(
+        [vid[s] for s in order],
+        [(vid[a], vid[b], str(ws.tags[i])) for a, b, i in edges], squares)
 
 
 def test_two_points_one_wall():
@@ -212,7 +274,7 @@ def test_dual_matches_pairwise_oracles(ws):
     dual = wd.dual_cube_complex(ws)
     assert sorted(dual.states.values()) == enumerate_zero_cubes_oracle(ws)
     for v, s in dual.states.items():
-        zc = wd.zero_cube_of_vertex(dual, v)
+        zc = zero_cube_of_vertex(dual, v)
         assert zc.consistent(ws)
         assert dual.vertex_of_state(s) == v
         flippable = []
@@ -228,6 +290,35 @@ def test_dual_matches_pairwise_oracles(ws):
                   if all(ws.transverse(i, j)
                          for i, j in itertools.combinations(fam, 2)))
     assert wd.dual_dimension(ws) == largest
+
+
+@settings(max_examples=150, deadline=None)
+@given(wallspaces())
+def test_dual_matches_four_corner_oracle(ws):
+    dual = wd.dual_cube_complex(ws)
+    want = dual_squares_oracle(ws)
+    assert dual.squares == want.squares
+    assert list(dual.edges.items()) == list(want.edges.items())
+    # with and without a prebuilt dual
+    assert wd.dual_dimension(ws) == wd.dual_dimension(ws, dual)
+    try:
+        cubes = wd.maximal_cubes(ws)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            wd.maximal_cubes(ws, dual)
+        return
+    assert cubes == wd.maximal_cubes(ws, dual)
+
+
+def test_orientation_cap_raises_memory_error(monkeypatch):
+    # the 3-cube's dual has 8 orientations, past a cap of 4
+    pts = list(range(8))
+    ws = wd.Wallspace.make(pts, [[p for p in pts if p >> i & 1]
+                                 for i in range(3)])
+    monkeypatch.setattr(wd, "MAX_ORIENTATIONS", 4)
+    for build in (wd.dual_cube_complex, wd.dual_dimension, wd.maximal_cubes):
+        with pytest.raises(MemoryError):
+            build(ws)
 
 
 def maximal_cubes_oracle(ws, dual):
@@ -540,10 +631,10 @@ def test_zero_cube_type():
     ws = wd.Wallspace.make(["a", "b", "c"], [["a"], ["b"], ["c"]])
     dual = wd.dual_cube_complex(ws)
     for vid in dual.vertex_ids:
-        zc = wd.zero_cube_of_vertex(dual, vid)
+        zc = zero_cube_of_vertex(dual, vid)
         assert zc.consistent(ws)
     # the all-stored-sides orientation of the tripod is inconsistent
-    assert not wd.ZeroCube((1, 1, 1)).consistent(ws)
+    assert not ZeroCube((1, 1, 1)).consistent(ws)
 
 
 def test_single_class_dual_is_branched_line():
