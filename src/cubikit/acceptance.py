@@ -415,6 +415,14 @@ def criterion_phi(seed=0):
                    f" (both injective on their windows)")
 
 
+def graph_scoped():
+    """The criteria that run on one fixture graph, with their fixtures."""
+    every = tuple(_graph_fixtures())
+    return {criterion_flag_links: every, criterion_sageev_roundtrip: every,
+            criterion_davis_metric: ("k2", "c5"),
+            criterion_bijective_blowup: ("single", "k2", "c5")}
+
+
 CRITERIA = [
     criterion_flag_links,
     criterion_rq_characterization,

@@ -376,8 +376,8 @@ def extract_factor_action(g: DefiningGraph, tables: ActionTables,
     by the action and gated back onto it; the heights read off identify the
     factor with a window of Z.  A height whose image leaves the window is
     dropped, as it is not part of the windowed action.  The result has
-    A = 0, the least L it validates with, and an inverse table for every
-    extracted table.
+    A = 0 and the least L it validates with; tables that `tables.inverses`
+    pairs stay paired, and `add_inverses` pairs the rest.
     """
     out = {}
     for name in (names or tables.generators):
@@ -386,7 +386,11 @@ def extract_factor_action(g: DefiningGraph, tables: ActionTables,
         heights = ((n, transport_height(g, tables, (name,), pc, pc, n))
                    for n in range(-window, window + 1))
         out[name] = {n: m for n, m in heights if abs(m) <= window}
-    inverses = add_inverses(out)
+    inverses = {n: p for n in out if (p := tables.inverses.get(n)) in out}
+    inverses |= {p: n for n, p in inverses.items()}
+    unpaired = {n: t for n, t in out.items() if n not in inverses}
+    inverses |= add_inverses(unpaired)
+    out |= unpaired
     spec = ZActionSpec(window, least_L(out.values()), 0, out, inverses)
     spec.validate()
     return spec

@@ -269,28 +269,23 @@ def cmd_verify_all(args):
         unknown = only - set(range(1, len(acceptance.CRITERIA) + 1))
         if unknown:
             raise CliError(EXIT_PARAMS, f"unknown criteria {sorted(unknown)}")
-    graphs = None
+    criteria = [(i, fn) for i, fn in enumerate(acceptance.CRITERIA, start=1)
+                if only is None or i in only]
+    fixture, scoped = None, acceptance.graph_scoped()
     if args.graph:
-        g = _load_graph(args.graph)
         fixtures = acceptance._graph_fixtures()
-        matches = [k for k, fg in fixtures.items()
-                   if fg.vertices == g.vertices and fg.edges == g.edges]
-        if matches:
-            graphs = matches
-    results = []
-    for i, fn in enumerate(acceptance.CRITERIA, start=1):
-        if only is not None and i not in only:
-            continue
-        if graphs is not None and fn in (acceptance.criterion_flag_links,
-                                         acceptance.criterion_sageev_roundtrip,
-                                         acceptance.criterion_davis_metric,
-                                         acceptance.criterion_bijective_blowup):
-            try:
-                results.append(fn(args.seed, graphs=graphs))
-                continue
-            except KeyError:
-                pass
-        results.append(fn(args.seed))
+        fixture = {fg: k for k, fg in fixtures.items()}.get(
+            _load_graph(args.graph))
+        if fixture is None:
+            raise CliError(EXIT_PARAMS, f"--graph {args.graph} is none of "
+                           f"the fixtures {', '.join(fixtures)}")
+        lacking = [i for i, fn in criteria
+                   if fn in scoped and fixture not in scoped[fn]]
+        if lacking:
+            raise CliError(EXIT_PARAMS, f"no case for fixture {fixture} in "
+                           f"criteria {lacking}; leave them out with --only")
+    results = [fn(args.seed, graphs=[fixture]) if fixture and fn in scoped
+               else fn(args.seed) for _, fn in criteria]
     for r in results:
         print(f"{r['status'].upper():4}  {r['name']}: {r['witness']}",
               file=sys.stderr)
@@ -368,7 +363,7 @@ def build_parser():
     ve = sub.add_parser("verify", help="acceptance suites")
     vsub = ve.add_subparsers(dest="verify_cmd", required=True)
     va = vsub.add_parser("all")
-    va.add_argument("--graph")
+    va.add_argument("--graph", help="a fixture; criteria 1, 3, 5, 6 run on it")
     va.add_argument("--only", help="comma-separated criterion numbers")
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--out")

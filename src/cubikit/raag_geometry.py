@@ -111,10 +111,6 @@ def inv(a) -> tuple:
     return tuple((v, -e) for v, e in reversed(a))
 
 
-def length(a) -> int:
-    return len(a)
-
-
 def word_str(a) -> str:
     if not a:
         return "1"

@@ -34,9 +34,9 @@ rescanning the edges and triangles.
 
 Orientation invariant: every Track built here stores as `left` the side
 of its bipartition that holds the window minimum (`_oriented` is the one
-place a side is complemented).  Tracks are then compared by inclusion,
-uncrossed by meet and join, and counted into blocks by `_block_index`
-without re-orienting them.
+place a side is complemented).  Tracks are then compared by inclusion and
+counted into blocks by `_block_index` without re-orienting them; uncrossing
+by meet and join ends at the level sets of that count (`_uncross`).
 
 `line_isometry` is the one sign-and-offset fit of a map between lines of
 blocks, and `BranchedLine.of_block_map` the one branched-line assembly;
@@ -45,7 +45,6 @@ blocks, and `BranchedLine.of_block_map` the one branched-line assembly;
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import deque
@@ -480,27 +479,24 @@ def _apply_table_to_track(K: Rips2Complex, t, track: Track):
 
 
 def _uncross(tracks, K: Rips2Complex):
-    """Replace crossing pairs by their meet and join.
-
-    All sides hold the window minimum, so two tracks cross exactly when
-    neither side contains the other, and meet and join hold it too.
+    """The chain, smallest side first, at which replacing crossing pairs by
+    their meet and join ends.  Meet and join keep each vertex's count of
+    sides containing it, a chain is fixed by its counts (its k-th side is
+    {x : count >= k}), and dropping a join that is the whole window lowers
+    every count by one.  So the chain is {x : f(x) <= v} for every value v
+    but the largest of f, the `_block_index` of the distinct sides.  Cut
+    weight is submodular: a chain that differs from those sides weighs no
+    more than they do, which is checked.
     """
-    tracks = list(dict.fromkeys(tracks))
-    while True:
-        crossing = next(((i, j) for i, j in
-                         itertools.combinations(range(len(tracks)), 2)
-                         if not (tracks[i].left <= tracks[j].left
-                                 or tracks[j].left <= tracks[i].left)), None)
-        if crossing is None:
-            return list(dict.fromkeys(tracks))
-        i, j = crossing
-        L1, L2 = tracks[i].left, tracks[j].left
-        cand = [Track(Lc) for Lc in (L1 & L2, L1 | L2)
-                if len(Lc) < len(K.vertices)]
-        old_w = tracks[i].weight(K) + tracks[j].weight(K)
-        if sum(c.weight(K) for c in cand) > old_w:
-            raise AssertionError("uncrossing increased total weight")
-        tracks[i : j + 1] = tracks[i + 1 : j] + cand
+    f = _block_index(tracks, K)
+    values = sorted(set(f.values()))
+    chain = [Track(frozenset(x for x in K.vertices if f[x] <= v))
+             for v in values[:-1]]
+    distinct = set(tracks)
+    if set(chain) != distinct and sum(tr.weight(K) for tr in chain) > \
+            sum(tr.weight(K) for tr in distinct):
+        raise AssertionError("uncrossing increased total weight")
+    return chain
 
 
 def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
@@ -523,9 +519,9 @@ def _orbit_closure(spec: ZActionSpec, K: Rips2Complex, seeds):
 
 
 def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
-    """Disjoint invariant family: the window orbit of a minimal track,
-    greedily filled until every complementary block has diameter at most
-    D1 = 2 * weight + 5 * radius.  B is unused."""
+    """Disjoint invariant family, smallest side first: the window orbit of
+    a minimal track, greedily filled until every complementary block has
+    diameter at most D1 = 2 * weight + 5 * radius.  B is unused."""
     def closed(seeds):
         family = _uncross(_orbit_closure(spec, K, seeds), K)
         return [tr for tr in family if tr.essential(K) and tr.connected(K)]
@@ -549,7 +545,7 @@ def track_family(spec: ZActionSpec, K: Rips2Complex, B: int = 4):
         if not cut.connected(K) or not cut.essential(K):
             break
         family = closed(family + [cut])
-    return sorted(set(family), key=lambda tr: len(tr.left))
+    return family
 
 
 def _block_index(family, K: Rips2Complex):
@@ -725,7 +721,7 @@ def semiconjugate(spec: ZActionSpec, B: int = 8,
                   radius: float | None = None) -> SemiconjugacyResult:
     """End-to-end: dbar, Rips complex, track family, collapse."""
     K = rips2(spec, B, radius)
-    family = track_family(spec, K, B=min(B, 4))
+    family = track_family(spec, K)
     return collapse(spec, family, K)
 
 

@@ -251,6 +251,16 @@ def test_factor_action_pairs_the_given_inverse():
     assert spec.generators["t_inv"] == {n: n - 1 for n in range(-1, 3)}
 
 
+def test_factor_action_keeps_a_self_inverse():
+    # a is its own inverse in the tables, so no table a_inv is added and a
+    # is not paired with one
+    g = gc.single_vertex()
+    pc = rg.class_of_geodesic(g, (), "v")
+    spec = bd.extract_factor_action(g, two_flipping_action(8), pc, window=4)
+    assert list(spec.generators) == ["a", "b", "b_inv"]
+    assert spec.inverses == {"a": "a", "b": "b_inv", "b_inv": "b"}
+
+
 def test_factor_action_order_two():
     # a reflection of Z = G(single vertex) induces an order-2 factor table
     g = gc.single_vertex()

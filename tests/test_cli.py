@@ -231,6 +231,26 @@ def test_verify_all_graph_scoped(graphs, capsys):
     assert rc == 0
 
 
+def test_verify_all_graph_off_the_fixtures_exits_3(graphs, capsys):
+    # square4 is no fixture: criterion 3 must not run on its default graphs
+    rc = cli.main(["verify", "all", "--graph", graphs["square4"],
+                   "--only", "3"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "none of the fixtures" in err and "k2" in err and "p3" in err
+
+
+def test_verify_all_graph_without_a_case_exits_3(graphs, capsys):
+    # criterion 6 has no case for p3: it must not fall back to its defaults
+    p3 = graphs["dir"] / "p3.json"
+    p3.write_text(json.dumps({"vertices": ["p", "q", "r"],
+                              "edges": [["p", "q"], ["q", "r"]]}))
+    rc = cli.main(["verify", "all", "--graph", str(p3), "--only", "1,6"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no case for fixture p3 in criteria [6]" in err and "--only" in err
+
+
 def test_blowup_data_file_roundtrip(graphs, tmp_path, capsys):
     from cubikit import blowup as bu
     from cubikit import building as bd

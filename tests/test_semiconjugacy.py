@@ -15,9 +15,10 @@ from cubikit import semiconjugacy as sc
 from cubikit.cube_complex import TruncationError
 
 
-# -- reference implementations: dbar over every (pair, table) and the track
-# tests that rescan K.edges and K.triangles, slow oracles for the reduced
-# table set and the Rips incidence table ------------------------------------
+# -- reference implementations: dbar over every (pair, table), the track
+# tests that rescan K.edges and K.triangles and pairwise uncrossing, slow
+# oracles for the reduced table set, the Rips incidence table and the
+# closed-form uncrossing ------------------------------------------------------
 
 def dbar_oracle(spec, B=8, check_invariance=True):
     tables = sc.group_tables(spec, B)
@@ -91,6 +92,30 @@ def essential_oracle(track, K):
     hi_tail = set(range(hi - span, hi + 1))
     return (lo_tail <= left and hi_tail <= right) or \
         (lo_tail <= right and hi_tail <= left)
+
+
+def uncross_oracle(tracks, K):
+    """Replace crossing pairs by their meet and join until none cross.
+
+    All sides hold the window minimum, so two tracks cross exactly when
+    neither side contains the other, and meet and join hold it too.
+    """
+    tracks = list(dict.fromkeys(tracks))
+    while True:
+        crossing = next(((i, j) for i, j in
+                         itertools.combinations(range(len(tracks)), 2)
+                         if not (tracks[i].left <= tracks[j].left
+                                 or tracks[j].left <= tracks[i].left)), None)
+        if crossing is None:
+            return list(dict.fromkeys(tracks))
+        i, j = crossing
+        L1, L2 = tracks[i].left, tracks[j].left
+        cand = [sc.Track(Lc) for Lc in (L1 & L2, L1 | L2)
+                if len(Lc) < len(K.vertices)]
+        old_w = tracks[i].weight(K) + tracks[j].weight(K)
+        if sum(c.weight(K) for c in cand) > old_w:
+            raise AssertionError("uncrossing increased total weight")
+        tracks[i : j + 1] = tracks[i + 1 : j] + cand
 
 
 STOCK_SPECS = (sc.two_flipping_spec, sc.translation_spec, sc.reflection_spec,
@@ -593,7 +618,7 @@ def test_uncross_on_the_orbit_of_the_least_track(spec, B, radius):
     orbit = sc._orbit_closure(spec, K, [base])
     chain = sc._uncross(orbit, K)
     if is_oriented_chain(orbit, K):
-        assert chain == orbit
+        assert chain == sorted(orbit, key=lambda tr: len(tr.left))
     else:
         assert is_oriented_chain(chain, K)
         assert sum(tr.weight(K) for tr in chain) <= \
@@ -608,6 +633,46 @@ def test_orbit_of_the_least_track_can_cross():
     assert (len(orbit), base.weight(K)) == (60, 4)
     assert max(tr.weight(K) for tr in orbit) == 16
     assert not is_oriented_chain(orbit, K)
+    assert sc._uncross(orbit, K) == sorted(uncross_oracle(orbit, K),
+                                           key=lambda tr: len(tr.left))
+
+
+@st.composite
+def side_families(draw):
+    """A graph on a window and a family of proper sides holding the window
+    minimum, with repeats and with pairs whose join is the whole window."""
+    w = draw(st.integers(1, 6))
+    verts = list(range(-w, w + 1))
+    pairs = list(itertools.combinations(verts, 2))
+    edges = {frozenset(p) for p, keep in
+             zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                      max_size=len(pairs)))) if keep}
+    K = sc.Rips2Complex(None, 1, verts, edges, {})
+    rest = verts[1:]
+    sides = []
+    for _ in range(draw(st.integers(1, 8))):
+        bits = draw(st.lists(st.booleans(), min_size=len(rest),
+                             max_size=len(rest)))
+        side = {verts[0]} | {x for x, b in zip(rest, bits) if b}
+        if len(side) < len(verts):
+            sides.append(side)
+        co_side = {verts[0]} | (set(rest) - side)
+        if draw(st.booleans()) and len(co_side) < len(verts):
+            sides.append(co_side)
+    assume(sides)
+    picks = draw(st.lists(st.sampled_from(range(len(sides))), min_size=1,
+                          max_size=2 * len(sides)))
+    return K, [sc.Track(frozenset(sides[i])) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_families())
+def test_uncross_is_the_pairwise_uncrossing(case):
+    """The block-index prefixes are the chain pairwise meet and join ends
+    at, smallest side first."""
+    K, tracks = case
+    assert sc._uncross(tracks, K) == sorted(uncross_oracle(tracks, K),
+                                            key=lambda tr: len(tr.left))
 
 
 injective_tables = st.dictionaries(
