@@ -200,6 +200,9 @@ def cmd_dual(args):
         try:
             raw = json.loads(text)
             points = raw["points"]
+            if any(type(i) is not int or not 0 <= i < len(points)
+                   for side in raw["walls"] for i in side):
+                raise ValueError(f"wall index not in range({len(points)})")
             walls = [[points[i] for i in side] for side in raw["walls"]]
             ws = wd.Wallspace.make(points, walls)
         except (ValueError, KeyError, IndexError, TypeError) as exc:

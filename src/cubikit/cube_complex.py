@@ -14,10 +14,10 @@ grown by one builder, `grown_ball`, from a step function; its squares are
 the 4-cycles.
 
 `hyperplanes` labels every vertex in one BFS with the set of classes its
-tree path crosses, and takes each class's sides from the labels when a
+tree path crosses, and takes each class's far side from the labels when a
 certificate (connected, every edge changes exactly its own class's label,
-no square with both edge pairs in one class) proves them; any other class
-gets its pieces from `cut_components`.
+no square with both edge pairs in one class) proves it; any other class
+gets its pieces from `cut_components`.  Only the far side is stored.
 
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
 track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s
@@ -397,15 +397,21 @@ class Hyperplane:
     index: int
     edge_class: frozenset
     carrier_vertices: frozenset
-    sides: tuple          # (frozenset, frozenset) when not truncated, else ()
-    truncated: bool
+    far: frozenset | None  # the side without vertex_ids[0]; None if truncated
+    vertices: frozenset    # the ball's vertices, one object per call
     direction: str
 
+    @property
+    def truncated(self) -> bool:
+        return self.far is None
+
+    @property
+    def sides(self) -> tuple:
+        """(near, far), near holding `vertex_ids[0]`; () when truncated."""
+        return () if self.far is None else (self.vertices - self.far, self.far)
+
     def separates(self, x, y) -> bool:
-        if self.truncated:
-            return False
-        a, bside = self.sides
-        return (x in a) != (y in a)
+        return self.far is not None and (x in self.far) != (y in self.far)
 
 
 def _edge_classes(b: CubeComplexBall) -> list:
@@ -437,10 +443,10 @@ def _edge_classes(b: CubeComplexBall) -> list:
 def hyperplanes(b: CubeComplexBall) -> list:
     """Partition of edges into square-opposite parallelism classes.
 
-    Each class whose removal cuts the 1-skeleton into exactly two pieces gets
-    its halfspaces, the piece holding `vertex_ids[0]` first; other classes
-    are boundary artifacts and are flagged truncated (excluded from
-    wall-based computations).
+    Each class whose removal cuts the 1-skeleton into exactly two pieces
+    stores one halfspace, `far`, the piece without `vertex_ids[0]`; `sides`
+    builds the pair on demand.  Other classes are boundary artifacts,
+    truncated with `far` None (excluded from wall-based computations).
 
     The sides of every class come from one labelling (the Djoković-Winkler
     relation of a median graph; Chepoi 2000): a BFS from `vertex_ids[0]`
@@ -500,14 +506,12 @@ def hyperplanes(b: CubeComplexBall) -> list:
         # so the edge endpoints already cover every square of the carrier
         carrier = frozenset().union(*es)
         if uncertified >> i & 1:
+            # comps[0] holds vertex_ids[0]
             comps = b.cut_components(eset)
-            truncated = len(comps) != 2
-            sides = () if truncated else (frozenset(comps[0]),
-                                          frozenset(comps[1]))
+            side = frozenset(comps[1]) if len(comps) == 2 else None
         else:
-            far_side = frozenset(far[i])
-            truncated, sides = False, (everything - far_side, far_side)
-        out.append(Hyperplane(i, eset, carrier, sides, truncated, direction))
+            side = frozenset(far[i])
+        out.append(Hyperplane(i, eset, carrier, side, everything, direction))
     return out
 
 
@@ -767,9 +771,7 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     # sampled convex family: halfspaces, carriers, random intervals
     family = []
     for th in tgt_hps:
-        if not th.truncated:
-            family.append(th.sides[0])
-            family.append(th.sides[1])
+        family.extend(th.sides)
         family.append(th.carrier_vertices)
     tverts = list(tgt.vertex_ids)
     for _ in range(samples):

@@ -350,7 +350,9 @@ class Track:
                          for y in K.adj[x] if y not in self.left)
 
     def weight(self, K: Rips2Complex) -> int:
-        return len(self.cut_edges(K))
+        """The number of cut edges, counted from `left` without a set."""
+        left = self.left
+        return sum(1 for x in left for y in K.adj[x] if y not in left)
 
     def connected(self, K: Rips2Complex) -> bool:
         """The cut edges form one curve: linked through shared triangles."""

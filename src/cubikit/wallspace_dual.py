@@ -105,13 +105,6 @@ class Wallspace:
     def n_walls(self):
         return len(self.sides)
 
-    def side_sets(self, i):
-        s = self.sides[i]
-        return (self._unmask(s), self._unmask(self.full_mask ^ s))
-
-    def _unmask(self, m):
-        return frozenset(p for p in self.points if m >> self._pindex[p] & 1)
-
     def transverse(self, i, j) -> bool:
         a, b = self.sides[i], self.sides[j]
         fa, fb = self.full_mask ^ a, self.full_mask ^ b
@@ -126,16 +119,16 @@ class Wallspace:
     def to_json(self) -> str:
         return json.dumps({
             "points": [str(p) for p in self.points],
-            "walls": [sorted(self._pindex[p] for p in self.side_sets(i)[0])
-                      for i in range(len(self.sides))],
+            "walls": [[p for p in range(len(self.points)) if s >> p & 1]
+                      for s in self.sides],
         })
 
 
 def hyperplane_wallspace(ball: CubeComplexBall, margin: int = 1) -> Wallspace:
     """The wallspace of a ball's own non-truncated hyperplanes.
 
-    Points are the margin-interior vertices; walls are the hyperplane sides
-    restricted to them, tagged by the hyperplane direction.
+    Points are the margin-interior vertices; a wall keeps the points off a
+    hyperplane's far side when both sides hold one, tagged by its direction.
     """
     pts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
     ptset = set(pts)
@@ -144,9 +137,8 @@ def hyperplane_wallspace(ball: CubeComplexBall, margin: int = 1) -> Wallspace:
     for h in hyperplanes(ball):
         if h.truncated:
             continue
-        a = h.sides[0] & ptset
-        b = h.sides[1] & ptset
-        if a and b:
+        a = ptset - h.far
+        if a and a != ptset:
             walls.append(a)
             tags.append(h.direction)
     return Wallspace.make(pts, walls, tags)

@@ -4,6 +4,7 @@ the hand-written square enumerations it replaced, kept as oracles."""
 
 import hashlib
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -209,9 +210,27 @@ def test_ball_pins(kind, name, radius):
         GOLDEN_BALLS[kind, name, radius]
 
 
-def test_ball_x_pentagon_radius4_pin():
-    ball = rg.ball_X(gc.pentagon(), 4)
-    assert sha256(ball.to_json()) == GOLDEN_BALL_X_PENTAGON_R4_JSON
+@pytest.fixture(scope="module")
+def pentagon_r4():
+    return rg.ball_X(gc.pentagon(), 4)
+
+
+def test_ball_x_pentagon_radius4_pin(pentagon_r4):
+    assert sha256(pentagon_r4.to_json()) == GOLDEN_BALL_X_PENTAGON_R4_JSON
+
+
+def test_hyperplanes_pentagon_radius4_traced_peak(pentagon_r4):
+    """Each hyperplane stores its far side only, and all share one vertex
+    set: storing every near side, nearly the whole ball per class, peaks
+    near 270 MiB here."""
+    tracemalloc.start()
+    try:
+        hps = cc.hyperplanes(pentagon_r4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert all(h.vertices is hps[0].vertices for h in hps)
 
 
 # ---------------------------------------------------------------------------

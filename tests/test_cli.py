@@ -319,6 +319,16 @@ def test_dual_degenerate_wallspace_exits_3(tmp_path, capsys, body, message):
     assert message in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("index", [-1, True, 3, 1.0, "0"])
+def test_dual_wall_index_off_the_points_exits_3(tmp_path, capsys, index):
+    # points[-1] and points[True] would pick r and q without the check
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"points": ["p", "q", "r"], "walls": [[index]]}))
+    assert cli.main(["dual", "--wallspace", str(ws)]) == 3
+    captured = capsys.readouterr()
+    assert "not in range(3)" in captured.err and "Traceback" not in captured.err
+
+
 def test_dual_past_the_orientation_cap_exits_3(tmp_path, capsys, monkeypatch):
     # three pairwise-transverse walls: the dual is a 3-cube, 8 orientations
     monkeypatch.setattr(wd, "MAX_ORIENTATIONS", 2)

@@ -553,6 +553,7 @@ def test_track_tests_match_scan_oracles(spec, B, radius, data):
         left = {v for v in K.vertices if v <= c} ^ flips
         tr = sc.Track(frozenset(left))
         assert tr.cut_edges(K) == cut_edges_oracle(tr, K)
+        assert tr.weight(K) == len(tr.cut_edges(K))
         assert tr.connected(K) == connected_oracle(tr, K)
         assert tr.essential(K) == essential_oracle(tr, K)
 

@@ -621,7 +621,7 @@ def test_k_walls_membership():
     flat_pts = set(wd._flat_points(iws, [ca, cb]))
     assert flat_pts
     for i in range(ws.n_walls()):
-        side = set(ws.side_sets(i)[0])
+        side = {p for k, p in enumerate(ws.points) if ws.sides[i] >> k & 1}
         separates = bool(flat_pts & side) and bool(flat_pts - side)
         in_family = ws.tags[i][0] in (ca, cb)
         assert separates == in_family, ws.tags[i]
