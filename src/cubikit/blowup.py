@@ -272,8 +272,9 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
     morphism into each parent fiber, labelled as its Davis edge."""
     davis = psi.davis
     rank = davis.rank_of
-    info = {y_id(vid, p): (vid, p)
-            for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
+    ids = {(vid, p): y_id(vid, p)
+           for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
+    info = {yv: key for key, yv in ids.items()}
     parents = {vid: [(lab, w) for w, lab in davis.ball.neighbors(vid).items()
                      if rank[w] > rank[vid]]
                for vid in davis.ball.vertex_ids}
@@ -282,11 +283,11 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
         vid, p = info[yv]
         for i, v in enumerate(davis.residue_of[vid].type_J):
             if p[i] < psi.window:
-                yield f"v:{v}", y_id(vid, p[:i] + (p[i] + 1,) + p[i + 1:])
+                yield f"v:{v}", ids[vid, p[:i] + (p[i] + 1,) + p[i + 1:]]
         for lab, w in parents[vid]:
             q = psi.morphism(vid, w, p)
             if q is not None:
-                yield lab, y_id(w, q)
+                yield lab, ids[w, q]
 
     depth = {}
     for yv, (vid, p) in info.items():

@@ -102,26 +102,29 @@ class DavisBall:
 def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """Davis realization ball: spherical residues with short gate reps.
 
-    Vertices are residues with base length <= radius, listed by rank; edges
-    are codimension-1 containments (add one commuting vertex to the type),
-    squares are the rank-2 intervals, which `grown_ball` finds as the
-    4-cycles rising in rank.
+    Vertices are residues with base length <= radius, listed by rank, each
+    built once with its id and keyed by (gate base, type_J); edges are
+    codimension-1 containments (add one commuting vertex to the type),
+    looked up by key; squares are the rank-2 intervals, which `grown_ball`
+    finds as the 4-cycles rising in rank.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    residues = {}
     types = [cl.members for cl in cliques(g)]
-    for h in group_ball(g, radius):
-        for members in types:
-            r = residue(g, h, members)
-            residues[r.id] = r
+    keys = dict.fromkeys((gate_representative(g, h, J), J)
+                         for h in group_ball(g, radius) for J in types)
+    residues = {r.id: r for r in itertools.starmap(Residue, keys)}
+    rid = dict(zip(keys, residues))     # (gate base, type_J) -> vertex id
     order = sorted(residues, key=lambda i: (residues[i].rank, i))
+    # type_J -> (label, type_J + w) for each w commuting with all of type_J
+    up_types = {J: [(f"h:{w}", g.sorted_subset(J + (w,))) for w in g.vertices
+                    if w not in J and all(g.adjacent(w, x) for x in J)]
+                for J in types}
 
-    def step(rid):
-        r = residues[rid]
-        return [(f"h:{w}", residue(g, r.base, r.type_J + (w,)).id)
-                for w in g.vertices
-                if w not in r.type_J and all(g.adjacent(w, x) for x in r.type_J)]
+    def step(vid):
+        r = residues[vid]
+        return [(lab, rid.get((gate_representative(g, r.base, K), K)))
+                for lab, K in up_types[r.type_J]]
 
     ball = grown_ball(order, step,
                       {i: radius - len(residues[i].base) for i in order})

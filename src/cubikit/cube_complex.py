@@ -11,7 +11,11 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
 grown by one builder, `grown_ball`, from a step function; its squares are
-the 4-cycles.
+the 4-cycles.  Squares are canonical at birth: each has four distinct
+corners and is its own `_canonical_square`, and `squares` strictly
+increases by index tuple.  `make` normalises raw squares to this; only
+`grown_ball`, `span`, `relabel_edges`, `restriction_quotient` (through
+`make`'s normaliser) and the Sageev dual build a ball directly.
 
 `hyperplanes` labels every vertex in one BFS with the set of classes its
 tree path crosses, and takes each class's far side from the labels when a
@@ -62,6 +66,29 @@ class TruncationError(ComplexError):
     """A computation ran out of safe interior."""
 
 
+def _normal_squares(squares, vertices) -> tuple:
+    """Raw 4-cycles made canonical, deduplicated and sorted by index."""
+    index = {v: i for i, v in enumerate(vertices)}
+    canon = set()
+    for s in map(tuple, squares):
+        if len(set(s)) != 4:
+            raise ComplexError(f"square {s!r} repeats a corner")
+        canon.add(_canonical_square(s, index))
+    return tuple(sorted(canon, key=lambda t: tuple(index[x] for x in t)))
+
+
+def _edge_map(edges) -> dict:
+    """frozenset{u, v} -> label, first seen first; loops and clashes raise."""
+    em = {}
+    for u, v, lab in edges:
+        key = frozenset((u, v))
+        if len(key) != 2:
+            raise ComplexError(f"loop edge at {u!r}")
+        if em.setdefault(key, lab) != lab:
+            raise ComplexError(f"two edges between {u!r},{v!r}")
+    return em
+
+
 @dataclass
 class CubeComplexBall:
     """Finite portion of a cube complex.
@@ -69,6 +96,9 @@ class CubeComplexBall:
     edges: dict frozenset{u,v} -> direction label.
     squares: canonical 4-tuples (a,b,c,d) of a cyclic vertex order, so
     edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
+
+    The constructor trusts the squares to be canonical and sorted (see the
+    module docstring); `validate` checks it.
     """
 
     vertex_ids: tuple
@@ -90,13 +120,7 @@ class CubeComplexBall:
             adj[v][u] = lab
         self._adj = adj
         self._dist_cache = {}
-        for s in self.squares:
-            if len(set(s)) != 4:
-                raise ComplexError(f"square {tuple(s)!r} repeats a corner")
-        self._square_set = frozenset(_canonical_square(tuple(s), self._index)
-                                     for s in self.squares)
-        self.squares = tuple(sorted(self._square_set,
-                                    key=lambda t: tuple(self._index[x] for x in t)))
+        self._square_set = frozenset(self.squares)
         self._squares_at = {v: [] for v in self.vertex_ids}
         for s in self.squares:
             for x in s:
@@ -108,17 +132,12 @@ class CubeComplexBall:
 
     @classmethod
     def make(cls, vertices, edges, squares, depth=None, **fields):
-        """edges: iterable of (u, v, label); squares: iterable of 4-cycles;
-        `fields` fill the extra fields of a subclass."""
-        em = {}
-        for u, v, lab in edges:
-            key = frozenset((u, v))
-            if len(key) != 2:
-                raise ComplexError(f"loop edge at {u!r}")
-            if key in em and em[key] != lab:
-                raise ComplexError(f"two edges between {u!r},{v!r}")
-            em[key] = lab
-        return cls(tuple(vertices), em, tuple(squares), depth, **fields)
+        """edges: iterable of (u, v, label); squares: 4-cycles in any form,
+        order and multiplicity, made canonical and sorted here; `fields`
+        fill a subclass's fields."""
+        vertices = tuple(vertices)
+        return cls(vertices, _edge_map(edges),
+                   _normal_squares(squares, vertices), depth, **fields)
 
     # -- basic queries --------------------------------------------------------
 
@@ -177,6 +196,8 @@ class CubeComplexBall:
 
     def validate(self):
         """Check the structural invariants; raises ComplexError on failure."""
+        if _normal_squares(self.squares, self.vertex_ids) != self.squares:
+            raise ComplexError("squares are not canonical and sorted")
         for s in self.squares:
             a, b, c, d = s
             for x, y in ((a, b), (b, c), (c, d), (d, a)):
@@ -314,25 +335,28 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
     would put three common neighbours on those two, a K_{2,3}, which no
     median graph contains.  A Davis ball listed by rank also qualifies: two
     residues of one rank contain at most one common residue of the rank
-    below.
+    below.  Each square comes out once, as the index tuple (a, b, c, d)
+    with a lowest and b < d; sorted, these are the canonical `squares`.
     """
     index = {x: i for i, x in enumerate(order)}
     edges = []
-    up = {x: {} for x in order}          # later neighbours, as ordered sets
-    for x in order:
+    up = [set() for _ in order]          # later neighbours, by index
+    for i, x in enumerate(order):
         for lab, y in step(x):
-            if y in index:
+            j = index.get(y)
+            if j is not None:
                 edges.append((x, y, lab))
-                lo, hi = (x, y) if index[x] < index[y] else (y, x)
-                up[lo][hi] = None
+                up[min(i, j)].add(max(i, j))
     squares = []
-    for a in order:
-        ups = list(up[a])
-        for i, b in enumerate(ups):
+    for a, ups in enumerate(up):
+        ups = sorted(ups)
+        for k, b in enumerate(ups):
             above_b = up[b]
-            for d in ups[i + 1:]:
-                squares.extend((a, b, c, d) for c in up[d] if c in above_b)
-    return CubeComplexBall.make(order, edges, squares, depth)
+            for d in ups[k + 1:]:
+                squares.extend((a, b, c, d) for c in up[d] & above_b)
+    squares.sort()
+    return CubeComplexBall(tuple(order), _edge_map(edges), tuple(
+        tuple(order[k] for k in s) for s in squares), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +680,12 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
                 raise ComplexError("two walls of K join the same K-classes")
             wall_of_pair[key] = w
             edges[key] = b.edges[e]
-    squares = []
-    for s in b.squares:
-        img = [vmap[x] for x in s]
-        if len(set(img)) == 4:
-            squares.append(tuple(img))
+    images = (tuple(vmap[x] for x in s) for s in b.squares)
+    squares = _normal_squares((t for t in images if len(set(t)) == 4), ids)
     depth = {}
     for i, members in enumerate(classes):
         depth[ids[i]] = max(b.depth[m] for m in members)
-    target = CubeComplexBall(tuple(ids), edges, tuple(squares), depth)
+    target = CubeComplexBall(tuple(ids), edges, squares, depth)
     qm = CubicalMap(vmap, b, target)
     return RestrictionQuotient(b, target, qm, tuple(K))
 

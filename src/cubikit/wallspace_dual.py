@@ -233,7 +233,7 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
     the stored side of wall i).  Edge labels are the wall tags.  Each square
     is emitted once, from its lowest corner s (neither wall on its stored
     side), as (s, s^i, s^i^j, s^j) with i < j: already canonical, and in
-    sorted order.
+    sorted order, so the complex is built without `make`'s normalising.
     """
     n = ws.n_walls()
     edges, flips = _orientations(ws)
@@ -247,9 +247,9 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
             if s_ij in flips:
                 squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
                                 vid[s ^ (1 << j)]))
-    ebody = [(vid[a], vid[b], str(ws.tags[i])) for a, b, i in edges]
-    return DualComplex.make(
-        [vid[s] for s in order], ebody, squares, None, wallspace=ws,
+    em = {frozenset((vid[a], vid[b])): str(ws.tags[i]) for a, b, i in edges}
+    return DualComplex(
+        tuple(vid[s] for s in order), em, tuple(squares), None, wallspace=ws,
         states={vid[s]: s for s in order},
         flips={vid[s]: flips[s] for s in order})
 

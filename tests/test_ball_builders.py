@@ -386,3 +386,26 @@ def test_grown_ball_matches_enumeration(kind, name, radius):
     assert got.depth == want.depth
     assert got.edges == want.edges
     assert got.squares == want.squares
+
+
+def davis_step_oracle(g, residue_of):
+    """The Davis step before residues were keyed by (gate base, type_J):
+    each parent residue is rebuilt by `residue` and found by its id."""
+    def step(rid):
+        r = residue_of[rid]
+        return [(f"h:{w}", bd.residue(g, r.base, r.type_J + (w,)).id)
+                for w in g.vertices
+                if w not in r.type_J and all(g.adjacent(w, x) for x in r.type_J)]
+    return step
+
+
+@pytest.mark.parametrize("name,radius", [("pentagon", 3), ("square4", 3),
+                                         ("path3", 3), ("k2", 6)])
+def test_davis_step_matches_residue_oracle(name, radius):
+    g = FIXTURES[name]()
+    db = bd.davis_ball(g, radius)
+    step = davis_step_oracle(g, db.residue_of)
+    inside = set(db.ball.vertex_ids)
+    edges = {frozenset((x, y)): lab for x in db.ball.vertex_ids
+             for lab, y in step(x) if y in inside}
+    assert list(edges.items()) == list(db.ball.edges.items())

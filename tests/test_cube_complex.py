@@ -540,6 +540,28 @@ def test_square_with_repeated_corner_raises():
         cc.CubeComplexBall.make(["a", "b", "c"], edges, [("a", "b", "a", "c")])
 
 
+def test_loop_edge_raises():
+    edges = [("a", "b", "u"), ("b", "b", "v")]
+    with pytest.raises(cc.ComplexError, match="loop edge at 'b'"):
+        cc.CubeComplexBall.make(["a", "b"], edges, [])
+
+
+def test_two_labels_on_one_pair_raise():
+    # the same label twice is one edge; a second label is an error
+    edges = [("a", "b", "u"), ("b", "a", "u")]
+    assert len(cc.CubeComplexBall.make(["a", "b"], edges, []).edges) == 1
+    with pytest.raises(cc.ComplexError, match="two edges between 'b','a'"):
+        cc.CubeComplexBall.make(["a", "b"], edges + [("b", "a", "v")], [])
+
+
+def test_grown_ball_checks_edges_as_make_does():
+    with pytest.raises(cc.ComplexError, match="loop edge"):
+        cc.grown_ball(["a", "b"], lambda x: [("u", x)], None)
+    with pytest.raises(cc.ComplexError, match="two edges"):
+        cc.grown_ball(["a", "b"], lambda x: [(x, "b" if x == "a" else "a")],
+                      None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["k2", "path3", "square4", "k2_xe", "pentagon"]),
        st.data())

@@ -85,6 +85,40 @@ def test_no_module_level_caches():
     assert found == MODULE_CACHES
 
 
+# The producers that build a complex straight from squares already in
+# canonical, sorted form (see `CubeComplexBall`); any other caller with raw
+# squares goes through `make`, which normalises and checks them.
+DIRECT_BUILDERS = {
+    ("cube_complex", "grown_ball"), ("cube_complex", "span"),
+    ("cube_complex", "relabel_edges"), ("cube_complex", "restriction_quotient"),
+    ("wallspace_dual", "dual_cube_complex"),
+}
+
+
+def _direct_builders(node, owner, found):
+    """Add to `found` the innermost function (`owner` outside any) around
+    each call of `CubeComplexBall(...)` or `DualComplex(...)` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, ast.Call):
+            f = child.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("CubeComplexBall", "DualComplex"):
+                found.add(owner)
+        _direct_builders(child, inner, found)
+
+
+def test_complexes_with_raw_squares_go_through_make():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        _direct_builders(ast.parse(path.read_text()), "<module>", names)
+        found |= {(path.stem, n) for n in names}
+    assert found == DIRECT_BUILDERS
+
+
 def _defined(node):
     """The names a module-level statement defines."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
