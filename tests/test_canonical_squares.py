@@ -90,6 +90,25 @@ def test_producer_squares_match_make_drawn(kind, name, radius, rng):
     assert_canonical_at_birth(produce(kind, name, radius, rng), rng)
 
 
+def test_grown_ball_sorts_squares_emitted_out_of_order():
+    # a ladder of two squares on the rung a-b, listed so that the square on
+    # the later corner d2 has the earlier top corner c2: emitted from a,
+    # (a, b, c1, d1) comes before (a, b, c2, d2), which sorts first
+    order = ["a", "b", "d1", "d2", "c2", "c1"]
+    triples = [("a", "b", "x"), ("d1", "c1", "x"), ("d2", "c2", "x"),
+               ("a", "d1", "y"), ("b", "c1", "y"), ("a", "d2", "z"),
+               ("b", "c2", "z")]
+    nbrs = {}
+    for u, v, lab in triples:
+        nbrs.setdefault(u, []).append((lab, v))
+        nbrs.setdefault(v, []).append((lab, u))
+    grown = cc.grown_ball(order, nbrs.get, None)
+    assert grown.squares == (("a", "b", "c2", "d2"), ("a", "b", "c1", "d1"))
+    assert grown.validate()
+    made = cc.CubeComplexBall.make(order, triples, grown.squares[::-1])
+    assert (made.squares, made.edges) == (grown.squares, grown.edges)
+
+
 # -- `validate` checks the invariant the constructor trusts -----------------
 
 def unit_square(squares):

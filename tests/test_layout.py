@@ -1,5 +1,6 @@
-"""Module layout: imports at module top, an acyclic import graph, and no
-top-level name in `src/` that only the tests use, past an explicit list."""
+"""Module layout: imports at module top, an acyclic import graph, no
+top-level name in `src/` that only the tests use, past an explicit list,
+and direct cube-complex constructor calls only from the listed producers."""
 
 import ast
 import os
