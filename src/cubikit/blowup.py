@@ -37,7 +37,6 @@ from .building import (
     class_isometry,
     image_class,
     proj_residue,
-    residue,
     residue_contains,
     residue_image,
     resolved_table,
@@ -78,12 +77,9 @@ class BlowUpData:
     classes: dict                # class id -> ParallelClass
     window: int
 
-    def class_of(self, r: Residue) -> ParallelClass:
-        return class_of_geodesic(self.graph, r.base, r.type_J[0])
-
-    def value(self, r: Residue, chamber) -> int:
-        """h_R(chamber) for a rank-1 residue, via the parallelism map."""
-        pc = self.class_of(r)
+    def value(self, pc: ParallelClass, chamber) -> int:
+        """h_R(chamber) for a rank-1 residue R of class pc, via the
+        parallelism map."""
         if pc.id not in self.tables:
             raise TruncationError(f"no table for class {pc.id}")
         n = height_of(self.graph, pc, chamber)
@@ -96,11 +92,9 @@ class BlowUpData:
         out = []
         for cid in sorted(self.tables):
             pc = self.classes[cid]
-            rep = residue(self.graph, pc.rep, (pc.direction,))
             table = {}
             for n, v in sorted(self.tables[cid].items()):
-                chamber = flat_element(self.graph, rep.base,
-                                       {pc.direction: n})
+                chamber = flat_element(self.graph, pc.rep, {pc.direction: n})
                 table[word_str(chamber)] = v
             out.append({"id": cid, "table": table})
         return json.dumps({"classes": out})
@@ -196,22 +190,20 @@ class FiberFunctor:
 def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     g = davis.graph
     psi = FiberFunctor(g, davis, data, data.window)
-    factor_cache = {}
-    for vid, r in davis.residue_of.items():
-        cls = type_map(g, r)
+    classes = {vid: type_map(g, r) for vid, r in davis.residue_of.items()}
+    for vid, cls in classes.items():
         psi.axes[vid] = tuple(pc.id for pc in cls)
-        factor_cache[vid] = [residue(g, r.base, (v,)) for v in r.type_J]
     for e in davis.ball.edges:
         u, v = tuple(e)
         child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
         rc, rp = davis.residue_of[child], davis.residue_of[parent]
         cons = {}
         child_classes = set(psi.axes[child])
-        for f, cid in zip(factor_cache[parent], psi.axes[parent]):
-            if cid in child_classes:
+        for v, pc in zip(rp.type_J, classes[parent]):
+            if pc.id in child_classes:
                 continue
-            anchor = proj_residue(g, f, rc.base)
-            cons[cid] = data.value(f, anchor)
+            anchor = proj_residue(g, Residue(rp.base, (v,)), rc.base)
+            cons[pc.id] = data.value(pc, anchor)
         psi.inserted[(child, parent)] = cons
     _check_squares(psi)
     return psi
@@ -371,19 +363,19 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     sub_vertices = [yv for yv in bc.Y.vertex_ids
                     if bc.vertex_info[yv][0] in down_set]
     sub = bc.Y.span(sub_vertices)
-    factors = [residue(g, r.base, (v,)) for v in r.type_J]
+    classes = type_map(g, r)
 
     def model_coord(yv):
         wid, p = bc.vertex_info[yv]
         rw = davis.residue_of[wid]
         waxes = bc.psi.axes[wid]
         coords = []
-        for f, v, cid in zip(factors, r.type_J, bc.psi.axes[vid]):
+        for v, cid in zip(r.type_J, bc.psi.axes[vid]):
             if v in rw.type_J:
                 coords.append(("line", p[waxes.index(cid)]))
             else:
                 coords.append(("chamber",
-                               gate_heights(g, f.base, (v,), rw.base)[v]))
+                               gate_heights(g, r.base, (v,), rw.base)[v]))
         return tuple(coords)
 
     seen = {}
@@ -397,15 +389,14 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     expected_edges = set()
     for key in seen:
         for i, (kind, val) in enumerate(key):
-            f = factors[i]
             v = r.type_J[i]
             if kind == "line":
                 up = key[:i] + (("line", val + 1),) + key[i + 1 :]
                 if up in seen:
                     expected_edges.add(frozenset((seen[key], seen[up])))
             else:
-                chamber = flat_element(g, f.base, {v: val})
-                hv = bc.psi.data.value(f, chamber)
+                chamber = flat_element(g, r.base, {v: val})
+                hv = bc.psi.data.value(classes[i], chamber)
                 mid = key[:i] + (("line", hv),) + key[i + 1 :]
                 if mid in seen:
                     expected_edges.add(frozenset((seen[key], seen[mid])))
@@ -434,12 +425,12 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
-        pc = dataA.class_of(r)
+        pc = class_of_geodesic(g, r.base, r.type_J[0])
         f = f_per_class[pc.id]
         for coords, chamber in chambers_of(g, r, 1):
             try:
-                va = dataA.value(r, chamber)
-                vb = dataB.value(r, chamber)
+                va = dataA.value(pc, chamber)
+                vb = dataB.value(pc, chamber)
             except TruncationError:
                 continue
             if va in f and abs(f[va] - vb) > A:

@@ -103,16 +103,19 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """Davis realization ball: spherical residues with short gate reps.
 
     Vertices are residues with base length <= radius, listed by rank, each
-    built once with its id and keyed by (gate base, type_J); edges are
-    codimension-1 containments (add one commuting vertex to the type),
-    looked up by key; squares are the rank-2 intervals, which `grown_ball`
-    finds as the 4-cycles rising in rank.
+    built once with its id and keyed by (gate base, type_J); one table
+    holds the gate of h*G(J) for every h in the group ball and clique J.
+    Edges are codimension-1 containments (add one commuting vertex to the
+    type), looked up by key through that table; squares are the rank-2
+    intervals, which `grown_ball` finds as the 4-cycles rising in rank.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     types = [cl.members for cl in cliques(g)]
-    keys = dict.fromkeys((gate_representative(g, h, J), J)
-                         for h in group_ball(g, radius) for J in types)
+    # a residue's base lies in the ball, so its parents' gates are here
+    gate = {(h, J): gate_representative(g, h, J)
+            for h in group_ball(g, radius) for J in types}
+    keys = dict.fromkeys((b, J) for (_, J), b in gate.items())
     residues = {r.id: r for r in itertools.starmap(Residue, keys)}
     rid = dict(zip(keys, residues))     # (gate base, type_J) -> vertex id
     order = sorted(residues, key=lambda i: (residues[i].rank, i))
@@ -123,7 +126,7 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
 
     def step(vid):
         r = residues[vid]
-        return [(lab, rid.get((gate_representative(g, r.base, K), K)))
+        return [(lab, rid.get((gate[r.base, K], K)))
                 for lab, K in up_types[r.type_J]]
 
     ball = grown_ball(order, step,
@@ -278,7 +281,7 @@ def residue_image(g: DefiningGraph, tables: ActionTables, name: str,
 def image_class(g: DefiningGraph, tables: ActionTables, name: str,
                 pc: ParallelClass) -> ParallelClass:
     """Class of the image of the class representative geodesic."""
-    r = residue_image(g, tables, name, residue(g, pc.rep, (pc.direction,)))
+    r = residue_image(g, tables, name, Residue(pc.rep, (pc.direction,)))
     return class_of_geodesic(g, r.base, r.type_J[0])
 
 
@@ -321,9 +324,8 @@ def transport_height(g: DefiningGraph, tables: ActionTables, word,
     keeps every height."""
     if not word:
         return n
-    base = gate_representative(g, pc.rep, (pc.direction,))
     return height_of(g, img, tables.apply_word(
-        word, flat_element(g, base, {pc.direction: n})))
+        word, flat_element(g, pc.rep, {pc.direction: n})))
 
 
 def resolved_table(g: DefiningGraph, tables: ActionTables, resolutions,

@@ -219,7 +219,7 @@ def cmd_dual(args):
         dual = wd.dual_cube_complex(ws)
     except (ValueError, MemoryError) as exc:
         raise CliError(EXIT_PARAMS, f"cannot build the dual: {exc}") from exc
-    dim = wd.dual_dimension(ws, dual)
+    dim = wd.dual_dimension(ws)
     checks = [{"name": "dual dimension vs transverse families",
                "status": "pass", "witness": f"dim={dim}"}]
     if args.dot:

@@ -131,13 +131,12 @@ class CubeComplexBall:
     # -- static constructors ------------------------------------------------
 
     @classmethod
-    def make(cls, vertices, edges, squares, depth=None, **fields):
+    def make(cls, vertices, edges, squares, depth=None):
         """edges: iterable of (u, v, label); squares: 4-cycles in any form,
-        order and multiplicity, made canonical and sorted here; `fields`
-        fill a subclass's fields."""
+        order and multiplicity, made canonical and sorted here."""
         vertices = tuple(vertices)
         return cls(vertices, _edge_map(edges),
-                   _normal_squares(squares, vertices), depth, **fields)
+                   _normal_squares(squares, vertices), depth)
 
     # -- basic queries --------------------------------------------------------
 
@@ -647,7 +646,6 @@ class RestrictionQuotient:
     source: CubeComplexBall
     target: CubeComplexBall
     map: CubicalMap
-    wall_subset: tuple    # hyperplanes of the source (the set K)
 
 
 def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
@@ -687,7 +685,7 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
         depth[ids[i]] = max(b.depth[m] for m in members)
     target = CubeComplexBall(tuple(ids), edges, squares, depth)
     qm = CubicalMap(vmap, b, target)
-    return RestrictionQuotient(b, target, qm, tuple(K))
+    return RestrictionQuotient(b, target, qm)
 
 
 # ---------------------------------------------------------------------------

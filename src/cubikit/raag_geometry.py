@@ -15,7 +15,12 @@ first letter right of the stop whose rank exceeds the rank of x.
 
 The gate of a coset base*G(S) (its unique shortest element) comes from one
 right-to-left pass over the normal form of base that drops each letter of S
-commuting with every letter kept to its right.
+commuting with every letter kept to its right.  No gate is memoized: each
+object keeps the gate it is named by.  If b is the gate of b*G(S), then b
+is also the gate of b*G(T) for every T in S, since b lies in the smaller
+coset and is already shortest in the larger one.  So a class's rep is the
+gate of its line rep*<v>, and a residue's base the gate of each of its
+rank-1 factors.
 
 The gate of a point x on a standard flat base*G(S), S a clique, is
 base * prod v^k_v with one scan per v in S (`gate_heights`): k_v is the
@@ -150,9 +155,6 @@ def coset_member(g: DefiningGraph, h, base, support) -> bool:
     return all(v in support for v, _ in rel)
 
 
-_gate_cache: dict = {}
-
-
 def gate_representative(g: DefiningGraph, base, support) -> tuple:
     """The unique minimal-length element of the coset base*G(support).
 
@@ -161,10 +163,6 @@ def gate_representative(g: DefiningGraph, base, support) -> tuple:
     support letter can then be shuffled to the end, which characterises the
     shortest element of the coset.
     """
-    key = (g, tuple(base), tuple(support))
-    hit = _gate_cache.get(key)
-    if hit is not None:
-        return hit
     kept = []
     blockers = set()        # generators of the kept letters
     for v, e in reversed(normal_form(g, base)):
@@ -172,9 +170,7 @@ def gate_representative(g: DefiningGraph, base, support) -> tuple:
             continue
         kept.append((v, e))
         blockers.add(v)
-    rep = tuple(reversed(kept))
-    _gate_cache[key] = rep
-    return rep
+    return tuple(reversed(kept))
 
 
 def gate_heights(g: DefiningGraph, base, support, x) -> dict:
@@ -231,7 +227,6 @@ class ParallelClass:
 
 @dataclass
 class VLevel:
-    parallel_class: ParallelClass
     height: int
     members: tuple
 
@@ -350,11 +345,11 @@ def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
 
 def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
     """Gate height of x on the class geodesic: `gate_heights` in the class
-    direction, from the gate representative of the geodesic.  This is the
-    per-point path; `class_heights` inherits heights along word prefixes
-    and calls it only where no prefix gives the answer."""
+    direction, from pc.rep, which is also the gate of the geodesic.  This
+    is the per-point path; `class_heights` inherits heights along word
+    prefixes and calls it only where no prefix gives the answer."""
     v = pc.direction
-    return gate_heights(g, gate_representative(g, pc.rep, (v,)), (v,), x)[v]
+    return gate_heights(g, pc.rep, (v,), x)[v]
 
 
 def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
@@ -394,7 +389,7 @@ def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,
         h = parse_word(vid)
         k = height_of(g, pc, h)
         levels.setdefault(k, []).append(vid)
-    out = [VLevel(pc, k, tuple(sorted(vs))) for k, vs in sorted(levels.items())]
+    out = [VLevel(k, tuple(sorted(vs))) for k, vs in sorted(levels.items())]
     if verify:
         for f in standard_flats(ball, g, margin=margin):
             dirs = {class_of_geodesic(g, f.base, v).id for v in f.clique.members}

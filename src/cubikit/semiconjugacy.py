@@ -667,9 +667,6 @@ class SemiconjugacyResult:
     tip_map: dict                # window int -> (block, tip id or None)
     measured: dict
 
-    def block(self, x):
-        return self.block_map[x]
-
 
 def collapse(spec: ZActionSpec, family, K: Rips2Complex) -> SemiconjugacyResult:
     """Collapse complementary blocks to points; the induced generator maps

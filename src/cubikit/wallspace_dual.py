@@ -6,13 +6,13 @@ walls breadth first from a point-realized consistent orientation (a
 hand-written BFS, as it records every flip); for finite wallspaces this
 enumerates every 0-cube.  Orientations are bitmasks over the walls, and a
 flip is tested against two precomputed masks per wall side (the walls
-whose stored or other side misses it), so one test is O(1).
-`dual_cube_complex` assembles a `DualComplex` from it: a cube-complex ball
-that also carries its wallspace, the orientation of every vertex and the
-walls each vertex can flip, which `phi` and flat embeddings read.  Each
-square and each cube is read once, from its lowest corner (no wall of it on
-the stored side).  `dual_dimension` and `maximal_cubes` read a given dual's
-orientations, or run `_orientations` alone and build no complex.
+whose stored or other side misses it), so one test is O(1).  A wallspace
+owns the result, `Wallspace.flips`, which `dual_cube_complex`,
+`dual_dimension` and `maximal_cubes` read; the last two build no complex.
+`dual_cube_complex` assembles a `DualComplex`: a cube-complex ball that
+also carries its wallspace and the orientation of every vertex, which
+`phi` and flat embeddings read.  Each square and each cube is read once,
+from its lowest corner (no wall of it on the stored side).
 
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
@@ -61,15 +61,18 @@ from .raag_geometry import (
 from .semiconjugacy import BranchedLine
 
 
-@dataclass
+@dataclass(frozen=True)
 class Wallspace:
+    """Walls over a finite point set; frozen, so `flips` cannot go stale."""
+
     points: tuple
     sides: list                  # bitmask of the stored side, per wall
     tags: list                   # arbitrary per-wall tags (same length)
     _pindex: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._pindex = {p: i for i, p in enumerate(self.points)}
+        object.__setattr__(self, "_pindex",
+                           {p: i for i, p in enumerate(self.points)})
         if len(self._pindex) != len(self.points):
             raise ValueError("the points repeat")
         full = (1 << len(self.points)) - 1
@@ -116,6 +119,12 @@ class Wallspace:
         bit = 1 << self._pindex[p]
         return sum(1 << i for i, s in enumerate(self.sides) if s & bit)
 
+    @functools.cached_property
+    def flips(self) -> dict:
+        """`_orientations`, run on first read: state -> flippable walls,
+        for every consistent orientation."""
+        return _orientations(self)
+
     def to_json(self) -> str:
         return json.dumps({
             "points": [str(p) for p in self.points],
@@ -160,13 +169,11 @@ class DualComplex(CubeComplexBall):
     """The Sageev dual of a finite wallspace, with its 0-cubes.
 
     states: vertex id -> orientation bits (bit i set: the stored side of
-    wall i).  flips: vertex id -> the walls whose flip leads to another
-    0-cube, in increasing order.
+    wall i); `wallspace.flips` gives each state's flippable walls.
     """
 
     wallspace: Wallspace = field(repr=False)
     states: dict = field(repr=False)
-    flips: dict = field(repr=False)
 
     def vertex_of_state(self, state: int) -> str:
         return _vertex_id(self.wallspace.n_walls(), state)
@@ -175,9 +182,9 @@ class DualComplex(CubeComplexBall):
 def _orientations(ws: Wallspace):
     """All consistent orientations, discovered by BFS wall flips.
 
-    Returns (edges, flips): the (state, flipped state, wall) edges in
-    discovery order, from both ends, and state -> the walls whose flip
-    leads to another 0-cube, in increasing order.  Flipping wall i keeps a
+    Returns state -> the walls whose flip leads to another 0-cube, in
+    increasing order, with states in discovery order; the dual's edges are
+    (s, s ^ 1 << i) for each i in flips[s].  Flipping wall i keeps a
     consistent orientation consistent iff the new side of i meets the chosen
     side of every other wall: one test against two wall bitmasks per side
     of i.
@@ -205,7 +212,6 @@ def _orientations(ws: Wallspace):
     start = ws.point_state(ws.points[0])
     seen = {start}
     dq = deque([start])
-    edges = []
     flips = {}
     while dq:
         state = dq.popleft()
@@ -216,18 +222,17 @@ def _orientations(ws: Wallspace):
             if nxt & on or off & ~nxt:
                 continue
             fl.append(i)
-            edges.append((state, nxt, i))
             if nxt not in seen:
                 if len(seen) >= MAX_ORIENTATIONS:
                     raise MemoryError("orientation enumeration cap exceeded")
                 seen.add(nxt)
                 dq.append(nxt)
         flips[state] = tuple(fl)
-    return edges, flips
+    return flips
 
 
 def dual_cube_complex(ws: Wallspace) -> DualComplex:
-    """The Sageev dual: every consistent orientation from `_orientations`.
+    """The Sageev dual: every consistent orientation, from `ws.flips`.
 
     Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
     the stored side of wall i).  Edge labels are the wall tags.  Each square
@@ -236,7 +241,7 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
     sorted order, so the complex is built without `make`'s normalising.
     """
     n = ws.n_walls()
-    edges, flips = _orientations(ws)
+    flips = ws.flips
     order = sorted(flips)
     vid = {s: _vertex_id(n, s) for s in order}
     squares = []
@@ -247,11 +252,11 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
             if s_ij in flips:
                 squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
                                 vid[s ^ (1 << j)]))
-    em = {frozenset((vid[a], vid[b])): str(ws.tags[i]) for a, b, i in edges}
+    em = {frozenset((vid[s], vid[s ^ 1 << i])): str(ws.tags[i])
+          for s, fl in flips.items() for i in fl}
     return DualComplex(
         tuple(vid[s] for s in order), em, tuple(squares), None, wallspace=ws,
-        states={vid[s]: s for s in order},
-        flips={vid[s]: flips[s] for s in order})
+        states={vid[s]: s for s in order})
 
 
 def vertex_of_point(dual: DualComplex, p):
@@ -294,19 +299,12 @@ def _cube_corners(state, walls):
         yield s
 
 
-def _state_flips(ws: Wallspace, dual: DualComplex | None) -> dict:
-    """state -> flippable walls, read from `dual` or enumerated here."""
-    if dual is None:
-        return _orientations(ws)[1]
-    return {s: dual.flips[v] for v, s in dual.states.items()}
-
-
-def dual_dimension(ws: Wallspace, dual: DualComplex | None = None) -> int:
+def dual_dimension(ws: Wallspace) -> int:
     """Largest pairwise-transverse wall family; asserted equal to the max
-    cube dimension of the dual complex.  Without `dual` only the
-    orientations are enumerated; no complex is built."""
+    cube dimension of the dual complex, read from `ws.flips`: no complex
+    is built."""
     dim = max(map(len, _transverse_families(ws)))
-    assert dim == _max_cube_dimension(ws, _state_flips(ws, dual)), \
+    assert dim == _max_cube_dimension(ws, ws.flips), \
         "transverse family bound disagrees with the dual's cube dimension"
     return dim
 
@@ -327,20 +325,20 @@ def _max_cube_dimension(ws: Wallspace, flips: dict) -> int:
     return best
 
 
-def maximal_cubes(ws: Wallspace, dual: DualComplex | None = None):
+def maximal_cubes(ws: Wallspace):
     """Maximal pairwise-transverse families with their cubes in the dual.
 
     Returns a list of (family, list of cubes); each cube is the frozenset of
     its 0-cube vertex ids.  The correspondence family <-> maximal cube is
-    asserted to be a bijection.  Without `dual` only the orientations are
-    enumerated; no complex is built.
+    asserted to be a bijection.  The 0-cubes are read from `ws.flips`; no
+    complex is built.
 
     Each cube is read from its lowest corner, the one orientation with no
     wall of the family on its stored side: every cube spanned by the family
     has exactly one.
     """
     n = ws.n_walls()
-    flips = _state_flips(ws, dual)
+    flips = ws.flips
     # per state, the walls that flip up to their stored side
     up = {s: sum(1 << i for i in fl if not s >> i & 1)
           for s, fl in flips.items()}
@@ -376,7 +374,6 @@ class InvariantWallspace:
     branched_lines: dict         # class id -> BranchedLine
     heights: dict                # class id -> {chamber word: height}
     block_maps: dict             # class id -> {height: block}
-    wall_window: int
     domain: tuple                # the height-box hull: faithful points
 
 
@@ -539,14 +536,12 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
         inside &= sum(lv.get(h, 0) for h in band)
     domain = tuple(p for i, p in enumerate(points) if inside >> i & 1)
     return InvariantWallspace(ws, g, classes, lines, heights_of, block_maps,
-                              wall_window, domain)
+                              domain)
 
 
-def direction_labeled_dual(iws: InvariantWallspace,
-                           dual: CubeComplexBall | None = None):
+def direction_labeled_dual(iws: InvariantWallspace):
     """The dual with each edge relabeled by its wall's class direction."""
-    if dual is None:
-        dual = dual_cube_complex(iws.wallspace)
+    dual = dual_cube_complex(iws.wallspace)
     tag_dir = {str(tag): iws.classes[tag[0]].direction
                for tag in iws.wallspace.tags}
     return relabel_edges(dual, lambda lab: tag_dir[lab])
@@ -602,8 +597,7 @@ def phi_map(iws: InvariantWallspace):
                   "additive": additive}
 
 
-def branched_flat_embed(iws: InvariantWallspace, class_ids,
-                        dual: DualComplex | None = None):
+def branched_flat_embed(iws: InvariantWallspace, class_ids):
     """Embed the dual of the walls tagged by a maximal flat's classes.
 
     Walls outside the family are oriented to the side containing the flat's
@@ -611,8 +605,7 @@ def branched_flat_embed(iws: InvariantWallspace, class_ids,
     image convex in the full dual.
     """
     ws = iws.wallspace
-    if dual is None:
-        dual = dual_cube_complex(ws)
+    dual = dual_cube_complex(ws)
     sel = [i for i in range(ws.n_walls()) if ws.tags[i][0] in class_ids]
     if not sel:
         raise ValueError("no walls carry the requested classes")

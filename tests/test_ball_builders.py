@@ -409,3 +409,13 @@ def test_davis_step_matches_residue_oracle(name, radius):
     edges = {frozenset((x, y)): lab for x in db.ball.vertex_ids
              for lab, y in step(x) if y in inside}
     assert list(edges.items()) == list(db.ball.edges.items())
+
+
+def test_davis_ball_computes_each_gate_once(monkeypatch):
+    # one gate per (group ball element, clique); the step looks them up
+    calls = []
+    real = bd.gate_representative
+    monkeypatch.setattr(bd, "gate_representative",
+                        lambda g, h, J: calls.append((h, J)) or real(g, h, J))
+    bd.davis_ball(gc.pentagon(), 3)
+    assert len(calls) == 531 * 11

@@ -34,6 +34,18 @@ def test_blowup_data_json_roundtrip():
     assert back.to_json() == data.to_json()
 
 
+def test_blowup_data_value_raises_off_its_tables():
+    g = gc.k2()
+    pc = rg.class_of_geodesic(g, (), "u")
+    with pytest.raises(cc.TruncationError, match="no table for class u@1"):
+        bu.BlowUpData(g, {}, {}, 2).value(pc, ())
+    data = bu.BlowUpData(g, {pc.id: {0: 5, 1: 6}}, {pc.id: pc}, 2)
+    assert data.value(pc, (("u", 1), ("v", 1))) == 6
+    with pytest.raises(cc.TruncationError,
+                       match="coordinate 2 outside table window"):
+        data.value(pc, (("u", 1), ("u", 1)))
+
+
 def test_fiber_functor_identity_tables():
     g = gc.pentagon()
     davis = bd.davis_ball(g, 2)

@@ -300,3 +300,32 @@ def test_check_squares_builds_each_edge_image_once(monkeypatch):
         _, m1, m2, top = sorted(s, key=davis.rank_of.get)
         wanted |= {(m1, top), (m2, top)}
     assert sorted(calls) == sorted(wanted)
+
+
+def inserted_oracle(davis, data):
+    """The fiber functor's inserted constants, with each factor of a parent
+    residue rebuilt by `residue` and its class read off that factor."""
+    g = davis.graph
+    out = {}
+    for e in davis.ball.edges:
+        u, v = tuple(e)
+        child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
+        rc, rp = davis.residue_of[child], davis.residue_of[parent]
+        child_classes = {pc.id for pc in bu.type_map(g, rc)}
+        cons = {}
+        for w in rp.type_J:
+            f = bd.residue(g, rp.base, (w,))
+            pc = rg.class_of_geodesic(g, f.base, w)
+            if pc.id not in child_classes:
+                cons[pc.id] = data.value(pc, bd.proj_residue(g, f, rc.base))
+        out[child, parent] = cons
+    return out
+
+
+@pytest.mark.parametrize("data", sorted(DATA))
+@pytest.mark.parametrize("name", ["pentagon", "square4", "path3", "k2"])
+def test_fiber_functor_matches_factor_residue_oracle(name, data):
+    davis = small_davis(name, 2)
+    psi = bu.build_fiber_functor(
+        bu.data_from_function(davis.graph, davis, 2, DATA[data]), davis)
+    assert psi.inserted == inserted_oracle(davis, psi.data)

@@ -434,3 +434,96 @@ def test_golden_factor_tables(case):
     body = json.dumps([[gen, list(spec.generators[gen].items())]])
     assert hashlib.sha256(body.encode()).hexdigest() == \
         GOLDEN_FACTOR_TABLES[name]
+
+
+# -- the explicit gates of a class's line, kept as oracles: a class's rep is
+# already the gate of its line, and a residue's base that of its factors ---
+
+def height_of_oracle(g, pc, x):
+    v = pc.direction
+    line = rg.gate_representative(g, pc.rep, (v,))
+    return rg.gate_heights(g, line, (v,), x)[v]
+
+
+def transport_height_oracle(g, tables, word, pc, img, n):
+    if not word:
+        return n
+    base = rg.gate_representative(g, pc.rep, (pc.direction,))
+    return height_of_oracle(g, img, tables.apply_word(
+        word, rg.flat_element(g, base, {pc.direction: n})))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except cc.TruncationError as exc:
+        return str(exc)
+
+
+@st.composite
+def classes_and_words(draw):
+    """A parallel class through a random word, and a random word, over one
+    of the gate graphs."""
+    g = draw(st.sampled_from(GATE_GRAPHS))
+    letters = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    base = rg.normal_form(g, draw(st.lists(letters, max_size=6)))
+    pc = rg.class_of_geodesic(g, base, draw(st.sampled_from(g.vertices)))
+    return g, pc, rg.normal_form(g, draw(st.lists(letters, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes_and_words())
+def test_height_of_matches_line_gate_oracle(case):
+    g, pc, x = case
+    assert rg.height_of(g, pc, x) == height_of_oracle(g, pc, x)
+    assert bd.residue(g, pc.rep, (pc.direction,)) == \
+        bd.Residue(pc.rep, (pc.direction,))
+
+
+DAVIS_GATE_GRAPHS = {"pentagon": gc.pentagon, "square4": gc.square4,
+                     "path3": gc.path3, "k2": gc.k2}
+
+
+@pytest.fixture(scope="module", params=sorted(DAVIS_GATE_GRAPHS))
+def davis_classes(request):
+    """A radius-2 Davis ball and the classes of its rank-1 factors."""
+    g = DAVIS_GATE_GRAPHS[request.param]()
+    davis = bd.davis_ball(g, 2)
+    classes = {}
+    for r in davis.residue_of.values():
+        for v in r.type_J:
+            pc = rg.class_of_geodesic(g, r.base, v)
+            classes.setdefault(pc.id, pc)
+    return g, davis, list(classes.values())
+
+
+def test_davis_bases_and_reps_are_line_gates(davis_classes):
+    g, davis, classes = davis_classes
+    for r in davis.residue_of.values():
+        for v in r.type_J:
+            assert bd.residue(g, r.base, (v,)) == bd.Residue(r.base, (v,))
+    chambers = [davis.residue_of[c].base for c in davis.chambers()]
+    for pc in classes:
+        assert bd.residue(g, pc.rep, (pc.direction,)) == \
+            bd.Residue(pc.rep, (pc.direction,))
+        for c in chambers:
+            assert rg.height_of(g, pc, c) == height_of_oracle(g, pc, c)
+
+
+def test_transport_height_matches_line_gate_oracle(davis_classes):
+    g, davis, classes = davis_classes
+    elements = rg.group_ball(g, 4)
+    for v in g.vertices:
+        act = bd.left_translation_action(g, elements, ((v, 1),))
+        for name in act.generators:
+            for pc in classes:
+                try:
+                    img = bd.image_class(g, act, name, pc)
+                except cc.TruncationError:
+                    continue
+                for word in ((), (name,), (name, name)):
+                    for n in range(-2, 3):
+                        assert outcome(bd.transport_height, g, act, word, pc,
+                                       img, n) == \
+                            outcome(transport_height_oracle, g, act, word,
+                                    pc, img, n)

@@ -55,12 +55,6 @@ def test_semiconjugacy_loads_neither_building_nor_wallspaces():
     assert out == ["cubikit", "cubikit.cube_complex", "cubikit.semiconjugacy"]
 
 
-# Module-level caches kept on purpose: `gate_representative`'s table makes
-# `invariant_wallspace` and `blowup_complex` faster, and its keys hold the
-# graph, so answers cannot leak between graphs.
-MODULE_CACHES = {("raag_geometry", "_gate_cache")}
-
-
 def _is_dict_or_set(node):
     if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
         return True
@@ -69,8 +63,7 @@ def _is_dict_or_set(node):
 
 
 def test_no_module_level_caches():
-    """No module of `src/` binds a dict or a set at top level, past the
-    caches listed in MODULE_CACHES."""
+    """No module of `src/` binds a dict or a set at top level."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -83,7 +76,7 @@ def test_no_module_level_caches():
             if _is_dict_or_set(value) or (
                     isinstance(ann, ast.Name) and ann.id in ("dict", "set")):
                 found |= {(path.stem, n) for n in _defined(node)}
-    assert found == MODULE_CACHES
+    assert found == set()
 
 
 # The producers that build a complex straight from squares already in

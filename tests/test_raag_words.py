@@ -174,6 +174,23 @@ def test_gate_matches_descent_oracle(name, data):
         gate_descent_oracle(g, base, support)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.data())
+def test_gate_is_the_gate_of_every_smaller_coset(name, data):
+    # the gate b of b*G(S) lies in b*G(T) for T in S and is shortest there
+    # too: a class's rep names its line and a residue's base its factors
+    g = ORACLE_GRAPHS[name]
+    h = data.draw(raw_words(g))
+    if data.draw(st.booleans()):
+        support = data.draw(st.sampled_from(gc.cliques(g))).members
+    else:
+        v = data.draw(st.sampled_from(g.vertices))
+        support = g.sorted_subset({v, *g.neighbors(v)})
+    smaller = tuple(v for v in support if data.draw(st.booleans()))
+    gate = rg.gate_representative(g, h, support)
+    assert rg.gate_representative(g, gate, smaller) == gate
+
+
 def test_unknown_generator():
     with pytest.raises(gc.UnknownEndpointError):
         rg.normal_form(gc.k2(), [("zz", 1)])

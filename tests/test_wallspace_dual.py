@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -284,7 +284,7 @@ def test_dual_matches_pairwise_oracles(ws):
                           ws.full_mask ^ ws.sides[j])
                    for j in range(n) if j != i):
                 flippable.append(i)
-        assert dual.flips[v] == tuple(flippable)
+        assert ws.flips[dual.states[v]] == tuple(flippable)
     largest = max(len(fam) for r in range(n + 1)
                   for fam in itertools.combinations(range(n), r)
                   if all(ws.transverse(i, j)
@@ -299,15 +299,6 @@ def test_dual_matches_four_corner_oracle(ws):
     want = dual_squares_oracle(ws)
     assert dual.squares == want.squares
     assert list(dual.edges.items()) == list(want.edges.items())
-    # with and without a prebuilt dual
-    assert wd.dual_dimension(ws) == wd.dual_dimension(ws, dual)
-    try:
-        cubes = wd.maximal_cubes(ws)
-    except AssertionError:
-        with pytest.raises(AssertionError):
-            wd.maximal_cubes(ws, dual)
-        return
-    assert cubes == wd.maximal_cubes(ws, dual)
 
 
 def test_orientation_cap_raises_memory_error(monkeypatch):
@@ -321,6 +312,22 @@ def test_orientation_cap_raises_memory_error(monkeypatch):
             build(ws)
 
 
+def test_one_wallspace_enumerates_its_orientations_once(monkeypatch):
+    calls = []
+    real = wd._orientations
+    monkeypatch.setattr(wd, "_orientations",
+                        lambda ws: calls.append(ws) or real(ws))
+    pts = list(range(8))
+    ws = wd.Wallspace.make(pts, [[p for p in pts if p >> i & 1]
+                                 for i in range(3)])
+    assert len(wd.dual_cube_complex(ws).vertex_ids) == 8
+    assert wd.dual_dimension(ws) == 3
+    assert len(wd.maximal_cubes(ws)) == 1
+    assert calls == [ws]
+    with pytest.raises(FrozenInstanceError):
+        ws.flips = {}
+
+
 def maximal_cubes_oracle(ws, dual):
     """maximal_cubes by reading every cube from each of its 2^k corners."""
     states = set(dual.states.values())
@@ -330,7 +337,7 @@ def maximal_cubes_oracle(ws, dual):
         walls = sorted(fam)
         cubes = set()
         for v, s in dual.states.items():
-            if fam <= set(dual.flips[v]):
+            if fam <= set(ws.flips[dual.states[v]]):
                 corners = list(wd._cube_corners(s, walls))
                 if all(t in states for t in corners):
                     cubes.add(frozenset(map(dual.vertex_of_state, corners)))
@@ -351,9 +358,9 @@ def test_maximal_cubes_match_every_corner_oracle(ws):
         want = maximal_cubes_oracle(ws, dual)
     except AssertionError:
         with pytest.raises(AssertionError):
-            wd.maximal_cubes(ws, dual)
+            wd.maximal_cubes(ws)
         return
-    assert wd.maximal_cubes(ws, dual) == want
+    assert wd.maximal_cubes(ws) == want
 
 
 def test_sageev_roundtrip_ball_k2():
@@ -491,7 +498,7 @@ def test_invariant_wallspace_translations_c5():
     # the through-identity {a,b}-flat embeds as a grid patch
     ca = rg.class_of_geodesic(g, (), "a").id
     cb = rg.class_of_geodesic(g, (), "b").id
-    sub_dual, embedded, _ = wd.branched_flat_embed(iws, [ca, cb], dual=dual)
+    sub_dual, embedded, _ = wd.branched_flat_embed(iws, [ca, cb])
     assert len(sub_dual.squares) > 0
 
 
@@ -579,7 +586,7 @@ def test_flats_with_disjoint_windows_are_separated():
     ccd = rg.class_of_geodesic(g, (), "c").id
     cd = rg.class_of_geodesic(g, (), "d").id
     _, emb1, dual = wd.branched_flat_embed(iws, [ca, cb])
-    _, emb2, _ = wd.branched_flat_embed(iws, [ccd, cd], dual=dual)
+    _, emb2, _ = wd.branched_flat_embed(iws, [ccd, cd])
     assert emb1 != emb2
 
 
