@@ -19,6 +19,11 @@ from . import raag_geometry as rg
 from . import semiconjugacy as sc
 from . import wallspace_dual as wd
 
+# sample sizes of the random criteria 2, 4 and 7
+RQ_INSTANCES = 100
+DUAL_TRIALS = 40
+ONE_DATA_PER_GRAPH = 50
+
 
 def _graph_fixtures():
     return {
@@ -59,13 +64,13 @@ def criterion_flag_links(seed=0, graphs=None):
 
 # -- 2: restriction quotient characterization ---------------------------------
 
-def criterion_rq_characterization(seed=0, instances=100):
+def criterion_rq_characterization(seed=0):
     rng = random.Random(seed)
     pool = [gc.k2(), gc.path3(), gc.discrete(2), gc.square4()]
     bad = []
     t0 = time.time()
     done = 0
-    while done < instances:
+    while done < RQ_INSTANCES:
         g = rng.choice(pool)
         ball = rg.ball_X(g, 2)
         hps = [h for h in cc.hyperplanes(ball) if not h.truncated]
@@ -132,10 +137,10 @@ def criterion_sageev_roundtrip(seed=0, graphs=None):
 
 # -- 4: dimension and maximal cubes -------------------------------------------
 
-def criterion_dual_dimension(seed=0, trials=40):
+def criterion_dual_dimension(seed=0):
     rng = random.Random(seed)
     checked = 0
-    for _ in range(trials):
+    for _ in range(DUAL_TRIALS):
         npts = rng.randint(3, 8)
         pts = list(range(npts))
         walls, seen = [], set()
@@ -262,14 +267,14 @@ def _compare_blowup_with_xe(bc, xe, r):
 
 # -- 7: one_data round trip ----------------------------------------------------
 
-def criterion_one_data_roundtrip(seed=0, per_graph=50):
+def criterion_one_data_roundtrip(seed=0):
     rng = random.Random(seed)
     bad = 0
     total = 0
     for g, davis_radius, window in ((gc.single_vertex(), 3, 3),
                                     (gc.k2(), 2, 2)):
         davis = bd.davis_ball(g, davis_radius)
-        for _ in range(per_graph):
+        for _ in range(ONE_DATA_PER_GRAPH):
             offs = {}
 
             def fn(pc, n, _rng=rng, _offs=offs):
@@ -291,7 +296,8 @@ def criterion_one_data_roundtrip(seed=0, per_graph=50):
                     if n in data.tables[cid] and data.tables[cid][n] != v:
                         bad += 1
             total += 1
-    return _result("7 one_data round trip", bad == 0 and total >= 2 * per_graph,
+    return _result("7 one_data round trip",
+                   bad == 0 and total >= 2 * ONE_DATA_PER_GRAPH,
                    f"{total} random data sets round-tripped exactly")
 
 

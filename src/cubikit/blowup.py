@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 from .building import (
     ActionTables,
     DavisBall,
-    Residue,
     chambers_of,
     class_isometry,
     image_class,
-    proj_residue,
     residue_contains,
     residue_image,
     resolved_table,
@@ -59,13 +57,6 @@ from .raag_geometry import (
     word_str,
 )
 from .semiconjugacy import line_isometry
-
-
-def type_map(g: DefiningGraph, r: Residue) -> list:
-    """T(R): parallel classes of the rank-1 factors of a spherical residue."""
-    if not r.spherical:
-        raise ValueError("type map needs a spherical residue")
-    return [class_of_geodesic(g, r.base, v) for v in r.type_J]
 
 
 @dataclass
@@ -155,6 +146,7 @@ class FiberFunctor:
     data: BlowUpData
     window: int
     axes: dict = field(default_factory=dict)        # vid -> tuple of class ids
+    classes: dict = field(default_factory=dict)     # class id -> ParallelClass
     inserted: dict = field(default_factory=dict)    # (child,parent) -> {cid: value}
 
     def fiber_points(self, vid):
@@ -188,23 +180,34 @@ class FiberFunctor:
 
 
 def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
+    """The fiber functor of `data` over the Davis ball.
+
+    Each rank-1 residue base*<v> of the ball gets its parallel class once.
+    A residue's factor in direction v is the rank-1 residue with the same
+    base (the gate of base*G(J) is also that of base*<v>), so it lies in the
+    ball too, and every vertex takes its axes from that table.
+
+    Along an edge child < parent, the constant inserted for a direction v of
+    the parent that the child lacks is the data value at the child's base.
+    The height of the base on v's class equals that of its projection onto
+    the parent's v-factor: the factor is parallel to the class line, so the
+    same hyperplanes cross both, and projecting onto the factor crosses none
+    of them, so the gate on the class line does not move.
+    """
     g = davis.graph
     psi = FiberFunctor(g, davis, data, data.window)
-    classes = {vid: type_map(g, r) for vid, r in davis.residue_of.items()}
-    for vid, cls in classes.items():
-        psi.axes[vid] = tuple(pc.id for pc in cls)
+    line = {(r.base, r.type_J[0]): class_of_geodesic(g, r.base, r.type_J[0])
+            for r in davis.residue_of.values() if r.rank == 1}
+    psi.classes = {pc.id: pc for pc in line.values()}
+    for vid, r in davis.residue_of.items():
+        psi.axes[vid] = tuple(line[r.base, v].id for v in r.type_J)
     for e in davis.ball.edges:
         u, v = tuple(e)
         child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
-        rc, rp = davis.residue_of[child], davis.residue_of[parent]
-        cons = {}
-        child_classes = set(psi.axes[child])
-        for v, pc in zip(rp.type_J, classes[parent]):
-            if pc.id in child_classes:
-                continue
-            anchor = proj_residue(g, Residue(rp.base, (v,)), rc.base)
-            cons[pc.id] = data.value(pc, anchor)
-        psi.inserted[(child, parent)] = cons
+        base = davis.residue_of[child].base
+        psi.inserted[(child, parent)] = {
+            cid: data.value(psi.classes[cid], base)
+            for cid in psi.axes[parent] if cid not in psi.axes[child]}
     _check_squares(psi)
     return psi
 
@@ -312,7 +315,7 @@ def one_data(bc: BlowUpComplex) -> BlowUpData:
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
-        pc = class_of_geodesic(g, r.base, r.type_J[0])
+        pc = bc.psi.classes[bc.psi.axes[vid][0]]
         classes.setdefault(pc.id, pc)
         for yv in fibers.get(vid, ()):
             p = bc.vertex_info[yv][1]
@@ -363,7 +366,7 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     sub_vertices = [yv for yv in bc.Y.vertex_ids
                     if bc.vertex_info[yv][0] in down_set]
     sub = bc.Y.span(sub_vertices)
-    classes = type_map(g, r)
+    classes = [bc.psi.classes[cid] for cid in bc.psi.axes[vid]]
 
     def model_coord(yv):
         wid, p = bc.vertex_info[yv]
@@ -425,7 +428,7 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
-        pc = class_of_geodesic(g, r.base, r.type_J[0])
+        pc = bcA.psi.classes[bcA.psi.axes[vid][0]]
         f = f_per_class[pc.id]
         for coords, chamber in chambers_of(g, r, 1):
             try:

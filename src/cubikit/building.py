@@ -111,7 +111,7 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    types = [cl.members for cl in cliques(g)]
+    types = cliques(g)
     # a residue's base lies in the ball, so its parents' gates are here
     gate = {(h, J): gate_representative(g, h, J)
             for h in group_ball(g, radius) for J in types}

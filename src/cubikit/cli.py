@@ -77,7 +77,7 @@ def _require_radius(args, minimum=1):
 def cmd_graph_info(args):
     g = _load_graph(args.graph)
     cl = gc.cliques(g)
-    dec = gc.join_decompose(g)
+    factors = gc.join_decompose(g)
     checks = [{"name": "graph parsed", "status": "pass",
                "witness": f"{len(g.vertices)} vertices, {len(g.edges)} edges"}]
     _report(args, checks, {
@@ -85,7 +85,7 @@ def cmd_graph_info(args):
         "edges": sorted(sorted(e) for e in g.edges),
         "cliques": len(cl),
         "max_clique": max(len(c) for c in cl),
-        "join_factors": [list(f) for f in dec.factors],
+        "join_factors": [list(f) for f in factors],
     })
     return EXIT_OK
 

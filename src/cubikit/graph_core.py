@@ -120,29 +120,6 @@ class DefiningGraph:
         )
 
 
-@dataclass(frozen=True)
-class Clique:
-    """A complete subgraph, kept as a canonically sorted vertex tuple."""
-
-    members: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, v):
-        return v in self.members
-
-
-@dataclass(frozen=True)
-class JoinDecomposition:
-    """Partition of the vertex set into join factors."""
-
-    factors: tuple[tuple[str, ...], ...]
-
-
 def parse_graph(text: str) -> DefiningGraph:
     """Parse the graph JSON format: {"vertices": [...], "edges": [[u,v],...]}."""
     try:
@@ -159,14 +136,15 @@ def parse_graph(text: str) -> DefiningGraph:
         raise MalformedGraphJSON("'edges' must be a list of pairs")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise MalformedGraphJSON(f"edge {e!r} is not a pair")
+        if not isinstance(e, list) or len(e) != 2 or \
+                not all(isinstance(x, str) for x in e):
+            raise MalformedGraphJSON(f"edge {e!r} is not a pair of strings")
         pairs.append(tuple(e))
     return DefiningGraph.make(vertices, pairs)
 
 
-def cliques(g: DefiningGraph) -> list[Clique]:
-    """All cliques of g, including the empty clique.
+def cliques(g: DefiningGraph) -> list[tuple[str, ...]]:
+    """All cliques of g as member tuples, including the empty clique.
 
     Sorted by (size, lexicographic member indices); the empty clique is
     always index 0.
@@ -184,7 +162,7 @@ def cliques(g: DefiningGraph) -> list[Clique]:
                 found.append(ext)
                 stack.append((ext, i + 1))
     found.sort(key=lambda m: (len(m), tuple(g.index(v) for v in m)))
-    return [Clique(m) for m in found]
+    return found
 
 
 def orthogonal_complement(g: DefiningGraph, subset) -> tuple[str, ...]:
@@ -197,8 +175,8 @@ def orthogonal_complement(g: DefiningGraph, subset) -> tuple[str, ...]:
     return tuple(out)
 
 
-def join_decompose(g: DefiningGraph) -> JoinDecomposition:
-    """Factors = connected components of the complement graph.
+def join_decompose(g: DefiningGraph) -> tuple[tuple[str, ...], ...]:
+    """Join factors: the connected components of the complement graph.
 
     Two vertices land in different factors exactly when they are adjacent to
     everything in the other factor, so the join of the factors gives back g.
@@ -221,24 +199,7 @@ def join_decompose(g: DefiningGraph) -> JoinDecomposition:
                     frontier.append(y)
         factors.append(g.sorted_subset(comp))
     factors.sort(key=lambda f: g.index(f[0]))
-    return JoinDecomposition(tuple(factors))
-
-
-def rejoin(g: DefiningGraph, dec: JoinDecomposition) -> DefiningGraph:
-    """Rebuild a graph from factors: induced edges plus all cross-factor edges."""
-    edges = set()
-    where = {}
-    for i, f in enumerate(dec.factors):
-        for v in f:
-            where[v] = i
-    for i, u in enumerate(g.vertices):
-        for v in g.vertices[i + 1 :]:
-            if where[u] != where[v] or g.adjacent(u, v):
-                edges.add(frozenset((u, v)))
-    # cross-factor edges are total by construction; induced edges come from g
-    keep = {e for e in edges
-            if len({where[x] for x in e}) == 2 or e in g.edges}
-    return DefiningGraph(g.vertices, frozenset(keep))
+    return tuple(factors)
 
 
 # Small graphs used throughout the test-suite and docs.

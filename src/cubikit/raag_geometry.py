@@ -48,23 +48,18 @@ On top of the word algebra this module grows finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e: a BFS
 (`cube_complex.bfs_ball`) over a step function, the letter step for X and
 the vertical, up and down steps for X_e, then `cube_complex.grown_ball`,
-which takes the squares to be the 4-cycles.  It also gives standard flats,
-gates on standard flats, levels, and adjacency of parallel classes (the
-edges of the extension complex).
+which takes the squares to be the 4-cycles.  It also gives gates on
+standard flats, parallel classes with their heights, and adjacency of
+parallel classes (the edges of the extension complex).  A standard flat
+base*G(J) itself is a `building.Residue`, the one type for such a coset.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .graph_core import (
-    Clique,
-    DefiningGraph,
-    UnknownEndpointError,
-    cliques,
-)
+from .graph_core import DefiningGraph, UnknownEndpointError
 from .cube_complex import CubeComplexBall, bfs_ball, grown_ball
 
 # A letter is (generator label, +1 or -1); a word is a tuple of letters,
@@ -198,22 +193,8 @@ def flat_element(g: DefiningGraph, base, coords):
 
 
 # ---------------------------------------------------------------------------
-# flats, classes, levels
+# parallel classes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StandardFlat:
-    base: tuple          # gate representative of base*G(clique)
-    clique: Clique
-
-    @cached_property
-    def id(self) -> str:
-        return f"{word_str(self.base)}|{{{','.join(self.clique.members)}}}"
-
-    def to_json(self) -> str:
-        return json.dumps({"base": word_str(self.base),
-                           "clique": list(self.clique.members)})
-
 
 @dataclass(frozen=True)
 class ParallelClass:
@@ -223,19 +204,6 @@ class ParallelClass:
     @cached_property
     def id(self) -> str:
         return f"{self.direction}@{word_str(self.rep)}"
-
-
-@dataclass
-class VLevel:
-    height: int
-    members: tuple
-
-
-def standard_flat(g: DefiningGraph, base, clique_members) -> StandardFlat:
-    members = g.sorted_subset(clique_members)
-    if not g.is_clique(members):
-        raise ValueError(f"{members} is not a clique")
-    return StandardFlat(gate_representative(g, base, members), Clique(members))
 
 
 def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
@@ -324,24 +292,8 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
 
 
 # ---------------------------------------------------------------------------
-# flats in a ball
+# heights on a class line, adjacency of classes
 # ---------------------------------------------------------------------------
-
-def standard_flats(ball: CubeComplexBall, g: DefiningGraph, margin: int = 0):
-    """All standard flats base*G(clique) meeting the ball at the given margin.
-
-    Returned sorted by (clique size, id).
-    """
-    found = {}
-    types = cliques(g)
-    verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
-    for vid in verts:
-        h = parse_word(vid)
-        for cl in types:
-            f = StandardFlat(gate_representative(g, h, cl.members), cl)
-            found[f.id] = f
-    return sorted(found.values(), key=lambda f: (len(f.clique), f.id))
-
 
 def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
     """Gate height of x on the class geodesic: `gate_heights` in the class
@@ -373,36 +325,6 @@ def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
                 out[p] = k
                 continue
         out[p] = height_of(g, pc, p)
-    return out
-
-
-def v_levels(g: DefiningGraph, pc: ParallelClass, ball: CubeComplexBall,
-             margin: int = 1, verify: bool = True):
-    """Partition of the ball's margin-interior by gate height.
-
-    With `verify`, also checks that every standard flat not involving the
-    class sits inside a single level.
-    """
-    levels = {}
-    verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
-    for vid in verts:
-        h = parse_word(vid)
-        k = height_of(g, pc, h)
-        levels.setdefault(k, []).append(vid)
-    out = [VLevel(k, tuple(sorted(vs))) for k, vs in sorted(levels.items())]
-    if verify:
-        for f in standard_flats(ball, g, margin=margin):
-            dirs = {class_of_geodesic(g, f.base, v).id for v in f.clique.members}
-            if pc.id in dirs:
-                continue
-            heights = set()
-            for vid in verts:
-                h = parse_word(vid)
-                if coset_member(g, h, f.base, f.clique.members):
-                    heights.add(height_of(g, pc, h))
-            if len(heights) > 1:
-                raise AssertionError(
-                    f"flat {f.id} meets several {pc.id}-levels: {sorted(heights)}")
     return out
 
 

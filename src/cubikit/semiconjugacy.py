@@ -71,9 +71,11 @@ class ZActionSpec:
     def validate(self):
         """Check the inverse tables, injectivity and the (L, A) bounds, and
         that each relation moves points by at most A + 2."""
+        if not isinstance(self.inverses, dict):
+            raise ActionError("inverses must map generator names to names")
         for name, t in self.generators.items():
             inv_name = self.inverses.get(name)
-            if inv_name is None or inv_name not in self.generators:
+            if not isinstance(inv_name, str) or inv_name not in self.generators:
                 raise ActionError(f"generator {name!r} lacks an inverse table")
             ti = self.generators[inv_name]
             for x, y in t.items():
@@ -92,6 +94,8 @@ class ZActionSpec:
                                 f"table {name!r} breaks the ({self.L},{self.A}) "
                                 f"bounds at {x},{y}")
         for rel in self.relations:
+            if not all(isinstance(n, str) and n in self.generators for n in rel):
+                raise ActionError(f"relation {rel} names an unknown generator")
             t = self.compose(rel)
             for x, y in t.items():
                 if abs(x - y) > self.A + 2:

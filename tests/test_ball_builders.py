@@ -340,7 +340,7 @@ def davis_ball_oracle(g, radius):
     residues = {}
     for h in rg.group_ball(g, radius):
         for cl in gc.cliques(g):
-            r = bd.residue(g, h, cl.members)
+            r = bd.residue(g, h, cl)
             residues[r.id] = r
     order = sorted(residues.values(), key=lambda r: (r.rank, r.id))
     edges = []

@@ -16,14 +16,17 @@ from .test_raag_words import coset_coordinates
 
 
 def test_type_map():
-    g = gc.k2()
-    r0 = bd.residue(g, (), [])
-    assert bu.type_map(g, r0) == []
-    rG = bd.residue(g, (), ["u", "v"])
-    assert sorted(pc.direction for pc in bu.type_map(g, rG)) == ["u", "v"]
-    pent = gc.pentagon()
-    rab = bd.residue(pent, (), ["a", "b"])
-    assert len(bu.type_map(pent, rab)) == 2
+    # a fiber's axes are the classes of its residue's rank-1 factors
+    for g in (gc.k2(), gc.pentagon()):
+        davis = bd.davis_ball(g, 1)
+        psi = bu.build_fiber_functor(bu.bijective_data(g, davis, 1), davis)
+        for vid, r in davis.residue_of.items():
+            assert psi.axes[vid] == tuple(
+                rg.class_of_geodesic(g, r.base, v).id for v in r.type_J)
+            assert tuple(psi.classes[c].direction
+                         for c in psi.axes[vid]) == r.type_J
+        for J in gc.cliques(g):           # the residues through 1
+            assert len(psi.axes[bd.residue(g, (), J).id]) == len(J)
 
 
 def test_blowup_data_json_roundtrip():
@@ -57,7 +60,8 @@ def test_fiber_functor_identity_tables():
         rp = davis.residue_of[parent]
         for cid, val in cons.items():
             pc = psi.data.classes.get(cid) or next(
-                c for c in bu.type_map(g, rp) if c.id == cid)
+                c for c in (rg.class_of_geodesic(g, rp.base, w)
+                            for w in rp.type_J) if c.id == cid)
             v = pc.direction
             f = bd.residue(g, rp.base, (v,))
             anchor = bd.proj_residue(g, f, rc.base)

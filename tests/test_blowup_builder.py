@@ -285,6 +285,20 @@ def test_fiber_functor_computes_no_orthogonal_complement(monkeypatch):
     assert calls == []
 
 
+def test_fiber_functor_computes_one_class_per_rank1_residue(monkeypatch):
+    # every residue's factors are rank-1 residues of the ball, so the
+    # functor computes one class, and so one gate, per rank-1 residue
+    davis = small_davis("pentagon", 2)
+    data = bu.bijective_data(davis.graph, davis, 3)
+    calls = []
+    real = rg.gate_representative
+    monkeypatch.setattr(rg, "gate_representative",
+                        lambda g, h, J: calls.append((h, J)) or real(g, h, J))
+    bu.build_fiber_functor(data, davis)
+    rank1 = [r for r in davis.residue_of.values() if r.rank == 1]
+    assert len(calls) == len(rank1) == 305
+
+
 def test_check_squares_builds_each_edge_image_once(monkeypatch):
     davis = small_davis("square4", 2)
     psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2),
@@ -311,7 +325,8 @@ def inserted_oracle(davis, data):
         u, v = tuple(e)
         child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
         rc, rp = davis.residue_of[child], davis.residue_of[parent]
-        child_classes = {pc.id for pc in bu.type_map(g, rc)}
+        child_classes = {rg.class_of_geodesic(g, rc.base, w).id
+                         for w in rc.type_J}
         cons = {}
         for w in rp.type_J:
             f = bd.residue(g, rp.base, (w,))

@@ -146,7 +146,7 @@ def residues_and_chambers(draw):
     clique = draw(st.sampled_from(gc.cliques(g)))
     base = rg.normal_form(g, draw(st.lists(letters, max_size=4)))
     c = rg.normal_form(g, draw(st.lists(letters, max_size=6)))
-    return g, bd.residue(g, base, clique.members), c
+    return g, bd.residue(g, base, clique), c
 
 
 @settings(max_examples=300, deadline=None)

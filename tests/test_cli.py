@@ -295,6 +295,40 @@ def test_semiconj_bad_action_exits_3(tmp_path, capsys):
     assert "bad action" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edge", [["u", 5], [["u"], "v"]])
+def test_graph_info_edge_endpoint_not_a_string_exits_3(graphs, capsys, edge):
+    path = graphs["dir"] / "endpoint.json"
+    path.write_text(json.dumps({"vertices": ["u", "v"], "edges": [edge]}))
+    assert cli.main(["graph", "info", "--graph", str(path)]) == 3
+    assert "is not a pair of strings" in capsys.readouterr().err
+
+
+def _edit_flip_action(tmp_path, **changes):
+    """`flip_action` with some top-level fields replaced."""
+    path = flip_action(tmp_path)
+    with open(path) as fh:
+        spec = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**spec, **changes}, fh)
+    return path
+
+
+def test_semiconj_relation_with_unknown_generator_exits_3(tmp_path, capsys):
+    path = _edit_flip_action(tmp_path, relations=[["a", "zz"]])
+    assert cli.main(["semiconj", "--action", path]) == 3
+    assert "names an unknown generator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inverses, message", [
+    (5, "inverses must map generator names"),
+    ({"a": ["a"]}, "lacks an inverse table")])
+def test_semiconj_malformed_inverses_exits_3(tmp_path, capsys, inverses,
+                                             message):
+    path = _edit_flip_action(tmp_path, inverses=inverses)
+    assert cli.main(["semiconj", "--action", path]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_dual_without_input_exits_3(capsys):
     assert cli.main(["dual"]) == 3
     assert "--graph or --wallspace" in capsys.readouterr().err

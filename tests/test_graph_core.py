@@ -51,21 +51,21 @@ def test_cliques_pentagon():
     g = gc.pentagon()
     cl = gc.cliques(g)
     oracle = exhaustive_cliques(g)
-    assert sorted(c.members for c in cl) == sorted(oracle)
+    assert sorted(cl) == sorted(oracle)
     assert len(cl) == 11
-    assert cl[0].members == ()
+    assert cl[0] == ()
 
 
 def test_cliques_k2_and_discrete():
     cl = gc.cliques(gc.k2())
-    assert [c.members for c in cl] == [(), ("u",), ("v",), ("u", "v")]
+    assert cl == [(), ("u",), ("v",), ("u", "v")]
     cl2 = gc.cliques(gc.discrete(2))
     assert len(cl2) == 3
 
 
 def test_cliques_downward_closed():
     for g in (gc.pentagon(), gc.k2(), gc.square4(), gc.path3()):
-        members = {c.members for c in gc.cliques(g)}
+        members = set(gc.cliques(g))
         for m in members:
             for r in range(len(m)):
                 for sub in itertools.combinations(m, r):
@@ -102,23 +102,40 @@ def test_orthogonal_complement_antitone():
                     set(gc.orthogonal_complement(g, j1))
 
 
+def rejoin(g, factors):
+    """Oracle for `join_decompose`: rebuild a graph from its join factors,
+    induced edges plus all cross-factor edges."""
+    edges = set()
+    where = {}
+    for i, f in enumerate(factors):
+        for v in f:
+            where[v] = i
+    for i, u in enumerate(g.vertices):
+        for v in g.vertices[i + 1 :]:
+            if where[u] != where[v] or g.adjacent(u, v):
+                edges.add(frozenset((u, v)))
+    # cross-factor edges are total by construction; induced edges come from g
+    keep = {e for e in edges
+            if len({where[x] for x in e}) == 2 or e in g.edges}
+    return gc.DefiningGraph(g.vertices, frozenset(keep))
+
+
 def test_join_decompose():
-    assert len(gc.join_decompose(gc.pentagon()).factors) == 1
+    assert len(gc.join_decompose(gc.pentagon())) == 1
     d = gc.join_decompose(gc.k2())
-    assert sorted(d.factors) == [("u",), ("v",)]
+    assert sorted(d) == [("u",), ("v",)]
     d4 = gc.join_decompose(gc.square4())
-    assert len(d4.factors) == 2
-    assert sorted(len(f) for f in d4.factors) == [2, 2]
+    assert len(d4) == 2
+    assert sorted(len(f) for f in d4) == [2, 2]
     # complement of C4 is two disjoint edges; factors are discrete pairs
     g = gc.square4()
-    for f in d4.factors:
+    for f in d4:
         assert not g.adjacent(f[0], f[1])
 
 
 def test_rejoin_roundtrip():
     for g in (gc.pentagon(), gc.k2(), gc.square4(), gc.path3(), gc.discrete(3)):
-        dec = gc.join_decompose(g)
-        g2 = gc.rejoin(g, dec)
+        g2 = rejoin(g, gc.join_decompose(g))
         assert g2.vertices == g.vertices
         assert g2.edges == g.edges
 

@@ -25,8 +25,6 @@ TEST_ONLY = {
     "wallspace_dual.direction_labeled_dual", "blowup.eta_quasi_morphism",
     # fixture builders
     "building.left_translation_action", "building.relabel_action",
-    "raag_geometry.standard_flat", "raag_geometry.v_levels",
-    "graph_core.rejoin",
     # steps of the main construction, which has no caller yet
     "building.extract_factor_action", "blowup.equivariant_blowup",
     # the reader of `CubeComplexBall.to_json`, which only tests round-trip

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
@@ -25,10 +26,11 @@ HEIGHT_GRAPHS = {
 def project_to_geodesic(g, x, flat):
     """Oracle: gate of x on a standard geodesic, the unique closest vertex,
     by brute-force argmin over the coset (search range bounded by the
-    distance from x to the geodesic's base point)."""
-    if len(flat.clique) != 1:
+    distance from x to the geodesic's base point).  `flat` is a rank-1
+    `building.Residue`."""
+    if flat.rank != 1:
         raise ValueError("projection target must be a standard geodesic")
-    v = flat.clique.members[0]
+    v = flat.type_J[0]
     reach = len(rg.mul(g, rg.inv(flat.base), x)) + 1
     best = None
     best_d = None
@@ -46,7 +48,40 @@ def project_to_geodesic(g, x, flat):
 
 
 def geodesic_of_class(g, pc):
-    return rg.standard_flat(g, pc.rep, (pc.direction,))
+    return bd.residue(g, pc.rep, (pc.direction,))
+
+
+def flats_meeting(g, ball, margin=0):
+    """Every standard flat base*G(J), J a clique, through a vertex of the
+    ball at depth >= margin, as a `building.Residue`; by (rank, id)."""
+    found = {}
+    for vid in ball.vertex_ids:
+        if ball.depth[vid] >= margin:
+            for J in gc.cliques(g):
+                r = bd.residue(g, rg.parse_word(vid), J)
+                found[r.id] = r
+    return sorted(found.values(), key=lambda r: (r.rank, r.id))
+
+
+def levels(g, pc, ball, margin=1, verify=True):
+    """{height: sorted vertex ids}: the ball's margin-interior split by
+    `class_heights`, lowest height first.  With `verify`, also asserts
+    that every standard flat not involving the class lies in one level."""
+    verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
+    heights = rg.class_heights(g, pc, [rg.parse_word(v) for v in verts])
+    out = {}
+    for vid in verts:
+        out.setdefault(heights[rg.parse_word(vid)], []).append(vid)
+    if verify:
+        for f in flats_meeting(g, ball, margin):
+            if pc.id in {rg.class_of_geodesic(g, f.base, v).id
+                         for v in f.type_J}:
+                continue
+            met = {k for h, k in heights.items()
+                   if rg.coset_member(g, h, f.base, f.type_J)}
+            assert len(met) <= 1, \
+                f"flat {f.id} meets several {pc.id}-levels: {sorted(met)}"
+    return {k: tuple(sorted(vs)) for k, vs in sorted(out.items())}
 
 
 def sphere_sizes(ball, radius):
@@ -148,10 +183,10 @@ def test_ball_xe_k2_flag_and_collapse():
 def test_standard_flats_k2():
     g = gc.k2()
     b = rg.ball_X(g, 2)
-    flats = rg.standard_flats(b, g)
+    flats = flats_meeting(g, b)
     by_rank = {}
     for f in flats:
-        by_rank.setdefault(len(f.clique), []).append(f)
+        by_rank.setdefault(f.rank, []).append(f)
     assert len(by_rank[0]) == 13          # points = vertices
     assert len(by_rank[2]) == 1           # one 2-flat: the whole grid
     # lines: u-lines v^b<u> and v-lines u^a<v> with |a|,|b| <= 2
@@ -161,15 +196,15 @@ def test_standard_flats_k2():
 def test_standard_flats_c5_through_identity():
     g = gc.pentagon()
     b = rg.ball_X(g, 1)
-    flats = rg.standard_flats(b, g)
+    flats = flats_meeting(g, b)
     through_e = [f for f in flats
-                 if rg.coset_member(g, (), f.base, f.clique.members)]
+                 if rg.coset_member(g, (), f.base, f.type_J)]
     assert len(through_e) == 11   # one per clique
 
 
 def test_project_to_geodesic():
     g = gc.k2()
-    u_axis = rg.standard_flat(g, (), ["u"])
+    u_axis = bd.residue(g, (), ["u"])
     x = rg.normal_form(g, [("u", 1), ("u", 1), ("v", 1), ("v", 1), ("v", 1)])
     k, vert = project_to_geodesic(g, x, u_axis)
     assert k == 2 and vert == (("u", 1), ("u", 1))
@@ -178,7 +213,7 @@ def test_project_to_geodesic():
     assert k2_ == -1 and v2 == (("u", -1),)
     f2 = gc.discrete(2)
     x_, y_ = f2.vertices
-    ell = rg.standard_flat(f2, (), [x_])
+    ell = bd.residue(f2, (), [x_])
     w = rg.normal_form(f2, ((x_, 1), (y_, 1), (x_, 1)))
     k3, v3 = project_to_geodesic(f2, w, ell)
     assert v3 == ((x_, 1),)
@@ -188,9 +223,8 @@ def test_v_levels_k2_columns():
     g = gc.k2()
     b = rg.ball_X(g, 2)
     pc = rg.class_of_geodesic(g, (), "u")
-    levels = rg.v_levels(g, pc, b, margin=1)
     # heights -1, 0, 1 on the margin-1 interior (the plus shape at radius 1)
-    got = {lv.height: set(lv.members) for lv in levels}
+    got = {k: set(vs) for k, vs in levels(g, pc, b, margin=1).items()}
     assert set(got) == {-1, 0, 1}
     assert got[0] == {rg.word_str(()), rg.word_str((("v", 1),)),
                       rg.word_str((("v", -1),))}
@@ -201,9 +235,7 @@ def test_v_levels_f2_word_start():
     x, y = f2.vertices
     b = rg.ball_X(f2, 3)
     pc = rg.class_of_geodesic(f2, (), x)
-    levels = rg.v_levels(f2, pc, b, margin=1, verify=False)
-    lvl0 = next(lv for lv in levels if lv.height == 0)
-    for vid in lvl0.members:
+    for vid in levels(f2, pc, b, margin=1, verify=False)[0]:
         w = rg.parse_word(vid)
         assert not w or w[0][0] == y
 
@@ -212,15 +244,15 @@ def test_levels_partition_and_distance():
     g = gc.k2()
     b = rg.ball_X(g, 3)
     pc = rg.class_of_geodesic(g, (), "u")
-    levels = rg.v_levels(g, pc, b, margin=1)
-    members = [m for lv in levels for m in lv.members]
+    lv = levels(g, pc, b, margin=1)
+    members = [m for vs in lv.values() for m in vs]
     assert len(members) == len(set(members)) == \
         len([v for v in b.vertex_ids if b.depth[v] >= 1])
     # distance between levels = height difference
-    for l1 in levels:
-        for l2 in levels:
-            d = min(b.distance(a, bb) for a in l1.members for bb in l2.members)
-            assert d == abs(l1.height - l2.height)
+    for k1, l1 in lv.items():
+        for k2, l2 in lv.items():
+            d = min(b.distance(a, bb) for a in l1 for bb in l2)
+            assert d == abs(k1 - k2)
 
 
 def test_extension_adjacent():
@@ -427,7 +459,6 @@ def test_v_levels_pentagon():
     g = gc.pentagon()
     b = rg.ball_X(g, 2)
     pc = rg.class_of_geodesic(g, (), "a")
-    levels = rg.v_levels(g, pc, b, margin=1)
-    members = [m for lv in levels for m in lv.members]
+    members = [m for vs in levels(g, pc, b, margin=1).values() for m in vs]
     assert len(members) == len(set(members)) == \
         len([v for v in b.vertex_ids if b.depth[v] >= 1])
