@@ -1,11 +1,11 @@
 """Semiconjugating a quasi-isometric Z-action to an isometric one.
 
-Pipeline: the action's group ball is composed into a finite set of partial
-tables; their sup-displacement metric dbar makes the action isometric; the
-Rips 2-complex of (Z, dbar) is a thickened line; a family of disjoint,
-invariant, essential tracks cuts it into bounded blocks; collapsing blocks
-gives the equivariant block map onto Z with an induced isometric action,
-packaged as a branched line with one tip per integer.
+Pipeline: the sup-displacement metric dbar over the words of length <= B
+makes the action isometric; the Rips 2-complex of (Z, dbar) is a thickened
+line; a family of disjoint, invariant, essential tracks cuts it into
+bounded blocks; collapsing blocks gives the equivariant block map onto Z
+with an induced isometric action, packaged as a branched line with one tip
+per integer.
 
 Tracks are represented by the vertex bipartitions they induce.  An
 essential track crosses each edge of its cut once (triangles meet a
@@ -14,14 +14,18 @@ automatically), so a minimum-weight essential track is a minimum cut
 between the two rim tails: one max-flow computation gives its weight, and
 its residual graph gives the leftmost such cut.
 
-dbar(x, y) is the maximum of |t[x] - t[y]| over the group tables t, which
-include the identity.  Two kinds of tables cannot change that maximum and
-are dropped before any pair is looked at: restrictions of a line isometry
-x -> +-x + c, which give |x - y|, the identity's value; and all but one of
-the tables that share a sorted domain and, up to one global sign, the
-differences of consecutive images, since such tables differ by a line
-isometry and give the same |t[x] - t[y]| on every pair.  The metric is then
-filled table by table over each kept domain.
+dbar(x, y) is the maximum of |w(x) - w(y)| over the words w of length <= B
+defined at x and y, the empty word included.  Over lengths <= k it is D_k:
+D_0(x, y) = |x - y| and D_k(x, y) = max(D_{k-1}(x, y), D_{k-1}(gx, gy) for
+the generators g defined at x and y), with D(z, z) = 0, as a word of length
+k is a generator and then a word of length k - 1.  D is kept as rows by
+position over every point a table passes through.  Each round reads only
+the last round's rows (same-round values would count longer words), and a
+round that changes nothing is a fixpoint every later round repeats, so the
+loop stops there.  Some word of length <= B defined nowhere exhausts the
+window; g after w is empty iff w's image misses the domain of g, so a BFS
+over image sets meets the shortlex-first such word, as a BFS over the
+words' tables does, and raises the same error.
 
 A Rips2Complex derives its incidence from its edges, once: `adj` (vertex
 -> neighbours), the triangles, `span` (the longest edge span) and
@@ -29,8 +33,9 @@ A Rips2Complex derives its incidence from its edges, once: `adj` (vertex
 on it.  The track tests walk a cut through `adj` and `cofaces` instead of
 rescanning the edges and triangles.
 
-`group_tables`, `_orbit_closure` and `_reach` run `cube_complex.bfs_ball`;
-`Track.connected` (hot) and `_leftmost_min_cut`'s path search do not.
+`dbar`'s image-set BFS, `_orbit_closure` and `_reach` run
+`cube_complex.bfs_ball`; `Track.connected` (hot) and `_leftmost_min_cut`'s
+path search do not.
 
 Orientation invariant: every Track built here stores as `left` the side
 of its bipartition that holds the window minimum (`_oriented` is the one
@@ -49,6 +54,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cube_complex import CubeComplexBall, TruncationError, bfs_ball
 
@@ -69,8 +75,12 @@ class ZActionSpec:
     relations: list = field(default_factory=list)
 
     def validate(self):
-        """Check the inverse tables, injectivity and the (L, A) bounds, and
-        that each relation moves points by at most A + 2."""
+        """Check 1 <= L and 0 <= A, both at most 2**53 so that int(L*B + A)
+        and the weight cap stay finite, the inverse tables, injectivity, the
+        (L, A) bounds, and that each relation moves points by at most A + 2."""
+        if not (1 <= self.L <= 2**53 and 0 <= self.A <= 2**53):
+            raise ActionError(
+                f"L={self.L}, A={self.A}: need 1 <= L, 0 <= A, both <= 2**53")
         if not isinstance(self.inverses, dict):
             raise ActionError("inverses must map generator names to names")
         for name, t in self.generators.items():
@@ -204,50 +214,40 @@ def reflection_spec(window: int) -> ZActionSpec:
 # the invariant metric
 # ---------------------------------------------------------------------------
 
-def group_tables(spec: ZActionSpec, B: int):
-    """Distinct composition tables of words in the generators, length <= B,
-    in BFS order.  Tables travel as item tuples, which stay sorted because
-    composing keeps the identity's order of keys."""
-    def step(items):
+def dbar(spec: ZActionSpec, B: int = 8, check_invariance: bool = True):
+    """Sup displacement metric over group elements of word length <= B."""
+    def step(img):
         for name, g in spec.generators.items():
-            t2 = tuple((x, g[y]) for x, y in items if y in g)
-            if not t2:
+            img2 = frozenset(g[y] for y in img if y in g)
+            if not img2:
                 raise TruncationError(
                     f"window exhausted before depth {B} "
                     f"(a composition through {name!r} has empty domain)")
-            yield name, t2
+            yield name, img2
 
-    ident = tuple((n, n) for n in range(-spec.window, spec.window + 1))
-    return [dict(items) for items in bfs_ball([ident], step, B)]
-
-
-def _spread_tables(tables):
-    """(domain, images) of one table per (sorted domain, consecutive image
-    differences up to sign), leaving out restrictions of line isometries."""
-    kept = {}
-    for t in tables:
-        dom = tuple(sorted(t))
-        img = [t[x] for x in dom]
-        gaps = tuple(b - a for a, b in zip(dom, dom[1:]))
-        diffs = tuple(b - a for a, b in zip(img, img[1:]))
-        diffs = max(diffs, tuple(-d for d in diffs))
-        if diffs != gaps:
-            kept.setdefault((dom, diffs), (dom, img))
-    return kept.values()
-
-
-def dbar(spec: ZActionSpec, B: int = 8, check_invariance: bool = True):
-    """Sup displacement metric over group elements of word length <= B."""
     pts = list(range(-spec.window, spec.window + 1))
-    rows = {x: {y: y - x for y in pts[i + 1 :]} for i, x in enumerate(pts)}
-    for dom, img in _spread_tables(group_tables(spec, B)):
-        for i, x in enumerate(dom):
-            row, tx = rows[x], img[i]
-            for y, ty in zip(dom[i + 1 :], img[i + 1 :]):
-                d = abs(tx - ty)
-                if d > row[y]:
-                    row[y] = d
-    metric = {(x, y): d for x, row in rows.items() for y, d in row.items()}
+    bfs_ball([frozenset(pts)], step, B)
+    # every point a word can pass through; the window is a run of them
+    gens = spec.generators.values()
+    univ = sorted(set(pts).union(*gens, *(g.values() for g in gens)))
+    n, at = len(univ), {x: i for i, x in enumerate(univ)}
+    # rows of D by position, plus a column n of 0 read where g is undefined
+    D = [[abs(x - y) for y in univ] + [0] for x in univ]
+    moves = [(itemgetter(*[at[g[x]] if x in g else n for x in univ], n),
+              [(i, at[g[x]]) for i, x in enumerate(univ) if x in g])
+             for g in gens]
+    for _ in range(B):
+        new = list(D)
+        for image_row, dom in moves:
+            for i, gi in dom:
+                new[i] = [a if a >= b else b
+                          for a, b in zip(new[i], image_row(D[gi]))]
+        if new == D:
+            break
+        D = new
+    lo, hi = at[pts[0]], at[pts[-1]] + 1
+    metric = {(x, y): d for i, x in enumerate(pts)
+              for y, d in zip(pts[i + 1 :], D[lo + i][lo + i + 1 : hi])}
     if check_invariance:
         margin = int(spec.L * B + spec.A) + 2
         lim = spec.window - margin

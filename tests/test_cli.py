@@ -329,6 +329,17 @@ def test_semiconj_malformed_inverses_exits_3(tmp_path, capsys, inverses,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constants", [
+    {"L": float("nan")}, {"L": 1e308}, {"A": float("inf")}])
+def test_semiconj_constants_past_float_range_exit_3(tmp_path, capsys,
+                                                    constants):
+    # NaN and Infinity are JSON extensions that json.load accepts
+    path = _edit_flip_action(tmp_path, **constants)
+    assert cli.main(["semiconj", "--action", path]) == 3
+    err = capsys.readouterr().err
+    assert "bad action: L=" in err and "need 1 <= L, 0 <= A" in err
+
+
 def test_dual_without_input_exits_3(capsys):
     assert cli.main(["dual"]) == 3
     assert "--graph or --wallspace" in capsys.readouterr().err

@@ -12,16 +12,34 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubikit import semiconjugacy as sc
-from cubikit.cube_complex import TruncationError
+from cubikit.cube_complex import TruncationError, bfs_ball
 
 
 # -- reference implementations: dbar over every (pair, table), the track
 # tests that rescan K.edges and K.triangles and pairwise uncrossing, slow
-# oracles for the reduced table set, the Rips incidence table and the
+# oracles for the generator recurrence, the Rips incidence table and the
 # closed-form uncrossing ------------------------------------------------------
 
+def group_tables(spec, B):
+    """Distinct composition tables of words in the generators, length <= B,
+    in BFS order.  Tables travel as item tuples, which stay sorted because
+    composing keeps the identity's order of keys."""
+    def step(items):
+        for name, g in spec.generators.items():
+            t2 = tuple((x, g[y]) for x, y in items if y in g)
+            if not t2:
+                raise TruncationError(
+                    f"window exhausted before depth {B} "
+                    f"(a composition through {name!r} has empty domain)")
+            yield name, t2
+
+    ident = tuple((n, n) for n in range(-spec.window, spec.window + 1))
+    return [dict(items) for items in bfs_ball([ident], step, B)]
+
+
 def dbar_oracle(spec, B=8, check_invariance=True):
-    tables = sc.group_tables(spec, B)
+    """dbar over every (pair, table) of `group_tables`."""
+    tables = group_tables(spec, B)
     pts = list(range(-spec.window, spec.window + 1))
     metric = {}
     for i, x in enumerate(pts):
@@ -173,6 +191,12 @@ def test_spec_validation():
     bad.generators["b"][0] = 5
     with pytest.raises(sc.ActionError):
         bad.validate()
+    # a quasi-isometry has L >= 1 and A >= 0; L = 0 used to divide by zero
+    for L, A in ((0, 0), (0.5, 0), (1, -1)):
+        loose = sc.translation_spec(8)
+        loose.L, loose.A = L, A
+        with pytest.raises(sc.ActionError, match="need 1 <= L, 0 <= A"):
+            loose.validate()
 
 
 @pytest.mark.parametrize("order", [("b", "b_inv"), ("b_inv", "b")])
@@ -479,8 +503,11 @@ def test_branched_line_from_two_flipping():
 
 def test_window_exhaustion_raises():
     spec = sc.translation_spec(3)
-    with pytest.raises(TruncationError):
-        sc.group_tables(spec, 8)
+    with pytest.raises(TruncationError) as fast:
+        sc.dbar(spec, 8)
+    with pytest.raises(TruncationError) as slow:
+        dbar_oracle(spec, 8)
+    assert str(fast.value) == str(slow.value)
 
 
 # -- the leftmost minimum cut ----------------------------------------------
@@ -526,13 +553,47 @@ def test_min_track_is_leftmost_min_cut(make, window, B, radius):
     assert all(left_mask & m == left_mask for m in minima)
 
 
-# -- the reduced table set and the incidence table against the oracles -----
+# -- the generator recurrence and the incidence table against the oracles ---
 
 @settings(max_examples=200, deadline=None)
 @given(actions(), st.integers(0, 6))
 def test_dbar_matches_full_loop_oracle(spec, B):
     """Same values, key order, and TruncationError message, if any."""
     assert outcome(sc.dbar, spec, B) == outcome(dbar_oracle, spec, B)
+
+
+@pytest.mark.parametrize("make, window, B", [
+    (sc.two_flipping_spec, 20, 8), (sc.two_flipping_spec, 40, 8),
+    (sc.two_flipping_spec, 64, 8), (sc.translation_spec, 20, 8),
+    (sc.reflection_spec, 20, 8), (sc.identity_spec, 20, 8),
+    # past the fixpoint: two-flipping's D stops changing after round 2
+    (sc.two_flipping_spec, 24, 12),
+])
+def test_dbar_matches_oracle_on_stock_specs(make, window, B):
+    spec = make(window)
+    assert list(sc.dbar(spec, B).items()) == \
+        list(dbar_oracle(spec, B).items())
+
+
+@st.composite
+def partial_tables(draw):
+    """1-3 partial tables on a window of 3-12, not always injective, whose
+    keys and images may leave the window by up to 2."""
+    w = draw(st.integers(3, 12))
+    pts = st.integers(-w - 2, w + 2)
+    gens = {f"g{i}": draw(st.dictionaries(pts, pts, max_size=2 * w + 5))
+            for i in range(draw(st.integers(1, 3)))}
+    return sc.ZActionSpec(w, 1, 0, gens, {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_tables(), st.integers(0, 8))
+def test_dbar_matches_oracle_on_partial_tables(spec, B):
+    """The recurrence needs no inverses and no injectivity.  The invariance
+    check stays off: it reads the metric at (g x, g y), which has no key
+    when g x == g y."""
+    assert outcome(sc.dbar, spec, B, False) == \
+        outcome(dbar_oracle, spec, B, False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,7 +795,7 @@ def test_golden_semiconjugate(name, window, B, radius):
 
 def test_group_tables_pin():
     # the tables of words of length <= 4, in discovery order
-    tables = sc.group_tables(sc.two_flipping_spec(12), 4)
+    tables = group_tables(sc.two_flipping_spec(12), 4)
     body = json.dumps([sorted(t.items()) for t in tables])
     assert (len(tables), hashlib.sha256(body.encode()).hexdigest()) == (
         57, "eb646112126f41f54aa34f310d1b9a7f74853cb72653276154c8310c9357be66")
