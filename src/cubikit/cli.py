@@ -233,8 +233,8 @@ def cmd_semiconj(args):
         raise CliError(EXIT_PARAMS, "--window must be >= 1")
     if args.depth < 1:
         raise CliError(EXIT_PARAMS, "--depth must be >= 1")
-    if args.rips_radius is not None and not args.rips_radius > 0:
-        raise CliError(EXIT_PARAMS, "--rips-radius must be > 0")
+    if args.rips_radius is not None and not 0 < args.rips_radius <= 2**53:
+        raise CliError(EXIT_PARAMS, "--rips-radius must be > 0 and <= 2**53")
     text = _read(args.action)
     try:
         spec = sc.ZActionSpec.from_json(text)

@@ -24,14 +24,18 @@ no square with both edge pairs in one class) proves it; any other class
 gets its pieces from `cut_components`.  Only the far side is stored.
 
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
-track orbits, `_reach`, the invariant wallspace's closure and `phi_map`'s
-density run it.  Hand-written: `bfs_from`, `_connected`, `Track.connected`
-(hot: a (label, neighbour) step makes `bfs_from` 3x slower and `walls` and
-`tracks` 3-6 %), `cut_components` (all components), `is_convex` (its walk
-collects the outer boundary), the labelling BFS of `hyperplanes` (records
-each tree edge's class), `wallspace_dual._orientations` and
+track orbits, `_reach`, `class_heights`' parallel sets, the invariant
+wallspace's closure and `phi_map`'s density run it.  Hand-written:
+`bfs_from`, `_connected`, `Track.connected` (hot: a (label, neighbour)
+step makes `bfs_from` 3x slower and `walls` and `tracks` 3-6 %),
+`cut_components` (all components), `is_convex` (its walk collects the
+outer boundary), the labelling BFS of `hyperplanes` (records each tree
+edge's class), `wallspace_dual._orientations` and
 `building.class_orbit_word` (record flips, words) and `labeled_isomorphism`
 (orders vertices seed by seed).
+
+A ball's vertex index and adjacency are built with it; the square tables
+behind `has_square` and `squares_at` are built on first read.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 BIG_DEPTH = 10 ** 9
 
@@ -98,7 +103,9 @@ class CubeComplexBall:
     edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
 
     The constructor trusts the squares to be canonical and sorted (see the
-    module docstring); `validate` checks it.
+    module docstring); `validate` checks it.  It builds the vertex index
+    and adjacency, which every consumer reads; the square tables of
+    `has_square` and `squares_at` are built on first read.
     """
 
     vertex_ids: tuple
@@ -108,8 +115,6 @@ class CubeComplexBall:
     _index: dict = field(init=False, repr=False, compare=False)
     _adj: dict = field(init=False, repr=False, compare=False)
     _dist_cache: dict = field(init=False, repr=False, compare=False)
-    _square_set: frozenset = field(init=False, repr=False, compare=False)
-    _squares_at: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {v: i for i, v in enumerate(self.vertex_ids)}
@@ -120,11 +125,6 @@ class CubeComplexBall:
             adj[v][u] = lab
         self._adj = adj
         self._dist_cache = {}
-        self._square_set = frozenset(self.squares)
-        self._squares_at = {v: [] for v in self.vertex_ids}
-        for s in self.squares:
-            for x in s:
-                self._squares_at[x].append(s)
         if self.depth is None:
             self.depth = {v: BIG_DEPTH for v in self.vertex_ids}
 
@@ -155,6 +155,18 @@ class CubeComplexBall:
 
     def has_edge(self, u, v):
         return v in self._adj[u]
+
+    @cached_property
+    def _square_set(self) -> frozenset:
+        return frozenset(self.squares)
+
+    @cached_property
+    def _squares_at(self) -> dict:
+        out = {v: [] for v in self.vertex_ids}
+        for s in self.squares:
+            for x in s:
+                out[x].append(s)
+        return out
 
     def has_square(self, cycle) -> bool:
         """Does the 4-cycle, in any rotation or reflection, bound a square?"""
@@ -335,26 +347,36 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
     median graph contains.  A Davis ball listed by rank also qualifies: two
     residues of one rank contain at most one common residue of the rank
     below.  Each square comes out once, as the index tuple (a, b, c, d)
-    with a lowest and b < d; sorted, these are the canonical `squares`.
+    with a lowest and b < d, from the rising two-paths a-b-c and a-d-c;
+    sorted, these are the canonical `squares`.  `step(x)` must list each
+    edge of x to a later vertex once; it may list those to earlier ones.
     """
     index = {x: i for i, x in enumerate(order)}
-    edges = []
-    up = [set() for _ in order]          # later neighbours, by index
-    for i, x in enumerate(order):
-        for lab, y in step(x):
-            j = index.get(y)
-            if j is not None:
-                edges.append((x, y, lab))
-                up[min(i, j)].add(max(i, j))
+    up = [[] for _ in order]             # later neighbours, by index
+
+    def pairs():
+        for i, x in enumerate(order):
+            for lab, y in step(x):
+                j = index.get(y)
+                if j is not None:
+                    if j > i:
+                        up[i].append(j)
+                    yield x, y, lab
+
+    edges = _edge_map(pairs())
     squares = []
     for a, ups in enumerate(up):
-        ups = sorted(ups)
-        for k, b in enumerate(ups):
-            above_b = up[b]
-            for d in ups[k + 1:]:
-                squares.extend((a, b, c, d) for c in up[d] & above_b)
+        mids = {}                        # top corner c -> middles so far
+        for d in sorted(ups):
+            for c in up[d]:
+                bs = mids.get(c)
+                if bs is None:
+                    mids[c] = [d]
+                else:
+                    squares += [(a, b, c, d) for b in bs]
+                    bs.append(d)
     squares.sort()
-    return CubeComplexBall(tuple(order), _edge_map(edges), tuple(
+    return CubeComplexBall(tuple(order), edges, tuple(
         tuple(order[k] for k in s) for s in squares), depth)
 
 

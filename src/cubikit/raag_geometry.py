@@ -30,9 +30,10 @@ exactly the ones that can be shuffled to the front.  Write base^-1 x = a b
 with a in G(S) the front-movable S-letters; b has none, so no letter of
 p^-1 a cancels against b and |p^-1 a b| = |p^-1 a| + |b| for every p in
 G(S), least exactly at p = a.  The height of x on a parallel class is the
-one-direction case (`height_of`); `class_heights` gives a class's heights
-on a list of words, copying a prefix's height across each letter that is
-not in the class direction.
+one-direction case (`height_of`); `class_heights` inherits a class's
+heights along prefixes of normal forms: a v-letter moves the height only
+inside the parallel set rep*G(st v), which one `bfs_ball` from its gate
+rep lists.
 
 Two cosets x*G(X), y*G(Y) meet iff u = x^-1 y lies in the double coset
 G(X) G(Y), and that is one gate: u lies there iff the gate of u*G(Y) is
@@ -299,32 +300,42 @@ def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
     """Gate height of x on the class geodesic: `gate_heights` in the class
     direction, from pc.rep, which is also the gate of the geodesic.  This
     is the per-point path; `class_heights` inherits heights along word
-    prefixes and calls it only where no prefix gives the answer."""
+    prefixes and calls it only where no prefix came earlier."""
     v = pc.direction
     return gate_heights(g, pc.rep, (v,), x)[v]
 
 
 def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
-    """{word: `height_of` the word} for a list of words, in their order.
+    """{word: `height_of` the word} for a list of normal forms, in order.
 
-    A word p = q x whose last letter x is not a letter of the class
-    direction v copies the height of its prefix q when q came earlier in
-    the list.  The gate map onto a convex subcomplex of a CAT(0) cube
-    complex moves only across hyperplanes that cross that subcomplex
-    (Sageev 1995); the hyperplanes that cross the class line are dual to
-    v-edges, so the x-edge from q to p leaves the gate where it is.  Every
-    other word calls `height_of`, so any list is fine; a list by (length,
-    word), as `group_ball` gives, has every prefix before its extensions.
+    A word p = q x whose prefix q came earlier in the list inherits its
+    height: h(p) = h(q) + e if x = v^e, v the class direction, and q lies
+    in the parallel set P = rep*G(st v); h(p) = h(q) otherwise.  Write
+    y = rep^-1 q.  If y is a word in st v, so is y v^e, and `gate_heights`
+    sums the v-exponents of the whole word.  If not, the fold of y x stops
+    its scan at or after the first letter of y outside st v, so the front
+    run of st v letters that `gate_heights` sums is unchanged.  rep is the
+    gate of P, so lengths add along it and the points of P that are
+    prefixes here are rep*s, s a word in st v of length at most
+    max |p| - 1 - |rep|: one `bfs_ball` from rep finds them.  The test
+    `q in P` compares words, hence the precondition: `group_ball` gives
+    normal forms, and prefixes of normal forms are normal forms.  Other
+    words (the empty word, or a list not closed under prefixes) call
+    `height_of`.
     """
     v = pc.direction
+    star = [(u, e) for u in g._star[v] for e in (1, -1)]
+    reach = max(map(len, words), default=0) - 1 - len(pc.rep)
+    inside = bfs_ball([pc.rep], lambda h: [(x, mul(g, h, (x,))) for x in star],
+                      reach)
     out = {}
     for p in words:
-        if p and p[-1][0] != v:
-            k = out.get(p[:-1])
-            if k is not None:
-                out[p] = k
-                continue
-        out[p] = height_of(g, pc, p)
+        k = out.get(p[:-1]) if p else None
+        if k is None:
+            k = height_of(g, pc, p)
+        elif p[-1][0] == v and p[:-1] in inside:
+            k += p[-1][1]
+        out[p] = k
     return out
 
 

@@ -54,6 +54,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 
 from .cube_complex import CubeComplexBall, TruncationError, bfs_ball
@@ -252,13 +253,11 @@ def dbar(spec: ZActionSpec, B: int = 8, check_invariance: bool = True):
         margin = int(spec.L * B + spec.A) + 2
         lim = spec.window - margin
         for name, g in spec.generators.items():
-            for (x, y), d in metric.items():
-                if abs(x) > lim or abs(y) > lim:
-                    continue
+            for x, y in combinations(range(-lim, lim + 1), 2):
                 if x in g and y in g:
                     gx, gy = sorted((g[x], g[y]))
                     if abs(gx) <= lim and abs(gy) <= lim:
-                        if metric[(gx, gy)] != d:
+                        if metric[(gx, gy)] != metric[x, y]:
                             raise TruncationError(
                                 f"dbar not {name!r}-invariant at ({x},{y}); "
                                 "raise B or the window")

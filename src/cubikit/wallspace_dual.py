@@ -18,12 +18,13 @@ The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
 the one `building.class_isometry` of each (class, generator) pair and its
 tip walls by `building.transport_height`.  Each class's heights come from
-one `raag_geometry.class_heights` pass over the points, which copies a
-word's height to its extensions by letters outside the class direction
-(those edges cross no hyperplane of the class line, so the gate stays).
-The heights give one bitmask per level, and every wall side is a level
-(tip walls) or an OR of levels (cut walls).  That wall closure and the
-density search of `phi_map` run `cube_complex.bfs_ball`.
+one `raag_geometry.class_heights` pass over the points, which inherits
+each point's height from its prefix (a v-letter adds its exponent inside
+the class's parallel set and nothing outside it), so only the empty word
+costs a `height_of`.  The heights give one bitmask per level, and every
+wall side is a level (tip walls) or an OR of levels (cut walls).  That
+wall closure and the density search of `phi_map` run
+`cube_complex.bfs_ball`.
 """
 
 from __future__ import annotations
@@ -396,13 +397,12 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     raises `semiconjugacy.ActionError`.
 
     Each class, seed or image, gets its heights in one
-    `raag_geometry.class_heights` pass over the points (listed by length,
-    so a word's prefix comes first and lends its height across any letter
-    not in the class direction) and a table {height: bitmask of the points
-    at that height}.  A tip wall's side is one level, a cut wall's the OR
-    of the levels whose clamped block is at most its cut; walls are
-    deduplicated by min(side, complement), and the domain is the AND of
-    every class's band levels.
+    `raag_geometry.class_heights` pass over the points (normal forms listed
+    by length, so a word's prefix comes first and lends it its height) and
+    a table {height: bitmask of the points at that height}.  A tip wall's
+    side is one level, a cut wall's the OR of the levels whose clamped
+    block is at most its cut; walls are deduplicated by min(side,
+    complement), and the domain is the AND of every class's band levels.
     """
     if points_radius is None:
         points_radius = 2 * (wall_window + 1)

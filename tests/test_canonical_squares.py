@@ -109,6 +109,17 @@ def test_grown_ball_sorts_squares_emitted_out_of_order():
     assert (made.squares, made.edges) == (grown.squares, grown.edges)
 
 
+def test_grown_ball_squares_every_pair_of_middles():
+    # a K_{2,3}, which no median graph contains: the three corners b1, b2,
+    # b3 between a and c give three rising 4-cycles, one per pair
+    order = ["a", "b1", "b2", "b3", "c"]
+    nbrs = {"a": [("x", b) for b in order[1:4]],
+            **{b: [("y", "c")] for b in order[1:4]}}
+    grown = cc.grown_ball(order, lambda x: nbrs.get(x, []), None)
+    assert grown.squares == (("a", "b1", "c", "b2"), ("a", "b1", "c", "b3"),
+                             ("a", "b2", "c", "b3"))
+
+
 # -- `validate` checks the invariant the constructor trusts -----------------
 
 def unit_square(squares):
@@ -163,3 +174,31 @@ def test_validate_rejects_broken_cells(triples, extra, message):
                                 [("a", "b", "c", "d")])
     with pytest.raises(cc.ComplexError, match=message):
         b.validate()
+
+
+# -- the square tables are built on first read -------------------------------
+
+def eager_square_tables(b):
+    """Oracle: the square set and the squares at each corner, in `squares`
+    order, built from `squares` in one pass."""
+    at = {v: [] for v in b.vertex_ids}
+    for s in b.squares:
+        for x in s:
+            at[x].append(s)
+    return frozenset(b.squares), at
+
+
+@pytest.mark.parametrize("name,radius", [("k2", 3), ("pentagon", 2)])
+@pytest.mark.parametrize("kind", ["X", "davis", "Y"])
+def test_square_tables_are_built_on_first_read(kind, name, radius):
+    b = produce(kind, name, radius, random.Random(0))
+    assert b.squares
+    assert not {"_square_set", "_squares_at"} & set(vars(b))
+    square_set, at = eager_square_tables(b)
+    for v in b.vertex_ids:
+        assert b.squares_at(v) == at[v]
+    assert "_square_set" not in vars(b)
+    for a, x, c, d in b.squares:
+        assert b.has_square((x, c, d, a)) and b.has_square((d, c, x, a))
+        assert not b.has_square((a, x, d, c))
+    assert (b._square_set, b._squares_at) == (square_set, at)

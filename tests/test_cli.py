@@ -209,6 +209,16 @@ def test_semiconj_rips_radius_not_positive_exits_3(tmp_path, capsys, value):
     assert "--rips-radius must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e308", "nan"])
+def test_semiconj_rips_radius_past_float_range_exits_3(tmp_path, capsys,
+                                                       value):
+    # the weight cap int(4 * (L * radius + A)) of min_essential_track
+    # overflows on inf and 1e308
+    assert cli.main(["semiconj", "--action", flip_action(tmp_path),
+                     *SEMICONJ_ARGS[:2], "--rips-radius", value]) == 3
+    assert "--rips-radius must be > 0 and <= 2**53" in capsys.readouterr().err
+
+
 def test_bad_paths_and_params(graphs, capsys):
     assert cli.main(["graph", "info", "--graph", "/nope/missing.json"]) == 2
     assert cli.main(["ball", "--graph", graphs["k2"], "--radius", "0"]) == 3

@@ -302,14 +302,21 @@ def test_is_convex_runs_no_distance_search():
 
 
 def test_equality_ignores_derived_fields():
-    # the vertex index, adjacency, distance cache and square indexes are
-    # derived from the ball: neither the constructor nor == sees them
+    # the vertex index, adjacency and distance cache are derived fields,
+    # and the square indexes are cached properties built on first read:
+    # neither the constructor nor == sees them
     a, b = rg.ball_X(gc.k2(), 2), rg.ball_X(gc.k2(), 2)
     a.distance(a.vertex_ids[0], a.vertex_ids[-1])
+    a.squares_at(a.vertex_ids[0])
+    a.has_square(a.squares[0])
     assert a._dist_cache != b._dist_cache
+    assert {"_square_set", "_squares_at"} <= set(vars(a)) - set(vars(b))
     assert a == b
-    for f in dataclasses.fields(cc.CubeComplexBall):
+    fields = dataclasses.fields(cc.CubeComplexBall)
+    for f in fields:
         assert f.name.startswith("_") == (not f.init) == (not f.compare)
+    assert [f.name for f in fields if not f.init] == \
+        ["_index", "_adj", "_dist_cache"]
 
 
 def diagonal_square():

@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubikit import building as bd
@@ -12,6 +12,7 @@ from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
+from .strategies import defining_graphs
 from .test_raag_words import growth_series, raw_words
 
 
@@ -306,7 +307,7 @@ def extension_adjacent_oracle(g, c1, c2):
 @pytest.mark.parametrize("name", ["k2", "path3", "square4"])
 def test_extension_adjacent_matches_oracle_on_reach2_classes(name):
     g = HEIGHT_GRAPHS[name]
-    pcs = reach2_classes(g)
+    pcs = classes_through(g)
     for c1 in pcs:
         for c2 in pcs:
             assert rg.extension_adjacent(g, c1, c2) == \
@@ -345,10 +346,10 @@ def test_height_shortcut_matches_gate_oracle():
             assert rg.height_of(g, pc, x) == k
 
 
-def reach2_classes(g):
-    """Every class of a geodesic through the ball of radius 2."""
+def classes_through(g, radius=2):
+    """Every class of a geodesic through the group ball of `radius`."""
     out = {}
-    for p in rg.group_ball(g, 2):
+    for p in rg.group_ball(g, radius):
         for v in g.vertices:
             pc = rg.class_of_geodesic(g, p, v)
             out.setdefault(pc.id, pc)
@@ -366,7 +367,19 @@ def assert_class_heights_match(g, pcs, words):
 @pytest.mark.parametrize("name", sorted(HEIGHT_GRAPHS))
 def test_class_heights_match_height_of(name, radius):
     g = HEIGHT_GRAPHS[name]
-    assert_class_heights_match(g, reach2_classes(g), rg.group_ball(g, radius))
+    assert_class_heights_match(g, classes_through(g), rg.group_ball(g, radius))
+
+
+@settings(max_examples=30, deadline=None)
+@example(gc.DefiningGraph.make("abc", ["ab", "bc", "ca"]))
+@example(gc.DefiningGraph.make("abcd", ["ab", "bc", "ad", "bd", "cd"]))
+@example(gc.DefiningGraph.make("abcde", ["ae", "be", "ce", "de", "ab"]))
+@given(defining_graphs())
+def test_class_heights_match_height_of_on_drawn_graphs(g):
+    # the examples: a triangle, a cone on a path of three and a cone on
+    # an edge and two points, where the parallel set of a cone vertex's
+    # class is the whole group
+    assert_class_heights_match(g, classes_through(g, 1), rg.group_ball(g, 3))
 
 
 @pytest.mark.parametrize("order", ["reversed", "margin", "shuffled"])
@@ -381,7 +394,7 @@ def test_class_heights_off_prefix_closed_lists(name, order):
         words = [p for p in words if len(p) >= 2]
     else:
         random.Random(5).shuffle(words)
-    assert_class_heights_match(g, reach2_classes(g), words)
+    assert_class_heights_match(g, classes_through(g), words)
 
 
 @settings(max_examples=200, deadline=None)
