@@ -123,10 +123,7 @@ def data_from_function(g: DefiningGraph, davis: DavisBall, window: int,
                        fn) -> BlowUpData:
     tables = {}
     classes = {}
-    for vid, r in davis.residue_of.items():
-        if r.rank != 1:
-            continue
-        pc = class_of_geodesic(g, r.base, r.type_J[0])
+    for pc in davis.line_classes.values():
         if pc.id not in tables:
             tables[pc.id] = {n: fn(pc, n) for n in _table_domain(davis, window)}
             classes[pc.id] = pc
@@ -182,7 +179,8 @@ class FiberFunctor:
 def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     """The fiber functor of `data` over the Davis ball.
 
-    Each rank-1 residue base*<v> of the ball gets its parallel class once.
+    Each rank-1 residue base*<v> of the ball has its parallel class in
+    `davis.line_classes`, computed once per ball.
     A residue's factor in direction v is the rank-1 residue with the same
     base (the gate of base*G(J) is also that of base*<v>), so it lies in the
     ball too, and every vertex takes its axes from that table.
@@ -196,8 +194,7 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     """
     g = davis.graph
     psi = FiberFunctor(g, davis, data, data.window)
-    line = {(r.base, r.type_J[0]): class_of_geodesic(g, r.base, r.type_J[0])
-            for r in davis.residue_of.values() if r.rank == 1}
+    line = davis.line_classes
     psi.classes = {pc.id: pc for pc in line.values()}
     for vid, r in davis.residue_of.items():
         psi.axes[vid] = tuple(line[r.base, v].id for v in r.type_J)

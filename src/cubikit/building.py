@@ -98,6 +98,15 @@ class DavisBall:
     def chambers(self):
         return [v for v, r in self.rank_of.items() if r == 0]
 
+    @cached_property
+    def line_classes(self) -> dict:
+        """{(base, v): class of base*<v>} over the rank-1 residues, in ball
+        order, built on first read: blow-up data and fiber functors of one
+        ball share it."""
+        return {(r.base, r.type_J[0]):
+                class_of_geodesic(self.graph, r.base, r.type_J[0])
+                for r in self.residue_of.values() if r.rank == 1}
+
 
 def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """Davis realization ball: spherical residues with short gate reps.
@@ -266,13 +275,14 @@ def relabel_action(g: DefiningGraph, elements, perm: dict) -> ActionTables:
 def residue_image(g: DefiningGraph, tables: ActionTables, name: str,
                   r: Residue) -> Residue:
     """Image of a spherical residue under a generator: its base is moved,
-    and each geodesic step from the base must map to a single generator
-    step, whose letter gives the image type."""
+    and each geodesic step from the base must map to a nonzero power of one
+    generator (all chambers of a w-panel are w-adjacent), whose letter
+    gives the image type."""
     base2 = tables.apply(name, r.base)
     dirs = []
     for v in r.type_J:
         step = mul(g, inv(base2), tables.apply(name, mul(g, r.base, ((v, 1),))))
-        if len(step) != 1:
+        if len({w for w, _ in step}) != 1:
             raise ValueError(f"generator {name!r} is not flat-preserving on {r.id}")
         dirs.append(step[0][0])
     return residue(g, base2, tuple(dirs))

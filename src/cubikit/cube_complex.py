@@ -17,11 +17,14 @@ increases by index tuple.  `make` normalises raw squares to this; only
 `grown_ball`, `span`, `relabel_edges`, `restriction_quotient` (through
 `make`'s normaliser) and the Sageev dual build a ball directly.
 
-`hyperplanes` labels every vertex in one BFS with the set of classes its
+`_hyperplanes` labels every vertex in one BFS with the set of classes its
 tree path crosses, and takes each class's far side from the labels when a
 certificate (connected, every edge changes exactly its own class's label,
 no square with both edge pairs in one class) proves it; any other class
-gets its pieces from `cut_components`.  Only the far side is stored.
+gets its pieces from `cut_components`.  Only the far side is stored.  A
+ball owns its hyperplanes, a frozen tuple built on first read, as no
+field changes after `__post_init__`: `hyperplanes(b)` returns it, so the
+verifier reuses the source hyperplanes its caller picked K from.
 
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
 track orbits, `_reach`, `class_heights`' parallel sets, the invariant
@@ -29,7 +32,7 @@ wallspace's closure and `phi_map`'s density run it.  Hand-written:
 `bfs_from`, `_connected`, `Track.connected` (hot: a (label, neighbour)
 step makes `bfs_from` 3x slower and `walls` and `tracks` 3-6 %),
 `cut_components` (all components), `is_convex` (its walk collects the
-outer boundary), the labelling BFS of `hyperplanes` (records each tree
+outer boundary), the labelling BFS of `_hyperplanes` (records each tree
 edge's class), `wallspace_dual._orientations` and
 `building.class_orbit_word` (record flips, words) and `labeled_isomorphism`
 (orders vertices seed by seed).
@@ -105,7 +108,7 @@ class CubeComplexBall:
     The constructor trusts the squares to be canonical and sorted (see the
     module docstring); `validate` checks it.  It builds the vertex index
     and adjacency, which every consumer reads; the square tables of
-    `has_square` and `squares_at` are built on first read.
+    `has_square` and `squares_at`, and the hyperplanes, on first read.
     """
 
     vertex_ids: tuple
@@ -175,6 +178,10 @@ class CubeComplexBall:
     def squares_at(self, v):
         """The squares with a corner at v, in `squares` order."""
         return self._squares_at[v]
+
+    @cached_property
+    def _hyperplane_tuple(self) -> tuple:
+        return _hyperplanes(self)
 
     def cut_components(self, cut=()):
         """Components of the 1-skeleton minus the edges in `cut`.
@@ -437,13 +444,13 @@ def _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
 # hyperplanes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperplane:
     index: int
     edge_class: frozenset
     carrier_vertices: frozenset
     far: frozenset | None  # the side without vertex_ids[0]; None if truncated
-    vertices: frozenset    # the ball's vertices, one object per call
+    vertices: frozenset    # the ball's vertices, one object per ball
     direction: str
 
     @property
@@ -485,7 +492,13 @@ def _edge_classes(b: CubeComplexBall) -> list:
                   key=lambda es: min(tuple(sorted(b._index[x] for x in e)) for e in es))
 
 
-def hyperplanes(b: CubeComplexBall) -> list:
+def hyperplanes(b: CubeComplexBall) -> tuple:
+    """The ball's hyperplanes, computed by `_hyperplanes` on first read and
+    shared by every later caller: frozen, so no caller can edit them."""
+    return b._hyperplane_tuple
+
+
+def _hyperplanes(b: CubeComplexBall) -> tuple:
     """Partition of edges into square-opposite parallelism classes.
 
     Each class whose removal cuts the 1-skeleton into exactly two pieces
@@ -557,7 +570,7 @@ def hyperplanes(b: CubeComplexBall) -> list:
         else:
             side = frozenset(far[i])
         out.append(Hyperplane(i, eset, carrier, side, everything, direction))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +775,8 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     mapping onto them); (3) preimages of sampled convex subcomplexes convex;
     (4) every target hyperplane pulls back to a single hyperplane; (5) the
     map agrees with the restriction quotient rebuilt from its own horizontal
-    walls.  Returns the five booleans plus their agreement.
+    walls.  Returns the five booleans plus their agreement.  The hyperplanes
+    are each ball's own, so those its caller already read cost nothing.
     """
     q.validate()
     if not q.surjective():

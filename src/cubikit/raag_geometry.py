@@ -321,19 +321,22 @@ def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
     `q in P` compares words, hence the precondition: `group_ball` gives
     normal forms, and prefixes of normal forms are normal forms.  Other
     words (the empty word, or a list not closed under prefixes) call
-    `height_of`.
+    `height_of`.  If v is a cone vertex, P is the whole group and holds
+    every prefix, so no search runs.
     """
     v = pc.direction
-    star = [(u, e) for u in g._star[v] for e in (1, -1)]
-    reach = max(map(len, words), default=0) - 1 - len(pc.rep)
-    inside = bfs_ball([pc.rep], lambda h: [(x, mul(g, h, (x,))) for x in star],
-                      reach)
+    inside = None                   # None: P is the whole group
+    if len(g._star[v]) < len(g.vertices):
+        star = [(u, e) for u in g._star[v] for e in (1, -1)]
+        reach = max(map(len, words), default=0) - 1 - len(pc.rep)
+        inside = bfs_ball([pc.rep],
+                          lambda h: [(x, mul(g, h, (x,))) for x in star], reach)
     out = {}
     for p in words:
         k = out.get(p[:-1]) if p else None
         if k is None:
             k = height_of(g, pc, p)
-        elif p[-1][0] == v and p[:-1] in inside:
+        elif p[-1][0] == v and (inside is None or p[:-1] in inside):
             k += p[-1][1]
         out[p] = k
     return out

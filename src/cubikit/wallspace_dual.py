@@ -5,10 +5,12 @@ bitmasks for fast pairwise-intersection checks.  `_orientations` flips
 walls breadth first from a point-realized consistent orientation (a
 hand-written BFS, as it records every flip); for finite wallspaces this
 enumerates every 0-cube.  Orientations are bitmasks over the walls, and a
-flip is tested against two precomputed masks per wall side (the walls
-whose stored or other side misses it), so one test is O(1).  A wallspace
-owns the result, `Wallspace.flips`, which `dual_cube_complex`,
-`dual_dimension` and `maximal_cubes` read; the last two build no complex.
+flip is one AND and one compare against two masks per wall side, filled by
+one pass over unordered wall pairs.  A wallspace owns the result,
+`Wallspace.flips`, and every point's state, one transpose of the sides'
+bit strings (`point_state` indexes it).  `dual_cube_complex`,
+`dual_dimension` and `maximal_cubes` read the flips; the last two build
+no complex.
 `dual_cube_complex` assembles a `DualComplex`: a cube-complex ball that
 also carries its wallspace and the orientation of every vertex, which
 `phi` and flat embeddings read.  Each square and each cube is read once,
@@ -117,8 +119,16 @@ class Wallspace:
     def point_state(self, p) -> int:
         """The 0-cube realized by a point, as orientation bits (bit i set:
         p lies on the stored side of wall i)."""
-        bit = 1 << self._pindex[p]
-        return sum(1 << i for i, s in enumerate(self.sides) if s & bit)
+        return self._point_states[self._pindex[p]]
+
+    @functools.cached_property
+    def _point_states(self) -> list:
+        """Every point's state: row k of the transpose of the sides' bit
+        strings, last wall first, is point m-1-k's state in binary (the
+        zero column gives a row per point also when there are no walls)."""
+        m = len(self.points)
+        cols = ["0" * m] + [f"{s:0{m}b}" for s in reversed(self.sides)]
+        return [int("".join(row), 2) for row in zip(*cols)][::-1]
 
     @functools.cached_property
     def flips(self) -> dict:
@@ -187,28 +197,37 @@ def _orientations(ws: Wallspace):
     increasing order, with states in discovery order; the dual's edges are
     (s, s ^ 1 << i) for each i in flips[s].  Flipping wall i keeps a
     consistent orientation consistent iff the new side of i meets the chosen
-    side of every other wall: one test against two wall bitmasks per side
-    of i.
+    side of every other wall: with on[b][i] (off[b][i]) the walls whose
+    stored (other) side misses the side that bit b of wall i flips to,
+    `state & (on | off) == off`, as the masks are disjoint and leave out
+    bit i.  Two walls miss in at most one of their four quadrants, so one
+    pass over unordered pairs fills the masks of both walls.
     """
     n = ws.n_walls()
     if not ws.points:
         raise ValueError("empty wallspace")
-    # masks[i][b]: (walls whose stored side misses side b of wall i, walls
-    # whose other side misses it); b = 1 is the stored side of wall i
-    full = ws.full_mask
-    masks = []
-    for i, s in enumerate(ws.sides):
-        pair = []
-        for side in (full ^ s, s):
-            on = off = 0
-            for j, t in enumerate(ws.sides):
-                if j != i:
-                    if not t & side:
-                        on |= 1 << j
-                    if not (full ^ t) & side:
-                        off |= 1 << j
-            pair.append((on, off))
-        masks.append(pair)
+    sides = ws.sides
+    comp = [ws.full_mask ^ s for s in sides]
+    on = [[0] * n, [0] * n]        # b = 0 flips to the stored side
+    off = [[0] * n, [0] * n]
+    for i, (si, ci) in enumerate(zip(sides, comp)):
+        bi = 1 << i
+        for j in range(i + 1, n):
+            sj, cj, bj = sides[j], comp[j], 1 << j
+            if not si & sj:
+                on[0][i] |= bj
+                on[0][j] |= bi
+            elif not si & cj:
+                off[0][i] |= bj
+                on[1][j] |= bi
+            elif not ci & sj:
+                on[1][i] |= bj
+                off[0][j] |= bi
+            elif not ci & cj:
+                off[1][i] |= bj
+                off[1][j] |= bi
+    masks = [tuple((on[b][i] | off[b][i], off[b][i]) for b in (0, 1))
+             for i in range(n)]
 
     start = ws.point_state(ws.points[0])
     seen = {start}
@@ -217,12 +236,12 @@ def _orientations(ws: Wallspace):
     while dq:
         state = dq.popleft()
         fl = []
-        for i in range(n):
-            nxt = state ^ (1 << i)
-            on, off = masks[i][nxt >> i & 1]
-            if nxt & on or off & ~nxt:
+        for i, pair in enumerate(masks):
+            both, need = pair[state >> i & 1]
+            if state & both != need:
                 continue
             fl.append(i)
+            nxt = state ^ 1 << i
             if nxt not in seen:
                 if len(seen) >= MAX_ORIENTATIONS:
                     raise MemoryError("orientation enumeration cap exceeded")

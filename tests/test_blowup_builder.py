@@ -286,17 +286,22 @@ def test_fiber_functor_computes_no_orthogonal_complement(monkeypatch):
 
 
 def test_fiber_functor_computes_one_class_per_rank1_residue(monkeypatch):
-    # every residue's factors are rank-1 residues of the ball, so the
-    # functor computes one class, and so one gate, per rank-1 residue
-    davis = small_davis("pentagon", 2)
+    # every residue's factors are rank-1 residues of the ball, and the ball
+    # owns their classes (`DavisBall.line_classes`): two sets of data and
+    # the functor compute one class, and so one gate, per rank-1 residue
+    # between them.  A fresh ball, as `small_davis` shares its balls.
+    davis = bd.davis_ball(gc.pentagon(), 2)
+    classes, gates = [], []
+    real_class, real_gate = bd.class_of_geodesic, rg.gate_representative
+    monkeypatch.setattr(bd, "class_of_geodesic", lambda g, h, v:
+                        classes.append((h, v)) or real_class(g, h, v))
+    monkeypatch.setattr(rg, "gate_representative", lambda g, h, J:
+                        gates.append((h, J)) or real_gate(g, h, J))
     data = bu.bijective_data(davis.graph, davis, 3)
-    calls = []
-    real = rg.gate_representative
-    monkeypatch.setattr(rg, "gate_representative",
-                        lambda g, h, J: calls.append((h, J)) or real(g, h, J))
+    bu.data_from_function(davis.graph, davis, 3, DATA["half"])
     bu.build_fiber_functor(data, davis)
     rank1 = [r for r in davis.residue_of.values() if r.rank == 1]
-    assert len(calls) == len(rank1) == 305
+    assert len(classes) == len(gates) == len(rank1) == 305
 
 
 def test_check_squares_builds_each_edge_image_once(monkeypatch):

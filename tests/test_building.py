@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubikit import blowup as bu
 from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
@@ -309,6 +310,44 @@ def test_factor_action_two_flipping_semiconjugates():
     block = sc.semiconjugate(spec, 8, 6).block_map
     assert all(block[2 * n] == block[2 * n + 1]
                for n in range(-20, 20))
+
+
+def three_flipping_action(N):
+    """H = Z/3 + Z on the chambers v^-N..v^N of the single-vertex building:
+    a cycles v^3n -> v^(3n+1) -> v^(3n+2) -> v^3n, b multiplies by v^3.
+    a moves v^(3n+2) to v^3n, two letters from the image of its neighbour."""
+    moves = {"a": lambda n: n + 1 if n % 3 < 2 else n - 2,
+             "a_inv": lambda n: n - 1 if n % 3 else n + 2,
+             "b": lambda n: n + 3, "b_inv": lambda n: n - 3}
+    return bd.ActionTables(
+        {name: {line_element(n): line_element(f(n))
+                for n in range(-N, N + 1)} for name, f in moves.items()},
+        {"a": "a_inv", "a_inv": "a", "b": "b_inv", "b_inv": "b"})
+
+
+def test_three_flipping_runs_through_factor_semiconjugacy_and_blowup():
+    # every chamber map of the single-vertex building preserves its one
+    # flat, also where a panel step maps to a power v^k with |k| > 1
+    g = gc.single_vertex()
+    pc = rg.class_of_geodesic(g, (), "v")
+    act = three_flipping_action(48)
+    spec = bd.extract_factor_action(g, act, pc, window=40)
+    res = sc.semiconjugate(spec, 8, 6)
+    block = {n: res.block_map[n] - res.block_map[0] for n in range(-16, 17)}
+    assert block == {n: n // 3 for n in range(-16, 17)}
+    assert (res.isometric_action["a"], res.isometric_action["b"]) == \
+        ((1, 0), (1, 1))
+    bc, _ = bu.equivariant_blowup(g, act, {pc.id: block},
+                                  bd.davis_ball(g, 6), window=5)
+    assert cc.verify_rq_characterization(bc.q)["all_true"]
+
+
+def test_residue_image_rejects_a_step_with_two_generators():
+    # the panel step u from the identity maps to u v: two generators
+    g = gc.k2()
+    act = bd.ActionTables({"f": {(): (), (("u", 1),): (("u", 1), ("v", 1))}})
+    with pytest.raises(ValueError, match="not flat-preserving"):
+        bd.residue_image(g, act, "f", bd.Residue((), ("u",)))
 
 
 def test_class_isometry_needs_two_moving_blocks():

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -163,3 +164,26 @@ def test_disconnected_complex_truncates_every_class():
     hps = cc.hyperplanes(b)
     assert len(hps) == 4 and all(h.truncated for h in hps)
     assert_matches_oracle(b)
+
+
+def test_a_ball_owns_its_hyperplanes():
+    b = COMPLEXES["X-path3-4"]()
+    hps = cc.hyperplanes(b)
+    assert isinstance(hps, tuple) and cc.hyperplanes(b) is hps
+    with pytest.raises(FrozenInstanceError):
+        hps[0].far = None
+    assert len({id(h.vertices) for h in hps}) == 1
+
+
+def test_verifier_reuses_the_hyperplanes_of_its_source(monkeypatch):
+    # the quotient's K comes from the source's hyperplanes, as in
+    # `cubikit check rq`, so the verifier computes only the target's
+    b = COMPLEXES["X-pentagon-3"]()
+    walls = [h for h in cc.hyperplanes(b) if not h.truncated]
+    q = cc.restriction_quotient(b, random.Random(3).sample(walls, 9))
+    calls = []
+    real = cc._hyperplanes
+    monkeypatch.setattr(cc, "_hyperplanes",
+                        lambda c: calls.append(c) or real(c))
+    assert cc.verify_rq_characterization(q.map, samples=4)["all_true"]
+    assert len(calls) == 1 and calls[0] is q.target

@@ -1,6 +1,7 @@
 """Module layout: imports at module top, an acyclic import graph, no
 top-level name in `src/` that only the tests use, past an explicit list,
-and direct cube-complex constructor calls only from the listed producers."""
+direct cube-complex constructor calls only from the listed producers, and
+one call site for each computation whose result its owner keeps."""
 
 import ast
 import os
@@ -87,9 +88,9 @@ DIRECT_BUILDERS = {
 }
 
 
-def _direct_builders(node, owner, found):
-    """Add to `found` the innermost function (`owner` outside any) around
-    each call of `CubeComplexBall(...)` or `DualComplex(...)` under node."""
+def _callers(node, names, owner, found):
+    """Append to `found` the innermost function (`owner` outside any) around
+    each call of a name in `names` under node."""
     for child in ast.iter_child_nodes(node):
         inner = owner
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -97,18 +98,36 @@ def _direct_builders(node, owner, found):
         elif isinstance(child, ast.Call):
             f = child.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in ("CubeComplexBall", "DualComplex"):
-                found.add(owner)
-        _direct_builders(child, inner, found)
+            if name in names:
+                found.append(owner)
+        _callers(child, names, inner, found)
 
 
 def test_complexes_with_raw_squares_go_through_make():
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        names = set()
-        _direct_builders(ast.parse(path.read_text()), "<module>", names)
+        names = []
+        _callers(ast.parse(path.read_text()), ("CubeComplexBall", "DualComplex"),
+                 "<module>", names)
         found |= {(path.stem, n) for n in names}
     assert found == DIRECT_BUILDERS
+
+
+# Work done once per owner: each computation has one call site, the cached
+# property by which its owner keeps the result.
+OWNED = {"_hyperplanes": ("cube_complex", "_hyperplane_tuple"),
+         "_orientations": ("wallspace_dual", "flips")}
+
+
+def test_owned_computations_have_one_caller():
+    found = {name: [] for name in OWNED}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, calls in found.items():
+            owners = []
+            _callers(tree, (name,), "<module>", owners)
+            calls += [(path.stem, n) for n in owners]
+    assert found == {name: [owner] for name, owner in OWNED.items()}
 
 
 def _defined(node):

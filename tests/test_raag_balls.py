@@ -382,6 +382,34 @@ def test_class_heights_match_height_of_on_drawn_graphs(g):
     assert_class_heights_match(g, classes_through(g, 1), rg.group_ball(g, 3))
 
 
+def test_class_heights_of_cone_vertices_search_no_parallel_set(monkeypatch):
+    # in K2 both vertices are cone vertices, so the parallel set is the
+    # whole group and holds every prefix: only the empty word costs a
+    # `height_of`, and no `mul` runs outside it
+    g = gc.k2()
+    words = rg.group_ball(g, 4)
+    real_mul, real_height = rg.mul, rg.height_of
+    inside, heights, muls = [], [], []
+
+    def height_of(g, pc, x):
+        heights.append(x)
+        inside.append(x)
+        try:
+            return real_height(g, pc, x)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rg, "mul", lambda g, a, b:
+                        muls.append(bool(inside)) or real_mul(g, a, b))
+    monkeypatch.setattr(rg, "height_of", height_of)
+    for pc in classes_through(g):
+        heights.clear()
+        muls.clear()
+        got = rg.class_heights(g, pc, words)
+        assert heights == [()] and muls and all(muls), pc.id
+        assert got == {p: real_height(g, pc, p) for p in words}
+
+
 @pytest.mark.parametrize("order", ["reversed", "margin", "shuffled"])
 @pytest.mark.parametrize("name", ["pentagon", "path3"])
 def test_class_heights_off_prefix_closed_lists(name, order):

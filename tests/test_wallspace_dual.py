@@ -301,6 +301,65 @@ def test_dual_matches_four_corner_oracle(ws):
     assert list(dual.edges.items()) == list(want.edges.items())
 
 
+def point_state_oracle(ws, p):
+    """Oracle: a point's state from one test per wall."""
+    bit = 1 << ws.points.index(p)
+    return sum(1 << i for i, s in enumerate(ws.sides) if s & bit)
+
+
+def orientations_oracle(ws):
+    """Oracle: `_orientations` with its masks from ordered wall pairs, each
+    side of wall i against both sides of every other wall, and the flip
+    tested on the new state: a wall whose chosen side misses the new side
+    of wall i blocks the flip."""
+    n = ws.n_walls()
+    full = ws.full_mask
+    masks = []
+    for i, s in enumerate(ws.sides):
+        pair = []
+        for side in (full ^ s, s):
+            on = off = 0
+            for j, t in enumerate(ws.sides):
+                if j != i:
+                    if not t & side:
+                        on |= 1 << j
+                    if not (full ^ t) & side:
+                        off |= 1 << j
+            pair.append((on, off))
+        masks.append(pair)
+    start = point_state_oracle(ws, ws.points[0])
+    seen, dq, flips = {start}, deque([start]), {}
+    while dq:
+        state = dq.popleft()
+        fl = []
+        for i in range(n):
+            nxt = state ^ (1 << i)
+            on, off = masks[i][nxt >> i & 1]
+            if nxt & on or off & ~nxt:
+                continue
+            fl.append(i)
+            if nxt not in seen:
+                seen.add(nxt)
+                dq.append(nxt)
+        flips[state] = tuple(fl)
+    return flips
+
+
+@settings(max_examples=150, deadline=None)
+@given(wallspaces())
+def test_flips_and_point_states_match_their_oracles(ws):
+    # the draws of test_dual_matches_pairwise_oracles, no walls included
+    assert list(ws.flips.items()) == list(orientations_oracle(ws).items())
+    assert [ws.point_state(p) for p in ws.points] == \
+        [point_state_oracle(ws, p) for p in ws.points]
+
+
+def test_criterion_11_flips_match_the_oracle_in_order():
+    ws = iws_case("criterion_11_c5").wallspace
+    assert list(ws.flips.items()) == list(orientations_oracle(ws).items())
+    assert len(ws.flips) == 431
+
+
 def test_orientation_cap_raises_memory_error(monkeypatch):
     # the 3-cube's dual has 8 orientations, past a cap of 4
     pts = list(range(8))
