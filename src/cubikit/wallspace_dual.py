@@ -199,9 +199,10 @@ def _orientations(ws: Wallspace):
     consistent orientation consistent iff the new side of i meets the chosen
     side of every other wall: with on[b][i] (off[b][i]) the walls whose
     stored (other) side misses the side that bit b of wall i flips to,
-    `state & (on | off) == off`, as the masks are disjoint and leave out
-    bit i.  Two walls miss in at most one of their four quadrants, so one
-    pass over unordered pairs fills the masks of both walls.
+    `state & (on | off) == off`, as the masks are disjoint (no side is
+    empty) and leave out bit i.  Walls with distinct partitions miss in at
+    most one of their four quadrants, so one pass over unordered pairs
+    fills the masks of both walls.
     """
     n = ws.n_walls()
     if not ws.points:
