@@ -7,14 +7,14 @@ hand-written BFS, as it records every flip); for finite wallspaces this
 enumerates every 0-cube.  Orientations are bitmasks over the walls, and a
 flip is one AND and one compare against two masks per wall side, filled by
 one pass over unordered wall pairs.  A wallspace owns the result,
-`Wallspace.flips`, and every point's state, one transpose of the sides'
-bit strings (`point_state` indexes it).  `dual_cube_complex`,
-`dual_dimension` and `maximal_cubes` read the flips; the last two build
-no complex.
-`dual_cube_complex` assembles a `DualComplex`: a cube-complex ball that
-also carries its wallspace and the orientation of every vertex, which
-`phi` and flat embeddings read.  Each square and each cube is read once,
-from its lowest corner (no wall of it on the stored side).
+`Wallspace.flips`, which is the dual's set of 0-cubes and its edges; every
+point's state, one transpose of the sides' bit strings (`point_state`
+indexes it); and its maximal cubes, from one cube search over the flips
+(`Wallspace.maximal_cubes`), which `maximal_cubes` and `dual_dimension`
+read.  `dual_cube_complex` assembles the dual as a plain cube-complex
+ball, each square read once from its lowest corner (no wall of it on the
+stored side).  `phi_map` reads point states and flips and builds no
+complex; `branched_flat_embed` tests its 0-cubes against the flips.
 
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
@@ -23,10 +23,10 @@ tip walls by `building.transport_height`.  Each class's heights come from
 one `raag_geometry.class_heights` pass over the points, which inherits
 each point's height from its prefix (a v-letter adds its exponent inside
 the class's parallel set and nothing outside it), so only the empty word
-costs a `height_of`.  The heights give one bitmask per level, and every
-wall side is a level (tip walls) or an OR of levels (cut walls).  That
-wall closure and the density search of `phi_map` run
-`cube_complex.bfs_ball`.
+costs a `height_of`.  A class keeps its heights as levels, one bitmask of
+the points per height, and every wall side is a level (tip walls) or an
+OR of levels (cut walls).  That wall closure and the density search of
+`phi_map` run `cube_complex.bfs_ball`.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ class Wallspace:
         for every consistent orientation."""
         return _orientations(self)
 
+    @functools.cached_property
+    def maximal_cubes(self) -> tuple:
+        """`_cube_search`, run on first read: (family, cube vertex ids) for
+        every maximal pairwise-transverse wall family."""
+        return _cube_search(self)
+
     def to_json(self) -> str:
         return json.dumps({
             "points": [str(p) for p in self.points],
@@ -173,21 +179,6 @@ MAX_ORIENTATIONS = 1 << 20       # enumeration guard: raise MemoryError beyond
 
 def _vertex_id(n_walls: int, state: int) -> str:
     return f"c{state:0{n_walls}b}" if n_walls else "c"
-
-
-@dataclass(kw_only=True)
-class DualComplex(CubeComplexBall):
-    """The Sageev dual of a finite wallspace, with its 0-cubes.
-
-    states: vertex id -> orientation bits (bit i set: the stored side of
-    wall i); `wallspace.flips` gives each state's flippable walls.
-    """
-
-    wallspace: Wallspace = field(repr=False)
-    states: dict = field(repr=False)
-
-    def vertex_of_state(self, state: int) -> str:
-        return _vertex_id(self.wallspace.n_walls(), state)
 
 
 def _orientations(ws: Wallspace):
@@ -252,7 +243,7 @@ def _orientations(ws: Wallspace):
     return flips
 
 
-def dual_cube_complex(ws: Wallspace) -> DualComplex:
+def dual_cube_complex(ws: Wallspace) -> CubeComplexBall:
     """The Sageev dual: every consistent orientation, from `ws.flips`.
 
     Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
@@ -275,16 +266,8 @@ def dual_cube_complex(ws: Wallspace) -> DualComplex:
                                 vid[s ^ (1 << j)]))
     em = {frozenset((vid[s], vid[s ^ 1 << i])): str(ws.tags[i])
           for s, fl in flips.items() for i in fl}
-    return DualComplex(
-        tuple(vid[s] for s in order), em, tuple(squares), None, wallspace=ws,
-        states={vid[s]: s for s in order})
-
-
-def vertex_of_point(dual: DualComplex, p):
-    v = dual.vertex_of_state(dual.wallspace.point_state(p))
-    if v not in dual.states:
-        raise KeyError(f"point {p!r} realizes an unseen orientation")
-    return v
+    return CubeComplexBall(tuple(vid[s] for s in order), em, tuple(squares),
+                           None)
 
 
 def _transverse_families(ws: Wallspace):
@@ -321,38 +304,24 @@ def _cube_corners(state, walls):
 
 
 def dual_dimension(ws: Wallspace) -> int:
-    """Largest pairwise-transverse wall family; asserted equal to the max
-    cube dimension of the dual complex, read from `ws.flips`: no complex
-    is built."""
-    dim = max(map(len, _transverse_families(ws)))
-    assert dim == _max_cube_dimension(ws, ws.flips), \
-        "transverse family bound disagrees with the dual's cube dimension"
-    return dim
-
-
-def _max_cube_dimension(ws: Wallspace, flips: dict) -> int:
-    """Each cube is tried from its lowest corner, where all its walls flip
-    up to their stored side."""
-    best = 0
-    for s, fl in flips.items():
-        cand = [i for i in fl if not s >> i & 1]
-        for r in range(len(cand), best, -1):
-            if any(all(ws.transverse(i, j)
-                       for i, j in itertools.combinations(combo, 2)) and
-                   all(t in flips for t in _cube_corners(s, combo))
-                   for combo in itertools.combinations(cand, r)):
-                best = r
-                break
-    return best
+    """Largest pairwise-transverse wall family, from `ws.maximal_cubes`;
+    as that asserts one cube per maximal family, and a cube's walls are
+    pairwise transverse, this is the dual's largest cube dimension."""
+    return max(len(fam) for fam, _ in ws.maximal_cubes)
 
 
 def maximal_cubes(ws: Wallspace):
-    """Maximal pairwise-transverse families with their cubes in the dual.
+    """A fresh list of `ws.maximal_cubes`: maximal pairwise-transverse
+    families, each with the list of its cube's vertex ids."""
+    return [(fam, list(cube)) for fam, cube in ws.maximal_cubes]
 
-    Returns a list of (family, list of cubes); each cube is the frozenset of
-    its 0-cube vertex ids.  The correspondence family <-> maximal cube is
-    asserted to be a bijection.  The 0-cubes are read from `ws.flips`; no
-    complex is built.
+
+def _cube_search(ws: Wallspace) -> tuple:
+    """(family, cube) for each maximal pairwise-transverse family, the
+    cube's 0-cube vertex ids sorted.  The correspondence family <-> maximal
+    cube is asserted to be a bijection (a cube's corners differ in its
+    family's walls alone, so no cube serves two families).  The 0-cubes are
+    read from `ws.flips`; no complex is built.
 
     Each cube is read from its lowest corner, the one orientation with no
     wall of the family on its stored side: every cube spanned by the family
@@ -364,7 +333,6 @@ def maximal_cubes(ws: Wallspace):
     up = {s: sum(1 << i for i in fl if not s >> i & 1)
           for s, fl in flips.items()}
     out = []
-    used_cubes = set()
     for fam in sorted(_transverse_families(ws), key=sorted):
         walls = sorted(fam)
         fam_mask = sum(1 << i for i in walls)
@@ -374,13 +342,11 @@ def maximal_cubes(ws: Wallspace):
                 corners = list(_cube_corners(s, walls))
                 if all(t in flips for t in corners):
                     cubes.add(frozenset(_vertex_id(n, t) for t in corners))
-        cubes = {c for c in cubes if c not in used_cubes}
         if len(cubes) != 1:
             raise AssertionError(
                 f"family {walls} supports {len(cubes)} maximal cubes")
-        used_cubes |= cubes
-        out.append((tuple(walls), sorted(next(iter(cubes)))))
-    return out
+        out.append((tuple(walls), tuple(sorted(next(iter(cubes))))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +359,7 @@ class InvariantWallspace:
     graph: DefiningGraph
     classes: dict                # class id -> ParallelClass
     branched_lines: dict         # class id -> BranchedLine
-    heights: dict                # class id -> {chamber word: height}
+    levels: dict                 # class id -> {height: mask over points}
     block_maps: dict             # class id -> {height: block}
     domain: tuple                # the height-box hull: faithful points
 
@@ -419,7 +385,8 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     Each class, seed or image, gets its heights in one
     `raag_geometry.class_heights` pass over the points (normal forms listed
     by length, so a word's prefix comes first and lends it its height) and
-    a table {height: bitmask of the points at that height}.  A tip wall's
+    keeps them as levels, {height: bitmask of the points at that height},
+    heights in order of first appearance.  A tip wall's
     side is one level, a cut wall's the OR of the levels whose clamped
     block is at most its cut; walls are deduplicated by min(side,
     complement), and the domain is the AND of every class's band levels.
@@ -435,16 +402,15 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
             classes.setdefault(pc.id, pc)
     tags = []
     lines = {}
-    heights_of = {}
     levels = {}       # class id -> {height: bitmask of the points at it}
     block_maps = {}
     band = range(-wall_window, wall_window + 1)
 
-    def add_heights(cid, hs):
-        heights_of[cid] = hs
-        levels[cid] = lv = {}
-        for i, h in enumerate(hs.values()):
+    def levels_of(pc):
+        lv = {}
+        for i, h in enumerate(class_heights(g, pc, points).values()):
             lv[h] = lv.get(h, 0) | 1 << i
+        return lv
 
     def wall_side(tag):
         """The side of a tagged wall, as a bitmask over the points: one level
@@ -463,7 +429,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
         return side
 
     for cid, pc in sorted(classes.items()):
-        add_heights(cid, class_heights(g, pc, points))
+        levels[cid] = levels_of(pc)
         block_maps[cid] = resolved_table(g, action_tables, resolutions, pc,
                                          band)
         lines[cid] = line = BranchedLine.of_block_map(block_maps[cid])
@@ -478,7 +444,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
 
     def image_of(cid, name):
         """The generator's image of a class, added to `classes` with its
-        heights and block map on first sight; None where either fails."""
+        levels and block map on first sight; None where either fails."""
         if (cid, name) not in images:
             images[cid, name] = None
             try:
@@ -487,14 +453,14 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 return None
             if img.id not in classes and img.id not in rejected:
                 try:
-                    hs = class_heights(g, img, points)
+                    lv = levels_of(img)
                     fmap = resolved_table(g, action_tables, resolutions, img,
-                                          sorted(set(hs.values())))
+                                          sorted(lv))
                 except ValueError:
                     rejected.add(img.id)
                     return None
                 classes[img.id] = img
-                add_heights(img.id, hs)
+                levels[img.id] = lv
                 block_maps[img.id] = fmap
             if img.id in classes:
                 images[cid, name] = img
@@ -502,7 +468,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
 
     # orbit closure at the tag level, for at most 10000 rounds: transport
     # each wall to the image class and re-derive its side from that class's
-    # heights (pushing raw point sets would distort the partition at the
+    # levels (pushing raw point sets would distort the partition at the
     # window rim); only images with two non-empty sides are kept
     def step(tag):
         pc = classes[tag[0]]
@@ -555,7 +521,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     for lv in levels.values():
         inside &= sum(lv.get(h, 0) for h in band)
     domain = tuple(p for i, p in enumerate(points) if inside >> i & 1)
-    return InvariantWallspace(ws, g, classes, lines, heights_of, block_maps,
+    return InvariantWallspace(ws, g, classes, lines, levels, block_maps,
                               domain)
 
 
@@ -589,31 +555,40 @@ def phi_map(iws: InvariantWallspace):
     """Chambers -> dual vertices by their realized orientations.
 
     The map is defined on the faithful domain (the height-box hull, where
-    the banded walls still separate); injectivity there is asserted and the
-    image density is measured by a BFS over the dual from the whole image.
+    the banded walls still separate); injectivity there is asserted.  The
+    image density and the sampled dual distances are BFS over the 0-cubes
+    of `ws.flips`, whose edges flip one wall: no complex is built.
     """
-    dual = dual_cube_complex(iws.wallspace)
-    vmap = {p: vertex_of_point(dual, p) for p in iws.domain}
-    if len(set(vmap.values())) != len(vmap):
+    ws = iws.wallspace
+    flips = ws.flips
+    states = {p: ws.point_state(p) for p in iws.domain}
+    for p, s in states.items():
+        if s not in flips:
+            raise KeyError(f"point {p!r} realizes an unseen orientation")
+    if len(set(states.values())) != len(states):
         raise AssertionError("phi is not injective on the window")
-    dist = bfs_ball(vmap.values(),
-                    lambda x: [(lab, y) for y, lab in dual.neighbors(x).items()],
-                    len(dual.vertex_ids))
+
+    def step(s):
+        return [(i, s ^ 1 << i) for i in flips[s]]
+
+    dist = bfs_ball(states.values(), step, len(flips))
     density = max(dist.values()) if dist else 0
     # distortion of word metric vs dual metric on a sample of pairs
     worst = 1.0
     additive = 0
-    pts = list(iws.domain)
-    for a in pts[: min(len(pts), 12)]:
-        for b in pts[: min(len(pts), 12)]:
+    pts = list(iws.domain)[:12]
+    for a in pts:
+        dual_dist = bfs_ball([states[a]], step, len(flips))
+        for b in pts:
             if a == b:
                 continue
             dw = len(mul(iws.graph, inv(a), b))
-            dc = dual.distance(vmap[a], vmap[b])
+            dc = dual_dist[states[b]]
             if dw and dc:
                 worst = max(worst, dw / dc, dc / dw)
             additive = max(additive, abs(dc - dw))
-    return vmap, {"dual": dual, "density": density, "distortion": worst,
+    vmap = {p: _vertex_id(ws.n_walls(), s) for p, s in states.items()}
+    return vmap, {"density": density, "distortion": worst,
                   "additive": additive}
 
 
@@ -648,12 +623,11 @@ def branched_flat_embed(iws: InvariantWallspace, class_ids):
                     [ws.sides[i] for i in sel], [ws.tags[i] for i in sel])
     sub_dual = dual_cube_complex(sub)
     embedded = set()
-    for s in sub_dual.states.values():
-        target = dual.vertex_of_state(
-            fixed | sum(1 << i for k, i in enumerate(sel) if s >> k & 1))
-        if target not in dual.states:
+    for s in sub.flips:
+        target = fixed | sum(1 << i for k, i in enumerate(sel) if s >> k & 1)
+        if target not in ws.flips:
             raise AssertionError("embedded orientation is not a 0-cube")
-        embedded.add(target)
+        embedded.add(_vertex_id(ws.n_walls(), target))
     if not is_convex(dual, embedded):
         raise AssertionError("embedded branched flat is not convex")
     return sub_dual, embedded, dual

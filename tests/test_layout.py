@@ -1,9 +1,11 @@
 """Module layout: imports at module top, an acyclic import graph, no
-top-level name in `src/` that only the tests use, past an explicit list,
-direct cube-complex constructor calls only from the listed producers, and
-one call site for each computation whose result its owner keeps."""
+top-level name or method in `src/` that only the tests use, past explicit
+lists, direct cube-complex constructor calls only from the listed
+producers, and one call site for each computation whose result its owner
+keeps."""
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -30,6 +32,15 @@ TEST_ONLY = {
     "building.extract_factor_action", "blowup.equivariant_blowup",
     # the reader of `CubeComplexBall.to_json`, which only tests round-trip
     "cube_complex.from_json",
+}
+
+# Methods, as module.Class.method, whose only readers are tests; like
+# TEST_ONLY, each waits for a production caller or a move to the tests.
+TEST_ONLY_METHODS = {
+    "cube_complex.Hyperplane.separates", "cube_complex.CubicalMap.fiber",
+    "semiconjugacy.BranchedLine.branching_number",
+    "semiconjugacy.BranchedLine.wall_sides_on_tips",
+    "semiconjugacy.BranchedLine.as_complex",
 }
 
 
@@ -107,7 +118,7 @@ def test_complexes_with_raw_squares_go_through_make():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         names = []
-        _callers(ast.parse(path.read_text()), ("CubeComplexBall", "DualComplex"),
+        _callers(ast.parse(path.read_text()), ("CubeComplexBall",),
                  "<module>", names)
         found |= {(path.stem, n) for n in names}
     assert found == DIRECT_BUILDERS
@@ -116,7 +127,8 @@ def test_complexes_with_raw_squares_go_through_make():
 # Work done once per owner: each computation has one call site, the cached
 # property by which its owner keeps the result.
 OWNED = {"_hyperplanes": ("cube_complex", "_hyperplane_tuple"),
-         "_orientations": ("wallspace_dual", "flips")}
+         "_orientations": ("wallspace_dual", "flips"),
+         "_cube_search": ("wallspace_dual", "maximal_cubes")}
 
 
 def test_owned_computations_have_one_caller():
@@ -185,3 +197,35 @@ def test_every_src_name_has_a_caller():
     unused = {f"{m}.{n}" for m, n in defined - used if not n.startswith("__")}
     assert unused - TEST_ONLY == set(), "names without a caller"
     assert TEST_ONLY - unused == set(), "listed names that now have a caller"
+
+
+def _attribute_reads(tree):
+    """Counter of the attribute names read (`x.name`) under a node."""
+    return collections.Counter(
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_src_method_has_a_reader():
+    """Each method of a class of `src/` (dunders aside) is read as an
+    attribute, `x.name`, in `src/` or `perfbench/` outside its own body.
+    Attributes are matched by name alone: a read of another class's
+    attribute of the same name counts."""
+    reads = collections.Counter()
+    methods = []
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads(tree)
+        if path.parent != SRC:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += [(f"{path.stem}.{cls.name}.{fn.name}", fn)
+                            for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("__")]
+    unread = {name for name, fn in methods
+              if reads[fn.name] == _attribute_reads(fn)[fn.name]}
+    assert unread - TEST_ONLY_METHODS == set(), "methods without a reader"
+    assert TEST_ONLY_METHODS - unread == set(), \
+        "listed methods that now have a reader"

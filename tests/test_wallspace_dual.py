@@ -1,9 +1,11 @@
 """Wallspaces, Sageev duals, branched lines, the invariant wallspace."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
@@ -19,6 +21,7 @@ from cubikit import semiconjugacy as sc
 from cubikit import wallspace_dual as wd
 from cubikit.building import ActionTables, left_translation_action
 
+from .strategies import defining_graphs
 from .test_blowup import two_flipping_action
 
 
@@ -63,10 +66,8 @@ class ZeroCube:
         return True
 
 
-def zero_cube_of_vertex(dual, vid) -> ZeroCube:
-    state = dual.states[vid]
-    return ZeroCube(tuple(state >> i & 1
-                          for i in range(dual.wallspace.n_walls())))
+def zero_cube_of_state(ws, state) -> ZeroCube:
+    return ZeroCube(tuple(state >> i & 1 for i in range(ws.n_walls())))
 
 
 def dual_squares_oracle(ws):
@@ -272,11 +273,11 @@ def wallspaces(draw):
 def test_dual_matches_pairwise_oracles(ws):
     n = ws.n_walls()
     dual = wd.dual_cube_complex(ws)
-    assert sorted(dual.states.values()) == enumerate_zero_cubes_oracle(ws)
-    for v, s in dual.states.items():
-        zc = zero_cube_of_vertex(dual, v)
-        assert zc.consistent(ws)
-        assert dual.vertex_of_state(s) == v
+    assert sorted(ws.flips) == enumerate_zero_cubes_oracle(ws)
+    assert dual.vertex_ids == tuple(wd._vertex_id(n, s)
+                                    for s in sorted(ws.flips))
+    for s in ws.flips:
+        assert zero_cube_of_state(ws, s).consistent(ws)
         flippable = []
         for i in range(n):
             new = ws.full_mask ^ ws.sides[i] if s >> i & 1 else ws.sides[i]
@@ -284,12 +285,13 @@ def test_dual_matches_pairwise_oracles(ws):
                           ws.full_mask ^ ws.sides[j])
                    for j in range(n) if j != i):
                 flippable.append(i)
-        assert ws.flips[dual.states[v]] == tuple(flippable)
+        assert ws.flips[s] == tuple(flippable)
     largest = max(len(fam) for r in range(n + 1)
                   for fam in itertools.combinations(range(n), r)
                   if all(ws.transverse(i, j)
                          for i, j in itertools.combinations(fam, 2)))
-    assert wd.dual_dimension(ws) == largest
+    assert wd.dual_dimension(ws) == largest == \
+        max_cube_dimension_oracle(ws)
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,19 +389,38 @@ def test_one_wallspace_enumerates_its_orientations_once(monkeypatch):
         ws.flips = {}
 
 
-def maximal_cubes_oracle(ws, dual):
+def max_cube_dimension_oracle(ws):
+    """Oracle: the dual's largest cube dimension by a search of its own over
+    `ws.flips`, each cube tried from its lowest corner, where all its walls
+    flip up to their stored side."""
+    flips = ws.flips
+    best = 0
+    for s, fl in flips.items():
+        cand = [i for i in fl if not s >> i & 1]
+        for r in range(len(cand), best, -1):
+            if any(all(ws.transverse(i, j)
+                       for i, j in itertools.combinations(combo, 2)) and
+                   all(t in flips for t in wd._cube_corners(s, combo))
+                   for combo in itertools.combinations(cand, r)):
+                best = r
+                break
+    return best
+
+
+def maximal_cubes_oracle(ws):
     """maximal_cubes by reading every cube from each of its 2^k corners."""
-    states = set(dual.states.values())
+    n = ws.n_walls()
     out = []
     used_cubes = set()
     for fam in sorted(wd._transverse_families(ws), key=sorted):
         walls = sorted(fam)
         cubes = set()
-        for v, s in dual.states.items():
-            if fam <= set(ws.flips[dual.states[v]]):
+        for s, fl in ws.flips.items():
+            if fam <= set(fl):
                 corners = list(wd._cube_corners(s, walls))
-                if all(t in states for t in corners):
-                    cubes.add(frozenset(map(dual.vertex_of_state, corners)))
+                if all(t in ws.flips for t in corners):
+                    cubes.add(frozenset(wd._vertex_id(n, t)
+                                        for t in corners))
         cubes = {c for c in cubes if c not in used_cubes}
         if len(cubes) != 1:
             raise AssertionError(
@@ -412,9 +433,8 @@ def maximal_cubes_oracle(ws, dual):
 @settings(max_examples=150, deadline=None)
 @given(wallspaces())
 def test_maximal_cubes_match_every_corner_oracle(ws):
-    dual = wd.dual_cube_complex(ws)
     try:
-        want = maximal_cubes_oracle(ws, dual)
+        want = maximal_cubes_oracle(ws)
     except AssertionError:
         with pytest.raises(AssertionError):
             wd.maximal_cubes(ws)
@@ -561,6 +581,36 @@ def test_invariant_wallspace_translations_c5():
     assert len(sub_dual.squares) > 0
 
 
+def point_heights(levels, n):
+    """The height of each of n points, from a class's levels."""
+    hs = [None] * n
+    for h, mask in levels.items():
+        for i, bit in enumerate(reversed(f"{mask:0{n}b}")):
+            if bit == "1":
+                hs[i] = h
+    return hs
+
+
+def levels_partition(levels, full):
+    """The levels are disjoint and cover every point: their sum carries
+    nowhere and equals their OR."""
+    return sum(levels.values()) == \
+        functools.reduce(operator.or_, levels.values(), 0) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs())
+def test_levels_partition_the_points_by_class_height(g):
+    iws = wd.invariant_wallspace(g, trivial_action(g, 2), line_resolutions(g),
+                                 points_radius=2)
+    points = iws.wallspace.points
+    assert set(iws.levels) == set(iws.classes)
+    for cid, lv in iws.levels.items():
+        assert levels_partition(lv, iws.wallspace.full_mask), cid
+        hs = rg.class_heights(g, iws.classes[cid], points)
+        assert point_heights(lv, len(points)) == list(hs.values()), cid
+
+
 def test_invariant_wallspace_heights_once_per_class(monkeypatch):
     # the closure meets the four classes c@a, d@a, c@a^-1 and d@a^-1 from
     # several walls; their block maps fail each time, but each class, kept
@@ -579,8 +629,9 @@ def test_invariant_wallspace_heights_once_per_class(monkeypatch):
     iws = wd.invariant_wallspace(g, act, line_resolutions(g), wall_window=1)
     rejected = {"c@a", "d@a", "c@a^-1", "d@a^-1"}
     assert calls == {(cid, ()): 1 for cid in set(iws.classes) | rejected}
-    points = iws.wallspace.points
-    assert all(tuple(hs) == points for hs in iws.heights.values())
+    assert set(iws.levels) == set(iws.classes)
+    assert all(levels_partition(lv, iws.wallspace.full_mask)
+               for lv in iws.levels.values())
 
 
 def test_transversality_k2():
@@ -668,7 +719,7 @@ def test_phi_map_two_flipping_class():
     vmap, rep = wd.phi_map(iws)
     assert len(set(vmap.values())) == len(iws.domain)
     # the dual is a branched line with paired whiskers
-    dual = rep["dual"]
+    dual = wd.dual_cube_complex(iws.wallspace)
     deg3 = [v for v in dual.vertex_ids if len(dual.neighbors(v)) >= 3]
     assert deg3
     # collapsing pairs stretches distances by at most 2 additively
@@ -695,10 +746,8 @@ def test_k_walls_membership():
 
 def test_zero_cube_type():
     ws = wd.Wallspace.make(["a", "b", "c"], [["a"], ["b"], ["c"]])
-    dual = wd.dual_cube_complex(ws)
-    for vid in dual.vertex_ids:
-        zc = zero_cube_of_vertex(dual, vid)
-        assert zc.consistent(ws)
+    for s in ws.flips:
+        assert zero_cube_of_state(ws, s).consistent(ws)
     # the all-stored-sides orientation of the tripod is inconsistent
     assert not ZeroCube((1, 1, 1)).consistent(ws)
 
@@ -732,8 +781,9 @@ def iws_digest(iws):
         "tags": ws.tags,
         "classes": [[cid, pc.direction, rg.word_str(pc.rep)]
                     for cid, pc in iws.classes.items()],
-        "heights": [[cid, [[rg.word_str(p), h] for p, h in hs.items()]]
-                    for cid, hs in iws.heights.items()],
+        "heights": [[cid, [[rg.word_str(p), h] for p, h in
+                           zip(ws.points, point_heights(lv, len(ws.points)))]]
+                    for cid, lv in iws.levels.items()],
         "block_maps": [[cid, list(f.items())]
                        for cid, f in iws.block_maps.items()],
         "branched_lines": [[cid, bl.window, list(bl.tips.items())]
@@ -811,15 +861,69 @@ GOLDEN_PHI = {
 }
 
 
+def phi_case(name):
+    """The `iws_case` configurations, and criterion 11's K2 wallspace."""
+    if name != "k2":
+        return iws_case(name)
+    g = gc.k2()
+    return wd.invariant_wallspace(g, trivial_action(g, 4), line_resolutions(g),
+                                  wall_window=1)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_PHI))
 def test_golden_phi_map(name):
-    if name == "k2":
-        g = gc.k2()
-        iws = wd.invariant_wallspace(g, trivial_action(g, 4),
-                                     line_resolutions(g), wall_window=1)
-    else:
-        iws = iws_case(name)
+    iws = phi_case(name)
     vmap, rep = wd.phi_map(iws)
     body = json.dumps([[rg.word_str(p), v] for p, v in vmap.items()])
     assert (rep["density"], len(vmap),
             hashlib.sha256(body.encode()).hexdigest()) == GOLDEN_PHI[name]
+
+
+def phi_map_oracle(iws):
+    """Oracle: `phi_map` on the assembled dual complex, each point's vertex
+    looked up among its vertex ids and each sampled distance read from it."""
+    ws = iws.wallspace
+    dual = wd.dual_cube_complex(ws)
+    vertices = set(dual.vertex_ids)
+    vmap = {}
+    for p in iws.domain:
+        v = wd._vertex_id(ws.n_walls(), ws.point_state(p))
+        if v not in vertices:
+            raise KeyError(f"point {p!r} realizes an unseen orientation")
+        vmap[p] = v
+    if len(set(vmap.values())) != len(vmap):
+        raise AssertionError("phi is not injective on the window")
+    dist = cc.bfs_ball(
+        vmap.values(),
+        lambda x: [(lab, y) for y, lab in dual.neighbors(x).items()],
+        len(dual.vertex_ids))
+    density = max(dist.values()) if dist else 0
+    worst = 1.0
+    additive = 0
+    pts = list(iws.domain)[:12]
+    for a in pts:
+        for b in pts:
+            if a == b:
+                continue
+            dw = len(rg.mul(iws.graph, rg.inv(a), b))
+            dc = dual.distance(vmap[a], vmap[b])
+            if dw and dc:
+                worst = max(worst, dw / dc, dc / dw)
+            additive = max(additive, abs(dc - dw))
+    return vmap, {"density": density, "distortion": worst,
+                  "additive": additive}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IWS) + ["k2"])
+def test_phi_map_matches_the_dual_complex_oracle(name):
+    iws = phi_case(name)
+    try:
+        want_vmap, want_rep = phi_map_oracle(iws)
+    except (KeyError, AssertionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            wd.phi_map(iws)
+        assert str(got.value) == str(exc)
+        return
+    vmap, rep = wd.phi_map(iws)
+    assert list(vmap.items()) == list(want_vmap.items())
+    assert rep == want_rep
