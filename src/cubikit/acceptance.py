@@ -162,7 +162,7 @@ def criterion_dual_dimension(seed=0):
         if len(dual.vertex_ids) != len(oracle):
             return _result("4 dual dimension / maximal cubes", False,
                            f"0-cube count mismatch on trial {checked}")
-        wd.dual_dimension(ws)    # asserts vs the dual internally
+        wd.dual_dimension(ws)    # the largest of ws.maximal_cubes
         wd.maximal_cubes(ws)     # asserts the bijection internally
         checked += 1
     return _result("4 dual dimension / maximal cubes", checked > 0,

@@ -3,14 +3,14 @@
 Blow-up data assigns each rank-1 residue a map to Z, compatibly with
 parallelism; one table per parallel class of a chosen representative residue
 determines everything.  The induced fiber functor over the Davis ball has
-window-truncated lattice fibers; one pass over the Davis squares checks its
-functor laws and 1-determinacy.  Gluing cube-by-cube produces the
-restriction quotient q: Y -> |B| together with labels, ranks and the
-vertical/horizontal edge split.
+window-truncated lattice fibers and one insertion plan per Davis edge; one
+pass over the Davis squares checks its functor laws and 1-determinacy.
+Gluing cube-by-cube produces the restriction quotient q: Y -> |B| together
+with labels, ranks and the vertical/horizontal edge split.
 
 Y is grown by `cube_complex.grown_ball`, fiber by fiber in Davis order
 (rank, id), each fiber in lattice order.  Every edge goes up, by a vertical
-+1 or by the morphism into a parent fiber, so the squares of Y rise from
++1 or by the plan into a parent fiber, so the squares of Y rise from
 their least corner: lattice squares, squares over a Davis edge and squares
 over a Davis square.  A point has one up-step per axis and one per parent
 fiber, so no other 4-cycle rises.
@@ -22,12 +22,12 @@ each factor's class moved by its `building.class_isometry`), which
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .building import (
     ActionTables,
@@ -121,59 +121,43 @@ def _table_domain(davis: DavisBall, window: int) -> range:
 
 def data_from_function(g: DefiningGraph, davis: DavisBall, window: int,
                        fn) -> BlowUpData:
-    tables = {}
-    classes = {}
-    for pc in davis.line_classes.values():
-        if pc.id not in tables:
-            tables[pc.id] = {n: fn(pc, n) for n in _table_domain(davis, window)}
-            classes[pc.id] = pc
-    return BlowUpData(g, tables, classes, window)
+    classes = {pc.id: pc for pc in davis.line_classes.values()}
+    dom = _table_domain(davis, window)
+    return BlowUpData(g, {cid: {n: fn(pc, n) for n in dom}
+                          for cid, pc in classes.items()}, classes, window)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberFunctor:
     """Window-truncated lattice fibers over the faces of a Davis ball.
 
     Fibers are indexed by the vertex of minimal rank of each face; the axes
-    of the fiber at a vertex are the parallel classes of its factors.
+    of the fiber at a vertex are the parallel classes of its factors, and
+    the window is the data's.  Along a Davis edge child < parent, `inserted`
+    holds the data value of each parent axis that the child lacks.
     """
 
-    graph: DefiningGraph
     davis: DavisBall
     data: BlowUpData
-    window: int
-    axes: dict = field(default_factory=dict)        # vid -> tuple of class ids
-    classes: dict = field(default_factory=dict)     # class id -> ParallelClass
-    inserted: dict = field(default_factory=dict)    # (child,parent) -> {cid: value}
+    axes: dict                   # vid -> tuple of class ids
+    inserted: dict               # (child, parent) -> {cid: value}
 
     def fiber_points(self, vid):
-        k = len(self.axes[vid])
-        rng = range(-self.window, self.window + 1)
-        return itertools.product(*([rng] * k))
+        rng = range(-self.data.window, self.data.window + 1)
+        return itertools.product(rng, repeat=len(self.axes[vid]))
 
-    def morphism(self, child, parent, point):
-        """Image of a child-fiber point in the parent fiber (or None if the
-        inserted constant escapes the window)."""
-        cons = self.inserted[(child, parent)]
-        caxes = self.axes[child]
-        out = []
-        for cid in self.axes[parent]:
-            if cid in cons:
-                val = cons[cid]
-            else:
-                val = point[caxes.index(cid)]
-            if abs(val) > self.window:
-                return None
-            out.append(val)
-        return tuple(out)
-
-    def image_set(self, child, parent):
-        out = set()
-        for p in self.fiber_points(child):
-            q = self.morphism(child, parent, p)
-            if q is not None:
-                out.add(q)
-        return out
+    @cached_property
+    def plans(self) -> dict:
+        """{(child, parent): per parent axis, (child axis, None) to copy or
+        (None, constant) to insert}; an edge whose constant leaves the
+        window has no plan, as its morphism is empty."""
+        w, shared = self.data.window, {}    # equal plans share one tuple
+        return {e: shared.setdefault(plan, plan)
+                for e, cons in self.inserted.items()
+                if all(abs(x) <= w for x in cons.values())
+                for plan in [tuple((None, cons[c]) if c in cons
+                                   else (self.axes[e[0]].index(c), None)
+                                   for c in self.axes[e[1]])]}
 
 
 def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
@@ -192,42 +176,47 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     same hyperplanes cross both, and projecting onto the factor crosses none
     of them, so the gate on the class line does not move.
     """
-    g = davis.graph
-    psi = FiberFunctor(g, davis, data, data.window)
     line = davis.line_classes
-    psi.classes = {pc.id: pc for pc in line.values()}
-    for vid, r in davis.residue_of.items():
-        psi.axes[vid] = tuple(line[r.base, v].id for v in r.type_J)
+    axes = {vid: tuple(line[r.base, v].id for v in r.type_J)
+            for vid, r in davis.residue_of.items()}
+    inserted = {}
     for e in davis.ball.edges:
         u, v = tuple(e)
         child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
-        base = davis.residue_of[child].base
-        psi.inserted[(child, parent)] = {
-            cid: data.value(psi.classes[cid], base)
-            for cid in psi.axes[parent] if cid not in psi.axes[child]}
+        base, rp = davis.residue_of[child].base, davis.residue_of[parent]
+        inserted[child, parent] = {
+            pc.id: data.value(pc, base)
+            for pc in (line[rp.base, w] for w in rp.type_J)
+            if pc.id not in axes[child]}
+    psi = FiberFunctor(davis, data, axes, inserted)
     _check_squares(psi)
     return psi
 
 
 def _check_squares(psi: FiberFunctor):
-    """One pass over the Davis squares: the two composites bottom -> top
-    agree (functor laws), and their image is the intersection of the edge
-    images into top (1-determinacy)."""
-    # an edge can lie on several squares; its image is computed once
-    image = functools.cache(psi.image_set)
+    """One pass over the Davis squares, from the inserted constants alone:
+    the two composites bottom -> top agree (functor laws), and their image
+    is the intersection of the edge images into top (1-determinacy).
+
+    A composite copies the bottom's axes and fixes the union of its edges'
+    constants, or is empty if an edge has no plan; the edges into top fix
+    one axis each, and different ones.  So composites differ at every point
+    of the bottom fiber or at none, and the first point is reported."""
+    plans, cons = psi.plans, psi.inserted
+
+    def fixed(*edges):
+        if all(e in plans for e in edges):
+            return {c: x for e in edges for c, x in cons[e].items()}
+        return None
+
     for s in psi.davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
-        through = set()
-        for p in psi.fiber_points(bottom):
-            q1, q2 = psi.morphism(bottom, m1, p), psi.morphism(bottom, m2, p)
-            via1 = psi.morphism(m1, top, q1) if q1 is not None else None
-            via2 = psi.morphism(m2, top, q2) if q2 is not None else None
-            if via1 != via2:
-                raise AssertionError(
-                    f"functor composition differs on square {s} at {p}")
-            if via1 is not None:
-                through.add(via1)
-        if through != image(m1, top) & image(m2, top):
+        through = fixed((bottom, m1), (m1, top))
+        if through != fixed((bottom, m2), (m2, top)):
+            p = (-psi.data.window,) * len(psi.axes[bottom])
+            raise AssertionError(
+                f"functor composition differs on square {s} at {p}")
+        if through != fixed((m1, top), (m2, top)):
             raise AssertionError(f"not 1-determined on square {s}")
 
 
@@ -239,17 +228,21 @@ def y_id(vid, point) -> str:
     return f"{vid}#{','.join(map(str, point))}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlowUpComplex:
     Y: CubeComplexBall
-    q: CubicalMap
-    davis: DavisBall
     psi: FiberFunctor
     vertex_info: dict            # y-vertex id -> (davis vid, point tuple)
 
     @property
-    def graph(self):
-        return self.davis.graph
+    def davis(self) -> DavisBall:
+        return self.psi.davis
+
+    @cached_property
+    def q(self) -> CubicalMap:
+        """The restriction quotient Y -> |B|, built on first read."""
+        return CubicalMap({yv: key[0] for yv, key in self.vertex_info.items()},
+                          self.Y, self.davis.ball)
 
     def rank(self, yv) -> int:
         return self.davis.rank_of[self.vertex_info[yv][0]]
@@ -261,33 +254,32 @@ class BlowUpComplex:
 def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
     """Glue sigma x Psi(sigma) over the faces of the Davis ball: one
     `grown_ball` whose steps are the vertical +1 inside the window and the
-    morphism into each parent fiber, labelled as its Davis edge."""
-    davis = psi.davis
+    plan of each Davis edge into a parent fiber, labelled as its edge.  An
+    edge without a plan lifts to no edge: with the window below the Davis
+    radius, this is where Y loses the edges that connect it."""
+    davis, window, plans = psi.davis, psi.data.window, psi.plans
     rank = davis.rank_of
     ids = {(vid, p): y_id(vid, p)
            for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
     info = {yv: key for key, yv in ids.items()}
-    parents = {vid: [(lab, w) for w, lab in davis.ball.neighbors(vid).items()
-                     if rank[w] > rank[vid]]
+    parents = {vid: [(lab, w, plans[vid, w])
+                     for w, lab in davis.ball.neighbors(vid).items()
+                     if rank[w] > rank[vid] and (vid, w) in plans]
                for vid in davis.ball.vertex_ids}
 
     def step(yv):
         vid, p = info[yv]
         for i, v in enumerate(davis.residue_of[vid].type_J):
-            if p[i] < psi.window:
+            if p[i] < window:
                 yield f"v:{v}", ids[vid, p[:i] + (p[i] + 1,) + p[i + 1:]]
-        for lab, w in parents[vid]:
-            q = psi.morphism(vid, w, p)
-            if q is not None:
-                yield lab, ids[w, q]
+        for lab, w, plan in parents[vid]:
+            yield lab, ids[w, tuple(p[i] if c is None else c for i, c in plan)]
 
     depth = {}
     for yv, (vid, p) in info.items():
-        fiber_depth = min((psi.window - abs(x) for x in p), default=BIG_DEPTH)
+        fiber_depth = min((window - abs(x) for x in p), default=BIG_DEPTH)
         depth[yv] = min(davis.ball.depth[vid], fiber_depth)
-    Y = grown_ball(list(info), step, depth)
-    q = CubicalMap({yv: vid for yv, (vid, _) in info.items()}, Y, davis.ball)
-    return BlowUpComplex(Y, q, davis, psi, info)
+    return BlowUpComplex(grown_ball(list(info), step, depth), psi, info)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +293,22 @@ def one_data(bc: BlowUpComplex) -> BlowUpData:
     horizontal edge; the fiber coordinate it attaches to is the table value.
     Parallelism compatibility across residues of one class is asserted.
     """
-    g = bc.graph
     davis = bc.davis
+    g = davis.graph
     tables = {}
     classes = {}
     observed = {}
-    fibers = {}                  # davis vid -> its Y vertices, in Y order
-    for yv in bc.Y.vertex_ids:
-        fibers.setdefault(bc.vertex_info[yv][0], []).append(yv)
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
-        pc = bc.psi.classes[bc.psi.axes[vid][0]]
+        pc = davis.line_classes[r.base, r.type_J[0]]
         classes.setdefault(pc.id, pc)
-        for yv in fibers.get(vid, ()):
-            p = bc.vertex_info[yv][1]
-            for nb in bc.Y.neighbors(yv):
+        for (val,) in bc.psi.fiber_points(vid):
+            for nb in bc.Y.neighbors(y_id(vid, (val,))):
                 nvid = bc.vertex_info[nb][0]
                 if davis.rank_of[nvid] != 0:
                     continue
                 n = height_of(g, pc, davis.residue_of[nvid].base)
-                val = p[0]
                 prev = observed.setdefault((pc.id, n), val)
                 if prev != val:
                     raise AssertionError(
@@ -329,7 +316,7 @@ def one_data(bc: BlowUpComplex) -> BlowUpData:
                         f"both {prev} and {val} (parallelism failure)")
     for (cid, n), val in observed.items():
         tables.setdefault(cid, {})[n] = val
-    return BlowUpData(g, tables, classes, bc.psi.window)
+    return BlowUpData(g, tables, classes, bc.psi.data.window)
 
 
 def local_finiteness_report(data: BlowUpData):
@@ -354,8 +341,8 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     whisker per chamber attached at its table value; the comparison is a
     direct labeled bijection, not a search.
     """
-    g = bc.graph
     davis = bc.davis
+    g = davis.graph
     r = davis.residue_of[vid]
     down_vids = [w for w in davis.ball.vertex_ids
                  if residue_contains(g, davis.residue_of[w], r)]
@@ -363,7 +350,7 @@ def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
     sub_vertices = [yv for yv in bc.Y.vertex_ids
                     if bc.vertex_info[yv][0] in down_set]
     sub = bc.Y.span(sub_vertices)
-    classes = [bc.psi.classes[cid] for cid in bc.psi.axes[vid]]
+    classes = [davis.line_classes[r.base, v] for v in r.type_J]
 
     def model_coord(yv):
         wid, p = bc.vertex_info[yv]
@@ -419,13 +406,13 @@ def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
     on sampled interior pairs.  When the f_lambda are isometries and A = 0
     the map is required to be a cubical isomorphism.
     """
-    g = bcA.graph
     davis = bcA.davis
+    g = davis.graph
     dataA, dataB = bcA.psi.data, bcB.psi.data
     for vid, r in davis.residue_of.items():
         if r.rank != 1:
             continue
-        pc = bcA.psi.classes[bcA.psi.axes[vid][0]]
+        pc = davis.line_classes[r.base, r.type_J[0]]
         f = f_per_class[pc.id]
         for coords, chamber in chambers_of(g, r, 1):
             try:
@@ -553,7 +540,8 @@ def _induced_action_on_y(bc: BlowUpComplex, tables: ActionTables, name: str):
     coordinate by the `class_isometry` of its class, so the map commutes
     with q by construction.  Fibers whose image residue leaves the Davis
     ball, or whose class isometry is undetermined, are left out."""
-    g, davis, data = bc.graph, bc.davis, bc.psi.data
+    davis, data = bc.davis, bc.psi.data
+    g = davis.graph
     window = range(-data.window, data.window + 1)
     moves = {}                 # class id -> (image class id, coordinate table)
     for cid, pc in data.classes.items():

@@ -927,20 +927,22 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
                 out.append(w)
         return out
 
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates(v):
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
+    # depth-first backtrack over `order`, one candidate iterator per level on
+    # an explicit stack, so that no ball size meets the recursion limit
+    stack = [iter(candidates(order[0]))]
+    while stack and len(mapping) < len(order):
+        v = order[len(stack) - 1]
+        if v in mapping:                  # back from a dead end below
+            used.discard(mapping.pop(v))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) < len(order):
+            stack.append(iter(candidates(order[len(stack)])))
+    if len(mapping) < len(order):
         return None
     for s in b1.squares:
         if not b2.has_square(mapping[x] for x in s):

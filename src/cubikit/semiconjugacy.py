@@ -445,12 +445,16 @@ def min_essential_track(K: Rips2Complex) -> Track:
     The max flow from the low tail to the high tail finds the least weight;
     its residual graph gives the leftmost minimum cut, which is the
     tie-break among equal-weight tracks.  A weight above 4(L*radius + A) or
-    a cut that is not a connected essential track raises ActionError.
+    a cut that is not a connected essential track raises ActionError; a
+    window too short for two disjoint tails raises TruncationError.
     """
     spec = K.spec
     w_max = int(4 * (spec.L * K.radius + spec.A))
     lo, hi = min(K.vertices), max(K.vertices)
     seed = max(K.span, 1)
+    if lo + seed >= hi - seed:
+        raise TruncationError(f"window {lo}..{hi} cannot hold two disjoint "
+                              f"rim tails of width {seed}")
     weight, left = _leftmost_min_cut(
         K, [v for v in K.vertices if v <= lo + seed],
         [v for v in K.vertices if v >= hi - seed])
@@ -693,6 +697,8 @@ def collapse(spec: ZActionSpec, family, K: Rips2Complex) -> SemiconjugacyResult:
             if sign * a + off != b:
                 raise ActionError(
                     f"{name!r}: block map not equivariant at block {a}")
+    if not interior:
+        raise TruncationError("window too small for the collapse interior")
     for rel in spec.relations:
         # rel = g1 g2 ... acts as g1 after g2 after ...
         sign, off = 1, 0

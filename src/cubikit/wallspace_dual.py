@@ -361,7 +361,8 @@ class InvariantWallspace:
     branched_lines: dict         # class id -> BranchedLine
     levels: dict                 # class id -> {height: mask over points}
     block_maps: dict             # class id -> {height: block}
-    domain: tuple                # the height-box hull: faithful points
+    domain: tuple                # the height-box hull; phi is injective on
+                                 # it when the class reach covers it
 
 
 def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
@@ -554,8 +555,10 @@ def transversality(iws: InvariantWallspace, i: int, j: int) -> bool:
 def phi_map(iws: InvariantWallspace):
     """Chambers -> dual vertices by their realized orientations.
 
-    The map is defined on the faithful domain (the height-box hull, where
-    the banded walls still separate); injectivity there is asserted.  The
+    The map is defined on the height-box hull `iws.domain`, and injectivity
+    there is asserted.  It holds when the class reach covers the points, as
+    in criterion 11 (reach 2, points radius 3); past that, as at C5 reach 2
+    and points radius 4, two points can share a state and this raises.  The
     image density and the sampled dual distances are BFS over the 0-cubes
     of `ws.flips`, whose edges flip one wall: no complex is built.
     """

@@ -20,10 +20,11 @@ def test_type_map():
     for g in (gc.k2(), gc.pentagon()):
         davis = bd.davis_ball(g, 1)
         psi = bu.build_fiber_functor(bu.bijective_data(g, davis, 1), davis)
+        classes = {pc.id: pc for pc in davis.line_classes.values()}
         for vid, r in davis.residue_of.items():
             assert psi.axes[vid] == tuple(
                 rg.class_of_geodesic(g, r.base, v).id for v in r.type_J)
-            assert tuple(psi.classes[c].direction
+            assert tuple(classes[c].direction
                          for c in psi.axes[vid]) == r.type_J
         for J in gc.cliques(g):           # the residues through 1
             assert len(psi.axes[bd.residue(g, (), J).id]) == len(J)

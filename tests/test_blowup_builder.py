@@ -3,6 +3,7 @@ pins of its JSON over a grid of defining graphs, Davis radii and fiber
 windows, and the hand-written assembly and fiber-functor checks it replaced,
 kept as oracles."""
 
+import dataclasses
 import functools
 import hashlib
 
@@ -16,6 +17,7 @@ from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
+from .strategies import defining_graphs
 from .test_ball_builders import FIXTURES
 
 DATA = {
@@ -114,11 +116,32 @@ def test_blowup_y_pins(pinned):
 
 # -- the hand-written assembly and fiber-functor checks, kept as oracles ----
 
+def morphism(psi, child, parent, point):
+    """Image of a child-fiber point in the parent fiber, or None if an
+    inserted constant escapes the window: `FiberFunctor.plans` one point at
+    a time."""
+    cons = psi.inserted[child, parent]
+    caxes = psi.axes[child]
+    out = []
+    for cid in psi.axes[parent]:
+        val = cons[cid] if cid in cons else point[caxes.index(cid)]
+        if abs(val) > psi.data.window:
+            return None
+        out.append(val)
+    return tuple(out)
+
+
+def image_set(psi, child, parent):
+    return {q for p in psi.fiber_points(child)
+            if (q := morphism(psi, child, parent, p)) is not None}
+
+
 def blowup_oracle(psi):
     """Y from explicit loops: vertical edges and lattice squares inside each
     fiber, horizontal edges and mixed squares over each Davis edge, and the
     squares over each Davis square."""
     davis = psi.davis
+    window = psi.data.window
     y_id = bu.y_id
     verts = [y_id(vid, p) for vid in davis.ball.vertex_ids
              for p in psi.fiber_points(vid)]
@@ -129,12 +152,12 @@ def blowup_oracle(psi):
         dirs = davis.residue_of[vid].type_J
         for p in psi.fiber_points(vid):
             for i in range(len(axes)):
-                if p[i] + 1 > psi.window:
+                if p[i] + 1 > window:
                     continue
                 p2 = p[:i] + (p[i] + 1,) + p[i + 1:]
                 edges.append((y_id(vid, p), y_id(vid, p2), f"v:{dirs[i]}"))
                 for j in range(i + 1, len(axes)):
-                    if p[j] + 1 > psi.window:
+                    if p[j] + 1 > window:
                         continue
                     p3 = p2[:j] + (p2[j] + 1,) + p2[j + 1:]
                     p4 = p[:j] + (p[j] + 1,) + p[j + 1:]
@@ -148,45 +171,47 @@ def blowup_oracle(psi):
             set(davis.residue_of[child].type_J)
         lab = f"h:{next(iter(dropped))}"
         for p in psi.fiber_points(child):
-            q = psi.morphism(child, parent, p)
+            q = morphism(psi, child, parent, p)
             if q is None:
                 continue
             edges.append((y_id(child, p), y_id(parent, q), lab))
             for i in range(len(psi.axes[child])):
-                if p[i] + 1 > psi.window:
+                if p[i] + 1 > window:
                     continue
                 p2 = p[:i] + (p[i] + 1,) + p[i + 1:]
-                q2 = psi.morphism(child, parent, p2)
+                q2 = morphism(psi, child, parent, p2)
                 if q2 is not None:
                     squares.append((y_id(child, p), y_id(child, p2),
                                     y_id(parent, q2), y_id(parent, q)))
     for s in davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=davis.rank_of.get)
         for p in psi.fiber_points(bottom):
-            q1 = psi.morphism(bottom, m1, p)
-            q2 = psi.morphism(bottom, m2, p)
-            qt = psi.morphism(m1, top, q1) if q1 is not None else None
+            q1 = morphism(psi, bottom, m1, p)
+            q2 = morphism(psi, bottom, m2, p)
+            qt = morphism(psi, m1, top, q1) if q1 is not None else None
             if q1 is not None and q2 is not None and qt is not None:
                 squares.append((y_id(bottom, p), y_id(m1, q1),
                                 y_id(top, qt), y_id(m2, q2)))
     depth = {}
     for vid in davis.ball.vertex_ids:
         for p in psi.fiber_points(vid):
-            fiber_depth = min((psi.window - abs(x) for x in p),
+            fiber_depth = min((window - abs(x) for x in p),
                               default=cc.BIG_DEPTH)
             depth[y_id(vid, p)] = min(davis.ball.depth[vid], fiber_depth)
     return cc.CubeComplexBall.make(verts, edges, squares, depth)
+
+
+def composite(psi, bottom, mid, top, p):
+    q = morphism(psi, bottom, mid, p)
+    return morphism(psi, mid, top, q) if q is not None else None
 
 
 def check_functor_laws_oracle(psi):
     for s in psi.davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
         for p in psi.fiber_points(bottom):
-            via1 = psi.morphism(bottom, m1, p)
-            via1 = psi.morphism(m1, top, via1) if via1 is not None else None
-            via2 = psi.morphism(bottom, m2, p)
-            via2 = psi.morphism(m2, top, via2) if via2 is not None else None
-            if via1 != via2:
+            if composite(psi, bottom, m1, top, p) != \
+                    composite(psi, bottom, m2, top, p):
                 raise AssertionError(
                     f"functor composition differs on square {s} at {p}")
 
@@ -195,14 +220,27 @@ def check_one_determined_oracle(psi):
     """Im(Psi(sigma)->Psi(top)) equals the intersection of the edge images."""
     for s in psi.davis.ball.squares:
         bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
+        through = {composite(psi, bottom, m1, top, p)
+                   for p in psi.fiber_points(bottom)} - {None}
+        if through != image_set(psi, m1, top) & image_set(psi, m2, top):
+            raise AssertionError(f"not 1-determined on square {s}")
+
+
+def check_squares_oracle(psi):
+    """The two checks above merged into one pass, point by point: the
+    reference that `blowup._check_squares` must match, message for
+    message."""
+    for s in psi.davis.ball.squares:
+        bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
         through = set()
         for p in psi.fiber_points(bottom):
-            q = psi.morphism(bottom, m1, p)
-            q = psi.morphism(m1, top, q) if q is not None else None
-            if q is not None:
-                through.add(q)
-        inter = psi.image_set(m1, top) & psi.image_set(m2, top)
-        if through != inter:
+            via1 = composite(psi, bottom, m1, top, p)
+            if via1 != composite(psi, bottom, m2, top, p):
+                raise AssertionError(
+                    f"functor composition differs on square {s} at {p}")
+            if via1 is not None:
+                through.add(via1)
+        if through != image_set(psi, m1, top) & image_set(psi, m2, top):
             raise AssertionError(f"not 1-determined on square {s}")
 
 
@@ -224,19 +262,30 @@ def small_davis(name, radius):
 
 
 def raises_assertion(check, psi):
+    return failure(check, psi) is not None
+
+
+def failure(check, psi):
+    """The message of the AssertionError that `check(psi)` raises, or None."""
     try:
         check(psi)
-    except AssertionError:
-        return True
-    return False
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def with_constants(psi, changes):
+    """The functor with the constant on each Davis edge of `changes`
+    replaced, built through the constructor."""
+    inserted = {e: {c: changes[e] for c in cons} if e in changes else cons
+                for e, cons in psi.inserted.items()}
+    return bu.FiberFunctor(psi.davis, psi.data, psi.axes, inserted)
 
 
 def set_square_constants(psi, square, x, y):
     """Insert x and y on the two Davis edges out of the square's bottom."""
     bottom, m1, m2, _ = sorted(square, key=psi.davis.rank_of.get)
-    for mid, val in ((m1, x), (m2, y)):
-        (cid,) = psi.inserted[bottom, mid]
-        psi.inserted[bottom, mid][cid] = val
+    return with_constants(psi, {(bottom, m1): x, (bottom, m2): y})
 
 
 @settings(max_examples=80, deadline=None)
@@ -250,12 +299,61 @@ def test_merged_check_matches_old_pair(name, radius, window, data):
     # a functor built from data passes; break it on one Davis square
     if data.draw(st.booleans()):
         square = data.draw(st.sampled_from(davis.ball.squares))
-        set_square_constants(psi, square, data.draw(values), data.draw(values))
+        psi = set_square_constants(psi, square, data.draw(values),
+                                   data.draw(values))
     old = raises_assertion(check_functor_laws_oracle, psi) or \
         raises_assertion(check_one_determined_oracle, psi)
     assert raises_assertion(bu._check_squares, psi) == old
     if not old:
         assert_same_complex(bu.blowup_complex(psi).Y, blowup_oracle(psi))
+
+
+@functools.lru_cache(maxsize=None)
+def drawn_davis(g, radius):
+    return bd.davis_ball(g, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(defining_graphs(max_vertices=4), st.integers(1, 2), st.integers(0, 2),
+       st.data())
+def test_check_squares_matches_per_point_check(g, radius, window, data):
+    # graphs with a triangle have Davis squares whose bottom has rank >= 1
+    davis = drawn_davis(g, radius)
+    values = st.integers(-window - 1, window + 1)
+    psi = bu.build_fiber_functor(bu.data_from_function(
+        g, davis, window, lambda pc, n: data.draw(values)), davis)
+    # redraw constants on some edges of one Davis square
+    if davis.ball.squares:
+        bottom, m1, m2, top = sorted(data.draw(st.sampled_from(
+            davis.ball.squares)), key=davis.rank_of.get)
+        edges = data.draw(st.sets(st.sampled_from(
+            [(bottom, m1), (bottom, m2), (m1, top), (m2, top)])))
+        psi = with_constants(psi, {e: data.draw(values) for e in edges})
+    want = failure(check_squares_oracle, psi)
+    assert failure(bu._check_squares, psi) == want
+    if want is None:
+        assert_same_complex(bu.blowup_complex(psi).Y, blowup_oracle(psi))
+
+
+def test_check_squares_reads_no_fiber_point(monkeypatch):
+    # the check reads constants only, so a window of 10**9 costs nothing
+    davis = small_davis("pentagon", 2)
+    psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2),
+                                 davis)
+    huge = bu.FiberFunctor(davis, dataclasses.replace(psi.data, window=10**9),
+                           psi.axes, psi.inserted)
+
+    def no_points(self, vid):
+        raise AssertionError("a fiber point was read")
+
+    monkeypatch.setattr(bu.FiberFunctor, "fiber_points", no_points)
+    bu._check_squares(huge)
+    square = davis.ball.squares[0]
+    broken = set_square_constants(huge, square, 0, 1)
+    bottom = sorted(square, key=davis.rank_of.get)[0]
+    p = (-10**9,) * len(psi.axes[bottom])
+    assert failure(bu._check_squares, broken) == \
+        f"functor composition differs on square {square} at {p}"
 
 
 def test_merged_check_catches_one_determinacy_alone():
@@ -264,11 +362,12 @@ def test_merged_check_catches_one_determinacy_alone():
     davis = small_davis("k2", 1)
     psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 1),
                                  davis)
-    set_square_constants(psi, davis.ball.squares[0], 2, 2)
+    psi = set_square_constants(psi, davis.ball.squares[0], 2, 2)
     check_functor_laws_oracle(psi)
     assert raises_assertion(check_one_determined_oracle, psi)
-    with pytest.raises(AssertionError, match="not 1-determined"):
-        bu._check_squares(psi)
+    got = failure(bu._check_squares, psi)
+    assert got.startswith("not 1-determined")
+    assert got == failure(check_squares_oracle, psi)
 
 
 def test_fiber_functor_computes_no_orthogonal_complement(monkeypatch):
@@ -302,23 +401,6 @@ def test_fiber_functor_computes_one_class_per_rank1_residue(monkeypatch):
     bu.build_fiber_functor(data, davis)
     rank1 = [r for r in davis.residue_of.values() if r.rank == 1]
     assert len(classes) == len(gates) == len(rank1) == 305
-
-
-def test_check_squares_builds_each_edge_image_once(monkeypatch):
-    davis = small_davis("square4", 2)
-    psi = bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2),
-                                 davis)
-    calls = []
-    real = bu.FiberFunctor.image_set
-    monkeypatch.setattr(bu.FiberFunctor, "image_set",
-                        lambda self, c, p: calls.append((c, p)) or
-                        real(self, c, p))
-    bu._check_squares(psi)
-    wanted = set()
-    for s in davis.ball.squares:
-        _, m1, m2, top = sorted(s, key=davis.rank_of.get)
-        wanted |= {(m1, top), (m2, top)}
-    assert sorted(calls) == sorted(wanted)
 
 
 def inserted_oracle(davis, data):

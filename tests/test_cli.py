@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubikit
 from cubikit import cli
@@ -348,6 +352,52 @@ def test_semiconj_constants_past_float_range_exit_3(tmp_path, capsys,
     assert cli.main(["semiconj", "--action", path]) == 3
     err = capsys.readouterr().err
     assert "bad action: L=" in err and "need 1 <= L, 0 <= A" in err
+
+
+def test_semiconj_without_generators_exits_3(tmp_path, capsys):
+    # the collapse interior is empty, and no generator names the shortfall
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"window": 5, "L": 1, "A": 0,
+                                "generators": {}}))
+    assert cli.main(["semiconj", "--action", str(path)]) == 3
+    assert "window too small for the collapse interior" in \
+        capsys.readouterr().err
+
+
+@st.composite
+def action_specs(draw):
+    """An action file's contents: a window of 0-8 and up to two generators,
+    each a shift, swap, identity, reflection or random table.  Windows stay
+    small; larger ones can reach a runaway orbit closure."""
+    w = draw(st.integers(0, 8))
+    points = range(-w, w + 1)
+    tables = {
+        "shift": lambda k: {n: n + k for n in points},
+        "swap": lambda k: {n: n + 1 if n % 2 == 0 else n - 1 for n in points},
+        "identity": lambda k: {n: n for n in points},
+        "reflection": lambda k: {n: -n for n in points},
+        "random": lambda k: {n: draw(st.integers(-w, w)) for n in points},
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(tables)), max_size=2))
+    generators = {f"g{i}": {str(n): m for n, m in
+                            tables[kind](draw(st.integers(-3, 3))).items()}
+                  for i, kind in enumerate(kinds)}
+    return {"window": w, "L": draw(st.integers(1, 3)),
+            "A": draw(st.integers(0, 2)), "generators": generators}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=action_specs(), depth=st.integers(1, 4),
+       radius=st.none() | st.floats(0.5, 8))
+def test_semiconj_returns_ok_or_exit_3(tmp_path_factory, spec, depth, radius):
+    path = tmp_path_factory.mktemp("action") / "action.json"
+    path.write_text(json.dumps(spec))
+    args = ["semiconj", "--action", str(path), "--depth", str(depth)]
+    if radius is not None:
+        args += ["--rips-radius", repr(radius)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(args) in (0, 3)
 
 
 def test_dual_without_input_exits_3(capsys):

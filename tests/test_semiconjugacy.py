@@ -553,6 +553,24 @@ def test_min_track_is_leftmost_min_cut(make, window, B, radius):
     assert all(left_mask & m == left_mask for m in minima)
 
 
+@pytest.mark.parametrize("make, window, radius, message", [
+    (sc.identity_spec, 3, 3,
+     "window -3..3 cannot hold two disjoint rim tails of width 3"),
+    (sc.identity_spec, 0, None,
+     "window 0..0 cannot hold two disjoint rim tails of width 1"),
+    (sc.reflection_spec, 0, 1,
+     "window 0..0 cannot hold two disjoint rim tails of width 1"),
+])
+def test_min_track_short_window_raises_truncation(make, window, radius,
+                                                  message):
+    # the rim tails overlap, so no cut separates them: the window is at
+    # fault, not the action
+    K = sc.rips2(make(window), B=8, radius=radius)
+    with pytest.raises(TruncationError) as info:
+        sc.min_essential_track(K)
+    assert str(info.value) == message
+
+
 # -- the generator recurrence and the incidence table against the oracles ---
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Every defining graph on 1 to 5 vertices, up to isomorphism, as a case of
-the Sageev round trip and of the dual dimension."""
+the Sageev round trip, of the dual dimension and of `hyperplanes` against
+its oracle."""
 
 import functools
 import itertools
@@ -11,6 +12,7 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 from cubikit import wallspace_dual as wd
 
+from .test_hyperplanes import assert_matches_oracle
 from .test_wallspace_dual import max_cube_dimension_oracle
 
 
@@ -89,3 +91,14 @@ def test_dual_dimension_is_the_largest_maximal_cube(index, radius):
     assert wd.dual_dimension(ws) == \
         max(len(fam) for fam, _ in wd.maximal_cubes(ws)) == \
         max_cube_dimension_oracle(ws)
+
+
+# every graph at radius 2, and at radius 3 the 18 graphs on at most 4
+# vertices: radius 3 on all 52 graphs costs about 19 s
+@pytest.mark.parametrize("index, radius", [
+    pytest.param(i, radius, id=f"{graph_id(g)}-r{radius}")
+    for radius in (2, 3) for i, g in enumerate(GRAPHS)
+    if radius == 2 or len(g.vertices) <= 4])
+def test_hyperplanes_match_oracle(index, radius):
+    ball, _ = hyperplane_case(index, radius)
+    assert_matches_oracle(ball)

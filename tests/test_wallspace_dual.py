@@ -460,6 +460,16 @@ def test_sageev_roundtrip_ball_c5():
     assert iso is not None
 
 
+def test_sageev_roundtrip_past_the_recursion_limit():
+    # a search that recursed once per vertex raised RecursionError from
+    # about 1,000 vertices
+    ball = rg.ball_X(gc.k2(), 24)
+    dual = wd.dual_cube_complex(wd.hyperplane_wallspace(ball, margin=1))
+    span = ball.span([v for v in ball.vertex_ids if ball.depth[v] >= 1])
+    assert len(dual.vertex_ids) == 1105
+    assert cc.labeled_isomorphism(dual, span) is not None
+
+
 def test_branched_line():
     bl = wd.BranchedLine((-2, 2), {0: ("p", "q"), 1: ("r",)})
     assert bl.branching_number() == 4
