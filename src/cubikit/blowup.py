@@ -8,12 +8,15 @@ pass over the Davis squares checks its functor laws and 1-determinacy.
 Gluing cube-by-cube produces the restriction quotient q: Y -> |B| together
 with labels, ranks and the vertical/horizontal edge split.
 
-Y is grown by `cube_complex.grown_ball`, fiber by fiber in Davis order
-(rank, id), each fiber in lattice order.  Every edge goes up, by a vertical
-+1 or by the plan into a parent fiber, so the squares of Y rise from
-their least corner: lattice squares, squares over a Davis edge and squares
-over a Davis square.  A point has one up-step per axis and one per parent
-fiber, so no other 4-cycle rises.
+Y is built by `cube_complex.rising_ball`, fiber by fiber in Davis order
+(rank, id), each fiber in lattice order, with no table of ids: the point p
+of the rank-k fiber over a Davis vertex has index offset + sum((p[i] + w) *
+(2w+1)^(k-1-i)), for window w, so a vertical +1 on axis i adds
+(2w+1)^(k-1-i).  Every step rises, by a vertical +1 or by the plan into a
+parent fiber, so the squares of Y rise from their least corner: lattice
+squares, squares over a Davis edge and squares over a Davis square.  A
+point has one up-step per axis and one per parent fiber, so no other
+4-cycle rises.
 
 A generator moves Y by one cell map per Davis vertex (the image residue,
 each factor's class moved by its `building.class_isometry`), which
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from .cube_complex import (
     CubeComplexBall,
     CubicalMap,
     TruncationError,
-    grown_ball,
+    rising_ball,
 )
 from .graph_core import DefiningGraph
 from .raag_geometry import (
@@ -93,17 +97,26 @@ class BlowUpData:
     @staticmethod
     def from_json(g: DefiningGraph, text: str, window: int) -> "BlowUpData":
         """Read `to_json` output back; malformed text raises ValueError,
-        KeyError, TypeError or AttributeError."""
+        KeyError, TypeError or AttributeError.  So does a table that is
+        empty, has a word off its class, or two words at one height."""
         tables = {}
         classes = {}
         for entry in json.loads(text)["classes"]:
             cid = entry["id"]
+            if not entry["table"]:
+                raise ValueError(f"class {cid}: empty table")
             tables[cid] = {}
             for word, val in entry["table"].items():
                 chamber = parse_word(word)
                 pc = class_of_geodesic(g, chamber, cid.split("@")[0])
+                if pc.id != cid:
+                    raise ValueError(
+                        f"class {cid}: word {word!r} lies on class {pc.id}")
+                n = height_of(g, pc, chamber)
+                if n in tables[cid]:
+                    raise ValueError(f"class {cid}: two words at height {n}")
                 classes[cid] = pc
-                tables[cid][height_of(g, pc, chamber)] = int(val)
+                tables[cid][n] = int(val)
         return BlowUpData(g, tables, classes, window)
 
 
@@ -253,33 +266,69 @@ class BlowUpComplex:
 
 def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
     """Glue sigma x Psi(sigma) over the faces of the Davis ball: one
-    `grown_ball` whose steps are the vertical +1 inside the window and the
-    plan of each Davis edge into a parent fiber, labelled as its edge.  An
-    edge without a plan lifts to no edge: with the window below the Davis
-    radius, this is where Y loses the edges that connect it."""
+    `rising_ball` whose up-steps are the vertical +1 inside the window and
+    the plan of each Davis edge into a parent fiber, labelled as its edge.
+    An edge without a plan lifts to no edge: with the window below the Davis
+    radius, this is where Y loses the edges that connect it.
+
+    Indices are mixed-radix codes (module docstring), so a plan sends the
+    point with digits d to base + sum(d[c] * stride[c]), with one stride per
+    copied axis, and ids, depths and steps are computed once per rank."""
     davis, window, plans = psi.davis, psi.data.window, psi.plans
-    rank = davis.rank_of
-    ids = {(vid, p): y_id(vid, p)
-           for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
-    info = {yv: key for key, yv in ids.items()}
-    parents = {vid: [(lab, w, plans[vid, w])
-                     for w, lab in davis.ball.neighbors(vid).items()
-                     if rank[w] > rank[vid] and (vid, w) in plans]
-               for vid in davis.ball.vertex_ids}
+    ball, rank, radix = davis.ball, davis.rank_of, 2 * window + 1
+    fibers = {}          # rank -> points, id suffixes, depths, vertical shifts
+    for k in {len(axes) for axes in psi.axes.values()}:
+        pts = list(itertools.product(range(-window, window + 1), repeat=k))
+        fibers[k] = (pts, [",".join(map(str, p)) for p in pts],
+                     [min((window - abs(x) for x in p), default=BIG_DEPTH)
+                      for p in pts],
+                     [[t + radix ** (k - 1 - i) if p[i] < window else None
+                       for t, p in enumerate(pts)] for i in range(k)])
+    order, info, depth, offset = [], {}, {}, {}
+    for vid in ball.vertex_ids:
+        pts, suffixes, fiber_depth, _ = fibers[len(psi.axes[vid])]
+        offset[vid] = len(order)
+        ids = [f"{vid}#{s}" for s in suffixes]
+        order += ids
+        info.update(zip(ids, [(vid, p) for p in pts]))
+        d = ball.depth[vid]
+        depth.update(zip(ids, [min(d, f) for f in fiber_depth]))
+    shifts = {}          # strides of the copied axes -> shift per point
 
-    def step(yv):
-        vid, p = info[yv]
-        for i, v in enumerate(davis.residue_of[vid].type_J):
-            if p[i] < window:
-                yield f"v:{v}", ids[vid, p[:i] + (p[i] + 1,) + p[i + 1:]]
-        for lab, w, plan in parents[vid]:
-            yield lab, ids[w, tuple(p[i] if c is None else c for i, c in plan)]
+    def lifts(vid):
+        """(label, base, index shift per point or None) per up-step of the
+        fiber: the vertical +1 on each axis, then each planned Davis edge."""
+        k = len(psi.axes[vid])
+        for v, shift in zip(davis.residue_of[vid].type_J, fibers[k][3]):
+            yield f"v:{v}", offset[vid], shift
+        for w, lab in ball.neighbors(vid).items():
+            plan = plans.get((vid, w)) if rank[w] > rank[vid] else None
+            if plan is None:
+                continue
+            place = [radix ** i for i in reversed(range(len(plan)))]
+            base = offset[w] + sum((x + window) * s for (c, x), s in
+                                   zip(plan, place) if c is None)
+            key = tuple(sum(s for (c, _), s in zip(plan, place) if c == a)
+                        for a in range(k))
+            if key not in shifts:
+                shifts[key] = [sum(map(operator.mul, digits, key))
+                               for digits in itertools.product(range(radix),
+                                                               repeat=k)]
+            yield lab, base, shifts[key]
 
-    depth = {}
-    for yv, (vid, p) in info.items():
-        fiber_depth = min((window - abs(x) for x in p), default=BIG_DEPTH)
-        depth[yv] = min(davis.ball.depth[vid], fiber_depth)
-    return BlowUpComplex(grown_ball(list(info), step, depth), psi, info)
+    up = [[] for _ in order]
+
+    def edges():
+        for vid in ball.vertex_ids:
+            start, steps = offset[vid], list(lifts(vid))
+            for t in range(len(fibers[len(psi.axes[vid])][0])):
+                x, ups = order[start + t], up[start + t]
+                for lab, base, shift in steps:
+                    if shift[t] is not None:
+                        ups.append(base + shift[t])
+                        yield x, order[base + shift[t]], lab
+
+    return BlowUpComplex(rising_ball(order, up, edges(), depth), psi, info)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 `interior(margin)` for margin >= 1, link checks on margin >= 2.
 
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
-grown by one builder, `grown_ball`, from a step function; its squares are
-the 4-cycles.  Squares are canonical at birth: each has four distinct
-corners and is its own `_canonical_square`, and `squares` strictly
-increases by index tuple.  `make` normalises raw squares to this; only
-`grown_ball`, `span`, `relabel_edges`, `restriction_quotient` (through
-`make`'s normaliser) and the Sageev dual build a ball directly.
+built by one builder, `rising_ball`, from index up-lists and edge triples;
+its squares are the 4-cycles that rise along the vertex order.  It has two
+front ends: `grown_ball` maps the ids of a step function to indices (the
+balls of X, X_e and the Davis realization), and `blowup.blowup_complex`
+computes indices from product coordinates.  Squares are canonical at
+birth: each has four distinct corners and is its own `_canonical_square`,
+and `squares` strictly increases by index tuple.  `make` normalises raw
+squares to this; only `rising_ball`, `span`, `relabel_edges`,
+`restriction_quotient` (through `make`'s normaliser) and the Sageev dual
+build a ball directly.
 
 `_hyperplanes` labels every vertex in one BFS with the set of classes its
 tree path crosses, and takes each class's far side from the labels when a
@@ -353,10 +357,9 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
     would put three common neighbours on those two, a K_{2,3}, which no
     median graph contains.  A Davis ball listed by rank also qualifies: two
     residues of one rank contain at most one common residue of the rank
-    below.  Each square comes out once, as the index tuple (a, b, c, d)
-    with a lowest and b < d, from the rising two-paths a-b-c and a-d-c;
-    sorted, these are the canonical `squares`.  `step(x)` must list each
-    edge of x to a later vertex once; it may list those to earlier ones.
+    below.  `step(x)` must list each edge of x to a later vertex once; it
+    may list those to earlier ones.  This is the id-step front end of
+    `rising_ball`: it maps each stepped-to id to its index.
     """
     index = {x: i for i, x in enumerate(order)}
     up = [[] for _ in order]             # later neighbours, by index
@@ -370,7 +373,19 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
                         up[i].append(j)
                     yield x, y, lab
 
-    edges = _edge_map(pairs())
+    return rising_ball(order, up, pairs(), depth)
+
+
+def rising_ball(order, up, edges, depth) -> CubeComplexBall:
+    """The ball on the vertex ids `order` whose edges are the triples
+    (u, v, label) of `edges`, kept in their order by `_edge_map`, and whose
+    squares are the 4-cycles a-b-c-d with b and d in `up[a]` and c in both
+    `up[b]` and `up[d]`.  `up[i]` lists the indices after i joined to it,
+    each once; `edges` may fill it while `_edge_map` consumes them, as
+    `grown_ball` does, and is read only after.  Each square comes out once,
+    as the index tuple (a, b, c, d) with a lowest and b < d; sorted, these
+    are the canonical `squares`."""
+    edges = _edge_map(edges)
     squares = []
     for a, ups in enumerate(up):
         mids = {}                        # top corner c -> middles so far

@@ -38,6 +38,32 @@ def test_blowup_data_json_roundtrip():
     assert back.to_json() == data.to_json()
 
 
+def test_blowup_data_json_rejects_a_word_off_its_class():
+    # on C5 the c-chamber lies on the a-class through c, not through 1
+    text = json.dumps({"classes": [{"id": "a@1",
+                                    "table": {"1": 1, "c": 0}}]})
+    with pytest.raises(ValueError, match="word 'c' lies on class a@c"):
+        bu.BlowUpData.from_json(gc.pentagon(), text, 2)
+
+
+def test_blowup_data_json_rejects_two_words_at_one_height():
+    # on K2 every v^k lies on the u-class through 1, at height 0
+    g = gc.k2()
+    data = bu.bijective_data(g, bd.davis_ball(g, 1), 1)
+    v_table = json.loads(data.to_json())["classes"][1]
+    assert v_table["id"] == "v@1"
+    text = json.dumps({"classes": [{"id": "u@1",
+                                    "table": v_table["table"]}]})
+    with pytest.raises(ValueError, match="two words at height 0"):
+        bu.BlowUpData.from_json(g, text, 1)
+
+
+def test_blowup_data_json_rejects_an_empty_table():
+    text = json.dumps({"classes": [{"id": "u@1", "table": {}}]})
+    with pytest.raises(ValueError, match="class u@1: empty table"):
+        bu.BlowUpData.from_json(gc.k2(), text, 1)
+
+
 def test_blowup_data_value_raises_off_its_tables():
     g = gc.k2()
     pc = rg.class_of_geodesic(g, (), "u")

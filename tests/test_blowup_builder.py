@@ -1,7 +1,9 @@
-"""The blow-up Y of `blowup.blowup_complex`, grown by `grown_ball`: SHA-256
-pins of its JSON over a grid of defining graphs, Davis radii and fiber
-windows, and the hand-written assembly and fiber-functor checks it replaced,
-kept as oracles."""
+"""The blow-up Y of `blowup.blowup_complex`, indexed by product coordinates
+and built by `cube_complex.rising_ball`: SHA-256 pins of its JSON over a
+grid of defining graphs, Davis radii and fiber windows; the `grown_ball`
+build it replaced, an oracle for every order (vertices, edges, squares,
+depths, `vertex_info`); and the hand-written assembly and fiber-functor
+checks before that, kept as oracles."""
 
 import dataclasses
 import functools
@@ -201,6 +203,47 @@ def blowup_oracle(psi):
     return cc.CubeComplexBall.make(verts, edges, squares, depth)
 
 
+def blowup_grown_oracle(psi):
+    """Y from a `(Davis vertex, point) -> id` table and one `grown_ball`
+    whose steps map ids back to points: the vertical +1 inside the window
+    and the plan of each Davis edge into a parent fiber.  The reference
+    for `blowup.blowup_complex`'s index arithmetic, down to the order of
+    vertices, edges, depths and `vertex_info`."""
+    davis, window, plans = psi.davis, psi.data.window, psi.plans
+    rank = davis.rank_of
+    ids = {(vid, p): bu.y_id(vid, p)
+           for vid in davis.ball.vertex_ids for p in psi.fiber_points(vid)}
+    info = {yv: key for key, yv in ids.items()}
+    parents = {vid: [(lab, w, plans[vid, w])
+                     for w, lab in davis.ball.neighbors(vid).items()
+                     if rank[w] > rank[vid] and (vid, w) in plans]
+               for vid in davis.ball.vertex_ids}
+
+    def step(yv):
+        vid, p = info[yv]
+        for i, v in enumerate(davis.residue_of[vid].type_J):
+            if p[i] < window:
+                yield f"v:{v}", ids[vid, p[:i] + (p[i] + 1,) + p[i + 1:]]
+        for lab, w, plan in parents[vid]:
+            yield lab, ids[w, tuple(p[i] if c is None else c for i, c in plan)]
+
+    depth = {}
+    for yv, (vid, p) in info.items():
+        fiber_depth = min((window - abs(x) for x in p), default=cc.BIG_DEPTH)
+        depth[yv] = min(davis.ball.depth[vid], fiber_depth)
+    return bu.BlowUpComplex(cc.grown_ball(list(info), step, depth), psi, info)
+
+
+def assert_same_order(got, want):
+    """Equal blow-ups down to every order: edge insertion order fixes each
+    adjacency order, and so every walk over Y."""
+    assert got.Y.vertex_ids == want.Y.vertex_ids
+    assert list(got.Y.edges.items()) == list(want.Y.edges.items())
+    assert got.Y.squares == want.Y.squares
+    assert list(got.Y.depth.items()) == list(want.Y.depth.items())
+    assert list(got.vertex_info.items()) == list(want.vertex_info.items())
+
+
 def composite(psi, bottom, mid, top, p):
     q = morphism(psi, bottom, mid, p)
     return morphism(psi, mid, top, q) if q is not None else None
@@ -254,6 +297,11 @@ def assert_same_complex(got, want):
 def test_blowup_matches_oracle(pinned):
     _, bc = pinned
     assert_same_complex(bc.Y, blowup_oracle(bc.psi))
+
+
+def test_blowup_matches_grown_oracle_in_order(pinned):
+    _, bc = pinned
+    assert_same_order(bc, blowup_grown_oracle(bc.psi))
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,6 +381,19 @@ def test_check_squares_matches_per_point_check(g, radius, window, data):
     assert failure(bu._check_squares, psi) == want
     if want is None:
         assert_same_complex(bu.blowup_complex(psi).Y, blowup_oracle(psi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(defining_graphs(max_vertices=4), st.integers(1, 2), st.integers(0, 2),
+       st.data())
+def test_blowup_matches_grown_oracle_on_drawn_data(g, radius, window, data):
+    # values one past the window leave some Davis edges without a plan;
+    # graphs with a triangle give Davis squares with a rank-1 bottom
+    davis = drawn_davis(g, radius)
+    values = st.integers(-window - 1, window + 1)
+    psi = bu.build_fiber_functor(bu.data_from_function(
+        g, davis, window, lambda pc, n: data.draw(values)), davis)
+    assert_same_order(bu.blowup_complex(psi), blowup_grown_oracle(psi))
 
 
 def test_check_squares_reads_no_fiber_point(monkeypatch):

@@ -470,6 +470,16 @@ def test_blowup_data_without_classes_exits_3(graphs, capsys):
     assert "bad blow-up data" in capsys.readouterr().err
 
 
+def test_blowup_data_off_its_class_exits_3(graphs, capsys):
+    path = graphs["dir"] / "data.json"
+    path.write_text(json.dumps({"classes": [{"id": "a@1",
+                                             "table": {"1": 1, "c": 0}}]}))
+    assert cli.main(["blowup", "--graph", graphs["pentagon"], "--radius", "2",
+                     "--window", "2", "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "bad blow-up data" in err and "lies on class" in err
+
+
 def test_blowup_data_unknown_generator_exits_3(graphs, capsys):
     path = graphs["dir"] / "data.json"
     path.write_text(json.dumps(

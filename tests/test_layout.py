@@ -93,7 +93,7 @@ def test_no_module_level_caches():
 # canonical, sorted form (see `CubeComplexBall`); any other caller with raw
 # squares goes through `make`, which normalises and checks them.
 DIRECT_BUILDERS = {
-    ("cube_complex", "grown_ball"), ("cube_complex", "span"),
+    ("cube_complex", "rising_ball"), ("cube_complex", "span"),
     ("cube_complex", "relabel_edges"), ("cube_complex", "restriction_quotient"),
     ("wallspace_dual", "dual_cube_complex"),
 }
