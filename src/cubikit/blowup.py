@@ -16,7 +16,9 @@ of the rank-k fiber over a Davis vertex has index offset + sum((p[i] + w) *
 parent fiber, so the squares of Y rise from their least corner: lattice
 squares, squares over a Davis edge and squares over a Davis square.  A
 point has one up-step per axis and one per parent fiber, so no other
-4-cycle rises.
+4-cycle rises.  The steps go to `rising_ball` as index triples, and the
+readers of Y here (`one_data`) and of the Davis ball (the fiber functor,
+the lifts of its edges) walk index adjacency: no id is looked up.
 
 A generator moves Y by one cell map per Davis vertex (the image residue,
 each factor's class moved by its `building.class_isometry`), which
@@ -98,11 +100,14 @@ class BlowUpData:
     def from_json(g: DefiningGraph, text: str, window: int) -> "BlowUpData":
         """Read `to_json` output back; malformed text raises ValueError,
         KeyError, TypeError or AttributeError.  So does a table that is
-        empty, has a word off its class, or two words at one height."""
+        empty, has a word off its class, or two words at one height, and a
+        class id listed twice."""
         tables = {}
         classes = {}
         for entry in json.loads(text)["classes"]:
             cid = entry["id"]
+            if cid in tables:
+                raise ValueError(f"class {cid}: listed twice")
             if not entry["table"]:
                 raise ValueError(f"class {cid}: empty table")
             tables[cid] = {}
@@ -183,7 +188,9 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     ball too, and every vertex takes its axes from that table.
 
     Along an edge child < parent, the constant inserted for a direction v of
-    the parent that the child lacks is the data value at the child's base.
+    the parent that the child lacks is the data value at the child's base;
+    the Davis order lists residues by rank, so the parent is the edge's
+    later end.
     The height of the base on v's class equals that of its projection onto
     the parent's v-factor: the factor is parallel to the class line, so the
     same hyperplanes cross both, and projecting onto the factor crosses none
@@ -192,15 +199,16 @@ def build_fiber_functor(data: BlowUpData, davis: DavisBall) -> FiberFunctor:
     line = davis.line_classes
     axes = {vid: tuple(line[r.base, v].id for v in r.type_J)
             for vid, r in davis.residue_of.items()}
-    inserted = {}
-    for e in davis.ball.edges:
-        u, v = tuple(e)
-        child, parent = (u, v) if davis.rank_of[u] < davis.rank_of[v] else (v, u)
-        base, rp = davis.residue_of[child].base, davis.residue_of[parent]
-        inserted[child, parent] = {
-            pc.id: data.value(pc, base)
-            for pc in (line[rp.base, w] for w in rp.type_J)
-            if pc.id not in axes[child]}
+    ids, inserted = davis.ball.vertex_ids, {}
+    for i, nbrs in enumerate(davis.ball.adjacency):
+        child = ids[i]
+        base = davis.residue_of[child].base
+        for parent in (ids[j] for j in nbrs if j > i):
+            rp = davis.residue_of[parent]
+            inserted[child, parent] = {
+                pc.id: data.value(pc, base)
+                for pc in (line[rp.base, w] for w in rp.type_J)
+                if pc.id not in axes[child]}
     psi = FiberFunctor(davis, data, axes, inserted)
     _check_squares(psi)
     return psi
@@ -275,10 +283,13 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
     point with digits d to base + sum(d[c] * stride[c]), with one stride per
     copied axis, and ids, depths and steps are computed once per rank."""
     davis, window, plans = psi.davis, psi.data.window, psi.plans
-    ball, rank, radix = davis.ball, davis.rank_of, 2 * window + 1
+    ball, radix = davis.ball, 2 * window + 1
     fibers = {}          # rank -> points, id suffixes, depths, vertical shifts
-    for k in {len(axes) for axes in psi.axes.values()}:
-        pts = list(itertools.product(range(-window, window + 1), repeat=k))
+    for vid, axes in psi.axes.items():
+        k = len(axes)
+        if k in fibers:
+            continue
+        pts = list(psi.fiber_points(vid))
         fibers[k] = (pts, [",".join(map(str, p)) for p in pts],
                      [min((window - abs(x) for x in p), default=BIG_DEPTH)
                       for p in pts],
@@ -295,14 +306,16 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
         depth.update(zip(ids, [min(d, f) for f in fiber_depth]))
     shifts = {}          # strides of the copied axes -> shift per point
 
-    def lifts(vid):
+    def lifts(at, vid):
         """(label, base, index shift per point or None) per up-step of the
-        fiber: the vertical +1 on each axis, then each planned Davis edge."""
+        fiber over the Davis vertex of index `at`: the vertical +1 on each
+        axis, then each planned Davis edge to a later, so parent, vertex."""
         k = len(psi.axes[vid])
         for v, shift in zip(davis.residue_of[vid].type_J, fibers[k][3]):
             yield f"v:{v}", offset[vid], shift
-        for w, lab in ball.neighbors(vid).items():
-            plan = plans.get((vid, w)) if rank[w] > rank[vid] else None
+        for j, lab in ball.adjacency[at].items():
+            w = ball.vertex_ids[j]
+            plan = plans.get((vid, w)) if j > at else None
             if plan is None:
                 continue
             place = [radix ** i for i in reversed(range(len(plan)))]
@@ -316,19 +329,15 @@ def blowup_complex(psi: FiberFunctor) -> BlowUpComplex:
                                                                repeat=k)]
             yield lab, base, shifts[key]
 
-    up = [[] for _ in order]
-
     def edges():
-        for vid in ball.vertex_ids:
-            start, steps = offset[vid], list(lifts(vid))
+        for at, vid in enumerate(ball.vertex_ids):
+            start, steps = offset[vid], list(lifts(at, vid))
             for t in range(len(fibers[len(psi.axes[vid])][0])):
-                x, ups = order[start + t], up[start + t]
                 for lab, base, shift in steps:
                     if shift[t] is not None:
-                        ups.append(base + shift[t])
-                        yield x, order[base + shift[t]], lab
+                        yield start + t, base + shift[t], lab
 
-    return BlowUpComplex(rising_ball(order, up, edges(), depth), psi, info)
+    return BlowUpComplex(rising_ball(order, edges(), depth), psi, info)
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +356,24 @@ def one_data(bc: BlowUpComplex) -> BlowUpData:
     tables = {}
     classes = {}
     observed = {}
-    for vid, r in davis.residue_of.items():
-        if r.rank != 1:
+    ids, info = bc.Y.vertex_ids, bc.vertex_info
+    for yv, nbrs in zip(ids, bc.Y.adjacency):
+        vid, point = info[yv]
+        if len(point) != 1:
             continue
+        val, r = point[0], davis.residue_of[vid]
         pc = davis.line_classes[r.base, r.type_J[0]]
         classes.setdefault(pc.id, pc)
-        for (val,) in bc.psi.fiber_points(vid):
-            for nb in bc.Y.neighbors(y_id(vid, (val,))):
-                nvid = bc.vertex_info[nb][0]
-                if davis.rank_of[nvid] != 0:
-                    continue
-                n = height_of(g, pc, davis.residue_of[nvid].base)
-                prev = observed.setdefault((pc.id, n), val)
-                if prev != val:
-                    raise AssertionError(
-                        f"class {pc.id}: chamber coordinate {n} attaches at "
-                        f"both {prev} and {val} (parallelism failure)")
+        for j in nbrs:
+            nvid = info[ids[j]][0]
+            if davis.rank_of[nvid] != 0:
+                continue
+            n = height_of(g, pc, davis.residue_of[nvid].base)
+            prev = observed.setdefault((pc.id, n), val)
+            if prev != val:
+                raise AssertionError(
+                    f"class {pc.id}: chamber coordinate {n} attaches at "
+                    f"both {prev} and {val} (parallelism failure)")
     for (cid, n), val in observed.items():
         tables.setdefault(cid, {})[n] = val
     return BlowUpData(g, tables, classes, bc.psi.data.window)

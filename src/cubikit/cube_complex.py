@@ -9,8 +9,16 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 <= 1 are flagged as boundary; metric and wall computations are reliable on
 `interior(margin)` for margin >= 1, link checks on margin >= 2.
 
+A ball stores its 1-skeleton once, by vertex index: `adjacency` holds,
+per index in `vertex_ids` order, a dict neighbour index -> label.  String
+ids are the boundary: the id tables `edges` and `neighbors` are derived
+on first read, as are the vertex index and the square tables behind
+`has_square` and `squares_at`.  The metric, components, convexity,
+hyperplanes, quotients and the JSON and DOT writers read indices.
+
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
-built by one builder, `rising_ball`, from index up-lists and edge triples;
+built by one builder, `rising_ball`, from index edge triples, checked for
+loops and second labels in one pass (`_adjacency`, which `make` shares);
 its squares are the 4-cycles that rise along the vertex order.  It has two
 front ends: `grown_ball` maps the ids of a step function to indices (the
 balls of X, X_e and the Davis realization), and `blowup.blowup_complex`
@@ -19,7 +27,7 @@ birth: each has four distinct corners and is its own `_canonical_square`,
 and `squares` strictly increases by index tuple.  `make` normalises raw
 squares to this; only `rising_ball`, `span`, `relabel_edges`,
 `restriction_quotient` (through `make`'s normaliser) and the Sageev dual
-build a ball directly.
+build a ball directly, each filling the same index adjacency.
 
 `_hyperplanes` labels every vertex in one BFS with the set of classes its
 tree path crosses, and takes each class's far side from the labels when a
@@ -33,16 +41,14 @@ verifier reuses the source hyperplanes its caller picked K from.
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
 track orbits, `_reach`, `class_heights`' parallel sets, the invariant
 wallspace's closure and `phi_map`'s density run it.  Hand-written:
-`bfs_from`, `_connected`, `Track.connected` (hot: a (label, neighbour)
-step makes `bfs_from` 3x slower and `walls` and `tracks` 3-6 %),
+`_distances` (behind `bfs_from` and `distance`), `_connected`,
+`Track.connected` (hot: a (label, neighbour) step made the metric BFS 3x
+slower and `walls` and `tracks` 3-6 %),
 `cut_components` (all components), `is_convex` (its walk collects the
 outer boundary), the labelling BFS of `_hyperplanes` (records each tree
 edge's class), `wallspace_dual._orientations` and
 `building.class_orbit_word` (record flips, words) and `labeled_isomorphism`
 (orders vertices seed by seed).
-
-A ball's vertex index and adjacency are built with it; the square tables
-behind `has_square` and `squares_at` are built on first read.
 """
 
 from __future__ import annotations
@@ -78,9 +84,9 @@ class TruncationError(ComplexError):
     """A computation ran out of safe interior."""
 
 
-def _normal_squares(squares, vertices) -> tuple:
-    """Raw 4-cycles made canonical, deduplicated and sorted by index."""
-    index = {v: i for i, v in enumerate(vertices)}
+def _normal_squares(squares, index) -> tuple:
+    """Raw 4-cycles made canonical by `index` (vertex -> index),
+    deduplicated and sorted by index."""
     canon = set()
     for s in map(tuple, squares):
         if len(set(s)) != 4:
@@ -89,49 +95,45 @@ def _normal_squares(squares, vertices) -> tuple:
     return tuple(sorted(canon, key=lambda t: tuple(index[x] for x in t)))
 
 
-def _edge_map(edges) -> dict:
-    """frozenset{u, v} -> label, first seen first; loops and clashes raise."""
-    em = {}
-    for u, v, lab in edges:
-        key = frozenset((u, v))
-        if len(key) != 2:
-            raise ComplexError(f"loop edge at {u!r}")
-        if em.setdefault(key, lab) != lab:
-            raise ComplexError(f"two edges between {u!r},{v!r}")
-    return em
+def _adjacency(order, edges) -> tuple:
+    """Per index of `order`, {neighbour index: label}, from the index
+    triples (i, j, label) of `edges`, each neighbour inserted when its edge
+    is first seen; loops and two labels on one pair raise, naming ids."""
+    adj = tuple({} for _ in order)
+    for i, j, lab in edges:
+        if i == j:
+            raise ComplexError(f"loop edge at {order[i]!r}")
+        if adj[i].setdefault(j, lab) != lab:
+            raise ComplexError(f"two edges between {order[i]!r},{order[j]!r}")
+        adj[j][i] = lab
+    return adj
 
 
 @dataclass
 class CubeComplexBall:
     """Finite portion of a cube complex.
 
-    edges: dict frozenset{u,v} -> direction label.
-    squares: canonical 4-tuples (a,b,c,d) of a cyclic vertex order, so
-    edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
+    adjacency: the one stored 1-skeleton; per vertex index, in `vertex_ids`
+    order, a dict neighbour index -> direction label.
+    squares: canonical 4-tuples (a,b,c,d) of vertex ids in a cyclic order,
+    so edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
 
     The constructor trusts the squares to be canonical and sorted (see the
-    module docstring); `validate` checks it.  It builds the vertex index
-    and adjacency, which every consumer reads; the square tables of
-    `has_square` and `squares_at`, and the hyperplanes, on first read.
+    module docstring); `validate` checks it.  Derived on first read: the
+    vertex index; the id tables `edges` (frozenset{u,v} -> label, by lower
+    index, each index's later neighbours in insertion order) and the id
+    adjacency behind `neighbors`; the square tables of `has_square` and
+    `squares_at`; the hyperplanes.
     """
 
     vertex_ids: tuple
-    edges: dict
+    adjacency: tuple
     squares: tuple
     depth: dict
-    _index: dict = field(init=False, repr=False, compare=False)
-    _adj: dict = field(init=False, repr=False, compare=False)
     _dist_cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.vertex_ids)}
-        adj = {v: {} for v in self.vertex_ids}
-        for e, lab in self.edges.items():
-            u, v = tuple(e)
-            adj[u][v] = lab
-            adj[v][u] = lab
-        self._adj = adj
-        self._dist_cache = {}
+        self._dist_cache = {}          # source id -> distances by index
         if self.depth is None:
             self.depth = {v: BIG_DEPTH for v in self.vertex_ids}
 
@@ -142,8 +144,34 @@ class CubeComplexBall:
         """edges: iterable of (u, v, label); squares: 4-cycles in any form,
         order and multiplicity, made canonical and sorted here."""
         vertices = tuple(vertices)
-        return cls(vertices, _edge_map(edges),
-                   _normal_squares(squares, vertices), depth)
+        index = {v: i for i, v in enumerate(vertices)}
+        adj = _adjacency(vertices, ((index[u], index[v], lab)
+                                    for u, v, lab in edges))
+        return cls(vertices, adj, _normal_squares(squares, index), depth)
+
+    # -- derived tables -------------------------------------------------------
+
+    @cached_property
+    def _index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertex_ids)}
+
+    @cached_property
+    def edges(self) -> dict:
+        ids = self.vertex_ids
+        return {frozenset((ids[i], ids[j])): lab
+                for i, nbrs in enumerate(self.adjacency)
+                for j, lab in nbrs.items() if j > i}
+
+    @cached_property
+    def _id_adjacency(self) -> dict:
+        ids = self.vertex_ids
+        return {ids[i]: {ids[j]: lab for j, lab in nbrs.items()}
+                for i, nbrs in enumerate(self.adjacency)}
+
+    def _edge_pairs(self):
+        """The edges as index pairs (i, j), i < j, in `edges` order."""
+        return [(i, j) for i, nbrs in enumerate(self.adjacency)
+                for j in nbrs if j > i]
 
     # -- basic queries --------------------------------------------------------
 
@@ -155,13 +183,15 @@ class CubeComplexBall:
         return [v for v in self.vertex_ids if self.depth[v] >= margin]
 
     def neighbors(self, v):
-        return self._adj[v]
+        return self._id_adjacency[v]
 
     def edge_label(self, u, v):
-        return self._adj[u][v]
+        index = self._index
+        return self.adjacency[index[u]][index[v]]
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        index = self._index
+        return index.get(v) in self.adjacency[index[u]]
 
     @cached_property
     def _square_set(self) -> frozenset:
@@ -193,32 +223,33 @@ class CubeComplexBall:
         Components come in order of their first vertex in `vertex_ids`, and
         each lists its vertices in `vertex_ids` order.
         """
+        index, adj = self._index, self.adjacency
         banned = {}
         for e in cut:
-            u, v = tuple(e)
-            banned.setdefault(u, set()).add(v)
-            banned.setdefault(v, set()).add(u)
-        comp_of = {}
-        for start in self.vertex_ids:
-            if start in comp_of:
+            i, j = map(index.__getitem__, e)
+            banned.setdefault(i, set()).add(j)
+            banned.setdefault(j, set()).add(i)
+        comp_of = [None] * len(adj)
+        for start in range(len(adj)):
+            if comp_of[start] is not None:
                 continue
             comp_of[start] = start
             stack = [start]
             while stack:
                 x = stack.pop()
                 skip = banned.get(x, ())
-                for y in self._adj[x]:
-                    if y not in comp_of and y not in skip:
+                for y in adj[x]:
+                    if comp_of[y] is None and y not in skip:
                         comp_of[y] = start
                         stack.append(y)
         comps = {}
-        for v in self.vertex_ids:
-            comps.setdefault(comp_of[v], []).append(v)
+        for v, c in zip(self.vertex_ids, comp_of):
+            comps.setdefault(c, []).append(v)
         return list(comps.values())
 
     def validate(self):
         """Check the structural invariants; raises ComplexError on failure."""
-        if _normal_squares(self.squares, self.vertex_ids) != self.squares:
+        if _normal_squares(self.squares, self._index) != self.squares:
             raise ComplexError("squares are not canonical and sorted")
         for s in self.squares:
             a, b, c, d = s
@@ -234,65 +265,79 @@ class CubeComplexBall:
 
     # -- metric ---------------------------------------------------------------
 
-    def bfs_from(self, source):
-        if source in self._dist_cache:
-            return self._dist_cache[source]
-        dist = {source: 0}
-        dq = deque([source])
-        while dq:
-            x = dq.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    dq.append(y)
-        self._dist_cache[source] = dist
+    def _distances(self, source) -> list:
+        """Distance from `source` by vertex index, None where unreached."""
+        dist = self._dist_cache.get(source)
+        if dist is None:
+            adj = self.adjacency
+            dist = [None] * len(adj)
+            s = self._index[source]
+            dist[s] = 0
+            order = [s]
+            for x in order:
+                d = dist[x] + 1
+                for y in adj[x]:
+                    if dist[y] is None:
+                        dist[y] = d
+                        order.append(y)
+            self._dist_cache[source] = dist
         return dist
 
+    def bfs_from(self, source) -> dict:
+        """{vertex: distance from source}, over the vertices it reaches, in
+        `vertex_ids` order."""
+        return {v: d for v, d in zip(self.vertex_ids, self._distances(source))
+                if d is not None}
+
     def distance(self, x, y) -> int:
-        d = self.bfs_from(x).get(y)
+        d = self._distances(x)[self._index[y]]
         if d is None:
             raise DisconnectedPairError(f"{x!r} and {y!r} are not connected")
         return d
 
     def interval(self, x, y):
-        dx, dy = self.bfs_from(x), self.bfs_from(y)
         d = self.distance(x, y)
-        return [z for z in self.vertex_ids
-                if dx.get(z) is not None and dy.get(z) is not None
-                and dx[z] + dy[z] == d]
+        return [z for z, a, b in zip(self.vertex_ids, self._distances(x),
+                                     self._distances(y))
+                if a is not None and b is not None and a + b == d]
 
     def ball_around(self, base, r: int):
-        dist = self.bfs_from(base)
-        return [v for v in self.vertex_ids if dist.get(v, BIG_DEPTH) <= r]
+        return [v for v, d in zip(self.vertex_ids, self._distances(base))
+                if d is not None and d <= r]
 
     # -- subcomplexes ---------------------------------------------------------
 
     def span(self, vertices) -> "CubeComplexBall":
         """Induced subcomplex on a vertex subset."""
         keep = set(vertices)
-        vs = [v for v in self.vertex_ids if v in keep]
-        edges = {e: lab for e, lab in self.edges.items() if e <= keep}
+        old = [i for i, v in enumerate(self.vertex_ids) if v in keep]
+        new = {i: k for k, i in enumerate(old)}
+        adj = tuple({new[j]: lab for j, lab in self.adjacency[i].items()
+                     if j in new} for i in old)
+        vs = tuple(self.vertex_ids[i] for i in old)
         squares = [s for s in self.squares if all(x in keep for x in s)]
         depth = {v: self.depth[v] for v in vs}
-        return CubeComplexBall(tuple(vs), edges, tuple(squares), depth)
+        return CubeComplexBall(vs, adj, tuple(squares), depth)
 
     # -- serialization ----------------------------------------------------------
 
+    def _sorted_edges(self):
+        """(i, j, label) per edge, i < j, sorted by (i, j)."""
+        return [(i, j, nbrs[j]) for i, nbrs in enumerate(self.adjacency)
+                for j in sorted(k for k in nbrs if k > i)]
+
     def to_json(self) -> str:
-        vid = self._index
-        edge_list = sorted(self.edges.items(),
-                           key=lambda kv: tuple(sorted(vid[x] for x in kv[0])))
+        ids, index = self.vertex_ids, self._index
         eidx = {}
         edges_out = []
-        for e, lab in edge_list:
-            u, v = sorted(e, key=vid.get)
-            eidx[e] = len(edges_out)
-            edges_out.append([str(u), str(v), str(lab)])
+        for i, j, lab in self._sorted_edges():
+            eidx[i, j] = len(edges_out)
+            edges_out.append([str(ids[i]), str(ids[j]), str(lab)])
         squares_out = []
-        for a, b, c, d in self.squares:
-            es = [frozenset((a, b)), frozenset((b, c)),
-                  frozenset((c, d)), frozenset((d, a))]
-            squares_out.append([eidx[e] for e in es])
+        for s in self.squares:
+            a, b, c, d = map(index.__getitem__, s)
+            squares_out.append([eidx[min(x, y), max(x, y)] for x, y in
+                                ((a, b), (b, c), (c, d), (d, a))])
         return json.dumps({
             "vertices": [{"id": str(v), "boundary": self.boundary_flag(v)}
                          for v in self.vertex_ids],
@@ -311,11 +356,9 @@ class CubeComplexBall:
         for v in self.vertex_ids:
             shape = "circle" if not self.boundary_flag(v) else "point"
             lines.append(f'  "{v}" [shape={shape}];')
-        index = self._index
-        for e, lab in sorted(self.edges.items(),
-                             key=lambda kv: tuple(sorted(map(index.get, kv[0])))):
-            u, v = sorted(e, key=index.get)
-            col = color.get(e, "black")
+        ids = self.vertex_ids
+        for i, j, lab in self._sorted_edges():
+            u, v, col = ids[i], ids[j], color.get((i, j), "black")
             lines.append(f'  "{u}" -- "{v}" [label="{lab}", color={col}];')
         lines.append("}")
         return "\n".join(lines)
@@ -362,30 +405,27 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
     `rising_ball`: it maps each stepped-to id to its index.
     """
     index = {x: i for i, x in enumerate(order)}
-    up = [[] for _ in order]             # later neighbours, by index
 
     def pairs():
         for i, x in enumerate(order):
             for lab, y in step(x):
                 j = index.get(y)
                 if j is not None:
-                    if j > i:
-                        up[i].append(j)
-                    yield x, y, lab
+                    yield i, j, lab
 
-    return rising_ball(order, up, pairs(), depth)
+    return rising_ball(order, pairs(), depth)
 
 
-def rising_ball(order, up, edges, depth) -> CubeComplexBall:
-    """The ball on the vertex ids `order` whose edges are the triples
-    (u, v, label) of `edges`, kept in their order by `_edge_map`, and whose
-    squares are the 4-cycles a-b-c-d with b and d in `up[a]` and c in both
-    `up[b]` and `up[d]`.  `up[i]` lists the indices after i joined to it,
-    each once; `edges` may fill it while `_edge_map` consumes them, as
-    `grown_ball` does, and is read only after.  Each square comes out once,
-    as the index tuple (a, b, c, d) with a lowest and b < d; sorted, these
-    are the canonical `squares`."""
-    edges = _edge_map(edges)
+def rising_ball(order, edges, depth) -> CubeComplexBall:
+    """The ball on the vertex ids `order` whose edges are the index triples
+    (i, j, label) of `edges`, and whose squares are the 4-cycles a-b-c-d
+    that rise along the order: b and d later neighbours of a, and c a later
+    neighbour of both.  `_adjacency` takes the triples in their order, and
+    each index's later neighbours are then read off its adjacency.  Each
+    square comes out once, as the index tuple (a, b, c, d) with a lowest
+    and b < d; sorted, these are the canonical `squares`."""
+    adj = _adjacency(order, edges)
+    up = [[j for j in nbrs if j > i] for i, nbrs in enumerate(adj)]
     squares = []
     for a, ups in enumerate(up):
         mids = {}                        # top corner c -> middles so far
@@ -398,7 +438,7 @@ def rising_ball(order, up, edges, depth) -> CubeComplexBall:
                     squares += [(a, b, c, d) for b in bs]
                     bs.append(d)
     squares.sort()
-    return CubeComplexBall(tuple(order), edges, tuple(
+    return CubeComplexBall(tuple(order), adj, tuple(
         tuple(order[k] for k in s) for s in squares), depth)
 
 
@@ -414,6 +454,7 @@ def check_flag_links(b: CubeComplexBall):
     complex this package builds).  Returns a report dict with a list of
     (vertex, witness) failures.
     """
+    ids, index, adj = b.vertex_ids, b._index, b.adjacency
     failures = []
     interior = b.interior()
     for v in interior:
@@ -427,7 +468,7 @@ def check_flag_links(b: CubeComplexBall):
             if key in corner and corner[key] != far:
                 failures.append((v, ("three-shared-edges", (v, u1, u2))))
             corner[key] = far
-        nbrs = sorted(b.neighbors(v), key=b._index.get)
+        nbrs = [ids[j] for j in sorted(adj[index[v]])]
         for i, u1 in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
                 u2 = nbrs[j]
@@ -447,8 +488,9 @@ def check_flag_links(b: CubeComplexBall):
 
 
 def _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
-    cands = set(b.neighbors(w12)) & set(b.neighbors(w13)) & set(b.neighbors(w23))
-    for z in cands:
+    index, adj = b._index, b.adjacency
+    cands = set(adj[index[w12]]) & set(adj[index[w13]]) & set(adj[index[w23]])
+    for z in map(b.vertex_ids.__getitem__, cands):
         if b.has_square((u1, w12, z, w13)) and b.has_square((u2, w12, z, w23)) \
            and b.has_square((u3, w13, z, w23)):
             return True
@@ -482,9 +524,11 @@ class Hyperplane:
 
 
 def _edge_classes(b: CubeComplexBall) -> list:
-    """The square-opposite parallelism classes of edges, each a list in
-    `edges` order, ordered by their least edge as a sorted index pair."""
-    parent = {e: e for e in b.edges}
+    """The square-opposite parallelism classes of edges, each a list of
+    index pairs (i, j), i < j, in `edges` order, ordered by their least
+    pair."""
+    pairs = b._edge_pairs()
+    parent = {e: e for e in pairs}
 
     def find(x):
         while parent[x] != x:
@@ -497,14 +541,15 @@ def _edge_classes(b: CubeComplexBall) -> list:
         if rx != ry:
             parent[rx] = ry
 
-    for a, bb, c, d in b.squares:
-        union(frozenset((a, bb)), frozenset((d, c)))
-        union(frozenset((bb, c)), frozenset((a, d)))
+    index = b._index
+    for s in b.squares:
+        a, bb, c, d = map(index.__getitem__, s)
+        union((a, bb) if a < bb else (bb, a), (d, c) if d < c else (c, d))
+        union((bb, c) if bb < c else (c, bb), (a, d) if a < d else (d, a))
     classes = {}
-    for e in b.edges:
+    for e in pairs:
         classes.setdefault(find(e), []).append(e)
-    return sorted(classes.values(),
-                  key=lambda es: min(tuple(sorted(b._index[x] for x in e)) for e in es))
+    return sorted(classes.values(), key=min)
 
 
 def hyperplanes(b: CubeComplexBall) -> tuple:
@@ -542,42 +587,42 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
     `cut_components`.
     """
     classes = _edge_classes(b)
+    ids, index, adj = b.vertex_ids, b._index, b.adjacency
     bit = {e: 1 << i for i, es in enumerate(classes) for e in es}
     # hand-written rather than `bfs_from`: it records each tree edge's class
-    mask = dict.fromkeys(b.vertex_ids[:1], 0)
-    order = list(mask)
+    mask = [0] + [None] * (len(ids) - 1) if ids else []
+    order = [0] if ids else []
     for x in order:
-        for y in b._adj[x]:
-            if y not in mask:
-                mask[y] = mask[x] | bit[frozenset((x, y))]
+        for y in adj[x]:
+            if mask[y] is None:
+                mask[y] = mask[x] | bit[(x, y) if x < y else (y, x)]
                 order.append(y)
     far = [[] for _ in classes]
-    if len(mask) < len(b.vertex_ids):
+    if len(order) < len(ids):
         uncertified = -1
     else:
         # the bits of the classes the certificate misses
         uncertified = 0
-        for e, m in bit.items():
-            u, v = tuple(e)
+        for (u, v), m in bit.items():
             uncertified |= mask[u] ^ mask[v] ^ m
-        for a, x, c, _ in b.squares:
-            m = bit[frozenset((a, x))]
-            if m == bit[frozenset((x, c))]:
+        for s in b.squares:
+            a, x, c = index[s[0]], index[s[1]], index[s[2]]
+            m = bit[(a, x) if a < x else (x, a)]
+            if m == bit[(x, c) if x < c else (c, x)]:
                 uncertified |= m
-        for v in b.vertex_ids:
-            m = mask[v]
+        for v, m in zip(ids, mask):
             while m:
                 low = m & -m
                 far[low.bit_length() - 1].append(v)
                 m ^= low
-    everything = frozenset(b.vertex_ids)
+    everything = frozenset(ids)
     out = []
     for i, es in enumerate(classes):
-        eset = frozenset(es)
-        direction = min(str(b.edges[e]) for e in es)
+        eset = frozenset(frozenset((ids[u], ids[v])) for u, v in es)
+        direction = min(str(adj[u][v]) for u, v in es)
         # a square on an edge of the class has its opposite edge there too,
         # so the edge endpoints already cover every square of the carrier
-        carrier = frozenset().union(*es)
+        carrier = frozenset(ids[x] for e in es for x in e)
         if uncertified >> i & 1:
             # comps[0] holds vertex_ids[0]
             comps = b.cut_components(eset)
@@ -608,10 +653,10 @@ def is_convex(b: CubeComplexBall, S) -> bool:
     the two tests run only at its vertices with two or more members next
     to them.
     """
-    S = set(S)
+    index, adj = b._index, b.adjacency
+    S = {index[v] for v in S}
     if not S:
         return True
-    adj = b._adj
     start = next(iter(S))
     seen = {start}
     stack = [start]
@@ -632,8 +677,8 @@ def is_convex(b: CubeComplexBall, S) -> bool:
         for i, x in enumerate(inside):
             if any(y not in adj[x] for y in inside[i + 1:]):
                 return False
-        for s in b.squares_at(z):
-            if sum(x in S for x in s) == 3:
+        for s in b.squares_at(b.vertex_ids[z]):
+            if sum(index[x] in S for x in s) == 3:
                 return False
     return True
 
@@ -663,8 +708,9 @@ class CubicalMap:
     target: CubeComplexBall
 
     def validate(self):
-        for e in self.source.edges:
-            u, v = tuple(e)
+        ids = self.source.vertex_ids
+        for i, j in self.source._edge_pairs():
+            u, v = ids[i], ids[j]
             fu, fv = self.vertex_map[u], self.vertex_map[v]
             if fu != fv and not self.target.has_edge(fu, fv):
                 raise ComplexError(f"edge {u!r}-{v!r} maps to a non-edge")
@@ -710,30 +756,34 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
             raise ComplexError("K contains a truncated hyperplane")
     # K-classes = components after deleting the K-edges
     classes = b.cut_components(e for h in K for e in h.edge_class)
-    cls_of = {x: i for i, comp in enumerate(classes) for x in comp}
+    index = b._index
+    cls_of = [0] * len(index)
+    for k, comp in enumerate(classes):
+        for x in comp:
+            cls_of[index[x]] = k
     ids = [f"K{i}" for i in range(len(classes))]
-    vmap = {v: ids[cls_of[v]] for v in b.vertex_ids}
+    vmap = {v: ids[k] for v, k in zip(b.vertex_ids, cls_of)}
     wall_of_edge = {}
     for h in K:
         for e in h.edge_class:
-            wall_of_edge[e] = h.index
-    edges = {}
+            i, j = sorted(map(index.__getitem__, e))
+            wall_of_edge[i, j] = h.index
+    adj = tuple({} for _ in ids)
     wall_of_pair = {}
-    for e in b.edges:
-        u, v = tuple(e)
-        if vmap[u] != vmap[v]:
-            key = frozenset((vmap[u], vmap[v]))
-            w = wall_of_edge[frozenset((u, v))]
-            if key in wall_of_pair and wall_of_pair[key] != w:
+    for i, j in b._edge_pairs():
+        ci, cj = cls_of[i], cls_of[j]
+        if ci != cj:
+            w = wall_of_edge[i, j]
+            if wall_of_pair.setdefault((min(ci, cj), max(ci, cj)), w) != w:
                 raise ComplexError("two walls of K join the same K-classes")
-            wall_of_pair[key] = w
-            edges[key] = b.edges[e]
+            adj[ci][cj] = adj[cj][ci] = b.adjacency[i][j]
     images = (tuple(vmap[x] for x in s) for s in b.squares)
-    squares = _normal_squares((t for t in images if len(set(t)) == 4), ids)
+    squares = _normal_squares((t for t in images if len(set(t)) == 4),
+                              {v: k for k, v in enumerate(ids)})
     depth = {}
     for i, members in enumerate(classes):
         depth[ids[i]] = max(b.depth[m] for m in members)
-    target = CubeComplexBall(tuple(ids), edges, squares, depth)
+    target = CubeComplexBall(tuple(ids), adj, squares, depth)
     qm = CubicalMap(vmap, b, target)
     return RestrictionQuotient(b, target, qm)
 
@@ -805,10 +855,12 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     for v in src.vertex_ids:
         fibers.setdefault(vm[v], []).append(v)
     edge_lifts = {}
-    for e in src.edges:
-        u, v = tuple(e)
+    ids = src.vertex_ids
+    for i, j in src._edge_pairs():
+        u, v = ids[i], ids[j]
         if vm[u] != vm[v]:
-            edge_lifts.setdefault(frozenset((vm[u], vm[v])), []).append(e)
+            edge_lifts.setdefault(frozenset((vm[u], vm[v])), []).append(
+                frozenset((u, v)))
     square_lifts = {}
     opposite = {}
     for s in src.squares:
@@ -967,34 +1019,7 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
 
 def relabel_edges(b: CubeComplexBall, fn) -> CubeComplexBall:
     """Copy of the ball with edge labels mapped through fn."""
-    edges = {e: fn(lab) for e, lab in b.edges.items()}
-    return CubeComplexBall(b.vertex_ids, edges, b.squares, dict(b.depth))
+    adj = tuple({j: fn(lab) for j, lab in nbrs.items()}
+                for nbrs in b.adjacency)
+    return CubeComplexBall(b.vertex_ids, adj, b.squares, dict(b.depth))
 
-
-def from_json(text: str) -> CubeComplexBall:
-    data = json.loads(text)
-    verts = [v["id"] for v in data["vertices"]]
-    depth = {v["id"]: (0 if v["boundary"] else BIG_DEPTH) for v in data["vertices"]}
-    edges = [(u, v, lab) for u, v, lab in data["edges"]]
-    squares = []
-    for eidxs in data["squares"]:
-        es = [frozenset((data["edges"][i][0], data["edges"][i][1])) for i in eidxs]
-        ring = _edges_to_cycle(es)
-        squares.append(ring)
-    return CubeComplexBall.make(verts, edges, squares, depth)
-
-
-def _edges_to_cycle(es):
-    adj = {}
-    for e in es:
-        u, v = tuple(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = next(iter(adj))
-    cyc = [start]
-    prev = None
-    while len(cyc) < 4:
-        nxts = [x for x in adj[cyc[-1]] if x != prev]
-        prev = cyc[-1]
-        cyc.append(nxts[0])
-    return tuple(cyc)

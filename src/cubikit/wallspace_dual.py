@@ -264,9 +264,14 @@ def dual_cube_complex(ws: Wallspace) -> CubeComplexBall:
             if s_ij in flips:
                 squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
                                 vid[s ^ (1 << j)]))
-    em = {frozenset((vid[s], vid[s ^ 1 << i])): str(ws.tags[i])
-          for s, fl in flips.items() for i in fl}
-    return CubeComplexBall(tuple(vid[s] for s in order), em, tuple(squares),
+    index = {s: k for k, s in enumerate(order)}
+    adj = tuple({} for _ in order)
+    for s, fl in flips.items():
+        a = index[s]
+        for i in fl:
+            b = index[s ^ 1 << i]
+            adj[a][b] = adj[b][a] = str(ws.tags[i])
+    return CubeComplexBall(tuple(vid[s] for s in order), adj, tuple(squares),
                            None)
 
 

@@ -64,6 +64,16 @@ def test_blowup_data_json_rejects_an_empty_table():
         bu.BlowUpData.from_json(gc.k2(), text, 1)
 
 
+# a second entry for u@1 used to replace the first, dropping 5 at height 0
+TWICE = {"classes": [{"id": "u@1", "table": {"1": 5}},
+                     {"id": "u@1", "table": {"u": 7}}]}
+
+
+def test_blowup_data_json_rejects_a_class_listed_twice():
+    with pytest.raises(ValueError, match="class u@1: listed twice"):
+        bu.BlowUpData.from_json(gc.k2(), json.dumps(TWICE), 1)
+
+
 def test_blowup_data_value_raises_off_its_tables():
     g = gc.k2()
     pc = rg.class_of_geodesic(g, (), "u")

@@ -124,11 +124,11 @@ def test_grown_ball_squares_every_pair_of_middles():
 
 def unit_square(squares):
     """The four-cycle a-b-c-d, built directly with the given squares."""
-    edges = {frozenset(p): lab for p, lab in (
-        (("a", "b"), "x"), (("b", "c"), "y"), (("c", "d"), "x"),
-        (("d", "a"), "y"))}
-    return cc.CubeComplexBall(("a", "b", "c", "d"), edges, tuple(squares),
-                              None)
+    verts = ("a", "b", "c", "d")
+    adj = cc.CubeComplexBall.make(verts, [
+        ("a", "b", "x"), ("b", "c", "y"), ("c", "d", "x"),
+        ("d", "a", "y")], []).adjacency
+    return cc.CubeComplexBall(verts, adj, tuple(squares), None)
 
 
 def test_validate_accepts_the_canonical_square():
@@ -152,10 +152,10 @@ def test_validate_rejects_unsorted_squares():
     triples = [("a", "b", "x"), ("b", "c", "x"), ("d", "e", "x"),
                ("e", "f", "x"), ("a", "d", "y"), ("b", "e", "y"),
                ("c", "f", "y")]
-    edges = {frozenset((u, v)): lab for u, v, lab in triples}
+    adj = cc.CubeComplexBall.make(verts, triples, []).adjacency
     squares = (("b", "c", "f", "e"), ("a", "b", "e", "d"))
     with pytest.raises(cc.ComplexError, match="not canonical and sorted"):
-        cc.CubeComplexBall(verts, edges, squares, None).validate()
+        cc.CubeComplexBall(verts, adj, squares, None).validate()
     fixed = cc.CubeComplexBall.make(verts, triples, squares)
     assert fixed.squares == squares[::-1]
     assert fixed.validate()

@@ -480,6 +480,16 @@ def test_blowup_data_off_its_class_exits_3(graphs, capsys):
     assert "bad blow-up data" in err and "lies on class" in err
 
 
+def test_blowup_data_with_a_class_twice_exits_3(graphs, capsys):
+    path = graphs["dir"] / "data.json"
+    path.write_text(json.dumps({"classes": [
+        {"id": "u@1", "table": {"1": 5}}, {"id": "u@1", "table": {"u": 7}}]}))
+    assert cli.main(["blowup", "--graph", graphs["k2"], "--radius", "2",
+                     "--window", "2", "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "bad blow-up data" in err and "class u@1: listed twice" in err
+
+
 def test_blowup_data_unknown_generator_exits_3(graphs, capsys):
     path = graphs["dir"] / "data.json"
     path.write_text(json.dumps(

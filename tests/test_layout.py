@@ -30,8 +30,6 @@ TEST_ONLY = {
     "building.left_translation_action", "building.relabel_action",
     # steps of the main construction, which has no caller yet
     "building.extract_factor_action", "blowup.equivariant_blowup",
-    # the reader of `CubeComplexBall.to_json`, which only tests round-trip
-    "cube_complex.from_json",
 }
 
 # Methods, as module.Class.method, whose only readers are tests; like
@@ -229,3 +227,59 @@ def test_every_src_method_has_a_reader():
     assert unread - TEST_ONLY_METHODS == set(), "methods without a reader"
     assert TEST_ONLY_METHODS - unread == set(), \
         "listed methods that now have a reader"
+
+
+def _private_attribute_sets(tree):
+    """(line, target) for each statement under `tree` that sets an attribute
+    named `_...` on an object other than `self`: an assignment target
+    `x._name`, or `object.__setattr__(x, "_name", ...)` or
+    `setattr(x, "_name", ...)` with x not `self`."""
+    def is_self(node):
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    found = []
+    for n in ast.walk(tree):
+        targets = []
+        if isinstance(n, ast.Assign):
+            targets = n.targets
+        elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+            targets = [n.target]
+        for t in targets:
+            for a in ast.walk(t):
+                if isinstance(a, ast.Attribute) and \
+                        isinstance(a.ctx, ast.Store) and \
+                        a.attr.startswith("_") and not is_self(a.value):
+                    found.append((n.lineno, ast.unparse(a)))
+        if isinstance(n, ast.Call) and len(n.args) >= 2:
+            f = n.func
+            setter = (isinstance(f, ast.Name) and f.id == "setattr") or (
+                isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+                and isinstance(f.value, ast.Name) and f.value.id == "object")
+            name = n.args[1]
+            if setter and not is_self(n.args[0]) and \
+                    isinstance(name, ast.Constant) and \
+                    str(name.value).startswith("_"):
+                found.append((n.lineno, ast.unparse(n)))
+    return found
+
+
+def test_no_private_attributes_set_from_outside():
+    """No statement of `src/` bolts a private attribute onto another object:
+    a derived table is a field or cached property its owner builds."""
+    found = {(path.name, line, text)
+             for path in sorted(SRC.glob("*.py"))
+             for line, text in _private_attribute_sets(
+                 ast.parse(path.read_text()))}
+    assert found == set()
+
+
+def test_private_attribute_rule_sees_each_form():
+    code = ("b._nbrs = {}\n"
+            "object.__setattr__(b, '_adj', {})\n"
+            "setattr(b, '_x', 1)\n"
+            "b._n += 1\n"
+            "self._ok = 1\n"
+            "object.__setattr__(self, '_ok', 1)\n"
+            "b.public = 1\n")
+    assert sorted(line for line, _ in _private_attribute_sets(
+        ast.parse(code))) == [1, 2, 3, 4]
