@@ -29,11 +29,13 @@ squares to this; only `rising_ball`, `span`, `relabel_edges`,
 `restriction_quotient` (through `make`'s normaliser) and the Sageev dual
 build a ball directly, each filling the same index adjacency.
 
-`_hyperplanes` labels every vertex in one BFS with the set of classes its
-tree path crosses, and takes each class's far side from the labels when a
-certificate (connected, every edge changes exactly its own class's label,
-no square with both edge pairs in one class) proves it; any other class
-gets its pieces from `cut_components`.  Only the far side is stored.  A
+`_hyperplanes` labels every vertex in one BFS per component with the set
+of classes its tree path crosses, and takes each class's far side from the
+labels when a certificate (one component, every edge changes exactly its
+own class's label, no square with both edge pairs in one class) proves it.
+Removing edges merges no components, so with three components or more
+every class is truncated without a search; any other class gets its
+pieces from `cut_components`.  Only the far side is stored.  A
 ball owns its hyperplanes, a frozen tuple built on first read, as no
 field changes after `__post_init__`: `hyperplanes(b)` returns it, so the
 verifier reuses the source hyperplanes its caller picked K from.
@@ -519,9 +521,6 @@ class Hyperplane:
         """(near, far), near holding `vertex_ids[0]`; () when truncated."""
         return () if self.far is None else (self.vertices - self.far, self.far)
 
-    def separates(self, x, y) -> bool:
-        return self.far is not None and (x in self.far) != (y in self.far)
-
 
 def _edge_classes(b: CubeComplexBall) -> list:
     """The square-opposite parallelism classes of edges, each a list of
@@ -567,12 +566,12 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
     truncated with `far` None (excluded from wall-based computations).
 
     The sides of every class come from one labelling (the Djoković-Winkler
-    relation of a median graph; Chepoi 2000): a BFS from `vertex_ids[0]`
-    gives each vertex the mask of its parent plus the bit of the tree edge's
-    class, and a class's far side is the set of masks with its bit.  A class
-    takes these sides when a certificate proves that removing its edges
-    leaves exactly them:
-    - the BFS reached every vertex;
+    relation of a median graph; Chepoi 2000): a BFS from the first vertex of
+    each component gives each vertex the mask of its parent plus the bit of
+    the tree edge's class, and a class's far side is the set of masks with
+    its bit.  A class takes these sides when a certificate proves that
+    removing its edges leaves exactly them:
+    - the complex is connected;
     - every edge's endpoints differ in exactly its own class's bit (this
       also rules out a tree path that crosses a class twice, whose second
       crossing would leave the mask unchanged);
@@ -582,27 +581,38 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
       other two clauses and splits into three pieces).
     Then the near side is connected along tree paths, the far endpoints of
     the class's edges are joined through the squares that link them, and
-    every other edge stays on one side.  A class the certificate misses
-    (every class of a disconnected complex) gets its pieces from
-    `cut_components`.
+    every other edge stays on one side.
+
+    A disconnected complex needs no search per class, as removing edges
+    never merges components: the labelling counts them.  With three or
+    more, every class leaves at least three pieces and is truncated.  With
+    two, a class the other two clauses certify cuts its own component in
+    two, so it leaves three pieces and is truncated too.  Any other class
+    (one that the certificate misses, on one or two components) gets its
+    pieces from `cut_components`.
     """
     classes = _edge_classes(b)
     ids, index, adj = b.vertex_ids, b._index, b.adjacency
     bit = {e: 1 << i for i, es in enumerate(classes) for e in es}
-    # hand-written rather than `bfs_from`: it records each tree edge's class
-    mask = [0] + [None] * (len(ids) - 1) if ids else []
-    order = [0] if ids else []
-    for x in order:
-        for y in adj[x]:
-            if mask[y] is None:
-                mask[y] = mask[x] | bit[(x, y) if x < y else (y, x)]
-                order.append(y)
+    # hand-written rather than `bfs_from`: it records each tree edge's class;
+    # each component's root is its first vertex, with the empty mask
+    mask = [None] * len(ids)
+    components = 0
+    for root in range(len(ids)):
+        if mask[root] is not None:
+            continue
+        components += 1
+        mask[root] = 0
+        order = [root]
+        for x in order:
+            for y in adj[x]:
+                if mask[y] is None:
+                    mask[y] = mask[x] | bit[(x, y) if x < y else (y, x)]
+                    order.append(y)
     far = [[] for _ in classes]
-    if len(order) < len(ids):
-        uncertified = -1
-    else:
-        # the bits of the classes the certificate misses
-        uncertified = 0
+    # the bits of the classes the certificate misses
+    uncertified = 0
+    if components <= 2:
         for (u, v), m in bit.items():
             uncertified |= mask[u] ^ mask[v] ^ m
         for s in b.squares:
@@ -610,6 +620,7 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
             m = bit[(a, x) if a < x else (x, a)]
             if m == bit[(x, c) if x < c else (c, x)]:
                 uncertified |= m
+    if components == 1:
         for v, m in zip(ids, mask):
             while m:
                 low = m & -m
@@ -627,8 +638,12 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
             # comps[0] holds vertex_ids[0]
             comps = b.cut_components(eset)
             side = frozenset(comps[1]) if len(comps) == 2 else None
-        else:
+        elif components == 1:
             side = frozenset(far[i])
+        else:
+            # a certified class cuts its own component in two, and the
+            # other components stay whole: three pieces or more
+            side = None
         out.append(Hyperplane(i, eset, carrier, side, everything, direction))
     return tuple(out)
 
@@ -732,9 +747,6 @@ class CubicalMap:
 
     def surjective(self):
         return set(self.vertex_map.values()) >= set(self.target.vertex_ids)
-
-    def fiber(self, tv):
-        return [v for v, w in self.vertex_map.items() if w == tv]
 
 
 @dataclass
@@ -842,6 +854,19 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     map agrees with the restriction quotient rebuilt from its own horizontal
     walls.  Returns the five booleans plus their agreement.  The hyperplanes
     are each ball's own, so those its caller already read cost nothing.
+
+    Condition (3)'s family holds both sides and the carrier of every target
+    hyperplane th, and `samples` intervals drawn with `seed`.  Its halfspace
+    pairs need no walk where condition (4) finds the lifts of th's edges in
+    one wall h, and th and h are untruncated.  Every source edge between
+    the two preimages lifts an edge of th, so removing h's edges parts
+    them: the preimages are h's two sides, which one size check and one
+    pass over `h.far` confirm.  On the median host that `is_convex` already
+    assumes, two complementary vertex sets are both convex exactly when
+    they are the sides of one hyperplane (Mulder 1978; Bandelt-Chepoi
+    2008).  Carriers, intervals, and the sides of a th whose lifts lie in
+    no wall, several walls or a truncated one go through `is_convex`; a
+    truncated th has no sides.
     """
     q.validate()
     if not q.surjective():
@@ -886,21 +911,36 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     wall_of_edge = {e: h.index for h in src_hps for e in h.edge_class}
     tgt_hps = hyperplanes(tgt)
 
-    cond4 = all(len({wall_of_edge[e] for te in th.edge_class
-                     for e in edge_lifts.get(te, ())}) == 1
-                for th in tgt_hps)
+    # per target hyperplane, the source walls its edge lifts lie in
+    lifted = [{wall_of_edge[e] for te in th.edge_class
+               for e in edge_lifts.get(te, ())} for th in tgt_hps]
+    cond4 = all(len(ws) == 1 for ws in lifted)
 
-    # sampled convex family: halfspaces, carriers, random intervals
-    family = []
-    for th in tgt_hps:
-        family.extend(th.sides)
+    # sampled convex family: halfspaces, carriers, random intervals; the
+    # halfspace preimages of a wall that pulls back to one untruncated h are
+    # both convex iff the far one is a side of h
+    bounded, family = [], []
+    for th, ws in zip(tgt_hps, lifted):
+        h = src_hps[next(iter(ws))] if len(ws) == 1 else None
+        if th.truncated or h is None or h.truncated:
+            family.extend(th.sides)
+        else:
+            bounded.append((th.far, h.far))
         family.append(th.carrier_vertices)
     tverts = list(tgt.vertex_ids)
     for _ in range(samples):
         x = rng.choice(tverts)
         y = rng.choice(tverts)
         family.append(set(tgt.interval(x, y)))
-    cond3 = all(is_convex(src, [v for tv in A for v in fibers[tv]]) for A in family)
+
+    def is_side(tfar, hfar):
+        size = sum(len(fibers[tv]) for tv in tfar)
+        inside = sum(vm[v] in tfar for v in hfar)
+        return inside == size == len(hfar) or \
+            inside == 0 and size == len(ids) - len(hfar)
+
+    cond3 = all(is_side(*pair) for pair in bounded) and \
+        all(is_convex(src, [v for tv in A for v in fibers[tv]]) for A in family)
 
     # rebuild from the horizontal walls, which must be untruncated and have
     # no vertical edge, and compare partitions and induced adjacency

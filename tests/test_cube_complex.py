@@ -14,6 +14,19 @@ from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
+from .strategies import defining_graphs
+
+
+def separates(h, x, y):
+    """Does the hyperplane h put x and y on different sides?  False when h
+    is truncated."""
+    return h.far is not None and (x in h.far) != (y in h.far)
+
+
+def fiber(q, tv):
+    """The source vertices that the cubical map q sends to tv."""
+    return [v for v, w in q.vertex_map.items() if w == tv]
+
 
 def grid(nx, ny, depth_big=True):
     """The full nx x ny square grid as a cube complex (no truncation)."""
@@ -84,7 +97,7 @@ def test_l1_distance_equals_separating_walls():
     for x, y in itertools.combinations(b.vertex_ids, 2):
         exp = abs(x[0] - y[0]) + abs(x[1] - y[1])
         assert b.distance(x, y) == exp
-        assert sum(h.separates(x, y) for h in hps) == exp
+        assert sum(separates(h, x, y) for h in hps) == exp
 
 
 def interval_hull(b, S):
@@ -128,9 +141,9 @@ def test_restriction_quotient_long_wall():
     assert len(rq.target.vertex_ids) == 2
     assert len(rq.target.edges) == 1
     for tv in rq.target.vertex_ids:
-        fiber = rq.map.fiber(tv)
-        assert len(fiber) == 3
-        assert cc.is_convex(b, fiber)
+        members = fiber(rq.map, tv)
+        assert len(members) == 3
+        assert cc.is_convex(b, members)
 
 
 def test_restriction_quotient_all_and_none():
@@ -198,10 +211,7 @@ def rq_pin_map(name):
         return fold_map()
     if name.startswith("k2_blowup_"):
         radius, window = map(int, name.split("_")[2:])
-        g = gc.k2()
-        davis = bd.davis_ball(g, radius)
-        data = bu.bijective_data(g, davis, window)
-        return bu.blowup_complex(bu.build_fiber_functor(data, davis)).q
+        return bijective_blowup_map(gc.k2(), radius, window)
     graph, r, j = name.split("_")
     b = rg.ball_X({"c5": gc.pentagon, "p3": gc.path3, "c4": gc.square4}[graph](),
                   int(r[1:]))
@@ -223,13 +233,104 @@ GOLDEN_RQ = {
 }
 
 
+def condition3_family(q, samples, seed):
+    """The verifier's condition-3 family, as target vertex sets: both sides
+    and the carrier of every target hyperplane, then `samples` intervals
+    drawn from `random.Random(seed)` in the verifier's order."""
+    rng = random.Random(seed)
+    tgt = q.target
+    family = []
+    for th in cc.hyperplanes(tgt):
+        family.extend(th.sides)
+        family.append(th.carrier_vertices)
+    tverts = list(tgt.vertex_ids)
+    for _ in range(samples):
+        x = rng.choice(tverts)
+        y = rng.choice(tverts)
+        family.append(set(tgt.interval(x, y)))
+    return family
+
+
+def preimage_convex(q):
+    """A test of each target vertex set: is its preimage under q convex?"""
+    fibers = {}
+    for v in q.source.vertex_ids:
+        fibers.setdefault(q.vertex_map[v], []).append(v)
+    return lambda A: cc.is_convex(q.source, [v for t in A for v in fibers[t]])
+
+
+def condition3_oracle(q, samples, seed):
+    """Condition 3 with `is_convex` on the preimage of every set of the
+    family, the halfspaces included: the oracle for the verifier's
+    halfspace bound."""
+    return all(map(preimage_convex(q), condition3_family(q, samples, seed)))
+
+
+def assert_condition3_matches_oracle(q, samples, seed):
+    rep = cc.verify_rq_characterization(q, samples=samples, seed=seed)
+    assert rep["conditions"][2] == condition3_oracle(q, samples, seed)
+    return rep
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RQ))
 def test_golden_rq_conditions(name):
     samples, seed = (20, 0) if name.startswith("k2_blowup") else \
         (8, int(name[-1]) if name[-1].isdigit() else 0)
-    rep = cc.verify_rq_characterization(rq_pin_map(name), samples=samples,
-                                        seed=seed)
+    rep = assert_condition3_matches_oracle(rq_pin_map(name), samples, seed)
     assert rep["conditions"] == GOLDEN_RQ[name]
+
+
+def test_condition3_bound_takes_either_side():
+    # with the target's vertices reversed, the far side of its hyperplane
+    # pulls back to the near side of the source's long wall
+    b = grid(2, 1)
+    long = max(cc.hyperplanes(b), key=lambda h: len(h.edge_class))
+    vmap = cc.restriction_quotient(b, [long]).map.vertex_map
+    tgt = cc.CubeComplexBall.make(["K1", "K0"], [("K1", "K0", "v")], [])
+    q = cc.CubicalMap(vmap, b, tgt)
+    (th,) = cc.hyperplanes(tgt)
+    assert {v for v in b.vertex_ids if vmap[v] in th.far} == long.sides[0]
+    assert assert_condition3_matches_oracle(q, 5, 0)["all_true"]
+
+
+def bijective_blowup_map(g, radius, window):
+    davis = bd.davis_ball(g, radius)
+    data = bu.bijective_data(g, davis, window)
+    return bu.blowup_complex(bu.build_fiber_functor(data, davis)).q
+
+
+K3 = gc.DefiningGraph.make("abc", itertools.combinations("abc", 2))
+PRISM = gc.DefiningGraph.make("abcdef", [
+    *itertools.combinations("abc", 2), *itertools.combinations("def", 2),
+    ("a", "d"), ("b", "e"), ("c", "f")])
+
+
+@pytest.mark.parametrize("g", [K3, PRISM], ids=["k3", "prism"])
+def test_condition3_on_triangle_blowups_fails_at_a_carrier(g):
+    # ROADMAP item 5: condition 3 fails on these blow-ups of graphs with a
+    # triangle, and the first set of the family to fail is a carrier, which
+    # `is_convex` still decides
+    q = bijective_blowup_map(g, 2, 2)
+    rep = assert_condition3_matches_oracle(q, 20, 0)
+    assert rep["conditions"] == (T, T, F, T, T)
+    convex = preimage_convex(q)
+    first = next(A for A in condition3_family(q, 20, 0) if not convex(A))
+    assert first in {th.carrier_vertices for th in cc.hyperplanes(q.target)}
+
+
+@functools.lru_cache(maxsize=None)
+def drawn_ball(g, radius):
+    return rg.ball_X(g, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(defining_graphs(max_vertices=4), st.integers(1, 2), st.data())
+def test_condition3_matches_oracle_on_drawn_quotients(g, radius, data):
+    ball = drawn_ball(g, radius)
+    live = [h for h in cc.hyperplanes(ball) if not h.truncated]
+    picks = data.draw(st.sets(st.integers(0, len(live) - 1)))
+    q = cc.restriction_quotient(ball, [live[i] for i in sorted(picks)]).map
+    assert_condition3_matches_oracle(q, 6, data.draw(st.integers(0, 99)))
 
 
 def from_json(text):

@@ -10,12 +10,16 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import blowup as bu
 from cubikit import building as bd
 from cubikit import cube_complex as cc
 
+from .strategies import defining_graphs
 from .test_ball_builders import BUILDERS, FIXTURES
+from .test_blowup_builder import drawn_davis
 from .test_cube_complex import hyperplanes_oracle
 
 
@@ -111,11 +115,15 @@ def test_ball_hyperplanes_run_no_component_search(name, monkeypatch):
     assert calls == []
 
 
-def test_disconnected_y_searches_every_class(monkeypatch):
+def test_disconnected_y_counts_components_once(monkeypatch):
+    # five components: removing a class's edges merges none of them, so
+    # the one count from the labelling BFS truncates all 38 classes, with
+    # no search per class
     y = COMPLEXES["Y-k2-3-2"]()
     calls = count_cut_components(monkeypatch)
     hps = cc.hyperplanes(y)
-    assert len(calls) == len(hps) == 38 and all(h.truncated for h in hps)
+    assert calls == [] and len(hps) == 38 and all(h.truncated for h in hps)
+    assert len(y.cut_components()) == 5
 
 
 def assert_matches_oracle(b):
@@ -164,6 +172,41 @@ def test_disconnected_complex_truncates_every_class():
     hps = cc.hyperplanes(b)
     assert len(hps) == 4 and all(h.truncated for h in hps)
     assert_matches_oracle(b)
+
+
+@pytest.mark.parametrize("order", ["square first", "triangle first"])
+def test_two_components_cut_only_what_splits(order, monkeypatch):
+    # a square and a triangle, with no path between them: each class of the
+    # square cuts it in two and leaves three pieces, so it is truncated with
+    # no search; no edge of the triangle cuts it, so each leaves the two
+    # components, and the one search per class finds them
+    square = [(0, 1, "u"), (1, 2, "v"), (2, 3, "u"), (3, 0, "v")]
+    triangle = [(4, 5, "x"), (5, 6, "y"), (6, 4, "z")]
+    vertices = list(range(7)) if order == "square first" else \
+        [4, 5, 6, 0, 1, 2, 3]
+    b = cc.CubeComplexBall.make(vertices, square + triangle, [(0, 1, 2, 3)],
+                                None)
+    calls = count_cut_components(monkeypatch)
+    hps = cc.hyperplanes(b)
+    far = frozenset(range(4, 7) if order == "square first" else range(4))
+    assert [h.far for h in hps if h.direction in "uv"] == [None, None]
+    assert [h.far for h in hps if h.direction in "xyz"] == [far] * 3
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert_matches_oracle(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs(max_vertices=3), st.integers(2, 3), st.data())
+def test_window_below_radius_blowups_match_oracle(g, radius, data):
+    # constants one past the window leave Davis edges without a plan, as in
+    # the blow-up builder's drawn data; below the radius Y falls apart
+    window = data.draw(st.integers(1, radius - 1))
+    davis = drawn_davis(g, radius)
+    values = st.integers(-window - 1, window + 1)
+    psi = bu.build_fiber_functor(bu.data_from_function(
+        g, davis, window, lambda pc, n: data.draw(values)), davis)
+    assert_matches_oracle(bu.blowup_complex(psi).Y)
 
 
 def test_a_ball_owns_its_hyperplanes():

@@ -35,7 +35,6 @@ TEST_ONLY = {
 # Methods, as module.Class.method, whose only readers are tests; like
 # TEST_ONLY, each waits for a production caller or a move to the tests.
 TEST_ONLY_METHODS = {
-    "cube_complex.Hyperplane.separates", "cube_complex.CubicalMap.fiber",
     "semiconjugacy.BranchedLine.branching_number",
     "semiconjugacy.BranchedLine.wall_sides_on_tips",
     "semiconjugacy.BranchedLine.as_complex",
