@@ -9,12 +9,13 @@ cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 <= 1 are flagged as boundary; metric and wall computations are reliable on
 `interior(margin)` for margin >= 1, link checks on margin >= 2.
 
-A ball stores its 1-skeleton once, by vertex index: `adjacency` holds,
-per index in `vertex_ids` order, a dict neighbour index -> label.  String
-ids are the boundary: the id tables `edges` and `neighbors` are derived
-on first read, as are the vertex index and the square tables behind
-`has_square` and `squares_at`.  The metric, components, convexity,
-hyperplanes, quotients and the JSON and DOT writers read indices.
+A ball stores its 1-skeleton and its squares once, by vertex index:
+`adjacency` holds, per index in `vertex_ids` order, a dict neighbour
+index -> label, and `index_squares` the squares as index 4-tuples.  String
+ids are the boundary: `make` and `has_square` take id squares, the id
+tables `edges`, `neighbors` and `squares` are derived on first read, and
+of the square readers only the verifier's edge keys (which match
+`Hyperplane.edge_class`), `labeled_isomorphism` and error messages use ids.
 
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
 built by one builder, `rising_ball`, from index edge triples, checked for
@@ -24,10 +25,10 @@ front ends: `grown_ball` maps the ids of a step function to indices (the
 balls of X, X_e and the Davis realization), and `blowup.blowup_complex`
 computes indices from product coordinates.  Squares are canonical at
 birth: each has four distinct corners and is its own `_canonical_square`,
-and `squares` strictly increases by index tuple.  `make` normalises raw
-squares to this; only `rising_ball`, `span`, `relabel_edges`,
-`restriction_quotient` (through `make`'s normaliser) and the Sageev dual
-build a ball directly, each filling the same index adjacency.
+and `index_squares` strictly increases.  `make` normalises raw squares to
+this; only `rising_ball`, `span`, `relabel_edges`, `restriction_quotient`
+(through `make`'s normaliser) and the Sageev dual build a ball directly,
+each filling the same index adjacency.
 
 `_hyperplanes` labels every vertex in one BFS per component with the set
 of classes its tree path crosses, and takes each class's far side from the
@@ -64,14 +65,12 @@ from functools import cached_property
 BIG_DEPTH = 10 ** 9
 
 
-def _canonical_square(cycle, index):
-    """Least rotation/reflection of a 4-cycle with four distinct corners, by
-    vertex index: start at the least corner, then go to its lesser
-    neighbour."""
-    ranks = [index[x] for x in cycle]
-    k = ranks.index(min(ranks))
+def _canonical_square(cycle):
+    """Least rotation/reflection of an index 4-cycle with four distinct
+    corners: start at the least corner, then go to its lesser neighbour."""
+    k = cycle.index(min(cycle))
     a, b, c, d = cycle[k:] + cycle[:k]
-    return (a, b, c, d) if index[b] < index[d] else (a, d, c, b)
+    return (a, b, c, d) if b < d else (a, d, c, b)
 
 
 class ComplexError(ValueError):
@@ -86,15 +85,16 @@ class TruncationError(ComplexError):
     """A computation ran out of safe interior."""
 
 
-def _normal_squares(squares, index) -> tuple:
-    """Raw 4-cycles made canonical by `index` (vertex -> index),
-    deduplicated and sorted by index."""
+def _normal_squares(order, squares) -> tuple:
+    """Raw index 4-cycles made canonical, deduplicated and sorted; a square
+    that repeats a corner raises, naming the ids of `order`."""
     canon = set()
-    for s in map(tuple, squares):
+    for s in squares:
         if len(set(s)) != 4:
-            raise ComplexError(f"square {s!r} repeats a corner")
-        canon.add(_canonical_square(s, index))
-    return tuple(sorted(canon, key=lambda t: tuple(index[x] for x in t)))
+            raise ComplexError(
+                f"square {tuple(order[x] for x in s)!r} repeats a corner")
+        canon.add(_canonical_square(s))
+    return tuple(sorted(canon))
 
 
 def _adjacency(order, edges) -> tuple:
@@ -117,20 +117,19 @@ class CubeComplexBall:
 
     adjacency: the one stored 1-skeleton; per vertex index, in `vertex_ids`
     order, a dict neighbour index -> direction label.
-    squares: canonical 4-tuples (a,b,c,d) of vertex ids in a cyclic order,
-    so edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
+    index_squares: canonical 4-tuples (a,b,c,d) of vertex indices in a
+    cyclic order, so edges ab,bc,cd,da bound the square and ab||dc, bc||ad.
 
     The constructor trusts the squares to be canonical and sorted (see the
     module docstring); `validate` checks it.  Derived on first read: the
     vertex index; the id tables `edges` (frozenset{u,v} -> label, by lower
-    index, each index's later neighbours in insertion order) and the id
-    adjacency behind `neighbors`; the square tables of `has_square` and
-    `squares_at`; the hyperplanes.
+    index, each index's later neighbours in insertion order), `squares` and
+    the id adjacency behind `neighbors`; the square tables; the hyperplanes.
     """
 
     vertex_ids: tuple
     adjacency: tuple
-    squares: tuple
+    index_squares: tuple
     depth: dict
     _dist_cache: dict = field(init=False, repr=False, compare=False)
 
@@ -149,7 +148,8 @@ class CubeComplexBall:
         index = {v: i for i, v in enumerate(vertices)}
         adj = _adjacency(vertices, ((index[u], index[v], lab)
                                     for u, v, lab in edges))
-        return cls(vertices, adj, _normal_squares(squares, index), depth)
+        return cls(vertices, adj, _normal_squares(
+            vertices, (tuple(index[x] for x in s) for s in squares)), depth)
 
     # -- derived tables -------------------------------------------------------
 
@@ -163,6 +163,12 @@ class CubeComplexBall:
         return {frozenset((ids[i], ids[j])): lab
                 for i, nbrs in enumerate(self.adjacency)
                 for j, lab in nbrs.items() if j > i}
+
+    @cached_property
+    def squares(self) -> tuple:
+        ids = self.vertex_ids
+        return tuple((ids[a], ids[b], ids[c], ids[d])
+                     for a, b, c, d in self.index_squares)
 
     @cached_property
     def _id_adjacency(self) -> dict:
@@ -197,23 +203,21 @@ class CubeComplexBall:
 
     @cached_property
     def _square_set(self) -> frozenset:
-        return frozenset(self.squares)
+        return frozenset(self.index_squares)
 
     @cached_property
-    def _squares_at(self) -> dict:
-        out = {v: [] for v in self.vertex_ids}
-        for s in self.squares:
+    def _squares_at(self) -> list:
+        out = [[] for _ in self.vertex_ids]
+        for s in self.index_squares:
             for x in s:
                 out[x].append(s)
         return out
 
     def has_square(self, cycle) -> bool:
         """Does the 4-cycle, in any rotation or reflection, bound a square?"""
-        return _canonical_square(tuple(cycle), self._index) in self._square_set
-
-    def squares_at(self, v):
-        """The squares with a corner at v, in `squares` order."""
-        return self._squares_at[v]
+        index = self._index
+        return _canonical_square(tuple(index[x] for x in cycle)) \
+            in self._square_set
 
     @cached_property
     def _hyperplane_tuple(self) -> tuple:
@@ -251,16 +255,18 @@ class CubeComplexBall:
 
     def validate(self):
         """Check the structural invariants; raises ComplexError on failure."""
-        if _normal_squares(self.squares, self._index) != self.squares:
+        ids, adj, squares = self.vertex_ids, self.adjacency, self.index_squares
+        if _normal_squares(ids, squares) != squares:
             raise ComplexError("squares are not canonical and sorted")
-        for s in self.squares:
+        for s in squares:
             a, b, c, d = s
             for x, y in ((a, b), (b, c), (c, d), (d, a)):
-                if not self.has_edge(x, y):
-                    raise ComplexError(f"square {s} missing edge {x!r}-{y!r}")
-            if self.edge_label(a, b) != self.edge_label(d, c) or \
-               self.edge_label(b, c) != self.edge_label(a, d):
-                raise ComplexError(f"square {s} has mismatched opposite labels")
+                if y not in adj[x]:
+                    raise ComplexError(f"square {tuple(ids[k] for k in s)} "
+                                       f"missing edge {ids[x]!r}-{ids[y]!r}")
+            if adj[a][b] != adj[d][c] or adj[b][c] != adj[a][d]:
+                raise ComplexError(f"square {tuple(ids[k] for k in s)} "
+                                   "has mismatched opposite labels")
         if len(self.cut_components()) > 1:
             raise ComplexError("1-skeleton is not connected")
         return True
@@ -317,9 +323,10 @@ class CubeComplexBall:
         adj = tuple({new[j]: lab for j, lab in self.adjacency[i].items()
                      if j in new} for i in old)
         vs = tuple(self.vertex_ids[i] for i in old)
-        squares = [s for s in self.squares if all(x in keep for x in s)]
-        depth = {v: self.depth[v] for v in vs}
-        return CubeComplexBall(vs, adj, tuple(squares), depth)
+        # `new` is increasing, so the squares stay canonical and sorted
+        squares = tuple(tuple(new[x] for x in s) for s in self.index_squares
+                        if all(x in new for x in s))
+        return CubeComplexBall(vs, adj, squares, {v: self.depth[v] for v in vs})
 
     # -- serialization ----------------------------------------------------------
 
@@ -329,15 +336,14 @@ class CubeComplexBall:
                 for j in sorted(k for k in nbrs if k > i)]
 
     def to_json(self) -> str:
-        ids, index = self.vertex_ids, self._index
+        ids = self.vertex_ids
         eidx = {}
         edges_out = []
         for i, j, lab in self._sorted_edges():
             eidx[i, j] = len(edges_out)
             edges_out.append([str(ids[i]), str(ids[j]), str(lab)])
         squares_out = []
-        for s in self.squares:
-            a, b, c, d = map(index.__getitem__, s)
+        for a, b, c, d in self.index_squares:
             squares_out.append([eidx[min(x, y), max(x, y)] for x, y in
                                 ((a, b), (b, c), (c, d), (d, a))])
         return json.dumps({
@@ -425,7 +431,7 @@ def rising_ball(order, edges, depth) -> CubeComplexBall:
     neighbour of both.  `_adjacency` takes the triples in their order, and
     each index's later neighbours are then read off its adjacency.  Each
     square comes out once, as the index tuple (a, b, c, d) with a lowest
-    and b < d; sorted, these are the canonical `squares`."""
+    and b < d; sorted, these are the canonical `index_squares`."""
     adj = _adjacency(order, edges)
     up = [[j for j in nbrs if j > i] for i, nbrs in enumerate(adj)]
     squares = []
@@ -440,8 +446,7 @@ def rising_ball(order, edges, depth) -> CubeComplexBall:
                     squares += [(a, b, c, d) for b in bs]
                     bs.append(d)
     squares.sort()
-    return CubeComplexBall(tuple(order), adj, tuple(
-        tuple(order[k] for k in s) for s in squares), depth)
+    return CubeComplexBall(tuple(order), adj, tuple(squares), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -456,45 +461,45 @@ def check_flag_links(b: CubeComplexBall):
     complex this package builds).  Returns a report dict with a list of
     (vertex, witness) failures.
     """
-    ids, index, adj = b.vertex_ids, b._index, b.adjacency
+    ids, index, adj, at = b.vertex_ids, b._index, b.adjacency, b._squares_at
     failures = []
     interior = b.interior()
     for v in interior:
-        # link of v: an edge u1-u2 for each square corner u1, v, u2; two
+        x = index[v]
+        # link of x: an edge u1-u2 for each square corner u1, x, u2; two
         # squares on one corner pair share three edges (a non-simple link)
         corner = {}
-        for s in b.squares_at(v):
-            i = s.index(v)
+        for s in at[x]:
+            i = s.index(x)
             u1, u2, far = s[i - 1], s[(i + 1) % 4], s[(i + 2) % 4]
-            key = frozenset((u1, u2))
+            key = (u1, u2) if u1 < u2 else (u2, u1)
             if key in corner and corner[key] != far:
-                failures.append((v, ("three-shared-edges", (v, u1, u2))))
+                failures.append((v, ("three-shared-edges",
+                                     (v, ids[u1], ids[u2]))))
             corner[key] = far
-        nbrs = [ids[j] for j in sorted(adj[index[v]])]
+        nbrs = sorted(adj[x])
         for i, u1 in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
                 u2 = nbrs[j]
-                if frozenset((u1, u2)) not in corner:
+                if (u1, u2) not in corner:
                     continue
                 for k in range(j + 1, len(nbrs)):
                     u3 = nbrs[k]
-                    if frozenset((u1, u3)) not in corner or \
-                       frozenset((u2, u3)) not in corner:
+                    if (u1, u3) not in corner or (u2, u3) not in corner:
                         continue
-                    w12 = corner[frozenset((u1, u2))]
-                    w13 = corner[frozenset((u1, u3))]
-                    w23 = corner[frozenset((u2, u3))]
-                    if not _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
-                        failures.append((v, ("open-3-cube-corner", (u1, u2, u3))))
+                    if not _three_cube_fills(b, u1, u2, u3, corner[u1, u2],
+                                             corner[u1, u3], corner[u2, u3]):
+                        failures.append((v, ("open-3-cube-corner",
+                                             (ids[u1], ids[u2], ids[u3]))))
     return {"ok": not failures, "failures": failures, "checked": len(interior)}
 
 
 def _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
-    index, adj = b._index, b.adjacency
-    cands = set(adj[index[w12]]) & set(adj[index[w13]]) & set(adj[index[w23]])
-    for z in map(b.vertex_ids.__getitem__, cands):
-        if b.has_square((u1, w12, z, w13)) and b.has_square((u2, w12, z, w23)) \
-           and b.has_square((u3, w13, z, w23)):
+    adj, sq = b.adjacency, b._square_set
+    for z in set(adj[w12]) & set(adj[w13]) & set(adj[w23]):
+        if _canonical_square((u1, w12, z, w13)) in sq and \
+           _canonical_square((u2, w12, z, w23)) in sq and \
+           _canonical_square((u3, w13, z, w23)) in sq:
             return True
     return False
 
@@ -540,9 +545,7 @@ def _edge_classes(b: CubeComplexBall) -> list:
         if rx != ry:
             parent[rx] = ry
 
-    index = b._index
-    for s in b.squares:
-        a, bb, c, d = map(index.__getitem__, s)
+    for a, bb, c, d in b.index_squares:
         union((a, bb) if a < bb else (bb, a), (d, c) if d < c else (c, d))
         union((bb, c) if bb < c else (c, bb), (a, d) if a < d else (d, a))
     classes = {}
@@ -592,7 +595,7 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
     pieces from `cut_components`.
     """
     classes = _edge_classes(b)
-    ids, index, adj = b.vertex_ids, b._index, b.adjacency
+    ids, adj = b.vertex_ids, b.adjacency
     bit = {e: 1 << i for i, es in enumerate(classes) for e in es}
     # hand-written rather than `bfs_from`: it records each tree edge's class;
     # each component's root is its first vertex, with the empty mask
@@ -615,8 +618,7 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
     if components <= 2:
         for (u, v), m in bit.items():
             uncertified |= mask[u] ^ mask[v] ^ m
-        for s in b.squares:
-            a, x, c = index[s[0]], index[s[1]], index[s[2]]
+        for a, x, c, _ in b.index_squares:
             m = bit[(a, x) if a < x else (x, a)]
             if m == bit[(x, c) if x < c else (c, x)]:
                 uncertified |= m
@@ -692,8 +694,8 @@ def is_convex(b: CubeComplexBall, S) -> bool:
         for i, x in enumerate(inside):
             if any(y not in adj[x] for y in inside[i + 1:]):
                 return False
-        for s in b.squares_at(b.vertex_ids[z]):
-            if sum(index[x] in S for x in s) == 3:
+        for s in b._squares_at[z]:
+            if sum(x in S for x in s) == 3:
                 return False
     return True
 
@@ -723,26 +725,28 @@ class CubicalMap:
     target: CubeComplexBall
 
     def validate(self):
-        ids = self.source.vertex_ids
+        ids, tgt = self.source.vertex_ids, self.target
+        image = [self.vertex_map[v] for v in ids]
         for i, j in self.source._edge_pairs():
-            u, v = ids[i], ids[j]
-            fu, fv = self.vertex_map[u], self.vertex_map[v]
-            if fu != fv and not self.target.has_edge(fu, fv):
-                raise ComplexError(f"edge {u!r}-{v!r} maps to a non-edge")
-        for s in self.source.squares:
-            img = [self.vertex_map[x] for x in s]
+            fu, fv = image[i], image[j]
+            if fu != fv and not tgt.has_edge(fu, fv):
+                raise ComplexError(
+                    f"edge {ids[i]!r}-{ids[j]!r} maps to a non-edge")
+        for s in self.source.index_squares:
+            img = [image[x] for x in s]
             distinct = len(set(img))
             if distinct == 4:
-                if not self.target.has_square(img):
-                    raise ComplexError(f"square {s} maps to a non-square")
+                ok = tgt.has_square(img)
             elif distinct == 2:
                 a, bb, c, d = img
-                ok = (a == d and bb == c and self.target.has_edge(a, bb)) or \
-                     (a == bb and c == d and self.target.has_edge(a, c))
-                if not ok:
-                    raise ComplexError(f"square {s} degenerates badly")
-            elif distinct == 3:
-                raise ComplexError(f"square {s} has a 3-point image")
+                ok = (a == d and bb == c and tgt.has_edge(a, bb)) or \
+                     (a == bb and c == d and tgt.has_edge(a, c))
+            else:
+                ok = distinct == 1
+            if not ok:
+                raise ComplexError(f"square {tuple(ids[x] for x in s)} " + {
+                    4: "maps to a non-square", 2: "degenerates badly",
+                    3: "has a 3-point image"}[distinct])
         return True
 
     def surjective(self):
@@ -789,9 +793,8 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
             if wall_of_pair.setdefault((min(ci, cj), max(ci, cj)), w) != w:
                 raise ComplexError("two walls of K join the same K-classes")
             adj[ci][cj] = adj[cj][ci] = b.adjacency[i][j]
-    images = (tuple(vmap[x] for x in s) for s in b.squares)
-    squares = _normal_squares((t for t in images if len(set(t)) == 4),
-                              {v: k for k, v in enumerate(ids)})
+    images = (tuple(cls_of[x] for x in s) for s in b.index_squares)
+    squares = _normal_squares(ids, (t for t in images if len(set(t)) == 4))
     depth = {}
     for i, members in enumerate(classes):
         depth[ids[i]] = max(b.depth[m] for m in members)
@@ -813,24 +816,18 @@ def _edge_ladder_connected(lifts, opposite) -> bool:
     return bool(lifts) and _connected(set(lifts), lambda e: opposite.get(e, ()))
 
 
-def _sheets_connected(q: CubicalMap, lifts) -> bool:
-    """Connectivity of the square-barycenter fiber: two sheet squares are
+def _sheets_connected(src: CubeComplexBall, lifts) -> bool:
+    """Connectivity of the square-barycenter fiber: `lifts` lists the source
+    squares over one target square in the order of its corners, and two are
     adjacent when their matched corners bound a 3-cube's worth of edges and
     side squares."""
-    src = q.source
-    corner_maps = [{q.vertex_map[x]: x for x in ss} for ss in lifts]
+    adj, square_set = src.adjacency, src._square_set
 
     def adjacent(i, j):
-        m1, m2 = corner_maps[i], corner_maps[j]
-        for tv in m1:
-            if not src.has_edge(m1[tv], m2[tv]):
-                return False
-        cyc = lifts[i]
-        for k in range(4):
-            a, b = cyc[k], cyc[(k + 1) % 4]
-            if not src.has_square((a, b, m2[q.vertex_map[b]], m2[q.vertex_map[a]])):
-                return False
-        return True
+        s1, s2 = lifts[i], lifts[j]
+        return all(y in adj[x] for x, y in zip(s1, s2)) and all(
+            _canonical_square((s1[k - 1], s1[k], s2[k], s2[k - 1]))
+            in square_set for k in range(4))
 
     # test `seen` first: each adjacency test costs up to 8 lookups
     seen = {0}
@@ -864,13 +861,19 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     pass over `h.far` confirm.  On the median host that `is_convex` already
     assumes, two complementary vertex sets are both convex exactly when
     they are the sides of one hyperplane (Mulder 1978; Bandelt-Chepoi
-    2008).  Carriers, intervals, and the sides of a th whose lifts lie in
-    no wall, several walls or a truncated one go through `is_convex`; a
-    truncated th has no sides.
+    2008).  So the comparison cannot fail when both hyperplane tuples are
+    right: it stays as the cross-check of the two labellings.  Carriers,
+    intervals, and the sides of a th whose lifts lie in no wall, several
+    walls or a truncated one go through `is_convex`; a truncated th has no
+    sides.  A disconnected target raises `DisconnectedPairError`, as its
+    intervals are undefined.
     """
     q.validate()
     if not q.surjective():
         raise ComplexError("verify_rq_characterization needs a surjective map")
+    if len(q.target.cut_components()) > 1:
+        raise DisconnectedPairError(
+            "verify_rq_characterization needs a connected target")
     rng = random.Random(seed)
     src, tgt, vm = q.source, q.target, q.vertex_map
 
@@ -888,15 +891,17 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
                 frozenset((u, v)))
     square_lifts = {}
     opposite = {}
-    for s in src.squares:
-        a, b, c, d = s
+    image = [tgt._index[vm[v]] for v in ids]
+    for s in src.index_squares:
+        a, b, c, d = map(ids.__getitem__, s)
         for e1, e2 in ((frozenset((a, b)), frozenset((d, c))),
                        (frozenset((b, c)), frozenset((a, d)))):
             opposite.setdefault(e1, []).append(e2)
             opposite.setdefault(e2, []).append(e1)
-        img = tuple(vm[x] for x in s)
+        img = tuple(image[x] for x in s)
         if len(set(img)) == 4:
-            square_lifts.setdefault(_canonical_square(img, tgt._index), []).append(s)
+            t, lift = _canonical_square(img), dict(zip(img, s))
+            square_lifts.setdefault(t, []).append(tuple(lift[y] for y in t))
 
     cond1 = all(is_convex(src, fibers[tv]) for tv in tgt.vertex_ids)
 
@@ -904,8 +909,8 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
     # joins them
     cond2 = all(_edge_ladder_connected(edge_lifts.get(te), opposite)
                 for te in tgt.edges) and \
-        all(s in square_lifts and _sheets_connected(q, square_lifts[s])
-            for s in tgt.squares)
+        all(s in square_lifts and _sheets_connected(src, square_lifts[s])
+            for s in tgt.index_squares)
 
     src_hps = hyperplanes(src)
     wall_of_edge = {e: h.index for h in src_hps for e in h.edge_class}
@@ -978,7 +983,7 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
     match on the nose.  `fix` is an optional list of (v1, v2) seed pairs.
     """
     if len(b1.vertex_ids) != len(b2.vertex_ids) or len(b1.edges) != len(b2.edges) \
-       or len(b1.squares) != len(b2.squares):
+       or len(b1.index_squares) != len(b2.index_squares):
         return None
     vl1 = vlabel1 or (lambda v: None)
     vl2 = vlabel2 or (lambda v: None)
@@ -1061,5 +1066,5 @@ def relabel_edges(b: CubeComplexBall, fn) -> CubeComplexBall:
     """Copy of the ball with edge labels mapped through fn."""
     adj = tuple({j: fn(lab) for j, lab in nbrs.items()}
                 for nbrs in b.adjacency)
-    return CubeComplexBall(b.vertex_ids, adj, b.squares, dict(b.depth))
+    return CubeComplexBall(b.vertex_ids, adj, b.index_squares, dict(b.depth))
 

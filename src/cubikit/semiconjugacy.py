@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
-from .cube_complex import CubeComplexBall, TruncationError, bfs_ball
+from .cube_complex import TruncationError, bfs_ball
 
 
 class ActionError(ValueError):
@@ -620,45 +620,6 @@ class BranchedLine:
             if k:
                 worst = max(worst, 2 + k)
         return worst
-
-    def tip_list(self):
-        out = []
-        for m in range(self.window[0], self.window[1] + 1):
-            ts = self.tips.get(m, ())
-            if ts:
-                out.extend((m, t) for t in ts)
-            else:
-                out.append((m, None))
-        return out
-
-    def wall_sides_on_tips(self):
-        """Walls of the tip set from the edges of the branched line.
-
-        Line edge (m, m+1) separates tips by base <= m; a whisker edge cuts
-        off its single tip.  Returns a list of (tag, side set of tips).
-        """
-        tips = self.tip_list()
-        walls = []
-        lo, hi = self.window
-        for m in range(lo, hi):
-            side = frozenset(t for t in tips if t[0] <= m)
-            walls.append((("cut", m), side))
-        for m, t in tips:
-            if t is not None:
-                walls.append((("tip", m, t), frozenset([(m, t)])))
-        return walls
-
-    def as_complex(self) -> CubeComplexBall:
-        lo, hi = self.window
-        verts = [("b", m) for m in range(lo, hi + 1)]
-        edges = [(("b", m), ("b", m + 1), "line") for m in range(lo, hi)]
-        for m in range(lo, hi + 1):
-            for t in self.tips.get(m, ()):
-                verts.append(("t", m, t))
-                edges.append((("b", m), ("t", m, t), "whisker"))
-        depth = {v: (min(v[1] - lo, hi - v[1]) + 1 if v[0] == "b"
-                     else min(v[1] - lo, hi - v[1])) for v in verts}
-        return CubeComplexBall.make(verts, edges, [], depth)
 
 
 # ---------------------------------------------------------------------------

@@ -247,32 +247,32 @@ def dual_cube_complex(ws: Wallspace) -> CubeComplexBall:
     """The Sageev dual: every consistent orientation, from `ws.flips`.
 
     Vertex ids are 'c<bits>' strings over the wall choices (bit i set means
-    the stored side of wall i).  Edge labels are the wall tags.  Each square
-    is emitted once, from its lowest corner s (neither wall on its stored
-    side), as (s, s^i, s^i^j, s^j) with i < j: already canonical, and in
-    sorted order, so the complex is built without `make`'s normalising.
+    the stored side of wall i), indexed in increasing state order.  Edge
+    labels are the wall tags.  Each square is emitted once, from its lowest
+    corner s (neither wall on its stored side), as the indices of
+    (s, s^i, s^i^j, s^j) with i < j: already canonical, and in sorted
+    order, so the complex is built without `make`'s normalising.
     """
     n = ws.n_walls()
     flips = ws.flips
     order = sorted(flips)
-    vid = {s: _vertex_id(n, s) for s in order}
+    index = {s: k for k, s in enumerate(order)}
     squares = []
     for s in order:
         up = [i for i in flips[s] if not s >> i & 1]
         for i, j in itertools.combinations(up, 2):
             s_ij = s ^ (1 << i) ^ (1 << j)
             if s_ij in flips:
-                squares.append((vid[s], vid[s ^ (1 << i)], vid[s_ij],
-                                vid[s ^ (1 << j)]))
-    index = {s: k for k, s in enumerate(order)}
+                squares.append((index[s], index[s ^ (1 << i)], index[s_ij],
+                                index[s ^ (1 << j)]))
     adj = tuple({} for _ in order)
     for s, fl in flips.items():
         a = index[s]
         for i in fl:
             b = index[s ^ 1 << i]
             adj[a][b] = adj[b][a] = str(ws.tags[i])
-    return CubeComplexBall(tuple(vid[s] for s in order), adj, tuple(squares),
-                           None)
+    return CubeComplexBall(tuple(_vertex_id(n, s) for s in order), adj,
+                           tuple(squares), None)
 
 
 def _transverse_families(ws: Wallspace):

@@ -123,7 +123,8 @@ def test_grown_ball_squares_every_pair_of_middles():
 # -- `validate` checks the invariant the constructor trusts -----------------
 
 def unit_square(squares):
-    """The four-cycle a-b-c-d, built directly with the given squares."""
+    """The four-cycle a-b-c-d, built directly with the given index squares
+    (a, b, c, d are the indices 0, 1, 2, 3)."""
     verts = ("a", "b", "c", "d")
     adj = cc.CubeComplexBall.make(verts, [
         ("a", "b", "x"), ("b", "c", "y"), ("c", "d", "x"),
@@ -132,14 +133,14 @@ def unit_square(squares):
 
 
 def test_validate_accepts_the_canonical_square():
-    assert unit_square([("a", "b", "c", "d")]).validate()
+    assert unit_square([(0, 1, 2, 3)]).validate()
 
 
 @pytest.mark.parametrize("squares,message", [
-    ([("b", "c", "d", "a")], "not canonical and sorted"),
-    ([("a", "d", "c", "b")], "not canonical and sorted"),
-    ([("a", "b", "c", "d"), ("a", "b", "c", "d")], "not canonical and sorted"),
-    ([("a", "b", "a", "d")], "repeats a corner"),
+    ([(1, 2, 3, 0)], "not canonical and sorted"),
+    ([(0, 3, 2, 1)], "not canonical and sorted"),
+    ([(0, 1, 2, 3), (0, 1, 2, 3)], "not canonical and sorted"),
+    ([(0, 1, 0, 3)], "repeats a corner"),
 ])
 def test_validate_rejects_squares_make_would_normalise(squares, message):
     with pytest.raises(cc.ComplexError, match=message):
@@ -153,11 +154,13 @@ def test_validate_rejects_unsorted_squares():
                ("e", "f", "x"), ("a", "d", "y"), ("b", "e", "y"),
                ("c", "f", "y")]
     adj = cc.CubeComplexBall.make(verts, triples, []).adjacency
-    squares = (("b", "c", "f", "e"), ("a", "b", "e", "d"))
+    squares = ((1, 2, 5, 4), (0, 1, 4, 3))
     with pytest.raises(cc.ComplexError, match="not canonical and sorted"):
         cc.CubeComplexBall(verts, adj, squares, None).validate()
-    fixed = cc.CubeComplexBall.make(verts, triples, squares)
-    assert fixed.squares == squares[::-1]
+    id_squares = (("b", "c", "f", "e"), ("a", "b", "e", "d"))
+    fixed = cc.CubeComplexBall.make(verts, triples, id_squares)
+    assert fixed.index_squares == squares[::-1]
+    assert fixed.squares == id_squares[::-1]
     assert fixed.validate()
 
 
@@ -176,29 +179,31 @@ def test_validate_rejects_broken_cells(triples, extra, message):
         b.validate()
 
 
-# -- the square tables are built on first read -------------------------------
+# -- the square tables and the id view are built on first read --------------
 
 def eager_square_tables(b):
-    """Oracle: the square set and the squares at each corner, in `squares`
-    order, built from `squares` in one pass."""
-    at = {v: [] for v in b.vertex_ids}
-    for s in b.squares:
+    """Oracle: the square set and the squares at each corner index, in
+    `index_squares` order, built from `index_squares` in one pass."""
+    at = [[] for _ in b.vertex_ids]
+    for s in b.index_squares:
         for x in s:
             at[x].append(s)
-    return frozenset(b.squares), at
+    return frozenset(b.index_squares), at
 
 
 @pytest.mark.parametrize("name,radius", [("k2", 3), ("pentagon", 2)])
 @pytest.mark.parametrize("kind", ["X", "davis", "Y"])
 def test_square_tables_are_built_on_first_read(kind, name, radius):
     b = produce(kind, name, radius, random.Random(0))
-    assert b.squares
-    assert not {"_square_set", "_squares_at"} & set(vars(b))
+    assert b.index_squares
+    assert not {"squares", "_square_set", "_squares_at"} & set(vars(b))
     square_set, at = eager_square_tables(b)
-    for v in b.vertex_ids:
-        assert b.squares_at(v) == at[v]
-    assert "_square_set" not in vars(b)
+    assert b._squares_at == at
+    assert not {"squares", "_square_set"} & set(vars(b))
+    ids = b.vertex_ids
+    assert b.squares == tuple(tuple(ids[x] for x in s)
+                              for s in b.index_squares)
     for a, x, c, d in b.squares:
         assert b.has_square((x, c, d, a)) and b.has_square((d, c, x, a))
         assert not b.has_square((a, x, d, c))
-    assert (b._square_set, b._squares_at) == (square_set, at)
+    assert b._square_set == square_set

@@ -15,6 +15,7 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
 from .strategies import defining_graphs
+from .test_index_adjacency import grown_subcomplex, squares_at_oracle
 
 
 def separates(h, x, y):
@@ -299,6 +300,85 @@ def bijective_blowup_map(g, radius, window):
     return bu.blowup_complex(bu.build_fiber_functor(data, davis)).q
 
 
+@pytest.fixture(scope="module")
+def disconnected_target_map():
+    """The quotient of the K2 blow-up at radius 3, window 2 by no walls: its
+    `Y` has five components, so the target has five vertices and no edge."""
+    Y = bijective_blowup_map(gc.k2(), 3, 2).source
+    return cc.restriction_quotient(Y, []).map
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("samples", range(3))
+def test_verifier_refuses_a_disconnected_target(disconnected_target_map,
+                                                samples, seed):
+    # intervals between components are undefined, so the verifier refuses
+    # up front, whatever intervals `samples` and `seed` would draw
+    q = disconnected_target_map
+    assert len(q.target.vertex_ids) == len(q.target.cut_components()) == 5
+    with pytest.raises(cc.DisconnectedPairError,
+                       match="^verify_rq_characterization needs a connected "
+                             "target$"):
+        cc.verify_rq_characterization(q, samples=samples, seed=seed)
+
+
+def three_cube_over_square(drop=(), target_order=("t0", "t1", "t2", "t3")):
+    """The 3-cube on 0..7 (bit i the edge label "xyz"[i]) without the faces
+    in `drop`, listed so that its top face (4, 5, 7, 6) is canonical from 7
+    and its bottom face from 0, mapped onto a square by v -> t<v & 3>."""
+    faces = [(v, v | 1 << i, v | 1 << i | 1 << j, v | 1 << j)
+             for i, j in ((0, 1), (0, 2), (1, 2)) for v in range(8)
+             if not v & (1 << i | 1 << j)]
+    cube = cc.CubeComplexBall.make(
+        [0, 1, 2, 3, 7, 6, 5, 4], [(v, v | 1 << i, "xyz"[i]) for v in range(8)
+                                   for i in range(3) if not v >> i & 1],
+        [f for f in faces if f not in drop], None)
+    square = cc.CubeComplexBall.make(
+        target_order, [("t0", "t1", "x"), ("t2", "t3", "x"),
+                       ("t0", "t2", "y"), ("t1", "t3", "y")],
+        [("t0", "t1", "t3", "t2")], None)
+    return cc.CubicalMap({v: f"t{v & 3}" for v in range(8)}, cube, square)
+
+
+@pytest.mark.parametrize("order", [("t0", "t1", "t2", "t3"),
+                                   ("t1", "t3", "t0", "t2")])
+def test_sheets_match_corners_by_their_image(order):
+    # the two sheets over the square start their canonical forms at corners
+    # 0 and 7, which lie over different target corners: condition 2 must
+    # match corners by image, not by position
+    rep = cc.verify_rq_characterization(three_cube_over_square((), order))
+    assert rep["all_true"]
+    # without a side face the sheets are not joined by a 3-cube
+    q = three_cube_over_square([(0, 1, 5, 4)], order)
+    assert not cc.verify_rq_characterization(q)["conditions"][1]
+
+
+def test_condition3_cross_checks_the_two_labellings(monkeypatch):
+    # the source ball's hyperplanes, corrupted for that ball only: one wall
+    # of K carries another wall's far side.  Condition 4 reads edge classes
+    # alone and holds; condition 3's halfspace comparison catches it.
+    ball = rg.ball_X(gc.k2(), 2)
+    real = cc._hyperplanes
+
+    def corrupted(b):
+        hps = real(b)
+        if b is not ball:
+            return hps
+        h, other = [x for x in hps if not x.truncated][:2]
+        assert h.far != other.far
+        return tuple(dataclasses.replace(x, far=other.far) if x is h else x
+                     for x in hps)
+
+    def conditions(b):
+        K = [h for h in cc.hyperplanes(b) if not h.truncated]
+        q = cc.restriction_quotient(b, K).map
+        return cc.verify_rq_characterization(q, samples=0)["conditions"]
+
+    assert conditions(rg.ball_X(gc.k2(), 2)) == (True,) * 5
+    monkeypatch.setattr(cc, "_hyperplanes", corrupted)
+    assert conditions(ball)[2:4] == (False, True)
+
+
 K3 = gc.DefiningGraph.make("abc", itertools.combinations("abc", 2))
 PRISM = gc.DefiningGraph.make("abcdef", [
     *itertools.combinations("abc", 2), *itertools.combinations("def", 2),
@@ -442,10 +522,11 @@ def test_equality_ignores_derived_fields():
     # read: neither the constructor nor == sees them
     a, b = rg.ball_X(gc.k2(), 2), rg.ball_X(gc.k2(), 2)
     a.distance(a.vertex_ids[0], a.vertex_ids[-1])
-    a.squares_at(a.vertex_ids[0])
+    assert a._squares_at[0]
     a.has_square(a.squares[0])
     assert a._dist_cache != b._dist_cache
-    assert {"_square_set", "_squares_at"} <= set(vars(a)) - set(vars(b))
+    assert {"squares", "_square_set", "_squares_at"} <= \
+        set(vars(a)) - set(vars(b))
     assert a == b
     fields = dataclasses.fields(cc.CubeComplexBall)
     for f in fields:
@@ -538,28 +619,6 @@ def hyperplanes_oracle(b):
     return out
 
 
-def grown_subcomplex(b, data, drop_squares):
-    """A connected subcomplex of `b`: the span of a vertex set grown from a
-    drawn vertex by drawn neighbours, with a drawn subset of its squares
-    dropped when `drop_squares` is set."""
-    grown = [data.draw(st.sampled_from(b.vertex_ids))]
-    size = data.draw(st.integers(1, len(b.vertex_ids)))
-    while len(grown) < size:
-        frontier = {y for x in grown for y in b.neighbors(x)} - set(grown)
-        if not frontier:
-            break
-        grown.append(data.draw(st.sampled_from(sorted(frontier,
-                                                      key=b._index.get))))
-    sub = b.span(grown)
-    if drop_squares:
-        keep = data.draw(st.lists(st.booleans(), min_size=len(sub.squares),
-                                  max_size=len(sub.squares)))
-        sub = cc.CubeComplexBall(
-            sub.vertex_ids, sub.adjacency,
-            tuple(s for s, k in zip(sub.squares, keep) if k), sub.depth)
-    return sub
-
-
 def is_convex_oracle(b, S):
     """Convexity by three loops over S: connectedness, then every member's
     neighbours outside S, then every member's squares (the oracle for
@@ -576,8 +635,9 @@ def is_convex_oracle(b, S):
             for y in b.neighbors(z):
                 if y in S and y != x and not b.has_edge(x, y):
                     return False
+    at = squares_at_oracle(b)
     for x in S:
-        for s in b.squares_at(x):
+        for s in at[x]:
             for i in range(4):
                 a, mid, c = s[(i - 1) % 4], s[i], s[(i + 1) % 4]
                 far = s[(i + 2) % 4]
@@ -666,18 +726,16 @@ def canonical_square_oracle(cycle, index):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.permutations(range(9)).map(lambda p: tuple(p[:4])),
-       st.permutations(range(9)))
-def test_canonical_square_matches_dihedral_minimum(cycle, ranks):
-    # vertex indices independent of the labels
-    index = dict(enumerate(ranks))
-    assert cc._canonical_square(cycle, index) == \
-        canonical_square_oracle(cycle, index)
+@given(st.permutations(range(9)).map(lambda p: tuple(p[:4])))
+def test_canonical_square_matches_dihedral_minimum(cycle):
+    index = {x: x for x in cycle}
+    assert cc._canonical_square(cycle) == canonical_square_oracle(cycle, index)
 
 
 def test_square_with_repeated_corner_raises():
     edges = [("a", "b", "u"), ("a", "c", "v")]
-    with pytest.raises(cc.ComplexError, match="repeats a corner"):
+    with pytest.raises(cc.ComplexError,
+                       match=r"^square \('a', 'b', 'a', 'c'\) repeats a corner$"):
         cc.CubeComplexBall.make(["a", "b", "c"], edges, [("a", "b", "a", "c")])
 
 

@@ -36,8 +36,6 @@ TEST_ONLY = {
 # TEST_ONLY, each waits for a production caller or a move to the tests.
 TEST_ONLY_METHODS = {
     "semiconjugacy.BranchedLine.branching_number",
-    "semiconjugacy.BranchedLine.wall_sides_on_tips",
-    "semiconjugacy.BranchedLine.as_complex",
 }
 
 
