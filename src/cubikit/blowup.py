@@ -22,7 +22,7 @@ the lifts of its edges) walk index adjacency: no id is looked up.
 
 A generator moves Y by one cell map per Davis vertex (the image residue,
 each factor's class moved by its `building.class_isometry`), which
-`_move_fibers` applies to fiber points, as it does quasi-morphisms of data.
+`_move_fibers` applies to fiber points.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +37,8 @@ from functools import cached_property
 from .building import (
     ActionTables,
     DavisBall,
-    chambers_of,
     class_isometry,
     image_class,
-    residue_contains,
     residue_image,
     resolved_table,
 )
@@ -57,12 +54,10 @@ from .raag_geometry import (
     ParallelClass,
     class_of_geodesic,
     flat_element,
-    gate_heights,
     height_of,
     parse_word,
     word_str,
 )
-from .semiconjugacy import line_isometry
 
 
 @dataclass
@@ -394,137 +389,6 @@ def local_finiteness_report(data: BlowUpData):
     return {"max_preimage": max_pre, "density": density}
 
 
-def downward_complex_check(bc: BlowUpComplex, vid: str) -> bool:
-    """q^{-1}(downward complex of vid) is the product of mapping cylinders.
-
-    The expected model has, per factor, a line of fiber coordinates plus one
-    whisker per chamber attached at its table value; the comparison is a
-    direct labeled bijection, not a search.
-    """
-    davis = bc.davis
-    g = davis.graph
-    r = davis.residue_of[vid]
-    down_vids = [w for w in davis.ball.vertex_ids
-                 if residue_contains(g, davis.residue_of[w], r)]
-    down_set = set(down_vids)
-    sub_vertices = [yv for yv in bc.Y.vertex_ids
-                    if bc.vertex_info[yv][0] in down_set]
-    sub = bc.Y.span(sub_vertices)
-    classes = [davis.line_classes[r.base, v] for v in r.type_J]
-
-    def model_coord(yv):
-        wid, p = bc.vertex_info[yv]
-        rw = davis.residue_of[wid]
-        waxes = bc.psi.axes[wid]
-        coords = []
-        for v, cid in zip(r.type_J, bc.psi.axes[vid]):
-            if v in rw.type_J:
-                coords.append(("line", p[waxes.index(cid)]))
-            else:
-                coords.append(("chamber",
-                               gate_heights(g, r.base, (v,), rw.base)[v]))
-        return tuple(coords)
-
-    seen = {}
-    for yv in sub.vertex_ids:
-        key = model_coord(yv)
-        if key in seen:
-            return False
-        seen[key] = yv
-    # edges of the product of cylinders: change one coordinate, either a
-    # line step or a whisker move chamber<->its table value
-    expected_edges = set()
-    for key in seen:
-        for i, (kind, val) in enumerate(key):
-            v = r.type_J[i]
-            if kind == "line":
-                up = key[:i] + (("line", val + 1),) + key[i + 1 :]
-                if up in seen:
-                    expected_edges.add(frozenset((seen[key], seen[up])))
-            else:
-                chamber = flat_element(g, r.base, {v: val})
-                hv = bc.psi.data.value(classes[i], chamber)
-                mid = key[:i] + (("line", hv),) + key[i + 1 :]
-                if mid in seen:
-                    expected_edges.add(frozenset((seen[key], seen[mid])))
-    actual = set(sub.edges.keys())
-    return expected_edges == actual
-
-
-# ---------------------------------------------------------------------------
-# quasi-morphisms of data
-# ---------------------------------------------------------------------------
-
-def eta_quasi_morphism(bcA: BlowUpComplex, bcB: BlowUpComplex, f_per_class,
-                       L: float, A: float, bound_L: float | None = None,
-                       bound_A: float | None = None, sample: int = 60,
-                       seed: int = 0):
-    """Vertex map Y_A -> Y_B induced by per-class window maps f_lambda.
-
-    Checks the defining diagrams commute up to A on every rank-1 residue,
-    builds the coordinatewise vertex map, and measures its metric distortion
-    on sampled interior pairs.  When the f_lambda are isometries and A = 0
-    the map is required to be a cubical isomorphism.
-    """
-    davis = bcA.davis
-    g = davis.graph
-    dataA, dataB = bcA.psi.data, bcB.psi.data
-    for vid, r in davis.residue_of.items():
-        if r.rank != 1:
-            continue
-        pc = davis.line_classes[r.base, r.type_J[0]]
-        f = f_per_class[pc.id]
-        for coords, chamber in chambers_of(g, r, 1):
-            try:
-                va = dataA.value(pc, chamber)
-                vb = dataB.value(pc, chamber)
-            except TruncationError:
-                continue
-            if va in f and abs(f[va] - vb) > A:
-                raise AssertionError(
-                    f"diagram fails on {pc.id} at {word_str(chamber)}: "
-                    f"f({va})={f[va]} vs {vb}")
-    vmap = _move_fibers(bcA, bcB, lambda vid: (vid, [
-        (i, f_per_class[cid]) for i, cid in enumerate(bcA.psi.axes[vid])]))
-    rng = random.Random(seed)
-    domain = [yv for yv in vmap if bcA.Y.depth[yv] >= 1]
-    worst_ratio = 1.0
-    pairs = []
-    for _ in range(sample):
-        a, b = rng.choice(domain), rng.choice(domain)
-        if a == b:
-            continue
-        d1 = bcA.Y.distance(a, b)
-        d2 = bcB.Y.distance(vmap[a], vmap[b])
-        pairs.append((d1, d2))
-        if d1 and d2:
-            worst_ratio = max(worst_ratio, d1 / d2, d2 / d1)
-    # residual additive error after allowing the multiplicative bound
-    L_eff = bound_L if bound_L is not None else worst_ratio
-    worst_add = 0
-    for d1, d2 in pairs:
-        worst_add = max(worst_add, d2 - L_eff * d1, d1 - L_eff * d2, 0)
-    # an exact isomorphism is expected when A = 0 and every f_lambda lies on
-    # one line isometry (a table with fewer than two keys always does)
-    isometric = A == 0
-    for f in f_per_class.values():
-        if isometric and f:
-            iso = line_isometry(f.items())
-            isometric = iso is not None and all(
-                iso[0] * a + iso[1] == b for a, b in f.items())
-    exact_iso = _is_cubical_bijection(bcA, bcB, vmap) if isometric else None
-    report = {"vertex_map": vmap, "measured_L": worst_ratio,
-              "measured_A": worst_add, "pairs": len(pairs),
-              "exact_isomorphism": exact_iso}
-    if bound_L is not None and bound_A is not None:
-        for d1, d2 in pairs:
-            if d2 > bound_L * d1 + bound_A or d1 > bound_L * d2 + bound_A:
-                raise AssertionError(
-                    f"pair with distances {d1},{d2} violates the "
-                    f"({bound_L},{bound_A})-quasi-isometry bound")
-    return report
-
-
 def _move_fibers(src: BlowUpComplex, dst: BlowUpComplex, cell_of):
     """A vertex map Y_src -> Y_dst that moves each fiber as a whole.
 
@@ -547,19 +411,6 @@ def _move_fibers(src: BlowUpComplex, dst: BlowUpComplex, cell_of):
         if None not in img and target in dst.vertex_info:
             vmap[yv] = target
     return vmap
-
-
-def _is_cubical_bijection(bcA, bcB, vmap):
-    interiorA = [yv for yv in bcA.Y.vertex_ids if bcA.Y.depth[yv] >= 2]
-    for yv in interiorA:
-        if yv not in vmap:
-            return False
-        for nb, lab in bcA.Y.neighbors(yv).items():
-            if nb in vmap:
-                if not bcB.Y.has_edge(vmap[yv], vmap[nb]) or \
-                   bcB.Y.edge_label(vmap[yv], vmap[nb]) != lab:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .graph_core import DefiningGraph, cliques, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
     class_of_geodesic,
-    coset_member,
     flat_element,
     gate_heights,
     gate_representative,
@@ -80,11 +79,6 @@ def residue(g: DefiningGraph, base, type_J) -> Residue:
     members = g.sorted_subset(type_J)
     return Residue(gate_representative(g, base, members), members,
                    g.is_clique(members))
-
-
-def residue_contains(g: DefiningGraph, small: Residue, big: Residue) -> bool:
-    return set(small.type_J) <= set(big.type_J) and \
-        coset_member(g, small.base, big.base, big.type_J)
 
 
 @dataclass
@@ -210,20 +204,6 @@ def parallel_set(g: DefiningGraph, r: Residue) -> Residue:
                               set(orthogonal_complement(g, r.type_J)))
     return Residue(gate_representative(g, r.base, support), support,
                    g.is_clique(support))
-
-
-def product_decomposition(g: DefiningGraph, r: Residue, window: int = 2):
-    """Rank-1 factors and the chamber-coordinates bijection, window-checked."""
-    factors = [residue(g, r.base, (v,)) for v in r.type_J]
-    for coords, chamber in chambers_of(g, r, window):
-        for f, v in zip(factors, r.type_J):
-            expected = flat_element(g, f.base, {v: coords[v]})
-            got = proj_residue(g, f, chamber)
-            if got != expected:
-                raise AssertionError(
-                    f"projection of {word_str(chamber)} onto factor {f.id} "
-                    f"is {word_str(got)}, expected {word_str(expected)}")
-    return factors
 
 
 # ---------------------------------------------------------------------------

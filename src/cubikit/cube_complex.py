@@ -7,15 +7,16 @@ here (links, hyperplanes, convexity, quotients) works on the 2-skeleton.
 Truncation policy: each vertex carries a depth (distance to the truncation
 cut, `None` meaning the complex is not truncated at all).  Vertices of depth
 <= 1 are flagged as boundary; metric and wall computations are reliable on
-`interior(margin)` for margin >= 1, link checks on margin >= 2.
+`interior(margin)` for margin >= 1, link checks on margin >= 2 and their
+3-cube fills on margin >= 3.
 
-A ball stores its 1-skeleton and its squares once, by vertex index:
-`adjacency` holds, per index in `vertex_ids` order, a dict neighbour
-index -> label, and `index_squares` the squares as index 4-tuples.  String
-ids are the boundary: `make` and `has_square` take id squares, the id
-tables `edges`, `neighbors` and `squares` are derived on first read, and
-of the square readers only the verifier's edge keys (which match
-`Hyperplane.edge_class`), `labeled_isomorphism` and error messages use ids.
+A ball stores its 1-skeleton, squares and hyperplanes once, by vertex
+index: `adjacency` holds, per index in `vertex_ids` order, a dict neighbour
+index -> label, `index_squares` the squares as index 4-tuples, and each
+`Hyperplane` its edges as index pairs and its far side as an index set.
+String ids are the boundary: `make` and `has_square` take id squares, the
+id tables `edges`, `neighbors`, `squares` and the hyperplanes' `edge_class`
+and `sides` are derived on read, and only vertex maps use ids.
 
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
 built by one builder, `rising_ball`, from index edge triples, checked for
@@ -26,8 +27,8 @@ balls of X, X_e and the Davis realization), and `blowup.blowup_complex`
 computes indices from product coordinates.  Squares are canonical at
 birth: each has four distinct corners and is its own `_canonical_square`,
 and `index_squares` strictly increases.  `make` normalises raw squares to
-this; only `rising_ball`, `span`, `relabel_edges`, `restriction_quotient`
-(through `make`'s normaliser) and the Sageev dual build a ball directly,
+this; only `rising_ball`, `span`, `restriction_quotient` (through
+`make`'s normaliser) and the Sageev dual build a ball directly,
 each filling the same index adjacency.
 
 `_hyperplanes` labels every vertex in one BFS per component with the set
@@ -224,15 +225,14 @@ class CubeComplexBall:
         return _hyperplanes(self)
 
     def cut_components(self, cut=()):
-        """Components of the 1-skeleton minus the edges in `cut`.
+        """Components of the 1-skeleton minus the index pairs in `cut`.
 
-        Components come in order of their first vertex in `vertex_ids`, and
-        each lists its vertices in `vertex_ids` order.
+        Components are lists of indices, in order of their least index, and
+        each lists its indices in increasing order.
         """
-        index, adj = self._index, self.adjacency
+        adj = self.adjacency
         banned = {}
-        for e in cut:
-            i, j = map(index.__getitem__, e)
+        for i, j in cut:
             banned.setdefault(i, set()).add(j)
             banned.setdefault(j, set()).add(i)
         comp_of = [None] * len(adj)
@@ -249,7 +249,7 @@ class CubeComplexBall:
                         comp_of[y] = start
                         stack.append(y)
         comps = {}
-        for v, c in zip(self.vertex_ids, comp_of):
+        for v, c in enumerate(comp_of):
             comps.setdefault(c, []).append(v)
         return list(comps.values())
 
@@ -456,12 +456,15 @@ def rising_ball(order, edges, depth) -> CubeComplexBall:
 def check_flag_links(b: CubeComplexBall):
     """Flag test at every vertex of depth >= 2 (the link checks' margin).
 
-    Verifies the link is a simple graph and every link triangle is filled by
-    a 3-cube (sufficient for flagness through dimension 3, which covers every
-    complex this package builds).  Returns a report dict with a list of
-    (vertex, witness) failures.
+    Verifies the link is a simple graph and, at depth >= 3, that every link
+    triangle is filled by a 3-cube (sufficient for flagness through
+    dimension 3, which covers every complex this package builds): the far
+    corner of a 3-cube is 3 steps from its vertex, so at depth 2 it may lie
+    past the window.  `checked` counts the vertices of depth >= 2.  Returns
+    a report dict with a list of (vertex, witness) failures.
     """
     ids, index, adj, at = b.vertex_ids, b._index, b.adjacency, b._squares_at
+    depth = b.depth
     failures = []
     interior = b.interior()
     for v in interior:
@@ -477,6 +480,9 @@ def check_flag_links(b: CubeComplexBall):
                 failures.append((v, ("three-shared-edges",
                                      (v, ids[u1], ids[u2]))))
             corner[key] = far
+        # a 3-cube's far corner is 3 steps from x
+        if depth[v] < 3:
+            continue
         nbrs = sorted(adj[x])
         for i, u1 in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
@@ -511,10 +517,9 @@ def _three_cube_fills(b, u1, u2, u3, w12, w13, w23):
 @dataclass(frozen=True)
 class Hyperplane:
     index: int
-    edge_class: frozenset
-    carrier_vertices: frozenset
-    far: frozenset | None  # the side without vertex_ids[0]; None if truncated
-    vertices: frozenset    # the ball's vertices, one object per ball
+    edges: tuple           # index pairs (i, j), i < j, in `_edge_classes` order
+    far: frozenset | None  # indices of the side without 0; None if truncated
+    vertex_ids: tuple      # the ball's own tuple
     direction: str
 
     @property
@@ -522,9 +527,17 @@ class Hyperplane:
         return self.far is None
 
     @property
+    def edge_class(self) -> frozenset:
+        ids = self.vertex_ids
+        return frozenset(frozenset((ids[i], ids[j])) for i, j in self.edges)
+
+    @property
     def sides(self) -> tuple:
-        """(near, far), near holding `vertex_ids[0]`; () when truncated."""
-        return () if self.far is None else (self.vertices - self.far, self.far)
+        """Id sets (near, far), near holding index 0; () if truncated."""
+        if self.far is None:
+            return ()
+        far = frozenset(map(self.vertex_ids.__getitem__, self.far))
+        return frozenset(self.vertex_ids) - far, far
 
 
 def _edge_classes(b: CubeComplexBall) -> list:
@@ -564,8 +577,8 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
     """Partition of edges into square-opposite parallelism classes.
 
     Each class whose removal cuts the 1-skeleton into exactly two pieces
-    stores one halfspace, `far`, the piece without `vertex_ids[0]`; `sides`
-    builds the pair on demand.  Other classes are boundary artifacts,
+    stores one halfspace, `far`, the indices of the piece without index 0.
+    Other classes are boundary artifacts,
     truncated with `far` None (excluded from wall-based computations).
 
     The sides of every class come from one labelling (the Djoković-Winkler
@@ -623,22 +636,17 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
             if m == bit[(x, c) if x < c else (c, x)]:
                 uncertified |= m
     if components == 1:
-        for v, m in zip(ids, mask):
+        for v, m in enumerate(mask):
             while m:
                 low = m & -m
                 far[low.bit_length() - 1].append(v)
                 m ^= low
-    everything = frozenset(ids)
     out = []
     for i, es in enumerate(classes):
-        eset = frozenset(frozenset((ids[u], ids[v])) for u, v in es)
         direction = min(str(adj[u][v]) for u, v in es)
-        # a square on an edge of the class has its opposite edge there too,
-        # so the edge endpoints already cover every square of the carrier
-        carrier = frozenset(ids[x] for e in es for x in e)
         if uncertified >> i & 1:
-            # comps[0] holds vertex_ids[0]
-            comps = b.cut_components(eset)
+            # comps[0] holds index 0
+            comps = b.cut_components(es)
             side = frozenset(comps[1]) if len(comps) == 2 else None
         elif components == 1:
             side = frozenset(far[i])
@@ -646,7 +654,7 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
             # a certified class cuts its own component in two, and the
             # other components stay whole: three pieces or more
             side = None
-        out.append(Hyperplane(i, eset, carrier, side, everything, direction))
+        out.append(Hyperplane(i, tuple(es), side, ids, direction))
     return tuple(out)
 
 
@@ -655,7 +663,7 @@ def _hyperplanes(b: CubeComplexBall) -> tuple:
 # ---------------------------------------------------------------------------
 
 def is_convex(b: CubeComplexBall, S) -> bool:
-    """Interval convexity of a vertex subset plus local square completion.
+    """Interval convexity of a vertex index set plus square completion.
 
     The hosts built by this package are median graphs, where connectedness,
     distance-2 interval closure and square-corner closure together are
@@ -670,8 +678,8 @@ def is_convex(b: CubeComplexBall, S) -> bool:
     the two tests run only at its vertices with two or more members next
     to them.
     """
-    index, adj = b._index, b.adjacency
-    S = {index[v] for v in S}
+    adj = b.adjacency
+    S = set(S)
     if not S:
         return True
     start = next(iter(S))
@@ -771,19 +779,14 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
         if h.truncated:
             raise ComplexError("K contains a truncated hyperplane")
     # K-classes = components after deleting the K-edges
-    classes = b.cut_components(e for h in K for e in h.edge_class)
-    index = b._index
-    cls_of = [0] * len(index)
+    classes = b.cut_components(e for h in K for e in h.edges)
+    cls_of = [0] * len(b.vertex_ids)
     for k, comp in enumerate(classes):
         for x in comp:
-            cls_of[index[x]] = k
+            cls_of[x] = k
     ids = [f"K{i}" for i in range(len(classes))]
     vmap = {v: ids[k] for v, k in zip(b.vertex_ids, cls_of)}
-    wall_of_edge = {}
-    for h in K:
-        for e in h.edge_class:
-            i, j = sorted(map(index.__getitem__, e))
-            wall_of_edge[i, j] = h.index
+    wall_of_edge = {e: h.index for h in K for e in h.edges}
     adj = tuple({} for _ in ids)
     wall_of_pair = {}
     for i, j in b._edge_pairs():
@@ -797,7 +800,7 @@ def restriction_quotient(b: CubeComplexBall, K) -> RestrictionQuotient:
     squares = _normal_squares(ids, (t for t in images if len(set(t)) == 4))
     depth = {}
     for i, members in enumerate(classes):
-        depth[ids[i]] = max(b.depth[m] for m in members)
+        depth[ids[i]] = max(b.depth[b.vertex_ids[m]] for m in members)
     target = CubeComplexBall(tuple(ids), adj, squares, depth)
     qm = CubicalMap(vmap, b, target)
     return RestrictionQuotient(b, target, qm)
@@ -875,92 +878,95 @@ def verify_rq_characterization(q: CubicalMap, samples: int = 50, seed: int = 0):
         raise DisconnectedPairError(
             "verify_rq_characterization needs a connected target")
     rng = random.Random(seed)
-    src, tgt, vm = q.source, q.target, q.vertex_map
+    src, tgt = q.source, q.target
+    ids, tindex = src.vertex_ids, tgt._index
 
     # fiber index: one pass over the source groups its vertices, horizontal
     # edges and squares with four distinct corner images by image cell
-    fibers = {}
-    for v in src.vertex_ids:
-        fibers.setdefault(vm[v], []).append(v)
+    image = [tindex[q.vertex_map[v]] for v in ids]
+    fibers = [[] for _ in tindex]
+    for v, t in enumerate(image):
+        fibers[t].append(v)
     edge_lifts = {}
-    ids = src.vertex_ids
     for i, j in src._edge_pairs():
-        u, v = ids[i], ids[j]
-        if vm[u] != vm[v]:
-            edge_lifts.setdefault(frozenset((vm[u], vm[v])), []).append(
-                frozenset((u, v)))
+        s, t = image[i], image[j]
+        if s != t:
+            edge_lifts.setdefault((s, t) if s < t else (t, s), []).append(
+                (i, j))
     square_lifts = {}
     opposite = {}
-    image = [tgt._index[vm[v]] for v in ids]
     for s in src.index_squares:
-        a, b, c, d = map(ids.__getitem__, s)
-        for e1, e2 in ((frozenset((a, b)), frozenset((d, c))),
-                       (frozenset((b, c)), frozenset((a, d)))):
-            opposite.setdefault(e1, []).append(e2)
-            opposite.setdefault(e2, []).append(e1)
+        a, b, c, d = s
+        # only horizontal pairs: the ladders walk lifts of target edges, and
+        # a pair's two edges are horizontal together in a cubical map
+        for x, y, z, w in ((a, b, d, c), (b, c, a, d)):
+            if image[x] != image[y]:
+                e1 = (x, y) if x < y else (y, x)
+                e2 = (z, w) if z < w else (w, z)
+                opposite.setdefault(e1, []).append(e2)
+                opposite.setdefault(e2, []).append(e1)
         img = tuple(image[x] for x in s)
         if len(set(img)) == 4:
             t, lift = _canonical_square(img), dict(zip(img, s))
             square_lifts.setdefault(t, []).append(tuple(lift[y] for y in t))
 
-    cond1 = all(is_convex(src, fibers[tv]) for tv in tgt.vertex_ids)
+    cond1 = all(is_convex(src, fiber) for fiber in fibers)
 
     # sheets over a target square are adjacent when a (flag-implied) 3-cube
     # joins them
     cond2 = all(_edge_ladder_connected(edge_lifts.get(te), opposite)
-                for te in tgt.edges) and \
+                for te in tgt._edge_pairs()) and \
         all(s in square_lifts and _sheets_connected(src, square_lifts[s])
             for s in tgt.index_squares)
 
     src_hps = hyperplanes(src)
-    wall_of_edge = {e: h.index for h in src_hps for e in h.edge_class}
+    wall_of_edge = {e: h.index for h in src_hps for e in h.edges}
     tgt_hps = hyperplanes(tgt)
 
     # per target hyperplane, the source walls its edge lifts lie in
-    lifted = [{wall_of_edge[e] for te in th.edge_class
+    lifted = [{wall_of_edge[e] for te in th.edges
                for e in edge_lifts.get(te, ())} for th in tgt_hps]
     cond4 = all(len(ws) == 1 for ws in lifted)
 
-    # sampled convex family: halfspaces, carriers, random intervals; the
-    # halfspace preimages of a wall that pulls back to one untruncated h are
-    # both convex iff the far one is a side of h
+    # sampled convex family of target index sets: halfspaces, carriers,
+    # random intervals; the halfspace preimages of a wall that pulls back to
+    # one untruncated h are both convex iff the far one is a side of h
     bounded, family = [], []
     for th, ws in zip(tgt_hps, lifted):
         h = src_hps[next(iter(ws))] if len(ws) == 1 else None
-        if th.truncated or h is None or h.truncated:
-            family.extend(th.sides)
-        else:
+        if not (th.truncated or h is None or h.truncated):
             bounded.append((th.far, h.far))
-        family.append(th.carrier_vertices)
+        elif not th.truncated:
+            family += [set(range(len(fibers))) - th.far, th.far]
+        family.append({x for e in th.edges for x in e})
     tverts = list(tgt.vertex_ids)
     for _ in range(samples):
         x = rng.choice(tverts)
         y = rng.choice(tverts)
-        family.append(set(tgt.interval(x, y)))
+        family.append({tindex[z] for z in tgt.interval(x, y)})
 
     def is_side(tfar, hfar):
-        size = sum(len(fibers[tv]) for tv in tfar)
-        inside = sum(vm[v] in tfar for v in hfar)
+        size = sum(len(fibers[t]) for t in tfar)
+        inside = sum(image[v] in tfar for v in hfar)
         return inside == size == len(hfar) or \
             inside == 0 and size == len(ids) - len(hfar)
 
     cond3 = all(is_side(*pair) for pair in bounded) and \
-        all(is_convex(src, [v for tv in A for v in fibers[tv]]) for A in family)
+        all(is_convex(src, [v for t in A for v in fibers[t]]) for A in family)
 
     # rebuild from the horizontal walls, which must be untruncated and have
     # no vertical edge, and compare partitions and induced adjacency
     horiz = {wall_of_edge[e] for lifts in edge_lifts.values() for e in lifts}
     walls = [h for h in src_hps if h.index in horiz]
-    cond5 = not any(h.truncated or
-                    any(vm[u] == vm[v] for u, v in map(tuple, h.edge_class))
+    cond5 = not any(h.truncated or any(image[u] == image[v] for u, v in h.edges)
                     for h in walls)
     if cond5:
         rq = restriction_quotient(src, walls)
         # the partitions agree iff fiber <-> K-class pairs form a bijection
-        pairs = {(vm[v], rq.map.vertex_map[v]) for v in src.vertex_ids}
+        pairs = {(t, rq.map.vertex_map[v]) for v, t in zip(ids, image)}
         match = dict(pairs)
         cond5 = len(pairs) == len(fibers) == len(rq.target.vertex_ids) and \
-            {frozenset(match[t] for t in p) for p in edge_lifts} == set(rq.target.edges)
+            {frozenset(map(match.get, p)) for p in edge_lifts} == set(rq.target.edges)
 
     conds = (cond1, cond2, cond3, cond4, cond5)
     return {
@@ -1060,11 +1066,4 @@ def labeled_isomorphism(b1: CubeComplexBall, b2: CubeComplexBall,
         if not b2.has_square(mapping[x] for x in s):
             return None
     return dict(mapping)
-
-
-def relabel_edges(b: CubeComplexBall, fn) -> CubeComplexBall:
-    """Copy of the ball with edge labels mapped through fn."""
-    adj = tuple({j: fn(lab) for j, lab in nbrs.items()}
-                for nbrs in b.adjacency)
-    return CubeComplexBall(b.vertex_ids, adj, b.index_squares, dict(b.depth))
 

@@ -145,12 +145,6 @@ def syllables(a):
 # cosets of standard subgroups
 # ---------------------------------------------------------------------------
 
-def coset_member(g: DefiningGraph, h, base, support) -> bool:
-    """Is h in base * G(support)?"""
-    rel = mul(g, inv(base), h)
-    return all(v in support for v, _ in rel)
-
-
 def gate_representative(g: DefiningGraph, base, support) -> tuple:
     """The unique minimal-length element of the coset base*G(support).
 

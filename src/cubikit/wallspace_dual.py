@@ -14,7 +14,7 @@ indexes it); and its maximal cubes, from one cube search over the flips
 read.  `dual_cube_complex` assembles the dual as a plain cube-complex
 ball, each square read once from its lowest corner (no wall of it on the
 stored side).  `phi_map` reads point states and flips and builds no
-complex; `branched_flat_embed` tests its 0-cubes against the flips.
+complex.
 
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -48,14 +47,11 @@ from .cube_complex import (
     CubeComplexBall,
     bfs_ball,
     hyperplanes,
-    is_convex,
-    relabel_edges,
 )
 from .graph_core import DefiningGraph
 from .raag_geometry import (
     class_heights,
     class_of_geodesic,
-    coset_member,
     extension_adjacent,
     group_ball,
     inv,
@@ -156,18 +152,20 @@ def hyperplane_wallspace(ball: CubeComplexBall, margin: int = 1) -> Wallspace:
     Points are the margin-interior vertices; a wall keeps the points off a
     hyperplane's far side when both sides hold one, tagged by its direction.
     """
-    pts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
-    ptset = set(pts)
-    walls = []
-    tags = []
+    ids = ball.vertex_ids
+    keep = [i for i, v in enumerate(ids) if ball.depth[v] >= margin]
+    bit = [0] * len(ids)
+    for k, i in enumerate(keep):
+        bit[i] = 1 << k
+    full = (1 << len(keep)) - 1
+    sides, tags = [], []
     for h in hyperplanes(ball):
-        if h.truncated:
-            continue
-        a = ptset - h.far
-        if a and a != ptset:
-            walls.append(a)
+        # the points' bits on the far side: distinct, so the sum is their OR
+        far = 0 if h.truncated else sum(map(bit.__getitem__, h.far))
+        if 0 < far < full:
+            sides.append(full ^ far)
             tags.append(h.direction)
-    return Wallspace.make(pts, walls, tags)
+    return Wallspace(tuple(ids[i] for i in keep), sides, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +529,6 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                               domain)
 
 
-def direction_labeled_dual(iws: InvariantWallspace):
-    """The dual with each edge relabeled by its wall's class direction."""
-    dual = dual_cube_complex(iws.wallspace)
-    tag_dir = {str(tag): iws.classes[tag[0]].direction
-               for tag in iws.wallspace.tags}
-    return relabel_edges(dual, lambda lab: tag_dir[lab])
-
-
 def transversality(iws: InvariantWallspace, i: int, j: int) -> bool:
     """Set transversality of tagged walls; asserted equivalent to adjacency
     of the class directions in the extension complex."""
@@ -598,67 +588,3 @@ def phi_map(iws: InvariantWallspace):
     vmap = {p: _vertex_id(ws.n_walls(), s) for p, s in states.items()}
     return vmap, {"density": density, "distortion": worst,
                   "additive": additive}
-
-
-def branched_flat_embed(iws: InvariantWallspace, class_ids):
-    """Embed the dual of the walls tagged by a maximal flat's classes.
-
-    Walls outside the family are oriented to the side containing the flat's
-    vertex set; the embedding of 0-cubes is asserted consistent, and its
-    image convex in the full dual.
-    """
-    ws = iws.wallspace
-    dual = dual_cube_complex(ws)
-    sel = [i for i in range(ws.n_walls()) if ws.tags[i][0] in class_ids]
-    if not sel:
-        raise ValueError("no walls carry the requested classes")
-    flat_pts = _flat_points(iws, class_ids)
-    if not flat_pts:
-        raise ValueError("flat does not meet the window")
-    flat_states = [ws.point_state(p) for p in flat_pts]
-    inside = functools.reduce(operator.and_, flat_states)
-    touched = functools.reduce(operator.or_, flat_states)
-    fixed = 0
-    for i in range(ws.n_walls()):
-        if i in sel:
-            continue
-        if inside >> i & 1:
-            fixed |= 1 << i
-        elif touched >> i & 1:
-            raise AssertionError(
-                f"flat is split by outside wall {ws.tags[i]}")
-    sub = Wallspace([p for p in ws.points],
-                    [ws.sides[i] for i in sel], [ws.tags[i] for i in sel])
-    sub_dual = dual_cube_complex(sub)
-    embedded = set()
-    for s in sub.flips:
-        target = fixed | sum(1 << i for k, i in enumerate(sel) if s >> k & 1)
-        if target not in ws.flips:
-            raise AssertionError("embedded orientation is not a 0-cube")
-        embedded.add(_vertex_id(ws.n_walls(), target))
-    if not is_convex(dual, embedded):
-        raise AssertionError("embedded branched flat is not convex")
-    return sub_dual, embedded, dual
-
-
-def _flat_points(iws: InvariantWallspace, class_ids):
-    """Window vertices of the standard flat spanned by the given classes."""
-    g = iws.graph
-    pcs = [iws.classes[cid] for cid in class_ids]
-    pts = []
-    for p in iws.wallspace.points:
-        ok = True
-        for pc in pcs:
-            if not coset_member(g, p, pc.rep, g._star[pc.direction]):
-                ok = False
-                break
-        if not ok:
-            continue
-        # p lies in every parallel-set; the flat itself is the intersection
-        # of the class cosets in the directions of the classes
-        pts.append(p)
-    if not pts:
-        return pts
-    base = min(pts, key=len)
-    dirs = tuple(sorted({pc.direction for pc in pcs}, key=g.index))
-    return [p for p in pts if coset_member(g, p, base, dirs)]

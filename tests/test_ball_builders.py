@@ -230,7 +230,7 @@ def test_hyperplanes_pentagon_radius4_traced_peak(pentagon_r4):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    assert all(h.vertices is hps[0].vertices for h in hps)
+    assert all(h.vertex_ids is pentagon_r4.vertex_ids for h in hps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cubikit import raag_geometry as rg
 
 from .strategies import defining_graphs
 from .test_ball_builders import FIXTURES
-from .test_cube_complex import assert_condition3_matches_oracle
+from .test_cube_complex import assert_verifier_matches_oracles
 
 DATA = {
     "bijective": lambda pc, n: n,
@@ -117,7 +117,7 @@ def test_blowup_y_pins(pinned):
     assert hashlib.sha256(bc.Y.to_json().encode()).hexdigest() == GOLDEN_Y[key]
 
 
-# the pentagon at radius 3 is left out: its oracle takes minutes
+# the pentagon at radius 3 is left out: its oracles take minutes
 @pytest.mark.parametrize(
     "key", [key for key in sorted(GOLDEN_Y) if key[:2] != ("pentagon", 3)],
     ids=lambda key: "-".join(map(str, key)))
@@ -127,7 +127,7 @@ def test_condition3_matches_oracle_on_pinned_blowups(key):
     davis = bd.davis_ball(g, radius)
     psi = bu.build_fiber_functor(
         bu.data_from_function(g, davis, window, DATA[data]), davis)
-    assert_condition3_matches_oracle(bu.blowup_complex(psi).q, 10, 1)
+    assert_verifier_matches_oracles(bu.blowup_complex(psi).q, 10, 1)
 
 
 # -- the hand-written assembly and fiber-functor checks, kept as oracles ----

@@ -16,7 +16,7 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 from cubikit import semiconjugacy as sc
 
-from .test_blowup import line_element, two_flipping_action
+from .test_blowup import line_element, residue_contains, two_flipping_action
 from .test_raag_words import coset_coordinates, lex_least_oracle
 
 
@@ -79,7 +79,7 @@ def test_davis_chamber_pentagon():
     db = bd.davis_ball(g, 1)
     chamber = rg.word_str(())
     down = [vid for vid in db.ball.vertex_ids
-            if bd.residue_contains(g, db.residue_of[f"1|{{}}"],
+            if residue_contains(g, db.residue_of[f"1|{{}}"],
                                    db.residue_of[vid])]
     assert len(down) == 11
 
@@ -207,21 +207,35 @@ def test_parallel_set():
     assert ps3.type_J == ("v",)
     # sampled parallelism inside the parallel set
     inside = bd.residue(pent, (("b", 1),), ["a"])
-    assert bd.residue_contains(pent, inside, ps) or True  # non-spherical big
+    assert residue_contains(pent, inside, ps) or True  # non-spherical big
     assert bd.are_parallel(pent, ra, inside, window=1)[0]
+
+
+def product_decomposition(g, r, window=2):
+    """Rank-1 factors and the chamber-coordinates bijection, window-checked."""
+    factors = [bd.residue(g, r.base, (v,)) for v in r.type_J]
+    for coords, chamber in bd.chambers_of(g, r, window):
+        for f, v in zip(factors, r.type_J):
+            expected = rg.flat_element(g, f.base, {v: coords[v]})
+            got = bd.proj_residue(g, f, chamber)
+            if got != expected:
+                raise AssertionError(
+                    f"projection of {rg.word_str(chamber)} onto factor {f.id} "
+                    f"is {rg.word_str(got)}, expected {rg.word_str(expected)}")
+    return factors
 
 
 def test_product_decomposition():
     g = gc.k2()
     r = bd.residue(g, (), ["u", "v"])
-    factors = bd.product_decomposition(g, r, window=2)
+    factors = product_decomposition(g, r, window=2)
     assert [f.type_J for f in factors] == [("u",), ("v",)]
     pent = gc.pentagon()
     rab = bd.residue(pent, (), ["a", "b"])
-    factors2 = bd.product_decomposition(pent, rab, window=1)
+    factors2 = product_decomposition(pent, rab, window=1)
     assert [f.id for f in factors2] == ["1|{a}", "1|{b}"]
     r1 = bd.residue(g, (), ["u"])
-    assert bd.product_decomposition(g, r1, window=2)[0] == r1
+    assert product_decomposition(g, r1, window=2)[0] == r1
 
 
 def test_factor_action_translation():

@@ -15,12 +15,20 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
 from .strategies import defining_graphs
-from .test_index_adjacency import grown_subcomplex, squares_at_oracle
+from .test_index_adjacency import (
+    assert_same_quotient,
+    carrier,
+    grown_subcomplex,
+    is_convex_ids,
+    restriction_quotient_oracle,
+    squares_at_oracle,
+    verify_rq_oracle,
+)
 
 
 def separates(h, x, y):
-    """Does the hyperplane h put x and y on different sides?  False when h
-    is truncated."""
+    """Does the hyperplane h put the vertex indices x and y on different
+    sides?  False when h is truncated."""
     return h.far is not None and (x in h.far) != (y in h.far)
 
 
@@ -98,7 +106,8 @@ def test_l1_distance_equals_separating_walls():
     for x, y in itertools.combinations(b.vertex_ids, 2):
         exp = abs(x[0] - y[0]) + abs(x[1] - y[1])
         assert b.distance(x, y) == exp
-        assert sum(separates(h, x, y) for h in hps) == exp
+        i, j = b._index[x], b._index[y]
+        assert sum(separates(h, i, j) for h in hps) == exp
 
 
 def interval_hull(b, S):
@@ -122,16 +131,16 @@ def test_convexity():
     b = grid(2, 2)
     hps = cc.hyperplanes(b)
     for h in hps:
-        assert cc.is_convex(b, h.sides[0])
-        assert cc.is_convex(b, h.sides[1])
-        assert cc.is_convex(b, h.carrier_vertices)
-    assert not cc.is_convex(b, [(0, 0), (1, 0), (1, 1), (0, 1)][0:3])
+        assert cc.is_convex(b, set(range(len(b.vertex_ids))) - h.far)
+        assert cc.is_convex(b, h.far)
+        assert cc.is_convex(b, {x for e in h.edges for x in e})
+    assert not is_convex_ids(b, [(0, 0), (1, 0), (1, 1), (0, 1)][0:3])
     # interval-hull oracle agrees on random subsets
     rng = random.Random(3)
     verts = list(b.vertex_ids)
     for _ in range(25):
         S = set(rng.sample(verts, rng.randint(1, 6)))
-        assert cc.is_convex(b, S) == (interval_hull(b, S) == S)
+        assert is_convex_ids(b, S) == (interval_hull(b, S) == S)
 
 
 def test_restriction_quotient_long_wall():
@@ -144,7 +153,7 @@ def test_restriction_quotient_long_wall():
     for tv in rq.target.vertex_ids:
         members = fiber(rq.map, tv)
         assert len(members) == 3
-        assert cc.is_convex(b, members)
+        assert is_convex_ids(b, members)
 
 
 def test_restriction_quotient_all_and_none():
@@ -219,7 +228,9 @@ def rq_pin_map(name):
     walls = [h for h in cc.hyperplanes(b) if not h.truncated]
     K = random.Random(f"{graph}{r}{j}").sample(
         walls, max(1, len(walls) * int(j) // 4))
-    return cc.restriction_quotient(b, K).map
+    q = cc.restriction_quotient(b, K)
+    assert_same_quotient(q, restriction_quotient_oracle(b, K))
+    return q.map
 
 
 # the verifier's conditions, computed before is_convex checked only the
@@ -243,7 +254,7 @@ def condition3_family(q, samples, seed):
     family = []
     for th in cc.hyperplanes(tgt):
         family.extend(th.sides)
-        family.append(th.carrier_vertices)
+        family.append(carrier(th))
     tverts = list(tgt.vertex_ids)
     for _ in range(samples):
         x = rng.choice(tverts)
@@ -257,7 +268,7 @@ def preimage_convex(q):
     fibers = {}
     for v in q.source.vertex_ids:
         fibers.setdefault(q.vertex_map[v], []).append(v)
-    return lambda A: cc.is_convex(q.source, [v for t in A for v in fibers[t]])
+    return lambda A: is_convex_ids(q.source, [v for t in A for v in fibers[t]])
 
 
 def condition3_oracle(q, samples, seed):
@@ -267,8 +278,11 @@ def condition3_oracle(q, samples, seed):
     return all(map(preimage_convex(q), condition3_family(q, samples, seed)))
 
 
-def assert_condition3_matches_oracle(q, samples, seed):
+def assert_verifier_matches_oracles(q, samples, seed):
+    """The verifier's report equals the id path's, and its condition 3 the
+    whole-family `is_convex` oracle's."""
     rep = cc.verify_rq_characterization(q, samples=samples, seed=seed)
+    assert rep == verify_rq_oracle(q, samples=samples, seed=seed)
     assert rep["conditions"][2] == condition3_oracle(q, samples, seed)
     return rep
 
@@ -277,7 +291,7 @@ def assert_condition3_matches_oracle(q, samples, seed):
 def test_golden_rq_conditions(name):
     samples, seed = (20, 0) if name.startswith("k2_blowup") else \
         (8, int(name[-1]) if name[-1].isdigit() else 0)
-    rep = assert_condition3_matches_oracle(rq_pin_map(name), samples, seed)
+    rep = assert_verifier_matches_oracles(rq_pin_map(name), samples, seed)
     assert rep["conditions"] == GOLDEN_RQ[name]
 
 
@@ -290,8 +304,9 @@ def test_condition3_bound_takes_either_side():
     tgt = cc.CubeComplexBall.make(["K1", "K0"], [("K1", "K0", "v")], [])
     q = cc.CubicalMap(vmap, b, tgt)
     (th,) = cc.hyperplanes(tgt)
-    assert {v for v in b.vertex_ids if vmap[v] in th.far} == long.sides[0]
-    assert assert_condition3_matches_oracle(q, 5, 0)["all_true"]
+    assert {v for v in b.vertex_ids if vmap[v] in th.sides[1]} == \
+        long.sides[0]
+    assert assert_verifier_matches_oracles(q, 5, 0)["all_true"]
 
 
 def bijective_blowup_map(g, radius, window):
@@ -391,11 +406,11 @@ def test_condition3_on_triangle_blowups_fails_at_a_carrier(g):
     # triangle, and the first set of the family to fail is a carrier, which
     # `is_convex` still decides
     q = bijective_blowup_map(g, 2, 2)
-    rep = assert_condition3_matches_oracle(q, 20, 0)
+    rep = assert_verifier_matches_oracles(q, 20, 0)
     assert rep["conditions"] == (T, T, F, T, T)
     convex = preimage_convex(q)
     first = next(A for A in condition3_family(q, 20, 0) if not convex(A))
-    assert first in {th.carrier_vertices for th in cc.hyperplanes(q.target)}
+    assert first in {carrier(th) for th in cc.hyperplanes(q.target)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,9 +423,11 @@ def drawn_ball(g, radius):
 def test_condition3_matches_oracle_on_drawn_quotients(g, radius, data):
     ball = drawn_ball(g, radius)
     live = [h for h in cc.hyperplanes(ball) if not h.truncated]
-    picks = data.draw(st.sets(st.integers(0, len(live) - 1)))
-    q = cc.restriction_quotient(ball, [live[i] for i in sorted(picks)]).map
-    assert_condition3_matches_oracle(q, 6, data.draw(st.integers(0, 99)))
+    K = [live[i] for i in sorted(data.draw(st.sets(
+        st.integers(0, len(live) - 1))))]
+    q = cc.restriction_quotient(ball, K)
+    assert_same_quotient(q, restriction_quotient_oracle(ball, K))
+    assert_verifier_matches_oracles(q.map, 6, data.draw(st.integers(0, 99)))
 
 
 def from_json(text):
@@ -512,7 +529,7 @@ def test_span_accepts_a_generator():
 
 def test_is_convex_runs_no_distance_search():
     b = grid(3, 3)
-    assert not cc.is_convex(b, [(0, 0), (1, 0), (1, 1)])
+    assert not is_convex_ids(b, [(0, 0), (1, 0), (1, 1)])
     assert b._dist_cache == {}
 
 
@@ -545,9 +562,9 @@ def test_is_convex_square_corner_closure():
     # {a, b, c} passes the distance-2 test (a and c are adjacent), so only
     # the square-corner closure rejects it
     b = diagonal_square()
-    assert not cc.is_convex(b, ["a", "b", "c"])
-    assert not cc.is_convex(b, ["b", "c", "d"])
-    assert cc.is_convex(b, ["a", "c"])
+    assert not is_convex_ids(b, ["a", "b", "c"])
+    assert not is_convex_ids(b, ["b", "c", "d"])
+    assert is_convex_ids(b, ["a", "c"])
 
 
 @functools.cache
@@ -650,7 +667,7 @@ def test_is_convex_matches_oracle_on_diagonal_square():
     b = diagonal_square()
     for r in range(5):
         for S in itertools.combinations("abcd", r):
-            assert cc.is_convex(b, S) == is_convex_oracle(b, S), S
+            assert is_convex_ids(b, S) == is_convex_oracle(b, S), S
 
 
 @settings(max_examples=300, deadline=None)
@@ -669,7 +686,7 @@ def test_is_convex_matches_three_loop_oracle(name, host, kind, data):
         S = grown_subcomplex(b, data, False).vertex_ids
     elif kind == "halfspace" and b.edges:
         h = data.draw(st.sampled_from(cc.hyperplanes(b)))
-        S = data.draw(st.sampled_from(h.sides + (h.carrier_vertices,)))
+        S = data.draw(st.sampled_from(h.sides + (carrier(h),)))
     elif kind == "singleton":
         S = [data.draw(st.sampled_from(b.vertex_ids))]
     elif kind == "two-pieces":
@@ -683,7 +700,7 @@ def test_is_convex_matches_three_loop_oracle(name, host, kind, data):
         keep = data.draw(st.lists(st.booleans(), min_size=len(b.vertex_ids),
                                   max_size=len(b.vertex_ids)))
         S = [v for v, k in zip(b.vertex_ids, keep) if k]
-    assert cc.is_convex(b, S) == is_convex_oracle(b, S)
+    assert is_convex_ids(b, S) == is_convex_oracle(b, S)
 
 
 @settings(max_examples=100, deadline=None)
@@ -705,8 +722,8 @@ def test_hyperplanes_match_two_search_oracle(name, shape, data):
     assert [h.index for h in hps] == list(range(len(oracle)))
     assert {h.edge_class for h in hps} == set(oracle)
     for h in hps:
-        carrier, sides = oracle[h.edge_class]
-        assert h.carrier_vertices == carrier
+        hull, sides = oracle[h.edge_class]
+        assert carrier(h) == hull
         assert h.truncated == (sides is None)
         assert h.sides == (() if sides is None else sides)
         assert h.direction == min(str(b.edges[e]) for e in h.edge_class)

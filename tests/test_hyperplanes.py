@@ -20,7 +20,7 @@ from cubikit import cube_complex as cc
 from .strategies import defining_graphs
 from .test_ball_builders import BUILDERS, FIXTURES
 from .test_blowup_builder import drawn_davis
-from .test_cube_complex import hyperplanes_oracle
+from .test_cube_complex import carrier, hyperplanes_oracle
 
 
 def hyperplanes_digest(b):
@@ -30,7 +30,7 @@ def hyperplanes_digest(b):
     idx = b._index
     rows = [[h.index,
              sorted(sorted(idx[x] for x in e) for e in h.edge_class),
-             sorted(idx[x] for x in h.carrier_vertices),
+             sorted(idx[x] for x in carrier(h)),
              [sorted(idx[x] for x in side) for side in h.sides],
              h.truncated, h.direction]
             for h in cc.hyperplanes(b)]
@@ -129,8 +129,8 @@ def test_disconnected_y_counts_components_once(monkeypatch):
 def assert_matches_oracle(b):
     oracle = hyperplanes_oracle(b)
     for h in cc.hyperplanes(b):
-        carrier, sides = oracle[h.edge_class]
-        assert h.carrier_vertices == carrier
+        hull, sides = oracle[h.edge_class]
+        assert carrier(h) == hull
         assert h.sides == (() if sides is None else sides)
 
 
@@ -158,7 +158,7 @@ def test_self_crossing_class_is_truncated():
     crossing = [h for h in hps if frozenset(("a", "b")) in h.edge_class]
     assert len(crossing) == 1 and len(crossing[0].edge_class) == 5
     assert crossing[0].truncated
-    assert len(b.cut_components(crossing[0].edge_class)) == 3
+    assert len(b.cut_components(crossing[0].edges)) == 3
     assert_matches_oracle(b)
 
 
@@ -190,7 +190,7 @@ def test_two_components_cut_only_what_splits(order, monkeypatch):
     hps = cc.hyperplanes(b)
     far = frozenset(range(4, 7) if order == "square first" else range(4))
     assert [h.far for h in hps if h.direction in "uv"] == [None, None]
-    assert [h.far for h in hps if h.direction in "xyz"] == [far] * 3
+    assert [h.sides[1] for h in hps if h.direction in "xyz"] == [far] * 3
     assert len(calls) == 3
     monkeypatch.undo()
     assert_matches_oracle(b)
@@ -215,7 +215,7 @@ def test_a_ball_owns_its_hyperplanes():
     assert isinstance(hps, tuple) and cc.hyperplanes(b) is hps
     with pytest.raises(FrozenInstanceError):
         hps[0].far = None
-    assert len({id(h.vertices) for h in hps}) == 1
+    assert all(h.vertex_ids is b.vertex_ids for h in hps)
 
 
 def test_verifier_reuses_the_hyperplanes_of_its_source(monkeypatch):

@@ -15,9 +15,17 @@ and `check_flag_links_oracle`, on every producer of a complex: `ball_X`,
 `ball_Xe`, the Davis ball, the bijective `Y`, the Sageev dual, a
 restriction-quotient target and the span of a drawn connected subset,
 with and without a drawn subset of its squares.
+
+Hyperplanes store index edges and an index far side; their id views are
+checked against those fields on the same producers.  The old id-keyed
+`cut_components`, `restriction_quotient` and `verify_rq_characterization`
+are kept here as `cut_components_oracle`, `restriction_quotient_oracle`
+and `verify_rq_oracle`; `tests/test_cube_complex.py` and
+`tests/test_blowup_builder.py` compare the new code with them.
 """
 
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -201,7 +209,8 @@ def edge_classes_oracle(b):
 
 def check_flag_links_oracle(b):
     """The old `check_flag_links`, keyed by ids, with its `_three_cube_fills`
-    on `has_square`."""
+    on `has_square`, and with the 3-cube margin of the new one (fills are
+    tested at depth >= 3)."""
     ids, index, adj = b.vertex_ids, b._index, b.adjacency
     at = squares_at_oracle(b)
 
@@ -224,6 +233,8 @@ def check_flag_links_oracle(b):
             if key in corner and corner[key] != far:
                 failures.append((v, ("three-shared-edges", (v, u1, u2))))
             corner[key] = far
+        if b.depth[v] < 3:
+            continue
         nbrs = [ids[j] for j in sorted(adj[index[v]])]
         for i, u1 in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
@@ -277,12 +288,12 @@ def checked_span(g, data):
 
 
 def rq_target(g, data):
+    """The restriction quotient of `ball_X(g, 3)` by drawn walls."""
     b = rg.ball_X(g, 3)
     walls = [h for h in cc.hyperplanes(b) if not h.truncated]
     keep = data.draw(st.lists(st.booleans(), min_size=len(walls),
                               max_size=len(walls)))
-    return cc.restriction_quotient(
-        b, [h for h, k in zip(walls, keep) if k]).target
+    return cc.restriction_quotient(b, [h for h, k in zip(walls, keep) if k])
 
 
 PRODUCERS = {
@@ -292,7 +303,7 @@ PRODUCERS = {
     "Y": lambda g, data: bijective_y(g),
     "dual": lambda g, data: wd.dual_cube_complex(
         wd.hyperplane_wallspace(rg.ball_X(g, 3), margin=1)),
-    "rq": rq_target,
+    "rq": lambda g, data: rq_target(g, data).target,
     "span": checked_span,
     "dropped": lambda g, data: grown_subcomplex(rg.ball_X(g, 3), data, True),
 }
@@ -344,3 +355,255 @@ def test_flag_link_failures_match_the_id_path():
         kinds.append({kind for _, (kind, _) in report["failures"]})
     assert kinds == [{"three-shared-edges", "open-3-cube-corner"},
                      {"open-3-cube-corner"}]
+
+
+# -- hyperplanes, restriction quotients and the verifier by id ----------------
+
+def carrier(h):
+    """The carrier of h as ids: the endpoints of its edges, as a square on
+    an edge of the class has its opposite edge there too."""
+    ids = h.vertex_ids
+    return frozenset(ids[x] for e in h.edges for x in e)
+
+
+def is_convex_ids(b, S):
+    """`is_convex` on a set of vertex ids."""
+    return cc.is_convex(b, [b._index[v] for v in S])
+
+
+def cut_components_oracle(b, cut):
+    """The old `cut_components`: components of the 1-skeleton minus the id
+    edges `cut`, as id lists, in order of their first vertex."""
+    index, adj = b._index, b.adjacency
+    banned = {}
+    for e in cut:
+        i, j = map(index.__getitem__, e)
+        banned.setdefault(i, set()).add(j)
+        banned.setdefault(j, set()).add(i)
+    comp_of = [None] * len(adj)
+    for start in range(len(adj)):
+        if comp_of[start] is not None:
+            continue
+        comp_of[start] = start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            skip = banned.get(x, ())
+            for y in adj[x]:
+                if comp_of[y] is None and y not in skip:
+                    comp_of[y] = start
+                    stack.append(y)
+    comps = {}
+    for v, c in zip(b.vertex_ids, comp_of):
+        comps.setdefault(c, []).append(v)
+    return list(comps.values())
+
+
+def restriction_quotient_oracle(b, K):
+    """The old `restriction_quotient`, which cut the id edge classes and
+    mapped each K-class member and K-edge back to its index."""
+    K = list(K)
+    for h in K:
+        if h.truncated:
+            raise cc.ComplexError("K contains a truncated hyperplane")
+    classes = cut_components_oracle(b, [e for h in K for e in h.edge_class])
+    index = b._index
+    cls_of = [0] * len(index)
+    for k, comp in enumerate(classes):
+        for x in comp:
+            cls_of[index[x]] = k
+    ids = [f"K{i}" for i in range(len(classes))]
+    vmap = {v: ids[k] for v, k in zip(b.vertex_ids, cls_of)}
+    wall_of_edge = {}
+    for h in K:
+        for e in h.edge_class:
+            i, j = sorted(map(index.__getitem__, e))
+            wall_of_edge[i, j] = h.index
+    adj = tuple({} for _ in ids)
+    wall_of_pair = {}
+    for i, j in b._edge_pairs():
+        ci, cj = cls_of[i], cls_of[j]
+        if ci != cj:
+            w = wall_of_edge[i, j]
+            if wall_of_pair.setdefault((min(ci, cj), max(ci, cj)), w) != w:
+                raise cc.ComplexError(
+                    "two walls of K join the same K-classes")
+            adj[ci][cj] = adj[cj][ci] = b.adjacency[i][j]
+    images = (tuple(cls_of[x] for x in s) for s in b.index_squares)
+    squares = cc._normal_squares(ids,
+                                 (t for t in images if len(set(t)) == 4))
+    depth = {}
+    for i, members in enumerate(classes):
+        depth[ids[i]] = max(b.depth[m] for m in members)
+    target = cc.CubeComplexBall(tuple(ids), adj, squares, depth)
+    return cc.RestrictionQuotient(b, target, cc.CubicalMap(vmap, b, target))
+
+
+def assert_same_quotient(got, want):
+    assert got.target == want.target
+    assert got.map.vertex_map == want.map.vertex_map
+
+
+def verify_rq_oracle(q, samples=50, seed=0):
+    """The old `verify_rq_characterization`, keyed by ids: fibers, edge
+    lifts, `opposite` (every square's two pairs, vertical ones included),
+    `wall_of_edge` and `lifted` by id, the condition-3 family as id sets."""
+    q.validate()
+    if not q.surjective():
+        raise cc.ComplexError(
+            "verify_rq_characterization needs a surjective map")
+    if len(q.target.cut_components()) > 1:
+        raise cc.DisconnectedPairError(
+            "verify_rq_characterization needs a connected target")
+    rng = random.Random(seed)
+    src, tgt, vm = q.source, q.target, q.vertex_map
+    fibers = {}
+    for v in src.vertex_ids:
+        fibers.setdefault(vm[v], []).append(v)
+    edge_lifts = {}
+    ids = src.vertex_ids
+    for i, j in src._edge_pairs():
+        u, v = ids[i], ids[j]
+        if vm[u] != vm[v]:
+            edge_lifts.setdefault(frozenset((vm[u], vm[v])), []).append(
+                frozenset((u, v)))
+    square_lifts = {}
+    opposite = {}
+    image = [tgt._index[vm[v]] for v in ids]
+    for s in src.index_squares:
+        a, b, c, d = map(ids.__getitem__, s)
+        for e1, e2 in ((frozenset((a, b)), frozenset((d, c))),
+                       (frozenset((b, c)), frozenset((a, d)))):
+            opposite.setdefault(e1, []).append(e2)
+            opposite.setdefault(e2, []).append(e1)
+        img = tuple(image[x] for x in s)
+        if len(set(img)) == 4:
+            t, lift = cc._canonical_square(img), dict(zip(img, s))
+            square_lifts.setdefault(t, []).append(tuple(lift[y] for y in t))
+
+    cond1 = all(is_convex_ids(src, fibers[tv]) for tv in tgt.vertex_ids)
+    cond2 = all(cc._edge_ladder_connected(edge_lifts.get(te), opposite)
+                for te in tgt.edges) and \
+        all(s in square_lifts and cc._sheets_connected(src, square_lifts[s])
+            for s in tgt.index_squares)
+
+    src_hps = cc.hyperplanes(src)
+    wall_of_edge = {e: h.index for h in src_hps for e in h.edge_class}
+    tgt_hps = cc.hyperplanes(tgt)
+    lifted = [{wall_of_edge[e] for te in th.edge_class
+               for e in edge_lifts.get(te, ())} for th in tgt_hps]
+    cond4 = all(len(ws) == 1 for ws in lifted)
+
+    bounded, family = [], []
+    for th, ws in zip(tgt_hps, lifted):
+        h = src_hps[next(iter(ws))] if len(ws) == 1 else None
+        if th.truncated or h is None or h.truncated:
+            family.extend(th.sides)
+        else:
+            bounded.append((th.sides[1], h.sides[1]))
+        family.append(carrier(th))
+    tverts = list(tgt.vertex_ids)
+    for _ in range(samples):
+        x = rng.choice(tverts)
+        y = rng.choice(tverts)
+        family.append(set(tgt.interval(x, y)))
+
+    def is_side(tfar, hfar):
+        size = sum(len(fibers[tv]) for tv in tfar)
+        inside = sum(vm[v] in tfar for v in hfar)
+        return inside == size == len(hfar) or \
+            inside == 0 and size == len(ids) - len(hfar)
+
+    cond3 = all(is_side(*pair) for pair in bounded) and \
+        all(is_convex_ids(src, [v for tv in A for v in fibers[tv]])
+            for A in family)
+
+    horiz = {wall_of_edge[e] for lifts in edge_lifts.values() for e in lifts}
+    walls = [h for h in src_hps if h.index in horiz]
+    cond5 = not any(h.truncated or
+                    any(vm[u] == vm[v] for u, v in map(tuple, h.edge_class))
+                    for h in walls)
+    if cond5:
+        rq = restriction_quotient_oracle(src, walls)
+        pairs = {(vm[v], rq.map.vertex_map[v]) for v in src.vertex_ids}
+        match = dict(pairs)
+        cond5 = len(pairs) == len(fibers) == len(rq.target.vertex_ids) and \
+            {frozenset(match[t] for t in p) for p in edge_lifts} == \
+            set(rq.target.edges)
+
+    conds = (cond1, cond2, cond3, cond4, cond5)
+    return {
+        "conditions": conds,
+        "all_true": all(conds),
+        "all_false": not any(conds),
+        "agree": all(conds) or not any(conds),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCERS))
+@settings(max_examples=10, deadline=None)
+@given(defining_graphs(max_vertices=4), st.data())
+def test_hyperplane_views_match_the_index_fields(kind, g, data):
+    b = PRODUCERS[kind](g, data)
+    ids, n = b.vertex_ids, len(b.vertex_ids)
+    classes = cc._edge_classes(b)
+    for h in cc.hyperplanes(b):
+        assert list(h.edges) == classes[h.index]
+        assert all(i < j for i, j in h.edges)
+        assert h.edge_class == {frozenset((ids[i], ids[j]))
+                                for i, j in h.edges}
+        assert h.vertex_ids is ids
+        if h.truncated:
+            assert h.sides == ()
+            continue
+        assert h.far <= set(range(n)) and 0 not in h.far
+        near = [ids[x] for x in range(n) if x not in h.far]
+        assert h.sides == (frozenset(near), frozenset(ids[x] for x in h.far))
+
+
+def horizontal_square_edges(q):
+    """Every source edge on a square whose ends have different images, as
+    an index pair, with the edges opposite it on those squares."""
+    image = [q.target._index[q.vertex_map[v]] for v in q.source.vertex_ids]
+    out = {}
+    for a, b, c, d in q.source.index_squares:
+        for e1, e2 in (((a, b), (d, c)), ((b, c), (a, d))):
+            e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
+            if image[e1[0]] != image[e1[1]]:
+                out.setdefault(e1, []).append(e2)
+                out.setdefault(e2, []).append(e1)
+    return out
+
+
+def opposite_seen_by_ladders(q):
+    """The `opposite` table the verifier hands to its edge ladders."""
+    seen = []
+    real = cc._edge_ladder_connected
+
+    def spy(lifts, opposite):
+        seen.append(opposite)
+        return real(lifts, opposite)
+
+    with mock.patch.object(cc, "_edge_ladder_connected", spy):
+        cc.verify_rq_characterization(q, samples=0)
+    assert all(x is seen[0] for x in seen)
+    return seen[0] if seen else None
+
+
+@settings(max_examples=15, deadline=None)
+@given(defining_graphs(max_vertices=4), st.data())
+def test_verifier_stores_only_horizontal_opposite_pairs(g, data):
+    # on the bijective blow-up most squares are vertical or map to an edge,
+    # and on a drawn quotient some map to an edge or a point
+    if data.draw(st.booleans()):
+        davis = bd.davis_ball(g, 2)
+        q = bu.blowup_complex(bu.build_fiber_functor(
+            bu.bijective_data(g, davis, 2), davis)).q
+    else:
+        q = rq_target(g, data).map
+    opposite = opposite_seen_by_ladders(q)
+    if opposite is None:                 # a one-vertex target has no edge
+        assert not q.target.edges
+    else:
+        assert opposite == horizontal_square_edges(q)
+

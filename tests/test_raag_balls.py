@@ -14,7 +14,7 @@ from cubikit import raag_geometry as rg
 
 from .strategies import defining_graphs
 from .test_cube_complex import fiber, separates
-from .test_raag_words import growth_series, raw_words
+from .test_raag_words import coset_member, growth_series, raw_words
 
 
 HEIGHT_GRAPHS = {
@@ -80,7 +80,7 @@ def levels(g, pc, ball, margin=1, verify=True):
                          for v in f.type_J}:
                 continue
             met = {k for h, k in heights.items()
-                   if rg.coset_member(g, h, f.base, f.type_J)}
+                   if coset_member(g, h, f.base, f.type_J)}
             assert len(met) <= 1, \
                 f"flat {f.id} meets several {pc.id}-levels: {sorted(met)}"
     return {k: tuple(sorted(vs)) for k, vs in sorted(out.items())}
@@ -138,8 +138,9 @@ def test_ball_x_l1_equals_separating_walls():
     for x in inside:
         for y in inside:
             if x < y:
+                i, j = b._index[x], b._index[y]
                 assert b.distance(x, y) == \
-                    sum(separates(h, x, y) for h in hps)
+                    sum(separates(h, i, j) for h in hps)
 
 
 def test_ball_xe_single_vertex_is_line_with_whiskers():
@@ -200,7 +201,7 @@ def test_standard_flats_c5_through_identity():
     b = rg.ball_X(g, 1)
     flats = flats_meeting(g, b)
     through_e = [f for f in flats
-                 if rg.coset_member(g, (), f.base, f.type_J)]
+                 if coset_member(g, (), f.base, f.type_J)]
     assert len(through_e) == 11   # one per clique
 
 
@@ -294,7 +295,7 @@ def extension_adjacent_oracle(g, c1, c2):
     dq = deque([c1.rep])
     while dq:
         h = dq.popleft()
-        if rg.coset_member(g, h, c2.rep, g._star[w]):
+        if coset_member(g, h, c2.rep, g._star[w]):
             return True
         for x in g._star[v]:
             for e in (1, -1):
@@ -491,10 +492,11 @@ def test_l1_equals_walls_c5_exhaustive():
     b = rg.ball_X(g, 3)
     hps = cc.hyperplanes(b)
     inside = [v for v in b.vertex_ids if b.depth[v] >= 1]
-    for i, x in enumerate(inside):
-        for y in inside[i + 1:]:
+    for k, x in enumerate(inside):
+        for y in inside[k + 1:]:
+            i, j = b._index[x], b._index[y]
             assert b.distance(x, y) == \
-                sum(separates(h, x, y) for h in hps)
+                sum(separates(h, i, j) for h in hps)
 
 
 def test_v_levels_pentagon():

@@ -1,6 +1,6 @@
 """Every defining graph on 1 to 5 vertices, up to isomorphism, as a case of
-the Sageev round trip, of the dual dimension and of `hyperplanes` against
-its oracle."""
+the Sageev round trip, of the dual dimension, of `hyperplanes` against its
+oracle and of the flag-link check."""
 
 import functools
 import itertools
@@ -102,3 +102,16 @@ def test_dual_dimension_is_the_largest_maximal_cube(index, radius):
 def test_hyperplanes_match_oracle(index, radius):
     ball, _ = hyperplane_case(index, radius)
     assert_matches_oracle(ball)
+
+
+# 3-cube fills are tested at depth >= 3 only: at depth 2 a 3-cube's far
+# corner may lie past the window, and every graph with a triangle failed
+# there
+@pytest.mark.parametrize("radius", (2, 3))
+@pytest.mark.parametrize("index", range(len(GRAPHS)),
+                         ids=[graph_id(g) for g in GRAPHS])
+def test_flag_links_pass(index, radius):
+    ball, _ = hyperplane_case(index, radius)
+    report = cc.check_flag_links(ball)
+    assert report["ok"], report["failures"][:3]
+    assert report["checked"] == len(ball.interior())

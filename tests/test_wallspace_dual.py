@@ -23,6 +23,8 @@ from cubikit.building import ActionTables, left_translation_action
 
 from .strategies import defining_graphs
 from .test_blowup import two_flipping_action
+from .test_canonical_squares import relabel_edges
+from .test_raag_words import coset_member
 
 
 def enumerate_zero_cubes_oracle(ws):
@@ -590,11 +592,19 @@ def span_of_domain(g, iws, ambient_radius):
     return ball.span(ids)
 
 
+def direction_labeled_dual(iws):
+    """The dual with each edge relabeled by its wall's class direction."""
+    dual = wd.dual_cube_complex(iws.wallspace)
+    tag_dir = {str(tag): iws.classes[tag[0]].direction
+               for tag in iws.wallspace.tags}
+    return relabel_edges(dual, lambda lab: tag_dir[lab])
+
+
 def test_invariant_wallspace_trivial_action_k2():
     g = gc.k2()
     iws = wd.invariant_wallspace(g, trivial_action(g, 4), line_resolutions(g),
                                  wall_window=1)
-    dual = wd.direction_labeled_dual(iws)
+    dual = direction_labeled_dual(iws)
     # the dual reproduces the span of the height-box hull (a 3x3 grid patch)
     span = span_of_domain(g, iws, 3)
     assert len(iws.domain) == 9
@@ -620,6 +630,72 @@ def test_invariant_wallspace_non_isometric_resolution_raises():
                                wall_window=3, points_radius=8)
 
 
+def branched_flat_embed(iws, class_ids):
+    """Embed the dual of the walls tagged by a maximal flat's classes.
+
+    Walls outside the family are oriented to the side containing the flat's
+    vertex set; the embedding of 0-cubes is asserted consistent, and its
+    image convex in the full dual.
+    """
+    ws = iws.wallspace
+    dual = wd.dual_cube_complex(ws)
+    sel = [i for i in range(ws.n_walls()) if ws.tags[i][0] in class_ids]
+    if not sel:
+        raise ValueError("no walls carry the requested classes")
+    flat_pts = flat_points(iws, class_ids)
+    if not flat_pts:
+        raise ValueError("flat does not meet the window")
+    flat_states = [ws.point_state(p) for p in flat_pts]
+    inside = functools.reduce(operator.and_, flat_states)
+    touched = functools.reduce(operator.or_, flat_states)
+    fixed = 0
+    for i in range(ws.n_walls()):
+        if i in sel:
+            continue
+        if inside >> i & 1:
+            fixed |= 1 << i
+        elif touched >> i & 1:
+            raise AssertionError(
+                f"flat is split by outside wall {ws.tags[i]}")
+    sub = wd.Wallspace([p for p in ws.points],
+                       [ws.sides[i] for i in sel], [ws.tags[i] for i in sel])
+    sub_dual = wd.dual_cube_complex(sub)
+    embedded = set()
+    for s in sub.flips:
+        target = fixed | sum(1 << i for k, i in enumerate(sel) if s >> k & 1)
+        if target not in ws.flips:
+            raise AssertionError("embedded orientation is not a 0-cube")
+        embedded.add(wd._vertex_id(ws.n_walls(), target))
+    if not cc.is_convex(dual, [dual._index[v] for v in embedded]):
+        raise AssertionError("embedded branched flat is not convex")
+    return sub_dual, embedded, dual
+
+
+
+
+def flat_points(iws, class_ids):
+    """Window vertices of the standard flat spanned by the given classes."""
+    g = iws.graph
+    pcs = [iws.classes[cid] for cid in class_ids]
+    pts = []
+    for p in iws.wallspace.points:
+        ok = True
+        for pc in pcs:
+            if not coset_member(g, p, pc.rep, g._star[pc.direction]):
+                ok = False
+                break
+        if not ok:
+            continue
+        # p lies in every parallel-set; the flat itself is the intersection
+        # of the class cosets in the directions of the classes
+        pts.append(p)
+    if not pts:
+        return pts
+    base = min(pts, key=len)
+    dirs = tuple(sorted({pc.direction for pc in pcs}, key=g.index))
+    return [p for p in pts if coset_member(g, p, base, dirs)]
+
+
 def test_invariant_wallspace_translations_c5():
     g = gc.pentagon()
     act = left_translation_action(g, wd.group_ball(g, 3), (("a", 1),))
@@ -633,7 +709,7 @@ def test_invariant_wallspace_translations_c5():
     # the through-identity {a,b}-flat embeds as a grid patch
     ca = rg.class_of_geodesic(g, (), "a").id
     cb = rg.class_of_geodesic(g, (), "b").id
-    sub_dual, embedded, _ = wd.branched_flat_embed(iws, [ca, cb])
+    sub_dual, embedded, _ = branched_flat_embed(iws, [ca, cb])
     assert len(sub_dual.squares) > 0
 
 
@@ -725,7 +801,7 @@ def test_branched_flat_embed_k2():
                                  wall_window=1)
     cu = rg.class_of_geodesic(g, (), "u").id
     cv = rg.class_of_geodesic(g, (), "v").id
-    sub_dual, embedded, dual = wd.branched_flat_embed(iws, [cu, cv])
+    sub_dual, embedded, dual = branched_flat_embed(iws, [cu, cv])
     # the unique maximal flat of K2 fills the entire dual ball
     assert len(embedded) == len(dual.vertex_ids)
 
@@ -736,8 +812,8 @@ def test_branched_flat_embed_pentagon():
                                  wall_window=1)
     ca = rg.class_of_geodesic(g, (), "a").id
     cb = rg.class_of_geodesic(g, (), "b").id
-    sub_dual, embedded, dual = wd.branched_flat_embed(iws, [ca, cb])
-    assert cc.is_convex(dual, embedded)
+    sub_dual, embedded, dual = branched_flat_embed(iws, [ca, cb])
+    assert cc.is_convex(dual, [dual._index[v] for v in embedded])
     assert len(embedded) < len(dual.vertex_ids)
     # product structure: the sub-dual is a 2-dimensional grid patch
     assert len(sub_dual.squares) > 0
@@ -751,8 +827,8 @@ def test_flats_with_disjoint_windows_are_separated():
     cb = rg.class_of_geodesic(g, (), "b").id
     ccd = rg.class_of_geodesic(g, (), "c").id
     cd = rg.class_of_geodesic(g, (), "d").id
-    _, emb1, dual = wd.branched_flat_embed(iws, [ca, cb])
-    _, emb2, _ = wd.branched_flat_embed(iws, [ccd, cd])
+    _, emb1, dual = branched_flat_embed(iws, [ca, cb])
+    _, emb2, _ = branched_flat_embed(iws, [ccd, cd])
     assert emb1 != emb2
 
 
@@ -791,7 +867,7 @@ def test_k_walls_membership():
     ws = iws.wallspace
     ca = rg.class_of_geodesic(g, (), "a").id
     cb = rg.class_of_geodesic(g, (), "b").id
-    flat_pts = set(wd._flat_points(iws, [ca, cb]))
+    flat_pts = set(flat_points(iws, [ca, cb]))
     assert flat_pts
     for i in range(ws.n_walls()):
         side = {p for k, p in enumerate(ws.points) if ws.sides[i] >> k & 1}
