@@ -217,16 +217,20 @@ def _check_squares(psi: FiberFunctor):
     A composite copies the bottom's axes and fixes the union of its edges'
     constants, or is empty if an edge has no plan; the edges into top fix
     one axis each, and different ones.  So composites differ at every point
-    of the bottom fiber or at none, and the first point is reported."""
+    of the bottom fiber or at none, and the first point is reported.
+
+    The Davis order is by rank, so each index square (a, b, c, d) has its
+    bottom at a, its top at c and its middles at b and d."""
     plans, cons = psi.plans, psi.inserted
+    ids = psi.davis.ball.vertex_ids
 
     def fixed(*edges):
         if all(e in plans for e in edges):
             return {c: x for e in edges for c, x in cons[e].items()}
         return None
 
-    for s in psi.davis.ball.squares:
-        bottom, m1, m2, top = sorted(s, key=psi.davis.rank_of.get)
+    for square in psi.davis.ball.index_squares:
+        s = bottom, m1, top, m2 = tuple(ids[x] for x in square)
         through = fixed((bottom, m1), (m1, top))
         if through != fixed((bottom, m2), (m2, top)):
             p = (-psi.data.window,) * len(psi.axes[bottom])

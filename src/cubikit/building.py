@@ -3,8 +3,8 @@
 Chambers are group elements; the J-residues are the left cosets of the
 clique subgroups G(J), i.e. exactly the standard flats.  The Davis ball is
 the cube complex of intervals in the poset of spherical residues whose gate
-representative lies within a radius, grown by `cube_complex.grown_ball` from
-the step that adds one commuting vertex to a residue's type.
+representative lies within a radius, built by `cube_complex.rising_ball`
+from the edges that add one commuting vertex to a residue's type.
 
 Gallery distance is computed algebraically: the Coxeter-valued distance of
 chambers c1, c2 is the syllable sequence of nf(c1^-1 c2), whose length is
@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cube_complex import CubeComplexBall, TruncationError, grown_ball
+from .cube_complex import CubeComplexBall, TruncationError, rising_ball
 from .graph_core import DefiningGraph, cliques, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
@@ -105,12 +105,12 @@ class DavisBall:
 def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     """Davis realization ball: spherical residues with short gate reps.
 
-    Vertices are residues with base length <= radius, listed by rank, each
-    built once with its id and keyed by (gate base, type_J); one table
-    holds the gate of h*G(J) for every h in the group ball and clique J.
-    Edges are codimension-1 containments (add one commuting vertex to the
-    type), looked up by key through that table; squares are the rank-2
-    intervals, which `grown_ball` finds as the 4-cycles rising in rank.
+    Vertices are residues with base length <= radius, listed by (rank, id)
+    and indexed by (gate base, type_J); one table holds the gate of h*G(J)
+    for every h in the group ball and clique J.  Edges are codimension-1
+    containments (add one commuting vertex to the type), looked up by index
+    through that table; squares are the rank-2 intervals, which
+    `rising_ball` finds as the 4-cycles rising in rank.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -119,23 +119,21 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     gate = {(h, J): gate_representative(g, h, J)
             for h in group_ball(g, radius) for J in types}
     keys = dict.fromkeys((b, J) for (_, J), b in gate.items())
-    residues = {r.id: r for r in itertools.starmap(Residue, keys)}
-    rid = dict(zip(keys, residues))     # (gate base, type_J) -> vertex id
-    order = sorted(residues, key=lambda i: (residues[i].rank, i))
+    order = sorted(itertools.starmap(Residue, keys),
+                   key=lambda r: (r.rank, r.id))
+    index = {(r.base, r.type_J): i for i, r in enumerate(order)}
     # type_J -> (label, type_J + w) for each w commuting with all of type_J
     up_types = {J: [(f"h:{w}", g.sorted_subset(J + (w,))) for w in g.vertices
                     if w not in J and all(g.adjacent(w, x) for x in J)]
                 for J in types}
-
-    def step(vid):
-        r = residues[vid]
-        return [(lab, rid.get((gate[r.base, K], K)))
-                for lab, K in up_types[r.type_J]]
-
-    ball = grown_ball(order, step,
-                      {i: radius - len(residues[i].base) for i in order})
-    return DavisBall(ball, {i: residues[i] for i in order},
-                     {i: residues[i].rank for i in order}, g, radius)
+    edges = ((i, j, lab) for i, r in enumerate(order)
+             for lab, K in up_types[r.type_J]
+             if (j := index.get((gate[r.base, K], K))) is not None)
+    ids = [r.id for r in order]
+    ball = rising_ball(ids, edges,
+                       {i: radius - len(r.base) for i, r in zip(ids, order)})
+    return DavisBall(ball, dict(zip(ids, order)),
+                     {i: r.rank for i, r in zip(ids, order)}, g, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -43,10 +44,10 @@ def _read(path):
         raise CliError(EXIT_PATH, f"cannot read {path}: {exc}") from exc
 
 
-def _write(path, text):
+def _write(path, chunks):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(EXIT_PATH, f"cannot write {path}: {exc}") from exc
 
@@ -59,14 +60,17 @@ def _load_graph(path):
 
 
 def _report(args, checks, extra=None):
+    """Write the report to --out or stdout chunk by chunk, as `json.dump`
+    does: the encoded report is never held as one string."""
     body = {"checks": checks, "seed": getattr(args, "seed", 0)}
     if extra:
         body.update(extra)
-    text = json.dumps(body, sort_keys=True, indent=1)
+    chunks = itertools.chain(
+        json.JSONEncoder(sort_keys=True, indent=1).iterencode(body), "\n")
     if getattr(args, "out", None):
-        _write(args.out, text + "\n")
+        _write(args.out, chunks)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
 
 
 def _require_radius(args, minimum=1):
@@ -99,8 +103,8 @@ def cmd_ball(args):
     checks = [{"name": "flag links", "status": "pass" if flags["ok"] else "fail",
                "witness": f"{flags['checked']} interior vertices"}]
     if args.dot:
-        _write(args.dot, ball.to_dot())
-    _report(args, checks, {"complex": json.loads(ball.to_json())})
+        _write(args.dot, [ball.to_dot()])
+    _report(args, checks, {"complex": ball.json_body()})
     return EXIT_OK if flags["ok"] else EXIT_VERIFY
 
 
@@ -108,11 +112,11 @@ def cmd_davis(args):
     g = _load_graph(args.graph)
     _require_radius(args)
     db = bd.davis_ball(g, args.radius)
-    body = json.loads(db.ball.to_json())
+    body = db.ball.json_body()
     for v in body["vertices"]:
         v["rank"] = db.rank_of[v["id"]]
     if args.dot:
-        _write(args.dot, db.ball.to_dot())
+        _write(args.dot, [db.ball.to_dot()])
     _report(args, [{"name": "davis ball", "status": "pass",
                     "witness": f"{len(db.ball.vertex_ids)} residues"}],
             {"complex": body})
@@ -179,7 +183,7 @@ def cmd_blowup(args):
     psi = bu.build_fiber_functor(data, davis)
     bc = bu.blowup_complex(psi)
     rep = cc.verify_rq_characterization(bc.q, samples=10, seed=args.seed)
-    body = json.loads(bc.Y.to_json())
+    body = bc.Y.json_body()
     for v in body["vertices"]:
         v["rank"] = bc.rank(v["id"])
         v["clique-label"] = list(bc.clique_label(v["id"]))
@@ -189,7 +193,7 @@ def cmd_blowup(args):
                "status": "pass" if rep["all_true"] else "fail",
                "witness": str(rep["conditions"])}]
     if args.dot:
-        _write(args.dot, bc.Y.to_dot())
+        _write(args.dot, [bc.Y.to_dot()])
     _report(args, checks, {"complex": body})
     return EXIT_OK if rep["all_true"] else EXIT_VERIFY
 
@@ -223,8 +227,8 @@ def cmd_dual(args):
     checks = [{"name": "dual dimension vs transverse families",
                "status": "pass", "witness": f"dim={dim}"}]
     if args.dot:
-        _write(args.dot, dual.to_dot())
-    _report(args, checks, {"complex": json.loads(dual.to_json())})
+        _write(args.dot, [dual.to_dot()])
+    _report(args, checks, {"complex": dual.json_body()})
     return EXIT_OK
 
 

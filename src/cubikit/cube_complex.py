@@ -6,9 +6,9 @@ here (links, hyperplanes, convexity, quotients) works on the 2-skeleton.
 
 Truncation policy: each vertex carries a depth (distance to the truncation
 cut, `None` meaning the complex is not truncated at all).  Vertices of depth
-<= 1 are flagged as boundary; metric and wall computations are reliable on
-`interior(margin)` for margin >= 1, link checks on margin >= 2 and their
-3-cube fills on margin >= 3.
+<= 1 are flagged as boundary; metric and wall computations are reliable at
+depth >= 1, link checks at depth >= 2 (`interior()`) and their 3-cube
+fills at depth >= 3.
 
 A ball stores its 1-skeleton, squares and hyperplanes once, by vertex
 index: `adjacency` holds, per index in `vertex_ids` order, a dict neighbour
@@ -21,15 +21,17 @@ and `sides` are derived on read, and only vertex maps use ids.
 Every ball of X, X_e and the Davis realization, and the blow-up Y, is
 built by one builder, `rising_ball`, from index edge triples, checked for
 loops and second labels in one pass (`_adjacency`, which `make` shares);
-its squares are the 4-cycles that rise along the vertex order.  It has two
-front ends: `grown_ball` maps the ids of a step function to indices (the
-balls of X, X_e and the Davis realization), and `blowup.blowup_complex`
-computes indices from product coordinates.  Squares are canonical at
-birth: each has four distinct corners and is its own `_canonical_square`,
-and `index_squares` strictly increases.  `make` normalises raw squares to
-this; only `rising_ball`, `span`, `restriction_quotient` (through
-`make`'s normaliser) and the Sageev dual build a ball directly,
-each filling the same index adjacency.
+its squares are the 4-cycles that rise along the vertex order.  Each
+caller indexes its own vertices: `raag_geometry._cover_ball` its BFS
+points, `building.davis_ball` its residues and `blowup.blowup_complex`
+its product coordinates.  Squares are canonical at birth: each has four
+distinct corners and is its own `_canonical_square`, and `index_squares`
+strictly increases.  `make` normalises raw squares to this; only
+`rising_ball`, `span`, `restriction_quotient` (through `make`'s
+normaliser) and the Sageev dual build a ball directly, each filling the
+same index adjacency.  The dual emits each square from its lowest corner
+itself: through `rising_ball` its bytes are the same, but assembling the
+duals of the `walls` benchmark's wallspaces took a third longer.
 
 `_hyperplanes` labels every vertex in one BFS per component with the set
 of classes its tree path crosses, and takes each class's far side from the
@@ -187,9 +189,9 @@ class CubeComplexBall:
     def boundary_flag(self, v) -> bool:
         return self.depth[v] <= 1
 
-    def interior(self, margin: int = 2):
-        """Vertices at depth >= margin (margin 2 = non-boundary)."""
-        return [v for v in self.vertex_ids if self.depth[v] >= margin]
+    def interior(self):
+        """Vertices at depth >= 2, the non-boundary ones."""
+        return [v for v in self.vertex_ids if self.depth[v] >= 2]
 
     def neighbors(self, v):
         return self._id_adjacency[v]
@@ -335,7 +337,8 @@ class CubeComplexBall:
         return [(i, j, nbrs[j]) for i, nbrs in enumerate(self.adjacency)
                 for j in sorted(k for k in nbrs if k > i)]
 
-    def to_json(self) -> str:
+    def json_body(self) -> dict:
+        """The JSON object of `to_json`, which callers may extend first."""
         ids = self.vertex_ids
         eidx = {}
         edges_out = []
@@ -346,12 +349,15 @@ class CubeComplexBall:
         for a, b, c, d in self.index_squares:
             squares_out.append([eidx[min(x, y), max(x, y)] for x, y in
                                 ((a, b), (b, c), (c, d), (d, a))])
-        return json.dumps({
+        return {
             "vertices": [{"id": str(v), "boundary": self.boundary_flag(v)}
                          for v in self.vertex_ids],
             "edges": edges_out,
             "squares": squares_out,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.json_body())
 
     def to_dot(self) -> str:
         lines = ["graph ball {"]
@@ -373,7 +379,7 @@ class CubeComplexBall:
 
 
 # ---------------------------------------------------------------------------
-# growing balls from a step function
+# growing balls
 # ---------------------------------------------------------------------------
 
 def bfs_ball(starts, step, radius: int) -> dict:
@@ -395,11 +401,14 @@ def bfs_ball(starts, step, radius: int) -> dict:
     return dist
 
 
-def grown_ball(order, step, depth) -> CubeComplexBall:
-    """The ball on the vertex ids `order` whose edges are the pairs
-    (x, y) for `(label, y)` in `step(x)` with y in the ball, and whose squares
-    are the 4-cycles a-b-c-d that rise along `order`: b and d come after a,
-    and c after both.
+def rising_ball(order, edges, depth) -> CubeComplexBall:
+    """The ball on the vertex ids `order` whose edges are the index triples
+    (i, j, label) of `edges`, and whose squares are the 4-cycles a-b-c-d
+    that rise along the order: b and d later neighbours of a, and c a later
+    neighbour of both.  `_adjacency` takes the triples in their order, and
+    each index's later neighbours are then read off its adjacency.  Each
+    square comes out once, as the index tuple (a, b, c, d) with a lowest
+    and b < d; sorted, these are the canonical `index_squares`.
 
     This finds every square when each 4-cycle of the ball rises, which holds
     when `order` lists the vertices by distance from a root.  The 1-skeleton
@@ -408,30 +417,9 @@ def grown_ball(order, step, depth) -> CubeComplexBall:
     would put three common neighbours on those two, a K_{2,3}, which no
     median graph contains.  A Davis ball listed by rank also qualifies: two
     residues of one rank contain at most one common residue of the rank
-    below.  `step(x)` must list each edge of x to a later vertex once; it
-    may list those to earlier ones.  This is the id-step front end of
-    `rising_ball`: it maps each stepped-to id to its index.
-    """
-    index = {x: i for i, x in enumerate(order)}
-
-    def pairs():
-        for i, x in enumerate(order):
-            for lab, y in step(x):
-                j = index.get(y)
-                if j is not None:
-                    yield i, j, lab
-
-    return rising_ball(order, pairs(), depth)
-
-
-def rising_ball(order, edges, depth) -> CubeComplexBall:
-    """The ball on the vertex ids `order` whose edges are the index triples
-    (i, j, label) of `edges`, and whose squares are the 4-cycles a-b-c-d
-    that rise along the order: b and d later neighbours of a, and c a later
-    neighbour of both.  `_adjacency` takes the triples in their order, and
-    each index's later neighbours are then read off its adjacency.  Each
-    square comes out once, as the index tuple (a, b, c, d) with a lowest
-    and b < d; sorted, these are the canonical `index_squares`."""
+    below.  So does the blow-up listed fiber by fiber in Davis order (see
+    the `blowup` module docstring).  `edges` must list every edge, from
+    either end, and may list one again with the same label."""
     adj = _adjacency(order, edges)
     up = [[j for j in nbrs if j > i] for i, nbrs in enumerate(adj)]
     squares = []

@@ -48,7 +48,7 @@ the stars of the two class directions.
 On top of the word algebra this module grows finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e: a BFS
 (`cube_complex.bfs_ball`) over a step function, the letter step for X and
-the vertical, up and down steps for X_e, then `cube_complex.grown_ball`,
+the vertical, up and down steps for X_e, then `cube_complex.rising_ball`,
 which takes the squares to be the 4-cycles.  It also gives gates on
 standard flats, parallel classes with their heights, and adjacency of
 parallel classes (the edges of the extension complex).  A standard flat
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .graph_core import DefiningGraph, UnknownEndpointError
-from .cube_complex import CubeComplexBall, bfs_ball, grown_ball
+from .cube_complex import CubeComplexBall, bfs_ball, rising_ball
 
 # A letter is (generator label, +1 or -1); a word is a tuple of letters,
 # and the identity is the empty word ().
@@ -224,16 +224,17 @@ def group_ball(g: DefiningGraph, radius: int):
 
 
 def _cover_ball(start, step, radius: int, name) -> CubeComplexBall:
-    """`grown_ball` on the BFS ball of `radius` around `start`, vertices by
-    (distance, id) with ids `name(x)`; `step` runs once per vertex."""
+    """`rising_ball` on the BFS ball of `radius` around `start`, its points
+    by (distance, id) with ids `name(x)`; `step` runs once per point."""
     step = cache(step)
     dist = bfs_ball([start], step, radius)
     ids = {x: name(x) for x in dist}
-    points = {vid: x for x, vid in ids.items()}
-    return grown_ball(sorted(points, key=lambda vid: (dist[points[vid]], vid)),
-                      lambda vid: [(lab, ids.get(y))
-                                   for lab, y in step(points[vid])],
-                      {vid: radius - dist[x] for x, vid in ids.items()})
+    points = sorted(dist, key=lambda x: (dist[x], ids[x]))
+    index = {x: i for i, x in enumerate(points)}
+    return rising_ball([ids[x] for x in points],
+                       ((i, index[y], lab) for i, x in enumerate(points)
+                        for lab, y in step(x) if y in index),
+                       {vid: radius - dist[x] for x, vid in ids.items()})
 
 
 def ball_X(g: DefiningGraph, radius: int) -> CubeComplexBall:

@@ -87,8 +87,9 @@ class Wallspace:
             seen[key] = i
 
     @staticmethod
-    def make(points, walls, tags=None):
-        """walls: iterable of point subsets (one side each)."""
+    def make(points, walls):
+        """walls: iterable of point subsets (one side each), tagged by
+        their position."""
         points = tuple(points)
         pi = {p: i for i, p in enumerate(points)}
         sides = []
@@ -97,8 +98,7 @@ class Wallspace:
             for p in w:
                 m |= 1 << pi[p]
             sides.append(m)
-        tags = list(tags) if tags is not None else list(range(len(sides)))
-        return Wallspace(points, sides, tags)
+        return Wallspace(points, sides, list(range(len(sides))))
 
     @property
     def full_mask(self):

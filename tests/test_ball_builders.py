@@ -1,18 +1,26 @@
-"""The one ball builder (`cube_complex.grown_ball`) behind `ball_X`,
-`ball_Xe` and `davis_ball`: SHA-256 pins of their JSON and DOT output, and
-the hand-written square enumerations it replaced, kept as oracles."""
+"""The one ball builder (`cube_complex.rising_ball`) behind `ball_X`,
+`ball_Xe` and `davis_ball`: SHA-256 pins of their JSON and DOT output, the
+hand-written square enumerations it replaced, and the id-step builder
+`grown_ball` that fed it ids before the callers indexed their own points,
+all kept as oracles."""
 
+import functools
 import hashlib
 import itertools
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubikit import building as bd
 from cubikit import cube_complex as cc
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
+
+from .strategies import defining_graphs
 
 FIXTURES = {
     "single_vertex": gc.single_vertex,
@@ -419,3 +427,89 @@ def test_davis_ball_computes_each_gate_once(monkeypatch):
                         lambda g, h, J: calls.append((h, J)) or real(g, h, J))
     bd.davis_ball(gc.pentagon(), 3)
     assert len(calls) == 531 * 11
+
+
+# -- the id-step builder the callers of `rising_ball` replaced ---------------
+
+def grown_ball(order, step, depth):
+    """The ball on the vertex ids `order` whose edges are the pairs (x, y)
+    for `(label, y)` in `step(x)` with y in the ball: `rising_ball` behind a
+    map from each stepped-to id back to its index."""
+    index = {x: i for i, x in enumerate(order)}
+
+    def pairs():
+        for i, x in enumerate(order):
+            for lab, y in step(x):
+                j = index.get(y)
+                if j is not None:
+                    yield i, j, lab
+
+    return cc.rising_ball(order, pairs(), depth)
+
+
+def grown_cover_ball(start, step, radius, name):
+    """`raag_geometry._cover_ball` as it fed `grown_ball`: point -> id,
+    id -> point and, inside `grown_ball`, id -> index."""
+    step = functools.cache(step)
+    dist = cc.bfs_ball([start], step, radius)
+    ids = {x: name(x) for x in dist}
+    points = {vid: x for x, vid in ids.items()}
+    return grown_ball(sorted(points, key=lambda vid: (dist[points[vid]], vid)),
+                      lambda vid: [(lab, ids.get(y))
+                                   for lab, y in step(points[vid])],
+                      {vid: radius - dist[x] for x, vid in ids.items()})
+
+
+def grown_davis_ball(g, radius):
+    """`building.davis_ball` as it fed `grown_ball`: residues by id, keys
+    to ids, and a step from id to parent ids."""
+    types = gc.cliques(g)
+    gate = {(h, J): rg.gate_representative(g, h, J)
+            for h in rg.group_ball(g, radius) for J in types}
+    keys = dict.fromkeys((b, J) for (_, J), b in gate.items())
+    residues = {r.id: r for r in itertools.starmap(bd.Residue, keys)}
+    rid = dict(zip(keys, residues))
+    order = sorted(residues, key=lambda i: (residues[i].rank, i))
+    up_types = {J: [(f"h:{w}", g.sorted_subset(J + (w,))) for w in g.vertices
+                    if w not in J and all(g.adjacent(w, x) for x in J)]
+                for J in types}
+
+    def step(vid):
+        r = residues[vid]
+        return [(lab, rid.get((gate[r.base, K], K)))
+                for lab, K in up_types[r.type_J]]
+
+    ball = grown_ball(order, step,
+                      {i: radius - len(residues[i].base) for i in order})
+    return bd.DavisBall(ball, {i: residues[i] for i in order},
+                        {i: residues[i].rank for i in order}, g, radius)
+
+
+def grown_front_end(kind, g, radius):
+    """The ball of `kind` built through `grown_ball`, with today's steps."""
+    if kind == "davis":
+        return grown_davis_ball(g, radius).ball
+    with mock.patch.object(rg, "_cover_ball", grown_cover_ball):
+        return BUILDERS[kind](g, radius)
+
+
+def ball_layout(b):
+    """Everything a ball stores, insertion orders included."""
+    return (b.vertex_ids, [list(nbrs.items()) for nbrs in b.adjacency],
+            b.index_squares, list(b.depth.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs(), st.sampled_from(sorted(BUILDERS)),
+       st.integers(1, 3))
+def test_builders_match_the_grown_front_end(g, kind, radius):
+    assert ball_layout(BUILDERS[kind](g, radius)) == \
+        ball_layout(grown_front_end(kind, g, radius))
+
+
+@settings(max_examples=20, deadline=None)
+@given(defining_graphs(), st.integers(1, 3))
+def test_davis_tables_match_the_grown_front_end(g, radius):
+    got, want = bd.davis_ball(g, radius), grown_davis_ball(g, radius)
+    assert list(got.residue_of.items()) == list(want.residue_of.items())
+    assert list(got.rank_of.items()) == list(want.rank_of.items())

@@ -20,7 +20,7 @@ from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
 from .strategies import defining_graphs
-from .test_ball_builders import FIXTURES
+from .test_ball_builders import FIXTURES, grown_ball
 from .test_cube_complex import assert_verifier_matches_oracles
 
 DATA = {
@@ -245,7 +245,7 @@ def blowup_grown_oracle(psi):
     for yv, (vid, p) in info.items():
         fiber_depth = min((window - abs(x) for x in p), default=cc.BIG_DEPTH)
         depth[yv] = min(davis.ball.depth[vid], fiber_depth)
-    return bu.BlowUpComplex(cc.grown_ball(list(info), step, depth), psi, info)
+    return bu.BlowUpComplex(grown_ball(list(info), step, depth), psi, info)
 
 
 def assert_same_order(got, want):
@@ -429,6 +429,15 @@ def test_check_squares_reads_no_fiber_point(monkeypatch):
     p = (-10**9,) * len(psi.axes[bottom])
     assert failure(bu._check_squares, broken) == \
         f"functor composition differs on square {square} at {p}"
+
+
+def test_fiber_functor_leaves_the_davis_id_squares_unbuilt():
+    # the square check reads the Davis ball's index squares, so the id view
+    # `squares`, a cached property, is never built
+    davis = bd.davis_ball(gc.pentagon(), 2)
+    assert davis.ball.index_squares
+    bu.build_fiber_functor(bu.bijective_data(davis.graph, davis, 2), davis)
+    assert "squares" not in vars(davis.ball)
 
 
 def test_merged_check_catches_one_determinacy_alone():

@@ -99,7 +99,7 @@ def test_producer_squares_match_make_drawn(kind, name, radius, rng):
     assert_canonical_at_birth(produce(kind, name, radius, rng), rng)
 
 
-def test_grown_ball_sorts_squares_emitted_out_of_order():
+def test_rising_ball_sorts_squares_emitted_out_of_order():
     # a ladder of two squares on the rung a-b, listed so that the square on
     # the later corner d2 has the earlier top corner c2: emitted from a,
     # (a, b, c1, d1) comes before (a, b, c2, d2), which sorts first
@@ -107,25 +107,24 @@ def test_grown_ball_sorts_squares_emitted_out_of_order():
     triples = [("a", "b", "x"), ("d1", "c1", "x"), ("d2", "c2", "x"),
                ("a", "d1", "y"), ("b", "c1", "y"), ("a", "d2", "z"),
                ("b", "c2", "z")]
-    nbrs = {}
-    for u, v, lab in triples:
-        nbrs.setdefault(u, []).append((lab, v))
-        nbrs.setdefault(v, []).append((lab, u))
-    grown = cc.grown_ball(order, nbrs.get, None)
-    assert grown.squares == (("a", "b", "c2", "d2"), ("a", "b", "c1", "d1"))
-    assert grown.validate()
-    made = cc.CubeComplexBall.make(order, triples, grown.squares[::-1])
-    assert (made.squares, made.edges) == (grown.squares, grown.edges)
+    index = {x: i for i, x in enumerate(order)}
+    risen = cc.rising_ball(order, [(index[u], index[v], lab)
+                                   for u, v, lab in triples], None)
+    assert risen.squares == (("a", "b", "c2", "d2"), ("a", "b", "c1", "d1"))
+    assert risen.validate()
+    made = cc.CubeComplexBall.make(order, triples, risen.squares[::-1])
+    assert (made.squares, made.edges) == (risen.squares, risen.edges)
 
 
-def test_grown_ball_squares_every_pair_of_middles():
-    # a K_{2,3}, which no median graph contains: the three corners b1, b2,
-    # b3 between a and c give three rising 4-cycles, one per pair
+def test_rising_ball_squares_every_pair_of_middles():
+    # a K_{2,3}, which no median graph contains: the three corners 1, 2, 3
+    # between 0 and 4 give three rising 4-cycles, one per pair
     order = ["a", "b1", "b2", "b3", "c"]
-    nbrs = {"a": [("x", b) for b in order[1:4]],
-            **{b: [("y", "c")] for b in order[1:4]}}
-    grown = cc.grown_ball(order, lambda x: nbrs.get(x, []), None)
-    assert grown.squares == (("a", "b1", "c", "b2"), ("a", "b1", "c", "b3"),
+    triples = [(0, b, "x") for b in (1, 2, 3)] + \
+        [(b, 4, "y") for b in (1, 2, 3)]
+    risen = cc.rising_ball(order, triples, None)
+    assert risen.index_squares == ((0, 1, 4, 2), (0, 1, 4, 3), (0, 2, 4, 3))
+    assert risen.squares == (("a", "b1", "c", "b2"), ("a", "b1", "c", "b3"),
                              ("a", "b2", "c", "b3"))
 
 

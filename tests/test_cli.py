@@ -226,6 +226,8 @@ def test_semiconj_rips_radius_past_float_range_exits_3(tmp_path, capsys,
 def test_bad_paths_and_params(graphs, capsys):
     assert cli.main(["graph", "info", "--graph", "/nope/missing.json"]) == 2
     assert cli.main(["ball", "--graph", graphs["k2"], "--radius", "0"]) == 3
+    assert cli.main(["ball", "--graph", graphs["k2"], "--radius", "1", "--out",
+                     str(graphs["dir"] / "missing" / "ball.json")]) == 2
     bad = graphs["dir"] / "bad.json"
     bad.write_text('{"vertices": ["a"], "edges": [["a","a"]]}')
     assert cli.main(["graph", "info", "--graph", str(bad)]) == 3
@@ -594,3 +596,38 @@ def test_golden_blowup_data(graphs, tmp_path):
     out = run_cli(["blowup", "--graph", graphs["k2"], "--radius", "2",
                    "--window", "2", "--data", str(path)], "0")
     assert sha256(out) == GOLDEN_BLOWUP_DATA
+
+
+# SHA-256 of the `davis` (K2, r2) and `dual` (C5, r2) reports under
+# PYTHONHASHSEED=0, taken before the reports were streamed
+GOLDEN_DAVIS = "ef618adf44c1de4280afeb878efdc4152550a0ee798d4db35d2edb17f6153d92"
+GOLDEN_DUAL = "dadc4b11d5550dede5245eaa87586258b330c72526b833d4449e62f4f4492c42"
+
+
+def run_cli_without_to_json(args, hash_seed):
+    """`run_cli` with `CubeComplexBall.to_json` raising: the reports are
+    decorated from `json_body`, never parsed back from a JSON string."""
+    code = ("import sys\n"
+            "from cubikit import cli, cube_complex as cc\n"
+            "def refuse(self):\n"
+            "    raise AssertionError('to_json was called')\n"
+            "cc.CubeComplexBall.to_json = refuse\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(cubikit.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, *args], env=env,
+                   capture_output=True, check=True)
+
+
+@pytest.mark.parametrize("command, graph, extra, pin", [
+    ("ball", "pentagon", [], GOLDEN_BALL_DOT["json"]),
+    ("davis", "k2", [], GOLDEN_DAVIS),
+    ("blowup", "k2", ["--window", "2"], GOLDEN_BLOWUP),
+    ("dual", "pentagon", [], GOLDEN_DUAL),
+])
+def test_reports_are_written_without_to_json(graphs, command, graph, extra,
+                                             pin):
+    out = graphs["dir"] / f"{command}.json"
+    run_cli_without_to_json([command, "--graph", graphs[graph], "--radius",
+                             "2", *extra, "--out", str(out)], "0")
+    assert sha256(out.read_bytes()) == pin

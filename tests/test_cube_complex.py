@@ -770,12 +770,14 @@ def test_two_labels_on_one_pair_raise():
         cc.CubeComplexBall.make(["a", "b"], edges + [("b", "a", "v")], [])
 
 
-def test_grown_ball_checks_edges_as_make_does():
-    with pytest.raises(cc.ComplexError, match="loop edge"):
-        cc.grown_ball(["a", "b"], lambda x: [("u", x)], None)
-    with pytest.raises(cc.ComplexError, match="two edges"):
-        cc.grown_ball(["a", "b"], lambda x: [(x, "b" if x == "a" else "a")],
-                      None)
+def test_rising_ball_checks_edges_as_make_does():
+    for i, j, message in ((1, 1, "loop edge at 'b'"),
+                          (1, 0, "two edges between 'b','a'")):
+        with pytest.raises(cc.ComplexError, match=message):
+            cc.CubeComplexBall.make(["a", "b"], [("a", "b", "u"),
+                                                 ("ab"[i], "ab"[j], "v")], [])
+        with pytest.raises(cc.ComplexError, match=message):
+            cc.rising_ball(["a", "b"], [(0, 1, "u"), (i, j, "v")], None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -86,7 +86,7 @@ def to_json_oracle(b, em):
 
 def build_with_stream(build):
     """(ball, its edge stream as id triples) of the `rising_ball` call that
-    `build()` makes, from either front end."""
+    `build()` makes, from any of its callers."""
     streams = []
     real = cc.rising_ball
 
@@ -95,7 +95,8 @@ def build_with_stream(build):
         streams.append([(order[i], order[j], lab) for i, j, lab in triples])
         return real(order, triples, depth)
 
-    with mock.patch.object(cc, "rising_ball", spy), \
+    with mock.patch.object(rg, "rising_ball", spy), \
+            mock.patch.object(bd, "rising_ball", spy), \
             mock.patch.object(bu, "rising_ball", spy):
         ball = build()
     return ball, streams[-1]
@@ -337,10 +338,9 @@ def test_flag_link_failures_match_the_id_path():
     # a K_{2,3}, whose links at the middles are not simple and whose link at
     # a is an unfilled triangle, and a 3-cube without its face (4, 5, 7, 6),
     # which leaves the link triangle at 0 open
-    order = ["a", "b1", "b2", "b3", "c"]
-    nbrs = {"a": [("x", b) for b in order[1:4]],
-            **{b: [("y", "c")] for b in order[1:4]}}
-    k23 = cc.grown_ball(order, lambda x: nbrs.get(x, []), None)
+    k23 = cc.rising_ball(["a", "b1", "b2", "b3", "c"],
+                         [(0, b, "x") for b in (1, 2, 3)] +
+                         [(b, 4, "y") for b in (1, 2, 3)], None)
     faces = [(v, v | 1 << i, v | 1 << i | 1 << j, v | 1 << j)
              for i, j in ((0, 1), (0, 2), (1, 2)) for v in range(8)
              if not v & (1 << i | 1 << j)]
