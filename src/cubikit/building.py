@@ -35,6 +35,7 @@ from .cube_complex import CubeComplexBall, TruncationError, rising_ball
 from .graph_core import DefiningGraph, cliques, orthogonal_complement
 from .raag_geometry import (
     ParallelClass,
+    _gate,
     class_of_geodesic,
     flat_element,
     gate_heights,
@@ -115,8 +116,9 @@ def davis_ball(g: DefiningGraph, radius: int) -> DavisBall:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     types = cliques(g)
-    # a residue's base lies in the ball, so its parents' gates are here
-    gate = {(h, J): gate_representative(g, h, J)
+    # a residue's base lies in the ball, so its parents' gates are here;
+    # group_ball lists normal forms, so each gate is one `_gate` pass
+    gate = {(h, J): _gate(g, h, J)
             for h in group_ball(g, radius) for J in types}
     keys = dict.fromkeys((b, J) for (_, J), b in gate.items())
     order = sorted(itertools.starmap(Residue, keys),

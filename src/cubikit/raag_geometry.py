@@ -11,7 +11,12 @@ lexicographic normal form of the trace monoid: Anisimov-Knuth, "Inhomogeneous
 sorting", 1979; the piling picture of Crisp-Godelle-Wiest, J. Topology 2009):
 scan left from the end past the letters whose generator is adjacent to v; if
 the scan stops on v^-e, delete that letter; otherwise insert x before the
-first letter right of the stop whose rank exceeds the rank of x.
+first letter right of the stop whose rank exceeds the rank of x.  `_fold`
+can start from a normal form h instead of the empty word, so a caller that
+holds h (`_letter_step`, `ball_Xe`'s vertical step, `class_heights`' star
+search, `flat_element`) takes one step per new letter instead of re-folding
+h.  The start must be normal, which no check enforces; `mul` folds both
+factors from the empty word, since callers pass words such as inv(base).
 
 The gate of a coset base*G(S) (its unique shortest element) comes from one
 right-to-left pass over the normal form of base that drops each letter of S
@@ -49,7 +54,8 @@ On top of the word algebra this module grows finite balls of the universal
 cover X of the Salvetti complex and of the exploded cover X_e: a BFS
 (`cube_complex.bfs_ball`) over a step function, the letter step for X and
 the vertical, up and down steps for X_e, then `cube_complex.rising_ball`,
-which takes the squares to be the 4-cycles.  It also gives gates on
+which takes the squares to be the 4-cycles.  Only points inside the rim
+take a step (`_cover_ball`).  It also gives gates on
 standard flats, parallel classes with their heights, and adjacency of
 parallel classes (the edges of the extension complex).  A standard flat
 base*G(J) itself is a `building.Residue`, the one type for such a coset.
@@ -75,12 +81,14 @@ def _check_letters(g: DefiningGraph, word):
             raise ValueError(f"exponent must be +-1, got {e!r}")
 
 
-def _fold(g: DefiningGraph, letters) -> tuple:
-    """Normal form of the product of `letters`, right-multiplied in one at a
-    time by the insertion rule of the module docstring.  The word is kept as
+def _fold(g: DefiningGraph, letters, start=()) -> tuple:
+    """Normal form of `start` times the product of `letters`, right-multiplied
+    in one at a time by the insertion rule of the module docstring.  `start`
+    must be a normal form: it seeds the word as it stands, so a word that is
+    not normal gives a wrong answer, not an error.  The word is kept as
     letter ranks; the inverse of rank r is r ^ 1."""
     rank, commuting = g._rank, g._commuting
-    word = []
+    word = [rank[x] for x in start]
     for x in letters:
         r = rank[x]
         past = commuting[r]
@@ -146,16 +154,22 @@ def syllables(a):
 # ---------------------------------------------------------------------------
 
 def gate_representative(g: DefiningGraph, base, support) -> tuple:
-    """The unique minimal-length element of the coset base*G(support).
+    """The unique minimal-length element of the coset base*G(support):
+    `_gate` on the normal form of base."""
+    return _gate(g, normal_form(g, base), support)
 
-    One right-to-left pass over the normal form of base drops every letter
-    of `support` that commutes with all letters kept to its right; no kept
-    support letter can then be shuffled to the end, which characterises the
-    shortest element of the coset.
+
+def _gate(g: DefiningGraph, h, support) -> tuple:
+    """The gate of h*G(support) for a normal form h.
+
+    One right-to-left pass over h drops every letter of `support` that
+    commutes with all letters kept to its right; no kept support letter can
+    then be shuffled to the end, which characterises the shortest element
+    of the coset.
     """
     kept = []
     blockers = set()        # generators of the kept letters
-    for v, e in reversed(normal_form(g, base)):
+    for v, e in reversed(h):
         if v in support and blockers <= g.neighbors(v):
             continue
         kept.append((v, e))
@@ -180,11 +194,9 @@ def gate_heights(g: DefiningGraph, base, support, x) -> dict:
 
 
 def flat_element(g: DefiningGraph, base, coords):
-    w = tuple(base)
-    for v, k in coords.items():
-        if k:
-            w = mul(g, w, tuple((v, 1 if k > 0 else -1) for _ in range(abs(k))))
-    return w
+    """base * prod v^k_v over `coords` {v: k_v}, for a normal form base."""
+    return _fold(g, [(v, 1 if k > 0 else -1) for v, k in coords.items()
+                     for _ in range(abs(k))], base)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +224,30 @@ def class_of_geodesic(g: DefiningGraph, base, v: str) -> ParallelClass:
 # ---------------------------------------------------------------------------
 
 def _letter_step(g: DefiningGraph, h):
-    """Right multiplication of h by each letter, labelled by its generator."""
-    return [(v, mul(g, h, ((v, e),))) for v in g.vertices for e in (1, -1)]
+    """Right multiplication of the normal form h by each letter, labelled by
+    its generator: one insertion step on h each."""
+    return [(x[0], _fold(g, (x,), h)) for x in g._letters]
 
 
 def group_ball(g: DefiningGraph, radius: int):
     """All group elements of word length <= radius, by BFS over right
-    multiplication; sorted by (length, word)."""
+    multiplication of normal forms by letters (`_letter_step`); sorted by
+    (length, word)."""
     return sorted(bfs_ball([()], lambda h: _letter_step(g, h), radius),
                   key=lambda w: (len(w), w))
 
 
 def _cover_ball(start, step, radius: int, name) -> CubeComplexBall:
     """`rising_ball` on the BFS ball of `radius` around `start`, its points
-    by (distance, id) with ids `name(x)`; `step` runs once per point."""
+    by (distance, id) with ids `name(x)`; `step` runs at most once per point.
+
+    The rim takes no step.  X and X_e are CAT(0), so their 1-skeleta are
+    bipartite: no edge joins two points at one distance, and every edge of
+    a rim point (distance `radius`) ends one step inside, at a point that
+    comes earlier in the order and lists the edge itself.  `rising_ball`
+    keeps an edge's first listing, so each adjacency, insertion order
+    included, is what stepping the rim too would give.
+    """
     step = cache(step)
     dist = bfs_ball([start], step, radius)
     ids = {x: name(x) for x in dist}
@@ -233,6 +255,7 @@ def _cover_ball(start, step, radius: int, name) -> CubeComplexBall:
     index = {x: i for i, x in enumerate(points)}
     return rising_ball([ids[x] for x in points],
                        ((i, index[y], lab) for i, x in enumerate(points)
+                        if dist[x] < radius
                         for lab, y in step(x) if y in index),
                        {vid: radius - dist[x] for x, vid in ids.items()})
 
@@ -276,7 +299,7 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
 
     def step(p):
         h, cl = p
-        out = [(f"v:{v}", (mul(g, h, ((v, e),)), cl))
+        out = [(f"v:{v}", (_fold(g, ((v, e),), h), cl))
                for v in cl for e in (1, -1)]
         out += [(f"h:{w}", (h, tuple(x for x in cl if x != w))) for w in cl]
         out += [(f"h:{w}", (h, g.sorted_subset({*cl, w})))
@@ -325,7 +348,8 @@ def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
         star = [(u, e) for u in g._star[v] for e in (1, -1)]
         reach = max(map(len, words), default=0) - 1 - len(pc.rep)
         inside = bfs_ball([pc.rep],
-                          lambda h: [(x, mul(g, h, (x,))) for x in star], reach)
+                          lambda h: [(x, _fold(g, (x,), h)) for x in star],
+                          reach)
     out = {}
     for p in words:
         k = out.get(p[:-1]) if p else None

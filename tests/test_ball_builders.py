@@ -8,7 +8,7 @@ import functools
 import hashlib
 import itertools
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -419,11 +419,48 @@ def test_davis_step_matches_residue_oracle(name, radius):
     assert list(edges.items()) == list(db.ball.edges.items())
 
 
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs(), st.sampled_from(("X", "Xe")), st.integers(1, 3))
+def test_the_rim_takes_no_step(g, kind, radius):
+    # every edge of a rim point is listed from its inner end, so exactly
+    # the points of depth >= 1 are stepped, each once
+    stepped = []
+    real = rg._cover_ball
+
+    def spy(start, step, radius, name):
+        return real(start, lambda x: stepped.append(name(x)) or step(x),
+                    radius, name)
+
+    with mock.patch.object(rg, "_cover_ball", spy):
+        b = BUILDERS[kind](g, radius)
+    assert sorted(stepped) == sorted(v for v in b.vertex_ids
+                                     if b.depth[v] >= 1)
+
+
+def ball_counts(b):
+    """Vertex, edge and square counts and the depth histogram of a ball."""
+    return (len(b.vertex_ids), sum(map(len, b.adjacency)) // 2,
+            len(b.index_squares), sorted(Counter(b.depth.values()).items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs(), st.sampled_from(sorted(BUILDERS)),
+       st.integers(1, 3), st.data())
+def test_builders_are_invariant_under_relabelling(g, kind, radius, data):
+    # a permuted vertex order changes ids and normal forms, not the ball
+    order = data.draw(st.permutations(g.vertices))
+    h = gc.DefiningGraph.make(order, g.edges)
+    assert ball_counts(BUILDERS[kind](g, radius)) == \
+        ball_counts(BUILDERS[kind](h, radius))
+
+
 def test_davis_ball_computes_each_gate_once(monkeypatch):
-    # one gate per (group ball element, clique); the step looks them up
+    # one gate per (group ball element, clique); the step looks them up.
+    # The group ball lists normal forms, so the table runs the gate pass
+    # `_gate` on each without normalizing it again.
     calls = []
-    real = bd.gate_representative
-    monkeypatch.setattr(bd, "gate_representative",
+    real = bd._gate
+    monkeypatch.setattr(bd, "_gate",
                         lambda g, h, J: calls.append((h, J)) or real(g, h, J))
     bd.davis_ball(gc.pentagon(), 3)
     assert len(calls) == 531 * 11

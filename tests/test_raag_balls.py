@@ -119,6 +119,22 @@ def test_ball_x_growth_matches_clique_polynomial_oracle():
         assert sphere_sizes(b, 3) == growth_series(g, 3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(defining_graphs(), st.integers(1, 3))
+def test_ball_x_spheres_and_edges_match_the_growth_series(g, radius):
+    # answers that run no cubikit code: the sphere sizes S_k of the growth
+    # series, and the edge count they imply.  The Cayley graph is
+    # 2n-regular and every edge joins spheres k and k+1, so the edges
+    # between them number E_k = 2n * S_k - E_(k-1).
+    b = rg.ball_X(g, radius)
+    sizes = growth_series(g, radius)
+    assert sphere_sizes(b, radius) == sizes
+    between = [0]
+    for k in range(radius):
+        between.append(2 * len(g.vertices) * sizes[k] - between[-1])
+    assert sum(len(nbrs) for nbrs in b.adjacency) == 2 * sum(between)
+
+
 def test_ball_x_distance_is_word_length():
     g = gc.pentagon()
     b = rg.ball_X(g, 3)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cubikit import graph_core as gc
 from cubikit import raag_geometry as rg
 
+from .strategies import defining_graphs
+
 
 # -- reference implementations: the reduce-then-sort normal form and the
 # greedy-descent gate, slow oracles for the insertion engine and the
@@ -189,6 +191,33 @@ def test_gate_is_the_gate_of_every_smaller_coset(name, data):
     smaller = tuple(v for v in support if data.draw(st.booleans()))
     gate = rg.gate_representative(g, h, support)
     assert rg.gate_representative(g, gate, smaller) == gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(defining_graphs(), st.data())
+def test_fold_from_a_normal_start_matches_the_full_fold(g, data):
+    # a normal-form start word seeds the insertion rule as it stands; the
+    # full fold of start + letters stays the oracle, as does the letter
+    # step through `mul`
+    h = rg.normal_form(g, data.draw(raw_words(g)))
+    letters = data.draw(raw_words(g, max_size=6))
+    assert rg._fold(g, letters, h) == rg.normal_form(g, h + letters) == \
+        normal_form_oracle(g, h + letters)
+    assert rg._letter_step(g, h) == \
+        [(v, rg.mul(g, h, ((v, e),))) for v in g.vertices for e in (1, -1)]
+    coords = {v: data.draw(st.integers(-3, 3)) for v in g.vertices}
+    assert rg.flat_element(g, h, coords) == rg.normal_form(g, h + tuple(
+        (v, 1 if k > 0 else -1) for v, k in coords.items()
+        for _ in range(abs(k))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(defining_graphs(), st.data())
+def test_gate_pass_on_a_normal_form_matches_descent_oracle(g, data):
+    base = data.draw(raw_words(g))
+    support = g.sorted_subset(data.draw(st.sets(st.sampled_from(g.vertices))))
+    assert rg._gate(g, rg.normal_form(g, base), support) == \
+        gate_descent_oracle(g, base, support)
 
 
 def test_unknown_generator():
