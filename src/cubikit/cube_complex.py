@@ -45,7 +45,7 @@ field changes after `__post_init__`: `hyperplanes(b)` returns it, so the
 verifier reuses the source hyperplanes its caller picked K from.
 
 `bfs_ball` is the one closure engine: group and cover balls, group tables,
-track orbits, `_reach`, `class_heights`' parallel sets, the invariant
+track orbits, `_reach`, `class_levels`' parallel sets, the invariant
 wallspace's closure and `phi_map`'s density run it.  Hand-written:
 `_distances` (behind `bfs_from` and `distance`), `_connected`,
 `Track.connected` (hot: a (label, neighbour) step made the metric BFS 3x

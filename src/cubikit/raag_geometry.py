@@ -13,7 +13,7 @@ scan left from the end past the letters whose generator is adjacent to v; if
 the scan stops on v^-e, delete that letter; otherwise insert x before the
 first letter right of the stop whose rank exceeds the rank of x.  `_fold`
 can start from a normal form h instead of the empty word, so a caller that
-holds h (`_letter_step`, `ball_Xe`'s vertical step, `class_heights`' star
+holds h (`_letter_step`, `ball_Xe`'s vertical step, `class_levels`' star
 search, `flat_element`) takes one step per new letter instead of re-folding
 h.  The start must be normal, which no check enforces; `mul` folds both
 factors from the empty word, since callers pass words such as inv(base).
@@ -35,10 +35,11 @@ exactly the ones that can be shuffled to the front.  Write base^-1 x = a b
 with a in G(S) the front-movable S-letters; b has none, so no letter of
 p^-1 a cancels against b and |p^-1 a b| = |p^-1 a| + |b| for every p in
 G(S), least exactly at p = a.  The height of x on a parallel class is the
-one-direction case (`height_of`); `class_heights` inherits a class's
-heights along prefixes of normal forms: a v-letter moves the height only
-inside the parallel set rep*G(st v), which one `bfs_ball` from its gate
-rep lists.
+one-direction case (`height_of`).  `class_levels` reads a class's heights
+off the tree that prefixes make of a list of normal forms (`prefix_tree`):
+each root takes `height_of` and its subtree starts on that level, and a
+v-letter shifts its subtree, which moves the height only inside the
+parallel set rep*G(st v), listed by one `bfs_ball` from its gate rep.
 
 Two cosets x*G(X), y*G(Y) meet iff u = x^-1 y lies in the double coset
 G(X) G(Y), and that is one gate: u lies there iff the gate of u*G(Y) is
@@ -317,48 +318,93 @@ def ball_Xe(g: DefiningGraph, radius: int) -> CubeComplexBall:
 def height_of(g: DefiningGraph, pc: ParallelClass, x) -> int:
     """Gate height of x on the class geodesic: `gate_heights` in the class
     direction, from pc.rep, which is also the gate of the geodesic.  This
-    is the per-point path; `class_heights` inherits heights along word
-    prefixes and calls it only where no prefix came earlier."""
+    is the per-point path; `class_levels` shifts heights down a prefix tree
+    and calls it only at the tree's roots."""
     v = pc.direction
     return gate_heights(g, pc.rep, (v,), x)[v]
 
 
-def class_heights(g: DefiningGraph, pc: ParallelClass, words) -> dict:
-    """{word: `height_of` the word} for a list of normal forms, in order.
+def prefix_tree(words):
+    """(index, parents, subtrees) for a list of distinct words: `index`
+    maps each word to its position, parents[i] is the index of
+    words[i][:-1] when that word comes earlier in the list, else -1 (a
+    root), and subtrees[i] is the bitmask of i and every index below it.
+    A parent comes before its children, so one backward pass ORs each
+    subtree into its parent's."""
+    index = {p: i for i, p in enumerate(words)}
+    parents = []
+    for i, p in enumerate(words):
+        a = index.get(p[:-1], -1)       # the empty word finds itself
+        parents.append(a if a < i else -1)
+    subtrees = [1 << i for i in range(len(words))]
+    for i in range(len(words) - 1, -1, -1):
+        if parents[i] >= 0:
+            subtrees[parents[i]] |= subtrees[i]
+    return index, parents, subtrees
 
-    A word p = q x whose prefix q came earlier in the list inherits its
-    height: h(p) = h(q) + e if x = v^e, v the class direction, and q lies
-    in the parallel set P = rep*G(st v); h(p) = h(q) otherwise.  Write
-    y = rep^-1 q.  If y is a word in st v, so is y v^e, and `gate_heights`
-    sums the v-exponents of the whole word.  If not, the fold of y x stops
-    its scan at or after the first letter of y outside st v, so the front
-    run of st v letters that `gate_heights` sums is unchanged.  rep is the
-    gate of P, so lengths add along it and the points of P that are
-    prefixes here are rep*s, s a word in st v of length at most
-    max |p| - 1 - |rep|: one `bfs_ball` from rep finds them.  The test
-    `q in P` compares words, hence the precondition: `group_ball` gives
-    normal forms, and prefixes of normal forms are normal forms.  Other
-    words (the empty word, or a list not closed under prefixes) call
-    `height_of`.  If v is a cone vertex, P is the whole group and holds
-    every prefix, so no search runs.
+
+def class_levels(g: DefiningGraph, pc: ParallelClass, words, tree) -> dict:
+    """{height: bitmask of the words at that `height_of`}, heights in order
+    of first appearance, for a list of distinct normal forms and its
+    `prefix_tree`.
+
+    A word p = q x whose prefix q came earlier has the height of q plus e if
+    x = v^e, v the class direction, and q lies in the parallel set
+    P = rep*G(st v); otherwise the height of q.  Write y = rep^-1 q.  If y
+    is a word in st v, so is y v^e, and `gate_heights` sums the v-exponents
+    of the whole word.  If not, the fold of y x stops its scan at or after
+    the first letter of y outside st v, so the front run of st v letters
+    that `gate_heights` sums is unchanged.  So each root takes `height_of`
+    and its whole subtree starts at that level, and each mover, a word
+    v^e-child of a prefix in P, shifts its subtree by e.  Movers go in
+    index order: an earlier mover is an ancestor, which shifts the whole
+    subtree, or lies outside it, so the subtree sits on one level, that of
+    the mover's parent, and moves by one XOR and one OR.
+
+    rep is the gate of P, so lengths add along it and the points of P that
+    are prefixes here are rep*s, s a word in st v of length at most
+    max |p| - 1 - |rep|: one `bfs_ball` from rep finds them, and a mover is
+    a word q + (v^e) that is not a root.  Prefixes of normal forms are
+    normal forms, so the tree's parent words are.  If v is a cone vertex,
+    P is the whole group and holds every prefix, so no search runs and
+    every v-letter child moves.
     """
+    index, parents, subtrees = tree
     v = pc.direction
-    inside = None                   # None: P is the whole group
     if len(g._star[v]) < len(g.vertices):
         star = [(u, e) for u in g._star[v] for e in (1, -1)]
         reach = max(map(len, words), default=0) - 1 - len(pc.rep)
         inside = bfs_ball([pc.rep],
                           lambda h: [(x, _fold(g, (x,), h)) for x in star],
                           reach)
+        children = (index.get((*q, (v, e)), -1)
+                    for q in inside for e in (1, -1))
+        movers = sorted(i for i in children if i >= 0 and parents[i] >= 0)
+    else:
+        movers = [i for i, p in enumerate(words)
+                  if parents[i] >= 0 and p[-1][0] == v]
+    top = {}                        # root or mover -> height of its level
     out = {}
-    for p in words:
-        k = out.get(p[:-1]) if p else None
-        if k is None:
-            k = height_of(g, pc, p)
-        elif p[-1][0] == v and (inside is None or p[:-1] in inside):
-            k += p[-1][1]
-        out[p] = k
-    return out
+    covered, full = 0, (1 << len(words)) - 1
+    while covered != full:
+        # the first index outside the subtrees found so far has no parent
+        # in them, and every earlier index is in them: it is a root
+        i = (~covered & covered + 1).bit_length() - 1
+        top[i] = k = height_of(g, pc, words[i])
+        out[k] = out.get(k, 0) | subtrees[i]
+        covered |= subtrees[i]
+    for i in movers:
+        a = parents[i]
+        while a not in top:
+            a = parents[a]
+        k = top[a]
+        top[i] = k2 = k + words[i][-1][1]
+        out[k] ^= subtrees[i]
+        if not out[k]:
+            del out[k]
+        out[k2] = out.get(k2, 0) | subtrees[i]
+    # levels disjoint: a level's lowest bit is its first appearance
+    return dict(sorted(out.items(), key=lambda kv: kv[1] & -kv[1]))
 
 
 def extension_adjacent(g: DefiningGraph, c1: ParallelClass,

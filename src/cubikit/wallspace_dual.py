@@ -19,14 +19,15 @@ complex.
 The invariant wallspace gives each class the `semiconjugacy.BranchedLine`
 of its block map (`building.resolved_table`), and moves its cut walls by
 the one `building.class_isometry` of each (class, generator) pair and its
-tip walls by `building.transport_height`.  Each class's heights come from
-one `raag_geometry.class_heights` pass over the points, which inherits
-each point's height from its prefix (a v-letter adds its exponent inside
-the class's parallel set and nothing outside it), so only the empty word
-costs a `height_of`.  A class keeps its heights as levels, one bitmask of
-the points per height, and every wall side is a level (tip walls) or an
-OR of levels (cut walls).  That wall closure and the density search of
-`phi_map` run `cube_complex.bfs_ball`.
+tip walls by `building.transport_height`.  The points' prefixes make one
+tree (`raag_geometry.prefix_tree`), built once and shared by every class,
+and `raag_geometry.class_levels` reads each class's heights off it: the
+empty word, the one root, costs a `height_of`, and each v-letter whose
+prefix lies in the class's parallel set shifts its subtree by its
+exponent, one XOR and one OR of bitmasks.  A class keeps its heights as
+levels, one bitmask of the points per height, and every wall side is a
+level (tip walls) or an OR of levels (cut walls).  That wall closure and
+the density search of `phi_map` run `cube_complex.bfs_ball`.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ from .cube_complex import (
 )
 from .graph_core import DefiningGraph
 from .raag_geometry import (
-    class_heights,
+    class_levels,
     class_of_geodesic,
     extension_adjacent,
     group_ball,
     inv,
     mul,
+    prefix_tree,
 )
 from .semiconjugacy import BranchedLine
 
@@ -386,11 +388,11 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     generator whose `building.class_isometry` misses a pair of blocks
     raises `semiconjugacy.ActionError`.
 
-    Each class, seed or image, gets its heights in one
-    `raag_geometry.class_heights` pass over the points (normal forms listed
-    by length, so a word's prefix comes first and lends it its height) and
-    keeps them as levels, {height: bitmask of the points at that height},
-    heights in order of first appearance.  A tip wall's
+    Each class, seed or image, keeps its heights as levels, {height:
+    bitmask of the points at that height}, heights in order of first
+    appearance, from `raag_geometry.class_levels` on the points' one
+    `raag_geometry.prefix_tree` (normal forms listed by length, so a word's
+    prefix comes first and its subtree moves with it).  A tip wall's
     side is one level, a cut wall's the OR of the levels whose clamped
     block is at most its cut; walls are deduplicated by min(side,
     complement), and the domain is the AND of every class's band levels.
@@ -409,12 +411,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
     levels = {}       # class id -> {height: bitmask of the points at it}
     block_maps = {}
     band = range(-wall_window, wall_window + 1)
-
-    def levels_of(pc):
-        lv = {}
-        for i, h in enumerate(class_heights(g, pc, points).values()):
-            lv[h] = lv.get(h, 0) | 1 << i
-        return lv
+    tree = prefix_tree(points)
 
     def wall_side(tag):
         """The side of a tagged wall, as a bitmask over the points: one level
@@ -433,7 +430,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
         return side
 
     for cid, pc in sorted(classes.items()):
-        levels[cid] = levels_of(pc)
+        levels[cid] = class_levels(g, pc, points, tree)
         block_maps[cid] = resolved_table(g, action_tables, resolutions, pc,
                                          band)
         lines[cid] = line = BranchedLine.of_block_map(block_maps[cid])
@@ -457,7 +454,7 @@ def invariant_wallspace(g: DefiningGraph, action_tables, resolutions,
                 return None
             if img.id not in classes and img.id not in rejected:
                 try:
-                    lv = levels_of(img)
+                    lv = class_levels(g, img, points, tree)
                     fmap = resolved_table(g, action_tables, resolutions, img,
                                           sorted(lv))
                 except ValueError:

@@ -8,6 +8,7 @@ import ast
 import collections
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -284,3 +285,85 @@ def test_private_attribute_rule_sees_each_form():
             "b.public = 1\n")
     assert sorted(line for line, _ in _private_attribute_sets(
         ast.parse(code))) == [1, 2, 3, 4]
+
+
+# Backticked identifiers of `src/` docstrings that name nothing defined in
+# `src/`: a Python constant, a benchmark workload and a standard-library
+# call.  A name that comes to be defined, or leaves the docstrings, leaves
+# this list.
+DOC_NAMES_ELSEWHERE = {"None", "tracks", "json.dump"}
+
+_DOC_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+
+
+def _parameters(fn):
+    a = fn.args
+    return {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg) if x}
+
+
+def _unresolved_doc_names(sources):
+    """The backticked identifiers of the docstrings in `sources` (module
+    name -> source text) that name nothing in them.  A plain name resolves
+    to a def or class, a module-level name, a field (an annotated class
+    attribute or a string key of a dict display), a parameter of a public
+    function or of the documented one, or a module; a dotted name resolves
+    by its last part, which must be defined in the module its first part
+    names, if it names one."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    defined, known, docs = {}, {"cubikit", *trees}, []
+    for mod, tree in trees.items():
+        own = defined[mod] = set()
+        for node in tree.body:
+            own |= _defined(node)
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+                own.add(n.name)
+                if ast.get_docstring(n):
+                    docs.append((mod, n))
+            if isinstance(n, ast.ClassDef):
+                own |= {b.target.id for b in n.body
+                        if isinstance(b, ast.AnnAssign)
+                        and isinstance(b.target, ast.Name)}
+            elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    (not n.name.startswith("_") or n.name.startswith("__")):
+                known |= _parameters(n)
+            elif isinstance(n, ast.Dict):
+                known |= {k.value for k in n.keys
+                          if isinstance(k, ast.Constant)
+                          and isinstance(k.value, str)}
+        known |= own
+        if ast.get_docstring(tree):
+            docs.append((mod, tree))
+    found = set()
+    for mod, node in docs:
+        scope = known | (_parameters(node) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else set())
+        for name in _DOC_NAME.findall(ast.get_docstring(node)):
+            parts = name.split(".")
+            where = defined.get(parts[0], scope) if len(parts) > 1 else scope
+            if parts[-1] not in where:
+                found.add(name)
+    return found
+
+
+def test_docstring_names_resolve():
+    """Every backticked identifier in a `src/` docstring names something
+    defined in `src/` (see `_unresolved_doc_names`), so a renamed or
+    removed name leaves no stale mention behind."""
+    found = _unresolved_doc_names(
+        {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert found - DOC_NAMES_ELSEWHERE == set(), "docstring names unresolved"
+    assert DOC_NAMES_ELSEWHERE - found == set(), \
+        "listed docstring names that now resolve"
+
+
+def test_docstring_name_rule_sees_each_form():
+    code = ('"""`f`, `C.x`, `m.f`, `m.gone`, `gone`, `key` and `p`."""\n'
+            "class C:\n    x: int\n"
+            "def f(p):\n    '''`p`, `q` and `_q`.'''\n    return {'key': p}\n"
+            "def _g(q):\n    '''`q`.'''\n")
+    # `q` resolves in the docstring of `_g`, whose parameter it is, and
+    # nowhere else: `_g` is private
+    assert _unresolved_doc_names({"m": code}) == {"m.gone", "gone", "q", "_q"}

@@ -65,12 +65,45 @@ def flats_meeting(g, ball, margin=0):
     return sorted(found.values(), key=lambda r: (r.rank, r.id))
 
 
+def class_heights(g, pc, words):
+    """Oracle for `raag_geometry.class_levels`: {word: `height_of` the
+    word} for a list of normal forms, in order, each word inheriting its
+    height from its prefix.
+
+    A word p = q x whose prefix q came earlier in the list has the height of
+    q plus e if x = v^e, v the class direction, and q lies in the parallel
+    set P = rep*G(st v), and the height of q otherwise (the argument is in
+    `class_levels`' docstring).  The points of P that are prefixes here are
+    rep*s, s a word in st v of length at most max |p| - 1 - |rep|: one
+    `bfs_ball` from rep finds them.  Other words (the empty word, or a list
+    not closed under prefixes) call `height_of`.  If v is a cone vertex, P
+    is the whole group and holds every prefix, so no search runs.
+    """
+    v = pc.direction
+    inside = None                   # None: P is the whole group
+    if len(g._star[v]) < len(g.vertices):
+        star = [(u, e) for u in g._star[v] for e in (1, -1)]
+        reach = max(map(len, words), default=0) - 1 - len(pc.rep)
+        inside = cc.bfs_ball([pc.rep],
+                             lambda h: [(x, rg.mul(g, h, (x,))) for x in star],
+                             reach)
+    out = {}
+    for p in words:
+        k = out.get(p[:-1]) if p else None
+        if k is None:
+            k = rg.height_of(g, pc, p)
+        elif p[-1][0] == v and (inside is None or p[:-1] in inside):
+            k += p[-1][1]
+        out[p] = k
+    return out
+
+
 def levels(g, pc, ball, margin=1, verify=True):
     """{height: sorted vertex ids}: the ball's margin-interior split by
     `class_heights`, lowest height first.  With `verify`, also asserts
     that every standard flat not involving the class lies in one level."""
     verts = [v for v in ball.vertex_ids if ball.depth[v] >= margin]
-    heights = rg.class_heights(g, pc, [rg.parse_word(v) for v in verts])
+    heights = class_heights(g, pc, [rg.parse_word(v) for v in verts])
     out = {}
     for vid in verts:
         out.setdefault(heights[rg.parse_word(vid)], []).append(vid)
@@ -374,18 +407,40 @@ def classes_through(g, radius=2):
     return list(out.values())
 
 
-def assert_class_heights_match(g, pcs, words):
+def masks_by_height(heights):
+    """{height: bitmask of the positions at that height}, heights in order
+    of first appearance, from a list of heights."""
+    out = {}
+    for i, k in enumerate(heights):
+        out[k] = out.get(k, 0) | 1 << i
+    return out
+
+
+def assert_class_levels_match(g, pcs, words):
+    # key order counts: dict equality alone ignores it
+    tree = rg.prefix_tree(words)
     for pc in pcs:
-        got = rg.class_heights(g, pc, words)
-        assert list(got.items()) == [(p, rg.height_of(g, pc, p))
-                                     for p in words], pc.id
+        got = list(rg.class_levels(g, pc, words, tree).items())
+        oracle = masks_by_height(class_heights(g, pc, words).values())
+        direct = masks_by_height(rg.height_of(g, pc, p) for p in words)
+        assert got == list(oracle.items()) == list(direct.items()), pc.id
+
+
+def test_prefix_tree_of_a_small_list():
+    a, b = ("a", 1), ("b", 1)
+    words = [(a, b), (), (a,), (a, b, a), (b,)]
+    index, parents, subtrees = rg.prefix_tree(words)
+    # (a, b) comes before its prefix (a,), so it is a root like ()
+    assert index == {p: i for i, p in enumerate(words)}
+    assert parents == [-1, -1, 1, 0, 1]
+    assert subtrees == [0b01001, 0b10110, 0b00100, 0b01000, 0b10000]
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(HEIGHT_GRAPHS))
 def test_class_heights_match_height_of(name, radius):
     g = HEIGHT_GRAPHS[name]
-    assert_class_heights_match(g, classes_through(g), rg.group_ball(g, radius))
+    assert_class_levels_match(g, classes_through(g), rg.group_ball(g, radius))
 
 
 @settings(max_examples=30, deadline=None)
@@ -397,15 +452,16 @@ def test_class_heights_match_height_of_on_drawn_graphs(g):
     # the examples: a triangle, a cone on a path of three and a cone on
     # an edge and two points, where the parallel set of a cone vertex's
     # class is the whole group
-    assert_class_heights_match(g, classes_through(g, 1), rg.group_ball(g, 3))
+    assert_class_levels_match(g, classes_through(g, 1), rg.group_ball(g, 3))
 
 
 def test_class_heights_of_cone_vertices_search_no_parallel_set(monkeypatch):
     # in K2 both vertices are cone vertices, so the parallel set is the
-    # whole group and holds every prefix: only the empty word costs a
-    # `height_of`, and no `mul` runs outside it
+    # whole group and holds every prefix: only the root, the empty word,
+    # costs a `height_of`, and no `mul` runs outside it
     g = gc.k2()
     words = rg.group_ball(g, 4)
+    tree = rg.prefix_tree(words)
     real_mul, real_height = rg.mul, rg.height_of
     inside, heights, muls = [], [], []
 
@@ -423,15 +479,15 @@ def test_class_heights_of_cone_vertices_search_no_parallel_set(monkeypatch):
     for pc in classes_through(g):
         heights.clear()
         muls.clear()
-        got = rg.class_heights(g, pc, words)
+        got = rg.class_levels(g, pc, words, tree)
         assert heights == [()] and muls and all(muls), pc.id
-        assert got == {p: real_height(g, pc, p) for p in words}
+        assert got == masks_by_height(real_height(g, pc, p) for p in words)
 
 
 @pytest.mark.parametrize("order", ["reversed", "margin", "shuffled"])
 @pytest.mark.parametrize("name", ["pentagon", "path3"])
 def test_class_heights_off_prefix_closed_lists(name, order):
-    # prefixes come late or not at all, so most words take the fallback
+    # prefixes come late or not at all, so most words are roots
     g = HEIGHT_GRAPHS[name]
     words = rg.group_ball(g, 3)
     if order == "reversed":
@@ -440,7 +496,7 @@ def test_class_heights_off_prefix_closed_lists(name, order):
         words = [p for p in words if len(p) >= 2]
     else:
         random.Random(5).shuffle(words)
-    assert_class_heights_match(g, classes_through(g), words)
+    assert_class_levels_match(g, classes_through(g), words)
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,7 +507,7 @@ def test_class_heights_along_a_word_match_height_of(name, data):
     pc = rg.class_of_geodesic(g, rep, data.draw(st.sampled_from(g.vertices)))
     x = rg.normal_form(g, data.draw(raw_words(g, max_size=10)))
     prefixes = [x[:i] for i in range(len(x) + 1)]
-    assert_class_heights_match(g, [pc], prefixes)
+    assert_class_levels_match(g, [pc], prefixes)
 
 
 def test_canonical_quotient_is_davis_ball():

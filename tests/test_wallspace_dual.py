@@ -24,6 +24,7 @@ from cubikit.building import ActionTables, left_translation_action
 from .strategies import defining_graphs
 from .test_blowup import two_flipping_action
 from .test_canonical_squares import relabel_edges
+from .test_raag_balls import class_heights
 from .test_raag_words import coset_member
 
 
@@ -574,10 +575,10 @@ def test_branched_line_of_block_map():
     assert list(bl.tips.items()) == [(0, (-2, -1)), (-1, (0, 2))]
 
 
-def line_resolutions(g):
-    """Identity block maps for every class through the identity."""
-    return {rg.class_of_geodesic(g, (), v).id: {n: n for n in range(-12, 13)}
-            for v in g.vertices}
+def line_resolutions(g, reach=0):
+    """Identity block maps for every class through the ball of `reach`."""
+    return {rg.class_of_geodesic(g, p, v).id: {n: n for n in range(-12, 13)}
+            for p in rg.group_ball(g, reach) for v in g.vertices}
 
 
 def trivial_action(g, radius):
@@ -739,8 +740,39 @@ def test_levels_partition_the_points_by_class_height(g):
     assert set(iws.levels) == set(iws.classes)
     for cid, lv in iws.levels.items():
         assert levels_partition(lv, iws.wallspace.full_mask), cid
-        hs = rg.class_heights(g, iws.classes[cid], points)
+        hs = class_heights(g, iws.classes[cid], points)
         assert point_heights(lv, len(points)) == list(hs.values()), cid
+
+
+def phi_outcome(iws):
+    """phi's density, or the type of the error it raises."""
+    try:
+        return "density", wd.phi_map(iws)[1]["density"]
+    except (AssertionError, KeyError) as err:
+        return "raises", type(err).__name__
+
+
+@settings(max_examples=30, deadline=None)
+@given(defining_graphs(), st.data())
+def test_invariant_wallspace_survives_relabelling(g, data):
+    # a new vertex order changes the normal forms, and with them the order
+    # of the points and their prefix tree, but not the group, its classes
+    # or their heights; classes are matched by direction and the element
+    # of their rep
+    h = gc.DefiningGraph.make(data.draw(st.permutations(g.vertices)),
+                              [tuple(e) for e in g.edges])
+    a, b = (wd.invariant_wallspace(x, trivial_action(x, 2),
+                                   line_resolutions(x, 1), class_reach=1,
+                                   points_radius=2)
+            for x in (g, h))
+    assert len(a.classes) == len(b.classes)
+    assert a.wallspace.n_walls() == b.wallspace.n_walls()
+    assert len(a.domain) == len(b.domain)
+    for cid, pc in a.classes.items():
+        twin = rg.class_of_geodesic(h, pc.rep, pc.direction).id
+        assert sorted(m.bit_count() for m in a.levels[cid].values()) == \
+            sorted(m.bit_count() for m in b.levels[twin].values()), cid
+    assert phi_outcome(a) == phi_outcome(b)
 
 
 def test_invariant_wallspace_heights_once_per_class(monkeypatch):
